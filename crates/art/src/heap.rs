@@ -7,6 +7,7 @@
 //! which is how a dead `BinderProxy` deletes the JNI global reference that
 //! pinned its native peer.
 
+use std::borrow::Cow;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
@@ -60,7 +61,8 @@ pub enum Finalizer {
 
 #[derive(Debug, Clone)]
 struct ObjectRecord {
-    class: String,
+    /// Literal class names are borrowed, not copied.
+    class: Cow<'static, str>,
     pins: u32,
     finalizers: Vec<Finalizer>,
 }
@@ -102,7 +104,7 @@ impl Heap {
     }
 
     /// Allocates a new, unpinned object of `class`.
-    pub fn alloc(&mut self, class: impl Into<String>) -> ObjRef {
+    pub fn alloc(&mut self, class: impl Into<Cow<'static, str>>) -> ObjRef {
         let record = ObjectRecord {
             class: class.into(),
             pins: 0,
@@ -154,7 +156,7 @@ impl Heap {
     ///
     /// [`ArtError::StaleObjRef`] if the object was collected.
     pub fn class_of(&self, obj: ObjRef) -> Result<&str, ArtError> {
-        self.record(obj).map(|r| r.class.as_str())
+        self.record(obj).map(|r| &*r.class)
     }
 
     /// Increments the pin count, keeping the object alive across

@@ -202,7 +202,7 @@ impl Runtime {
     /// allocates, which we model by panicking in debug via `ensure_running`
     /// being checked on the reference operations instead — allocation on an
     /// aborted runtime returns a handle that no table will accept.
-    pub fn alloc(&mut self, class: impl Into<String>) -> ObjRef {
+    pub fn alloc(&mut self, class: impl Into<std::borrow::Cow<'static, str>>) -> ObjRef {
         self.heap.alloc(class)
     }
 
@@ -440,7 +440,7 @@ impl Runtime {
             Some(self.pid),
             None,
             "art.gc",
-            format!(
+            format_args!(
                 "freed={} finalizers={} globals_released={}",
                 stats.freed_objects, stats.finalizers_run, stats.globals_released
             ),
@@ -496,7 +496,7 @@ impl Runtime {
                 Some(self.pid),
                 None,
                 "art.checkjni",
-                format!("JNI DETECTED ERROR IN APPLICATION: {err}"),
+                format_args!("JNI DETECTED ERROR IN APPLICATION: {err}"),
             );
             self.abort();
         }
@@ -540,7 +540,7 @@ impl Runtime {
                 JgrEventKind::Add => "jgr.add",
                 JgrEventKind::Remove => "jgr.remove",
             },
-            format!("size={}", event.table_size_after),
+            format_args!("size={}", event.table_size_after),
         );
     }
 }

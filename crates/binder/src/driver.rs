@@ -1,6 +1,7 @@
 //! The simulated Binder kernel driver: nodes, routing, the transaction log,
 //! and death notification links.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -113,7 +114,7 @@ pub struct DeathNotification {
 #[derive(Debug, Clone)]
 struct NodeInfo {
     host: Pid,
-    label: String,
+    label: Cow<'static, str>,
     alive: bool,
 }
 
@@ -124,8 +125,8 @@ struct NodeInfo {
 pub struct BinderDriver {
     clock: SimClock,
     trace: TraceSink,
-    nodes: BTreeMap<NodeId, NodeInfo>,
-    next_node: u64,
+    /// Every node ever created; node id `n` is entry `n - 1`.
+    nodes: Vec<NodeInfo>,
     log: Vec<IpcRecord>,
     log_enabled: bool,
     log_sorted: bool,
@@ -143,8 +144,7 @@ impl BinderDriver {
         Self {
             clock,
             trace,
-            nodes: BTreeMap::new(),
-            next_node: 1,
+            nodes: Vec::new(),
             log: Vec::new(),
             log_enabled: true,
             log_sorted: true,
@@ -214,18 +214,18 @@ impl BinderDriver {
     }
 
     /// Registers a new node hosted by `host`.
-    pub fn create_node(&mut self, host: Pid, label: impl Into<String>) -> NodeId {
-        let id = NodeId(self.next_node);
-        self.next_node += 1;
-        self.nodes.insert(
-            id,
-            NodeInfo {
-                host,
-                label: label.into(),
-                alive: true,
-            },
-        );
-        id
+    pub fn create_node(&mut self, host: Pid, label: impl Into<Cow<'static, str>>) -> NodeId {
+        self.nodes.push(NodeInfo {
+            host,
+            label: label.into(),
+            alive: true,
+        });
+        NodeId(self.nodes.len() as u64)
+    }
+
+    fn node(&self, node: NodeId) -> Option<&NodeInfo> {
+        let index = usize::try_from(node.0.checked_sub(1)?).ok()?;
+        self.nodes.get(index)
     }
 
     /// Host process of a node.
@@ -235,26 +235,29 @@ impl BinderDriver {
     /// [`BinderError::UnknownNode`] if the node was never created,
     /// [`BinderError::DeadNode`] if its host died.
     pub fn node_host(&self, node: NodeId) -> Result<Pid, BinderError> {
-        let info = self.nodes.get(&node).ok_or(BinderError::UnknownNode)?;
+        let info = self.node(node).ok_or(BinderError::UnknownNode)?;
         if !info.alive {
             return Err(BinderError::DeadNode);
         }
         Ok(info.host)
     }
 
-    /// Human-readable node label (service or callback name).
+    /// Human-readable node label: the service name, or `"callback"` for
+    /// a client callback object (its host process names the owner).
     pub fn node_label(&self, node: NodeId) -> Option<&str> {
-        self.nodes.get(&node).map(|i| i.label.as_str())
+        self.node(node).map(|i| &*i.label)
     }
 
     /// Whether the node is alive.
     pub fn is_alive(&self, node: NodeId) -> bool {
-        self.nodes.get(&node).is_some_and(|i| i.alive)
+        self.node(node).is_some_and(|i| i.alive)
     }
 
     /// Routes one transaction: validates the target, advances the virtual
-    /// clock by the modelled transaction latency, and appends to the log.
-    /// Returns the record (also retained in [`log`](Self::log)).
+    /// clock by the modelled transaction latency, and appends the
+    /// [`IpcRecord`] to the [`log`](Self::log). Returns when the
+    /// transaction entered the driver — the true time, which log faults
+    /// never alter.
     ///
     /// # Errors
     ///
@@ -268,7 +271,7 @@ impl BinderDriver {
         interface: &str,
         method: &str,
         parcel: &Parcel,
-    ) -> Result<IpcRecord, BinderError> {
+    ) -> Result<SimTime, BinderError> {
         self.record_transaction_on_path(from_pid, from_uid, node, interface, method, parcel, 0)
     }
 
@@ -284,7 +287,7 @@ impl BinderDriver {
         method: &str,
         parcel: &Parcel,
         path_id: u8,
-    ) -> Result<IpcRecord, BinderError> {
+    ) -> Result<SimTime, BinderError> {
         let to_pid = self.node_host(node)?;
         let payload_bytes = parcel.payload_size();
         if payload_bytes > TRANSACTION_BUFFER_LIMIT {
@@ -313,29 +316,30 @@ impl BinderDriver {
             payload_bytes,
             path_id,
         };
-        self.trace.record(
-            at,
-            Some(from_pid),
-            Some(from_uid),
-            "binder.transact",
-            record.ipc_type(),
-        );
-        if self.log_enabled {
-            self.append_to_log(&record);
+        if self.trace.is_enabled() {
+            self.trace.record(
+                at,
+                Some(from_pid),
+                Some(from_uid),
+                "binder.transact",
+                record.ipc_type(),
+            );
         }
-        Ok(record)
+        if self.log_enabled {
+            self.append_to_log(record);
+        }
+        Ok(at)
     }
 
     /// Appends the *logged copy* of a routed transaction, letting the
     /// fault layer (if any) drop, duplicate, delay, reorder, or jitter it.
-    /// The caller-visible record keeps the true timestamp: faults corrupt
+    /// The time returned to the sender stays the true one: faults corrupt
     /// what the defender *observes*, never what actually happened.
-    fn append_to_log(&mut self, record: &IpcRecord) {
+    fn append_to_log(&mut self, mut logged: IpcRecord) {
         let Some(faults) = self.faults.as_ref().filter(|f| f.is_active()) else {
-            self.log.push(record.clone());
+            self.log.push(logged);
             return;
         };
-        let mut logged = record.clone();
         logged.at = faults.jitter_ipc_timestamp(logged.at);
         match faults.ipc_log_action() {
             IpcLogAction::Drop => return,
@@ -449,10 +453,10 @@ impl BinderDriver {
     /// dropped.
     pub fn kill_process(&mut self, pid: Pid) -> Vec<DeathNotification> {
         let mut dead_nodes = Vec::new();
-        for (id, info) in self.nodes.iter_mut() {
+        for (index, info) in self.nodes.iter_mut().enumerate() {
             if info.host == pid && info.alive {
                 info.alive = false;
-                dead_nodes.push(*id);
+                dead_nodes.push(NodeId(index as u64 + 1));
             }
         }
         let mut notifications = Vec::new();
@@ -475,7 +479,7 @@ impl BinderDriver {
             Some(pid),
             None,
             "binder.process_death",
-            format!(
+            format_args!(
                 "nodes={} notifications={}",
                 dead_nodes.len(),
                 notifications.len()
@@ -499,19 +503,21 @@ mod tests {
         let node = d.create_node(Pid::new(412), "wifi");
         let mut p = Parcel::new();
         p.write_i32(1);
-        let rec = d
-            .record_transaction(
-                Pid::new(9000),
-                Uid::new(10061),
-                node,
-                "IWifiManager",
-                "acquireWifiLock",
-                &p,
-            )
-            .unwrap();
+        d.record_transaction(
+            Pid::new(9000),
+            Uid::new(10061),
+            node,
+            "IWifiManager",
+            "acquireWifiLock",
+            &p,
+        )
+        .unwrap();
+        assert_eq!(d.log().len(), 1);
+        let rec = &d.log()[0];
         assert_eq!(rec.to_pid, Pid::new(412));
         assert_eq!(rec.ipc_type(), "IWifiManager.acquireWifiLock");
-        assert_eq!(d.log().len(), 1);
+        assert_eq!(d.node_label(node), Some("wifi"));
+        assert_eq!(d.node_label(NodeId::new(0)), None);
     }
 
     #[test]
@@ -606,10 +612,10 @@ mod tests {
         let p = Parcel::new();
         let mut stamps = Vec::new();
         for _ in 0..5 {
-            let rec = d
+            let at = d
                 .record_transaction(Pid::new(2), Uid::new(10000), node, "I", "m", &p)
                 .unwrap();
-            stamps.push(rec.at);
+            stamps.push(at);
         }
         let mid = stamps[2];
         assert_eq!(d.log_since(mid).count(), 3);
@@ -645,10 +651,9 @@ mod tests {
         let node = d.create_node(Pid::new(1), "svc");
         let p = Parcel::new();
         for expected in 0..4u64 {
-            let rec = d
-                .record_transaction(Pid::new(2), Uid::new(10000), node, "I", "m", &p)
+            d.record_transaction(Pid::new(2), Uid::new(10000), node, "I", "m", &p)
                 .unwrap();
-            assert_eq!(rec.seq, expected);
+            assert_eq!(d.log().last().map(|r| r.seq), Some(expected));
         }
     }
 
@@ -705,10 +710,10 @@ mod tests {
         let p = Parcel::new();
         let mut stamps = Vec::new();
         for _ in 0..100 {
-            let rec = d
+            let at = d
                 .record_transaction(Pid::new(2), Uid::new(10000), node, "I", "m", &p)
                 .unwrap();
-            stamps.push(rec.at);
+            stamps.push(at);
         }
         assert!(!d.log_is_sorted(), "severe reorder must unsort the log");
         let mid = stamps[50];

@@ -37,11 +37,11 @@
 //! let found = sm.get_service("clipboard").unwrap();
 //! let mut parcel = Parcel::new();
 //! parcel.write_string("listener registration");
-//! let record = driver.record_transaction(
+//! driver.record_transaction(
 //!     Pid::new(9001), Uid::new(10061), found,
 //!     "IClipboard", "addPrimaryClipChangedListener", &parcel)?;
-//! assert_eq!(record.to_pid, Pid::new(412));
 //! assert_eq!(driver.log().len(), 1);
+//! assert_eq!(driver.log()[0].to_pid, Pid::new(412));
 //! # Ok::<(), jgre_binder::BinderError>(())
 //! ```
 

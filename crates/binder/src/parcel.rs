@@ -162,9 +162,9 @@ impl Parcel {
     ///
     /// [`BinderError::ParcelUnderflow`] or
     /// [`BinderError::ParcelTypeMismatch`].
-    pub fn read_string(&mut self) -> Result<String, BinderError> {
+    pub fn read_string(&mut self) -> Result<&str, BinderError> {
         match self.read("string")? {
-            ParcelValue::String(s) => Ok(s.clone()),
+            ParcelValue::String(s) => Ok(s),
             _ => unreachable!("type checked by read()"),
         }
     }

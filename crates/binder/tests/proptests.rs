@@ -34,7 +34,7 @@ proptest! {
             match v {
                 ParcelValue::I32(x) => prop_assert_eq!(parcel.read_i32().unwrap(), *x),
                 ParcelValue::I64(x) => prop_assert_eq!(parcel.read_i64().unwrap(), *x),
-                ParcelValue::String(s) => prop_assert_eq!(&parcel.read_string().unwrap(), s),
+                ParcelValue::String(s) => prop_assert_eq!(parcel.read_string().unwrap(), s.as_str()),
                 ParcelValue::Blob(n) => prop_assert_eq!(parcel.read_blob().unwrap(), *n),
                 ParcelValue::StrongBinder(n) => {
                     prop_assert_eq!(parcel.read_strong_binder().unwrap(), *n);

@@ -65,8 +65,10 @@ impl DefendedDevice {
         }
     }
 
-    /// Re-boots this device in place for the next fleet run, reusing the
-    /// shared spec and the detections allocation.
+    /// Re-boots this device in place for the next fleet run: a new system
+    /// booted from the same shared spec (read in place, never copied) and
+    /// a new defender replace the old ones; only the detections buffer's
+    /// allocation is kept.
     ///
     /// After a reset the device is observationally identical to a fresh
     /// [`boot`](Self::boot) at the same scale: new system, new defender,

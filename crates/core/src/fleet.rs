@@ -16,10 +16,12 @@
 //!    workers (the `run_wave` pattern from the analysis scheduler) and
 //!    shard partials merge by commutative, associative addition, so the
 //!    summary is byte-identical for every `--threads` value.
-//! 3. **Arena reuse without state leaks** — each worker re-boots one
-//!    device slot in place between runs ([`DefendedDevice::reset`]),
-//!    sharing the immutable Android image across boots; the determinism
-//!    harness pins that a reused slot behaves exactly like a fresh boot.
+//! 3. **Arena reuse without state leaks** — each worker synthesizes the
+//!    immutable Android image once and boots every device of its shard
+//!    from it ([`DefendedDevice::reset`]). A boot reads the image's
+//!    service table in place and builds only per-device state (processes,
+//!    Binder nodes, per-method counters); the determinism harness pins
+//!    that a reused slot behaves exactly like a fresh boot.
 //!
 //! # Example
 //!
@@ -346,11 +348,13 @@ impl FleetSummary {
     }
 }
 
-/// One worker's reusable device slot plus the shared Android image.
+/// One worker's device slot plus the shared Android image.
 ///
-/// Booting a device from the arena reuses the previous slot's allocations
-/// and the spec; a reused slot is observationally identical to a fresh
-/// boot (pinned by `crates/core/tests/device_reset.rs`).
+/// Booting a device from the arena replaces the slot's previous device
+/// with a new one booted from the shared spec; only the spec (read in
+/// place, never copied) and the slot's detections buffer carry over. A
+/// reused slot is observationally identical to a fresh boot (pinned by
+/// `crates/core/tests/device_reset.rs`).
 #[derive(Debug)]
 pub struct DeviceArena {
     spec: Rc<AospSpec>,

@@ -5,6 +5,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::rc::Rc;
 
+use jgre_binder::IpcRecord;
 use jgre_framework::{KillOutcome, System};
 use jgre_sim::{CrashPoint, Pid, SimDuration, SimTime, Uid};
 use serde::{Deserialize, Serialize};
@@ -655,7 +656,10 @@ impl JgreDefender {
             .copied()
             .unwrap_or(SimDuration::ZERO);
         let horizon = SimTime::from_micros(since.as_micros().saturating_sub(window.as_micros()));
-        let mut out: BTreeMap<Uid, BTreeMap<String, Vec<SimTime>>> = BTreeMap::new();
+        // Group by the borrowed names first, so each series key is
+        // formatted once rather than once per record.
+        type Series<'a> = (&'a IpcRecord, Vec<SimTime>);
+        let mut grouped: BTreeMap<(Uid, &str, &str, Option<u8>), Series<'_>> = BTreeMap::new();
         let mut seen = BTreeSet::new();
         let mut seq_lo = u64::MAX;
         let mut seq_hi = 0u64;
@@ -668,16 +672,27 @@ impl JgreDefender {
             if record.to_pid != victim || !record.from_uid.is_app() {
                 continue;
             }
+            let path = self.config.classify_paths.then_some(record.path_id);
+            grouped
+                .entry((record.from_uid, &record.interface, &record.method, path))
+                .or_insert_with(|| (record, Vec::new()))
+                .1
+                .push(record.at);
+        }
+        let mut out: BTreeMap<Uid, BTreeMap<String, Vec<SimTime>>> = BTreeMap::new();
+        for ((uid, ..), (first, times)) in grouped {
             let key = if self.config.classify_paths {
-                record.ipc_type_with_path()
+                first.ipc_type_with_path()
             } else {
-                record.ipc_type()
+                first.ipc_type()
             };
-            out.entry(record.from_uid)
+            // Distinct name pairs can render to the same key ("a.b" + "c"
+            // and "a" + "b.c"); such series merge, as they always have.
+            out.entry(uid)
                 .or_default()
                 .entry(key)
                 .or_default()
-                .push(record.at);
+                .extend(times);
         }
         // Delay/reorder faults can hand the series back out of order;
         // the scorer's pairing assumes sorted times.

@@ -8,7 +8,7 @@ use jgre_binder::{
     materialize_strong_binder, BinderDriver, BinderError, Parcel, ReceivedBinder, ServiceManager,
 };
 use jgre_corpus::spec::{
-    AospSpec, Flaw, JgrBehavior, MethodSpec, Permission, Protection, ProtectionLevel,
+    AospSpec, Flaw, JgrBehavior, MethodSpec, Permission, Protection, ProtectionLevel, ServiceSpec,
 };
 use jgre_sim::{
     FaultLayer, FaultPlan, Pid, SimClock, SimDuration, SimRng, SimTime, Tid, TraceSink, Uid,
@@ -232,17 +232,34 @@ struct MethodState {
     calls: u64,
 }
 
+/// Where a registered service's [`ServiceSpec`] lives in the device's
+/// shared [`AospSpec`]: a system service, or a service a prebuilt app
+/// exports.
+#[derive(Debug, Clone, Copy)]
+enum SpecSlot {
+    System(usize),
+    Prebuilt { app: usize, service: usize },
+}
+
+impl SpecSlot {
+    fn resolve(self, spec: &AospSpec) -> &ServiceSpec {
+        match self {
+            SpecSlot::System(index) => &spec.services[index],
+            SpecSlot::Prebuilt { app, service } => &spec.prebuilt_apps[app].services[service],
+        }
+    }
+}
+
+/// Per-device state of a registered service. The name, interface and
+/// method table (in AIDL declaration order, the positional
+/// transaction-code table `transact_raw` indexes) are read in place from
+/// the shared spec through `slot`; only what a boot creates or a call
+/// mutates lives here.
 #[derive(Debug)]
 struct ServiceState {
-    name: String,
-    interface: String,
-    native: bool,
+    slot: SpecSlot,
     host: Pid,
     node: jgre_binder::NodeId,
-    methods: BTreeMap<String, MethodSpec>,
-    /// Methods in AIDL declaration order — the positional transaction-code
-    /// table `transact_raw` indexes (code = position + 1).
-    method_order: Vec<String>,
     per_method: BTreeMap<String, MethodState>,
 }
 
@@ -252,7 +269,6 @@ struct DispatchRequest<'a> {
     caller: Uid,
     caller_pid: Pid,
     service: &'a str,
-    method: &'a str,
     mspec: &'a MethodSpec,
     host: Pid,
     parcel: &'a mut Parcel,
@@ -273,7 +289,8 @@ pub struct System {
     spec: Rc<AospSpec>,
     processes: ProcessTable,
     system_server: Pid,
-    services: BTreeMap<String, ServiceState>,
+    /// Registered services, sorted by name.
+    services: Vec<ServiceState>,
     apps: BTreeMap<Uid, InstalledApp>,
     next_uid: u32,
     helper_counts: BTreeMap<(Uid, String, String), u32>,
@@ -313,7 +330,9 @@ impl System {
     /// Fleet campaigns boot the same Android image thousands of times per
     /// worker; sharing one immutable [`AospSpec`] across those boots
     /// removes the per-device synthesis cost without changing a single
-    /// observable behaviour (the spec is read-only after boot).
+    /// observable behaviour. The device never copies the spec: its
+    /// service registry and every dispatch read names, interfaces and
+    /// method tables from it in place.
     pub fn boot_with_spec(config: SystemConfig, spec: Rc<AospSpec>) -> Self {
         let clock = SimClock::new();
         let trace = if config.tracing {
@@ -336,7 +355,7 @@ impl System {
             spec,
             processes: ProcessTable::new(clock, trace),
             system_server: Pid::new(0), // replaced below
-            services: BTreeMap::new(),
+            services: Vec::new(),
             apps: BTreeMap::new(),
             next_uid: Uid::FIRST_APPLICATION.raw(),
             helper_counts: BTreeMap::new(),
@@ -345,21 +364,16 @@ impl System {
             jgr_observers: Vec::new(),
             faults,
         };
-        system.start_system_server();
-        system.start_prebuilt_services();
+        system.start_framework();
         system
     }
 
-    fn make_runtime_capacity(&self) -> Option<usize> {
-        self.config.jgr_capacity
-    }
-
-    fn start_system_server(&mut self) {
-        let pid = self
-            .processes
-            .spawn(Uid::SYSTEM, "system_server", OOM_SCORE_FOREGROUND - 900);
-        if let Some(cap) = self.make_runtime_capacity() {
-            let p = self.processes.get_mut(pid).expect("just spawned");
+    /// Spawns a process whose runtime honours the configured JGR capacity
+    /// and reports to every registered JGR observer.
+    fn spawn_process(&mut self, uid: Uid, name: &str, oom_score_adj: i32) -> Pid {
+        let pid = self.processes.spawn(uid, name, oom_score_adj);
+        let p = self.processes.get_mut(pid).expect("just spawned");
+        if let Some(cap) = self.config.jgr_capacity {
             p.runtime = jgre_art::Runtime::with_global_capacity(
                 pid,
                 self.clock.clone(),
@@ -368,107 +382,83 @@ impl System {
             );
         }
         for obs in &self.jgr_observers {
-            self.processes
-                .get_mut(pid)
-                .expect("just spawned")
-                .runtime
-                .register_observer(obs.clone());
+            p.runtime.register_observer(obs.clone());
         }
+        pid
+    }
+
+    /// Starts the framework from the shared spec: `system_server` with
+    /// every system service, then each prebuilt app that exports IPC
+    /// services (Bluetooth, PicoTts) in its own process. Boot and
+    /// [`soft_reboot`](Self::soft_reboot) both come through here.
+    fn start_framework(&mut self) {
+        let pid = self.spawn_process(Uid::SYSTEM, "system_server", OOM_SCORE_FOREGROUND - 900);
         self.system_server = pid;
         // The framework's own standing references: allocated once at boot
         // and never released (they belong to system components, not apps).
+        let p = self.processes.get_mut(pid).expect("just spawned");
         for i in 0..self.config.stock_jgr {
-            let p = self.processes.get_mut(pid).expect("just spawned");
             let obj = p.runtime.alloc(format!("framework.internal.Callback{i}"));
             p.runtime
                 .add_global(obj)
                 .expect("stock references fit any sane capacity");
         }
-        // Register every system service. Java services share the
-        // system_server runtime; the 5 native services have no ART runtime
-        // (JGRE does not apply to them) but still appear in the directory.
-        let specs: Vec<_> = self.spec.services.clone();
-        for svc in specs {
-            let node = self.driver.create_node(pid, svc.name.clone());
-            self.service_manager
-                .add_service(svc.name.clone(), node)
-                .expect("boot registers each service once");
-            self.services.insert(
-                svc.name.clone(),
-                ServiceState {
-                    name: svc.name.clone(),
-                    interface: svc.interface.clone(),
-                    native: svc.native,
-                    host: pid,
-                    node,
-                    methods: svc
-                        .methods
-                        .iter()
-                        .map(|m| (m.name.clone(), m.clone()))
-                        .collect(),
-                    method_order: svc.methods.iter().map(|m| m.name.clone()).collect(),
-                    per_method: BTreeMap::new(),
-                },
-            );
+        // Java services share the system_server runtime; the 5 native
+        // services have no ART runtime (JGRE does not apply to them) but
+        // still appear in the directory.
+        let spec = Rc::clone(&self.spec);
+        for index in 0..spec.services.len() {
+            self.register_service(pid, SpecSlot::System(index));
+        }
+        let exporting = spec
+            .prebuilt_apps
+            .iter()
+            .enumerate()
+            .filter(|(_, a)| !a.services.is_empty());
+        for (i, (app, a)) in exporting.enumerate() {
+            // Prebuilt system apps live below FIRST_APPLICATION_UID.
+            let uid = Uid::new(1_100 + i as u32);
+            let pid = self.spawn_process(uid, &a.package, OOM_SCORE_FOREGROUND);
+            for service in 0..a.services.len() {
+                self.register_service(pid, SpecSlot::Prebuilt { app, service });
+            }
         }
     }
 
-    /// Launches the prebuilt apps that export IPC services (Bluetooth,
-    /// PicoTts) in their own processes.
-    fn start_prebuilt_services(&mut self) {
-        let apps: Vec<_> = self
-            .spec
-            .prebuilt_apps
-            .iter()
-            .filter(|a| !a.services.is_empty())
-            .cloned()
-            .collect();
-        for (i, app) in apps.iter().enumerate() {
-            // Prebuilt system apps live below FIRST_APPLICATION_UID.
-            let uid = Uid::new(1_100 + i as u32);
-            let pid = self
-                .processes
-                .spawn(uid, &app.package, OOM_SCORE_FOREGROUND);
-            if let Some(cap) = self.make_runtime_capacity() {
-                let p = self.processes.get_mut(pid).expect("just spawned");
-                p.runtime = jgre_art::Runtime::with_global_capacity(
-                    pid,
-                    self.clock.clone(),
-                    self.trace.clone(),
-                    cap,
-                );
-            }
-            for obs in &self.jgr_observers {
-                self.processes
-                    .get_mut(pid)
-                    .expect("just spawned")
-                    .runtime
-                    .register_observer(obs.clone());
-            }
-            for svc in &app.services {
-                let node = self.driver.create_node(pid, svc.name.clone());
-                self.service_manager
-                    .add_service(svc.name.clone(), node)
-                    .expect("prebuilt service names are unique");
-                self.services.insert(
-                    svc.name.clone(),
-                    ServiceState {
-                        name: svc.name.clone(),
-                        interface: svc.interface.clone(),
-                        native: false,
-                        host: pid,
-                        node,
-                        methods: svc
-                            .methods
-                            .iter()
-                            .map(|m| (m.name.clone(), m.clone()))
-                            .collect(),
-                        method_order: svc.methods.iter().map(|m| m.name.clone()).collect(),
-                        per_method: BTreeMap::new(),
-                    },
-                );
-            }
-        }
+    /// Publishes one service of the shared spec from `host`: a Binder
+    /// node, a service-manager entry and empty per-method state.
+    fn register_service(&mut self, host: Pid, slot: SpecSlot) {
+        let spec = Rc::clone(&self.spec);
+        let name = &slot.resolve(&spec).name;
+        let node = self.driver.create_node(host, name.clone());
+        self.service_manager
+            .add_service(name.as_str(), node)
+            .expect("service names are unique across the image");
+        let state = ServiceState {
+            slot,
+            host,
+            node,
+            per_method: BTreeMap::new(),
+        };
+        let at = self
+            .find_service(name)
+            .expect_err("service names are unique across the image");
+        self.services.insert(at, state);
+    }
+
+    /// Binary search of the name-sorted service table.
+    fn find_service(&self, name: &str) -> Result<usize, usize> {
+        self.services
+            .binary_search_by(|s| s.slot.resolve(&self.spec).name.as_str().cmp(name))
+    }
+
+    fn service(&self, name: &str) -> Option<&ServiceState> {
+        self.find_service(name).ok().map(|i| &self.services[i])
+    }
+
+    fn service_mut(&mut self, name: &str) -> Option<&mut ServiceState> {
+        let i = self.find_service(name).ok()?;
+        Some(&mut self.services[i])
     }
 
     // -- accessors ---------------------------------------------------------
@@ -570,28 +560,35 @@ impl System {
 
     /// Info about a registered service.
     pub fn service_info(&self, name: &str) -> Option<ServiceInfo> {
-        self.services.get(name).map(|s| ServiceInfo {
-            name: s.name.clone(),
-            interface: s.interface.clone(),
-            host: s.host,
-            native: s.native,
+        let svc = self.service(name)?;
+        let spec = svc.slot.resolve(&self.spec);
+        Some(ServiceInfo {
+            name: spec.name.clone(),
+            interface: spec.interface.clone(),
+            host: svc.host,
+            native: spec.native,
         })
     }
 
     /// Names of every registered service (104 at boot, plus the app
     /// services).
     pub fn service_names(&self) -> Vec<String> {
-        self.services.keys().cloned().collect()
+        self.services
+            .iter()
+            .map(|s| s.slot.resolve(&self.spec).name.clone())
+            .collect()
     }
 
     /// The raw transaction code of `method` on `service` — the inverse of
     /// the [`transact_raw`](Self::transact_raw) code mapping. `None` if
     /// the service or method is unknown.
     pub fn transaction_code(&self, service: &str, method: &str) -> Option<u32> {
-        let svc = self.services.get(service)?;
-        svc.method_order
+        let svc = self.service(service)?;
+        svc.slot
+            .resolve(&self.spec)
+            .methods
             .iter()
-            .position(|m| m == method)
+            .position(|m| m.name == method)
             .map(|i| i as u32 + FIRST_CALL_TRANSACTION)
     }
 
@@ -599,15 +596,17 @@ impl System {
     /// if the code falls outside the method table (such a code dispatches
     /// as [`CallReject::UnknownCode`]).
     pub fn method_for_code(&self, service: &str, code: u32) -> Option<&str> {
-        let svc = self.services.get(service)?;
+        let svc = self.service(service)?;
         let idx = code.checked_sub(FIRST_CALL_TRANSACTION)? as usize;
-        svc.method_order.get(idx).map(String::as_str)
+        let method = svc.slot.resolve(&self.spec).methods.get(idx)?;
+        Some(method.name.as_str())
     }
 
     /// How many IPC methods `service` exposes; valid raw transaction codes
     /// run `FIRST_CALL_TRANSACTION ..= FIRST_CALL_TRANSACTION + count - 1`.
     pub fn method_count(&self, service: &str) -> Option<usize> {
-        self.services.get(service).map(|s| s.method_order.len())
+        self.service(service)
+            .map(|s| s.slot.resolve(&self.spec).methods.len())
     }
 
     /// Creates a fresh live Binder node owned by `caller`'s process — what
@@ -630,7 +629,7 @@ impl System {
             Some(pid) if self.processes.is_healthy(pid) => pid,
             _ => self.launch_app(caller)?,
         };
-        Ok(self.driver.create_node(pid, format!("{caller}-cb")))
+        Ok(self.driver.create_node(pid, "callback"))
     }
 
     /// Per-reason counts of fail-stop rejections folded into the driver's
@@ -759,23 +758,7 @@ impl System {
             }
         }
         let package = self.apps[&uid].package.clone();
-        let pid = self.processes.spawn(uid, &package, OOM_SCORE_FOREGROUND);
-        if let Some(cap) = self.make_runtime_capacity() {
-            let p = self.processes.get_mut(pid).expect("just spawned");
-            p.runtime = jgre_art::Runtime::with_global_capacity(
-                pid,
-                self.clock.clone(),
-                self.trace.clone(),
-                cap,
-            );
-        }
-        for obs in &self.jgr_observers {
-            self.processes
-                .get_mut(pid)
-                .expect("just spawned")
-                .runtime
-                .register_observer(obs.clone());
-        }
+        let pid = self.spawn_process(uid, &package, OOM_SCORE_FOREGROUND);
         for p in self.processes.iter_mut() {
             if p.uid.is_app() && p.pid != pid {
                 p.oom_score_adj = OOM_SCORE_BACKGROUND;
@@ -843,22 +826,7 @@ impl System {
         let Some(package) = self.apps.get(&uid).map(|a| a.package.clone()) else {
             return;
         };
-        let pid = self.processes.spawn(uid, &package, OOM_SCORE_BACKGROUND);
-        if let Some(cap) = self.make_runtime_capacity() {
-            if let Some(p) = self.processes.get_mut(pid) {
-                p.runtime = jgre_art::Runtime::with_global_capacity(
-                    pid,
-                    self.clock.clone(),
-                    self.trace.clone(),
-                    cap,
-                );
-            }
-        }
-        for obs in &self.jgr_observers {
-            if let Some(p) = self.processes.get_mut(pid) {
-                p.runtime.register_observer(obs.clone());
-            }
-        }
+        let pid = self.spawn_process(uid, &package, OOM_SCORE_BACKGROUND);
         if let Some(app) = self.apps.get_mut(&uid) {
             app.pid = Some(pid);
         }
@@ -872,7 +840,7 @@ impl System {
         }
         // Release retained entries and note which hosts to collect.
         let mut affected_hosts = BTreeSet::new();
-        for svc in self.services.values_mut() {
+        for svc in &mut self.services {
             for state in svc.per_method.values_mut() {
                 if let Some(entries) = state.retained.remove(&pid) {
                     state.total_retained = state.total_retained.saturating_sub(entries.len());
@@ -978,22 +946,21 @@ impl System {
             _ => self.launch_app(caller)?,
         };
 
-        // 2. Resolve the service and method.
-        let (mspec, node, host, iface) = {
+        // 2. Resolve the service and method, borrowing both from the
+        //    shared spec.
+        let spec = Rc::clone(&self.spec);
+        let (svc_spec, node, host) = {
             let svc = self
-                .services
-                .get(service)
+                .service(service)
                 .ok_or_else(|| FrameworkError::UnknownService(service.to_owned()))?;
-            let mspec = svc
-                .methods
-                .get(method)
-                .ok_or_else(|| FrameworkError::UnknownMethod {
-                    service: service.to_owned(),
-                    method: method.to_owned(),
-                })?
-                .clone();
-            (mspec, svc.node, svc.host, svc.interface.clone())
+            (svc.slot.resolve(&spec), svc.node, svc.host)
         };
+        let mspec = svc_spec
+            .method(method)
+            .ok_or_else(|| FrameworkError::UnknownMethod {
+                service: service.to_owned(),
+                method: method.to_owned(),
+            })?;
         if !self.processes.is_healthy(host) {
             return Err(FrameworkError::ServiceDead);
         }
@@ -1041,22 +1008,21 @@ impl System {
             JgrBehavior::RetainPerCall { .. } | JgrBehavior::Transient | JgrBehavior::ReplaceSingle
         );
         if passes_binder {
-            let cb = self.driver.create_node(caller_pid, format!("{caller}-cb"));
+            let cb = self.driver.create_node(caller_pid, "callback");
             parcel.write_strong_binder(cb);
         }
         if options.payload_extra_bytes > 0 {
             parcel.write_blob(options.payload_extra_bytes);
         }
-        let record = self.driver.record_transaction_on_path(
+        let sent_at = self.driver.record_transaction_on_path(
             caller_pid,
             caller,
             node,
-            &iface,
+            &svc_spec.interface,
             method,
             &parcel,
             options.path_variant,
         )?;
-        let sent_at = record.at;
 
         // 6-7. Server side: unmarshal and run the handler. The framework
         // marshalled the parcel above so every read succeeds; `transact_raw`
@@ -1066,8 +1032,7 @@ impl System {
             caller,
             caller_pid,
             service,
-            method,
-            mspec: &mspec,
+            mspec,
             host,
             parcel: &mut parcel,
             sent_at,
@@ -1113,30 +1078,30 @@ impl System {
             Some(pid) if self.processes.is_healthy(pid) => pid,
             _ => self.launch_app(caller)?,
         };
-        let (node, host, iface, method) = {
+        let spec = Rc::clone(&self.spec);
+        let (svc_spec, node, host) = {
             let svc = self
-                .services
-                .get(service)
+                .service(service)
                 .ok_or_else(|| FrameworkError::UnknownService(service.to_owned()))?;
-            let method = code
-                .checked_sub(FIRST_CALL_TRANSACTION)
-                .and_then(|i| svc.method_order.get(i as usize))
-                .cloned();
-            (svc.node, svc.host, svc.interface.clone(), method)
+            (svc.slot.resolve(&spec), svc.node, svc.host)
         };
         if !self.processes.is_healthy(host) {
             return Err(FrameworkError::ServiceDead);
         }
-        let Some(method) = method else {
+        let iface = svc_spec.interface.as_str();
+        let mspec = code
+            .checked_sub(FIRST_CALL_TRANSACTION)
+            .and_then(|i| svc_spec.methods.get(i as usize));
+        let Some(mspec) = mspec else {
             // Unknown transaction code: the kernel cannot know the code is
             // bad, so the driver still routes and logs the transaction;
             // the server's `onTransact` then returns false.
             let label = format!("#{code}");
             let sent_at = match self
                 .driver
-                .record_transaction_on_path(caller_pid, caller, node, &iface, &label, parcel, 0)
+                .record_transaction_on_path(caller_pid, caller, node, iface, &label, parcel, 0)
             {
-                Ok(record) => record.at,
+                Ok(at) => at,
                 Err(BinderError::TransactionTooLarge { .. }) => {
                     // The driver already counted "oversized-payload".
                     let at = self.clock.now();
@@ -1146,7 +1111,6 @@ impl System {
             };
             return Ok(self.reject_call(host, sent_at, CallReject::UnknownCode));
         };
-        let mspec = self.services[service].methods[&method].clone();
 
         // Permission check at the Binder boundary (server-side; raw
         // transactions cannot skip it).
@@ -1160,11 +1124,16 @@ impl System {
             }
         }
 
-        let sent_at = match self
-            .driver
-            .record_transaction_on_path(caller_pid, caller, node, &iface, &method, parcel, 0)
-        {
-            Ok(record) => record.at,
+        let sent_at = match self.driver.record_transaction_on_path(
+            caller_pid,
+            caller,
+            node,
+            iface,
+            &mspec.name,
+            parcel,
+            0,
+        ) {
+            Ok(at) => at,
             Err(BinderError::TransactionTooLarge { .. }) => {
                 // The driver already counted "oversized-payload".
                 let at = self.clock.now();
@@ -1176,8 +1145,7 @@ impl System {
             caller,
             caller_pid,
             service,
-            method: &method,
-            mspec: &mspec,
+            mspec,
             host,
             parcel,
             sent_at,
@@ -1221,7 +1189,6 @@ impl System {
             caller,
             caller_pid,
             service,
-            method,
             mspec,
             host,
             parcel,
@@ -1229,6 +1196,7 @@ impl System {
             via_helper,
             path_variant,
         } = req;
+        let method = mspec.name.as_str();
 
         // Server-side unmarshal. The wire format is: calling package
         // (string), then — for methods that take a client callback — a
@@ -1237,8 +1205,8 @@ impl System {
         // any bookkeeping mutates, so malformed traffic has no JGR effect
         // and cannot abort the host.
         parcel.rewind();
-        let package = match parcel.read_string() {
-            Ok(p) => p,
+        let system_package = match parcel.read_string() {
+            Ok(package) => package == "android",
             Err(e) => {
                 return Ok(self.reject_call(host, sent_at, CallReject::from_parcel_error(&e)))
             }
@@ -1269,19 +1237,20 @@ impl System {
         // 6. Server-side per-process limit (Table III).
         let total_retained = {
             let svc = self
-                .services
-                .get_mut(service)
+                .service_mut(service)
                 .ok_or_else(|| FrameworkError::UnknownService(service.to_owned()))?;
-            let state = svc.per_method.entry(method.to_owned()).or_default();
+            let state = match svc.per_method.get_mut(method) {
+                Some(state) => state,
+                None => svc.per_method.entry(method.to_owned()).or_default(),
+            };
             state.calls += 1;
             state.total_retained
         };
         if let Protection::PerProcessLimit { limit, flaw } = &mspec.protection {
-            let spoofed = *flaw == Some(Flaw::SystemPackageSpoof) && package == "android";
+            let spoofed = *flaw == Some(Flaw::SystemPackageSpoof) && system_package;
             if !spoofed {
                 let svc = self
-                    .services
-                    .get(service)
+                    .service(service)
                     .ok_or_else(|| FrameworkError::UnknownService(service.to_owned()))?;
                 let count = svc
                     .per_method
@@ -1482,8 +1451,7 @@ impl System {
         // which case the retained entry dies with it — dropping the
         // bookkeeping is the graceful path, not a panic.
         let Some(state) = self
-            .services
-            .get_mut(service)
+            .service_mut(service)
             .and_then(|svc| svc.per_method.get_mut(method))
         else {
             return Ok(());
@@ -1510,6 +1478,7 @@ impl System {
         caller_pid: Pid,
         host: Pid,
     ) -> Result<(), ArtError> {
+        let svc = self.find_service(service).ok();
         let p = self
             .processes
             .get_mut(host)
@@ -1517,11 +1486,7 @@ impl System {
         let node = jgre_binder::NodeId::new(0);
         let rb = materialize_strong_binder(&mut p.runtime, node)?;
         p.runtime.retain(rb.proxy)?;
-        let Some(state) = self
-            .services
-            .get_mut(service)
-            .and_then(|svc| svc.per_method.get_mut(method))
-        else {
+        let Some(state) = svc.and_then(|i| self.services[i].per_method.get_mut(method)) else {
             return Ok(());
         };
         if let Some(prev) = state.single.insert(caller_pid, rb) {
@@ -1540,7 +1505,7 @@ impl System {
             self.processes.kill(host);
             self.driver.kill_process(host);
             // Its exported services go dark.
-            self.services.retain(|_, s| s.host != host);
+            self.services.retain(|s| s.host != host);
             if let Some(uid) = uid {
                 if let Some(app) = self.apps.get_mut(&uid) {
                     app.pid = None;
@@ -1566,7 +1531,7 @@ impl System {
             Some(self.system_server),
             None,
             "system.soft_reboot",
-            format!("reboot #{}", self.soft_reboots),
+            format_args!("reboot #{}", self.soft_reboots),
         );
         let all_pids: Vec<Pid> = self.processes.iter().map(|p| p.pid).collect();
         for pid in all_pids {
@@ -1582,8 +1547,7 @@ impl System {
         self.service_manager = ServiceManager::new();
         // Boot takes ~10 s of virtual time on the paper's hardware class.
         self.clock.advance(SimDuration::from_secs(10));
-        self.start_system_server();
-        self.start_prebuilt_services();
+        self.start_framework();
     }
 
     /// Delivers a callback to every listener registered on
@@ -1605,18 +1569,19 @@ impl System {
         service: &str,
         method: &str,
     ) -> Result<usize, FrameworkError> {
+        let spec = Rc::clone(&self.spec);
         let svc = self
-            .services
-            .get(service)
+            .service(service)
             .ok_or_else(|| FrameworkError::UnknownService(service.to_owned()))?;
-        if !svc.methods.contains_key(method) {
+        let svc_spec = svc.slot.resolve(&spec);
+        if svc_spec.method(method).is_none() {
             return Err(FrameworkError::UnknownMethod {
                 service: service.to_owned(),
                 method: method.to_owned(),
             });
         }
         let host = svc.host;
-        let iface = svc.interface.clone();
+        let iface = svc_spec.interface.as_str();
         let targets: Vec<jgre_binder::NodeId> = svc
             .per_method
             .get(method)
@@ -1639,7 +1604,7 @@ impl System {
             // RemoteCallbackList does.
             if self
                 .driver
-                .record_transaction(host, Uid::SYSTEM, node, &iface, "onCallback", &parcel)
+                .record_transaction(host, Uid::SYSTEM, node, iface, "onCallback", &parcel)
                 .is_ok()
             {
                 delivered += 1;
@@ -1655,10 +1620,11 @@ impl System {
     /// Returns `None` for unregistered services.
     pub fn dumpsys(&self, service: &str) -> Option<String> {
         use std::fmt::Write as _;
-        let svc = self.services.get(service)?;
+        let svc = self.service(service)?;
+        let spec = svc.slot.resolve(&self.spec);
         let mut out = format!(
             "SERVICE {} ({}) host={} native={}\n",
-            svc.name, svc.interface, svc.host, svc.native
+            spec.name, spec.interface, svc.host, spec.native
         );
         let host_jgr = self.jgr_count(svc.host).unwrap_or(0);
         let _ = writeln!(out, "  host JGR table: {host_jgr} entries");
@@ -1684,8 +1650,7 @@ impl System {
     /// Retained-entry count for one interface (verification looks at this
     /// alongside the JGR table).
     pub fn retained_entries(&self, service: &str, method: &str) -> usize {
-        self.services
-            .get(service)
+        self.service(service)
             .and_then(|s| s.per_method.get(method))
             .map(|m| m.total_retained)
             .unwrap_or(0)
@@ -1693,8 +1658,7 @@ impl System {
 
     /// Completed call count for one interface.
     pub fn call_count(&self, service: &str, method: &str) -> u64 {
-        self.services
-            .get(service)
+        self.service(service)
             .and_then(|s| s.per_method.get(method))
             .map(|m| m.calls)
             .unwrap_or(0)

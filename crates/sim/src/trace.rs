@@ -67,14 +67,16 @@ impl TraceSink {
         *self.enabled.borrow()
     }
 
-    /// Appends a record (no-op when disabled).
+    /// Appends a record (no-op when disabled). `detail` is rendered only
+    /// when the sink keeps records, so hot paths pass `format_args!`
+    /// and pay nothing for it while tracing is off.
     pub fn record(
         &self,
         at: SimTime,
         pid: Option<Pid>,
         uid: Option<Uid>,
         kind: &str,
-        detail: impl Into<String>,
+        detail: impl std::fmt::Display,
     ) {
         if !self.is_enabled() {
             return;
@@ -84,7 +86,7 @@ impl TraceSink {
             pid,
             uid,
             kind: kind.to_owned(),
-            detail: detail.into(),
+            detail: detail.to_string(),
         });
     }
 

@@ -426,6 +426,63 @@ fn serve_attack_selector_profiles_the_vector() {
     assert!(String::from_utf8_lossy(&bad.stderr).contains("unknown attack selector"));
 }
 
+/// Runs `jgre <args> --out <tmp>/<name>.json` and requires both written
+/// files to equal the committed goldens `artifacts/<name>.{json,txt}`.
+fn assert_matches_golden(args: &[&str], name: &str, regenerate: &str) {
+    let dir = std::env::temp_dir().join(format!("jgre-golden-{name}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let out = jgre()
+        .args(args)
+        .arg("--out")
+        .arg(dir.join(format!("{name}.json")))
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let artifacts = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("artifacts");
+    for ext in ["json", "txt"] {
+        let file = format!("{name}.{ext}");
+        let fresh = std::fs::read(dir.join(&file)).expect("artifact written");
+        let golden = std::fs::read(artifacts.join(&file)).expect("golden artifact committed");
+        assert!(
+            fresh == golden,
+            "artifacts/{file} is stale; regenerate with `{regenerate}`"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn committed_fleet_golden_matches_a_fresh_run() {
+    // The summary is identical for every --threads value.
+    assert_matches_golden(
+        &[
+            "fleet",
+            "--devices",
+            "1000",
+            "--threads",
+            "2",
+            "--scale",
+            "quick",
+        ],
+        "fleet_quick_1000",
+        "jgre fleet --devices 1000 --threads 4 --scale quick \
+         --out artifacts/fleet_quick_1000.json",
+    );
+}
+
+#[test]
+fn committed_fuzz_golden_matches_a_fresh_run() {
+    assert_matches_golden(
+        &["fuzz", "--seed", "7", "--iters", "2000"],
+        "fuzz_seed7_2000",
+        "jgre fuzz --seed 7 --iters 2000 --out artifacts/fuzz_seed7_2000.json",
+    );
+}
+
 #[test]
 fn committed_chaos_golden_matches_a_fresh_run() {
     let out = jgre()
