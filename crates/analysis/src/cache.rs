@@ -13,19 +13,10 @@
 //!   `MethodId` renumbering; an edit invalidates exactly the
 //!   condensation cone above it.
 //!
-//! Layout (all integers little-endian):
-//!
-//! ```text
-//! magic  b"JGRESUMC"                              8 bytes
-//! version u32                                     = SCHEMA_VERSION
-//! corpus_fp u64                                   Tier A key
-//! scc_count u32                                   SCCs behind Tier A
-//! tier_a_len u32
-//! tier_a_payload [u8; tier_a_len]
-//! tier_a_checksum u64                             StableHasher of the payload
-//! repeated until EOF:
-//!   key u64 | len u32 | payload [u8; len] | checksum u64
-//! ```
+//! The file is a [`jgre_sim::record`] header with magic `JGRESUMC` and
+//! two fixed fields, `corpus_fp u64` (the Tier A key) and `scc_count u32`
+//! (SCCs behind Tier A), followed by the Tier A frame and then, until
+//! EOF, one `key u64 | frame` per Tier B record.
 //!
 //! Every reader treats the file as untrusted input: a bad magic or
 //! version rejects the whole file, a bad Tier A checksum stops parsing
@@ -48,8 +39,8 @@ use std::path::Path;
 
 use jgre_corpus::body::AllocSite;
 use jgre_corpus::{CodeModel, MethodId};
+use jgre_sim::record::{self, Cursor, HeaderError, Put, StableHasher};
 
-use crate::ir::StableHasher;
 use crate::leakcheck::{EscapeKind, MethodSummary, PredSet, Retention, SiteSummary};
 
 /// Bumped whenever the cache encoding or the fingerprints it keys on
@@ -60,117 +51,63 @@ pub const SCHEMA_VERSION: u32 = 3;
 pub const CACHE_FILE: &str = "summaries.bin";
 
 const MAGIC: &[u8; 8] = b"JGRESUMC";
-const HEADER_LEN: usize = 8 + 4 + 8 + 4 + 4;
-
-fn checksum(bytes: &[u8]) -> u64 {
-    let mut h = StableHasher::new();
-    h.write_bytes(bytes);
-    h.finish()
-}
-
-// ------------------------------------------------------------------
-// Byte-level encoder/decoder
-// ------------------------------------------------------------------
-
-/// Append-only little-endian encoder.
-#[derive(Default)]
-struct Enc {
-    buf: Vec<u8>,
-}
-
-impl Enc {
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-}
-
-/// Cursor over untrusted bytes; every read is bounds-checked.
-struct Dec<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        let slice = self.buf.get(self.pos..end)?;
-        self.pos = end;
-        Some(slice)
-    }
-    fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|b| b[0])
-    }
-    fn u32(&mut self) -> Option<u32> {
-        self.take(4)
-            .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Option<u64> {
-        self.take(8)
-            .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
-    }
-    fn str_ref(&mut self) -> Option<&'a str> {
-        let len = self.u32()? as usize;
-        std::str::from_utf8(self.take(len)?).ok()
-    }
-    fn done(&self) -> bool {
-        self.pos == self.buf.len()
-    }
-}
+/// `corpus_fp u64 | scc_count u32` after the record header.
+const FIXED_LEN: usize = 8 + 4;
+/// Payloads are only bounded by the length field.
+const LENS: std::ops::RangeInclusive<u32> = 0..=u32::MAX;
 
 // ------------------------------------------------------------------
 // Summary payload encodings
 // ------------------------------------------------------------------
 
-fn enc_site_shape(e: &mut Enc, site: AllocSite) {
-    let (tag, idx) = match site {
-        AllocSite::BinderParam(i) => (0u8, i as u32),
+/// A site's shape as `(tag, binder-param index)`.
+fn site_shape(site: AllocSite) -> (u8, u32) {
+    match site {
+        AllocSite::BinderParam(i) => (0, i as u32),
         AllocSite::DeathRecipient => (1, 0),
         AllocSite::ThreadPeer => (2, 0),
         AllocSite::ParcelStrongBinder => (3, 0),
-    };
-    e.u8(tag);
-    e.u32(idx);
-}
-
-fn dec_site_shape(d: &mut Dec) -> Option<AllocSite> {
-    let tag = d.u8()?;
-    let idx = d.u32()?;
-    match tag {
-        0 => Some(AllocSite::BinderParam(idx as usize)),
-        1 => Some(AllocSite::DeathRecipient),
-        2 => Some(AllocSite::ThreadPeer),
-        3 => Some(AllocSite::ParcelStrongBinder),
-        _ => None,
     }
 }
 
-fn enc_fate(e: &mut Enc, site: &SiteSummary) {
-    e.u8(match site.fate {
+/// A site's fate, escape kind, read-only-key flag and predicate bits,
+/// one byte each.
+fn fate_bytes(site: &SiteSummary) -> [u8; 4] {
+    let fate = match site.fate {
         Retention::Released => 0,
         Retention::Bounded => 1,
         Retention::Unbounded => 2,
-    });
-    e.u8(match site.escape {
+    };
+    let escape = match site.escape {
         None => 0,
         Some(EscapeKind::ScalarReplace) => 1,
         Some(EscapeKind::BoundedCollection) => 2,
         Some(EscapeKind::UnboundedCollection) => 3,
-    });
-    e.u8(u8::from(site.read_only_key));
-    e.u8(site.preds.bits());
+    };
+    [
+        fate,
+        escape,
+        u8::from(site.read_only_key),
+        site.preds.bits(),
+    ]
 }
 
-fn dec_fate(d: &mut Dec) -> Option<(Retention, Option<EscapeKind>, bool, PredSet)> {
+fn enc_site(e: &mut Vec<u8>, site: &SiteSummary) {
+    let (tag, idx) = site_shape(site.site);
+    e.push(tag);
+    e.put_u32(idx);
+    e.extend_from_slice(&fate_bytes(site));
+}
+
+fn dec_site(d: &mut Cursor, method: MethodId) -> Option<SiteSummary> {
+    let (tag, idx) = (d.u8()?, d.u32()?);
+    let site = match tag {
+        0 => AllocSite::BinderParam(idx as usize),
+        1 => AllocSite::DeathRecipient,
+        2 => AllocSite::ThreadPeer,
+        3 => AllocSite::ParcelStrongBinder,
+        _ => return None,
+    };
     let fate = match d.u8()? {
         0 => Retention::Released,
         1 => Retention::Bounded,
@@ -192,31 +129,37 @@ fn dec_fate(d: &mut Dec) -> Option<(Retention, Option<EscapeKind>, bool, PredSet
     // Unknown predicate bits mean a future lattice wrote the file: a
     // typed rejection, not a best-effort decode.
     let preds = PredSet::from_bits(d.u8()?)?;
-    Some((fate, escape, read_only_key, preds))
+    Some(SiteSummary {
+        method,
+        site,
+        fate,
+        escape,
+        read_only_key,
+        preds,
+    })
 }
 
 /// Encodes the whole-corpus summary table (Tier A): summaries in
 /// `MethodId` order with raw ids — valid only under the corpus
 /// fingerprint it is stored beside.
 pub fn encode_tier_a(summaries: &[MethodSummary]) -> Vec<u8> {
-    let mut e = Enc::default();
-    e.u32(summaries.len() as u32);
+    let mut e = Vec::new();
+    e.put_u32(summaries.len() as u32);
     for s in summaries {
-        e.u8(u8::from(s.saw_handler));
-        e.u32(s.sites.len() as u32);
+        e.push(u8::from(s.saw_handler));
+        e.put_u32(s.sites.len() as u32);
         for site in &s.sites {
-            e.u32(site.method.0);
-            enc_site_shape(&mut e, site.site);
-            enc_fate(&mut e, site);
+            e.put_u32(site.method.0);
+            enc_site(&mut e, site);
         }
     }
-    e.buf
+    e
 }
 
 /// Decodes Tier A; `method_count` bounds both the table length and every
 /// site's raw `MethodId`.
 pub fn decode_tier_a(bytes: &[u8], method_count: usize) -> Option<Vec<MethodSummary>> {
-    let mut d = Dec::new(bytes);
+    let mut d = Cursor::new(bytes);
     let n = d.u32()? as usize;
     if n != method_count {
         return None;
@@ -231,45 +174,35 @@ pub fn decode_tier_a(bytes: &[u8], method_count: usize) -> Option<Vec<MethodSumm
             if method >= method_count {
                 return None;
             }
-            let site = dec_site_shape(&mut d)?;
-            let (fate, escape, read_only_key, preds) = dec_fate(&mut d)?;
-            sites.push(SiteSummary {
-                method: MethodId(method as u32),
-                site,
-                fate,
-                escape,
-                read_only_key,
-                preds,
-            });
+            sites.push(dec_site(&mut d, MethodId(method as u32))?);
         }
         out.push(MethodSummary { sites, saw_handler });
     }
     d.done().then_some(out)
 }
 
-fn enc_member(e: &mut Enc, model: &CodeModel, id: MethodId, summary: &MethodSummary) {
+fn enc_member(e: &mut Vec<u8>, model: &CodeModel, id: MethodId, summary: &MethodSummary) {
     let def = model.method(id);
-    e.str(&def.class);
-    e.str(&def.name);
-    e.u8(u8::from(summary.saw_handler));
-    e.u32(summary.sites.len() as u32);
+    e.put_str(&def.class);
+    e.put_str(&def.name);
+    e.push(u8::from(summary.saw_handler));
+    e.put_u32(summary.sites.len() as u32);
     for site in &summary.sites {
         let origin = model.method(site.method);
-        e.str(&origin.class);
-        e.str(&origin.name);
-        enc_site_shape(e, site.site);
-        enc_fate(e, site);
+        e.put_str(&origin.class);
+        e.put_str(&origin.name);
+        enc_site(e, site);
     }
 }
 
 /// Encodes one SCC's summaries as a portable Tier B record.
 pub fn encode_record(model: &CodeModel, members: &[(MethodId, &MethodSummary)]) -> Vec<u8> {
-    let mut e = Enc::default();
-    e.u32(members.len() as u32);
+    let mut e = Vec::new();
+    e.put_u32(members.len() as u32);
     for (id, summary) in members {
         enc_member(&mut e, model, *id, summary);
     }
-    e.buf
+    e
 }
 
 /// Decodes a Tier B record and remaps its `(class, name)` references
@@ -283,15 +216,15 @@ pub fn remap_record(
     scc: &[MethodId],
     name_index: &HashMap<(&str, &str), MethodId>,
 ) -> Option<Vec<(MethodId, MethodSummary)>> {
-    let mut d = Dec::new(bytes);
+    let mut d = Cursor::new(bytes);
     let n = d.u32()? as usize;
     if n != scc.len() {
         return None;
     }
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
-        let class = d.str_ref()?;
-        let name = d.str_ref()?;
+        let class = d.str()?;
+        let name = d.str()?;
         let id = *name_index.get(&(class, name))?;
         if scc.binary_search(&id).is_err() {
             return None;
@@ -300,19 +233,10 @@ pub fn remap_record(
         let nsites = d.u32()? as usize;
         let mut sites = Vec::with_capacity(nsites.min(1024));
         for _ in 0..nsites {
-            let site_class = d.str_ref()?;
-            let site_name = d.str_ref()?;
+            let site_class = d.str()?;
+            let site_name = d.str()?;
             let method = *name_index.get(&(site_class, site_name))?;
-            let site = dec_site_shape(&mut d)?;
-            let (fate, escape, read_only_key, preds) = dec_fate(&mut d)?;
-            sites.push(SiteSummary {
-                method,
-                site,
-                fate,
-                escape,
-                read_only_key,
-                preds,
-            });
+            sites.push(dec_site(&mut d, method)?);
         }
         // Recomputed summaries come out of a BTreeMap keyed on
         // (method, site); restore that canonical order in case the
@@ -339,27 +263,12 @@ pub fn summary_fingerprint(model: &CodeModel, id: MethodId, summary: &MethodSumm
         let origin = model.method(site.method);
         h.write_str(&origin.class);
         h.write_str(&origin.name);
-        let (tag, idx) = match site.site {
-            AllocSite::BinderParam(i) => (0u8, i as u32),
-            AllocSite::DeathRecipient => (1, 0),
-            AllocSite::ThreadPeer => (2, 0),
-            AllocSite::ParcelStrongBinder => (3, 0),
-        };
+        let (tag, idx) = site_shape(site.site);
         h.write_u8(tag);
         h.write_u32(idx);
-        h.write_u8(match site.fate {
-            Retention::Released => 0,
-            Retention::Bounded => 1,
-            Retention::Unbounded => 2,
-        });
-        h.write_u8(match site.escape {
-            None => 0,
-            Some(EscapeKind::ScalarReplace) => 1,
-            Some(EscapeKind::BoundedCollection) => 2,
-            Some(EscapeKind::UnboundedCollection) => 3,
-        });
-        h.write_u8(u8::from(site.read_only_key));
-        h.write_u8(site.preds.bits());
+        for byte in fate_bytes(site) {
+            h.write_u8(byte);
+        }
     }
     h.finish()
 }
@@ -427,37 +336,30 @@ pub fn load(path: &Path, expected_fp: u64, method_count: usize) -> LoadedCache {
     let Ok(bytes) = fs::read(path) else {
         return out;
     };
-    if bytes.len() < HEADER_LEN {
+    // The Tier A frame's length field counts as fixed header: a file
+    // without it is truncated, not corrupt.
+    let mut d = match record::read_header(&bytes, MAGIC, SCHEMA_VERSION, FIXED_LEN + 4) {
+        Ok(d) => d,
+        Err(e) => {
+            out.rejected(match e {
+                HeaderError::Short => RejectReason::TruncatedHeader,
+                HeaderError::BadMagic => RejectReason::BadMagic,
+                HeaderError::StaleVersion { found } => RejectReason::StaleSchema { found },
+            });
+            return out;
+        }
+    };
+    let (Some(corpus_fp), Some(scc_count)) = (d.u64(), d.u32()) else {
         out.rejected(RejectReason::TruncatedHeader);
         return out;
-    }
-    if &bytes[..8] != MAGIC {
-        out.rejected(RejectReason::BadMagic);
-        return out;
-    }
-    let mut d = Dec::new(&bytes[8..]);
-    let version = d.u32().expect("header length checked");
-    if version != SCHEMA_VERSION {
-        out.rejected(RejectReason::StaleSchema { found: version });
-        return out;
-    }
-    let corpus_fp = d.u64().expect("header length checked");
-    out.scc_count = d.u32().expect("header length checked");
-    let tier_a_len = d.u32().expect("header length checked") as usize;
-    let Some(tier_a_payload) = d.take(tier_a_len) else {
+    };
+    out.scc_count = scc_count;
+    // A Tier A frame that does not verify makes its length field, and so
+    // any Tier B framing after it, untrustworthy: stop here.
+    let Ok(Some(tier_a_payload)) = d.frame(LENS) else {
         out.rejected(RejectReason::Corrupt);
         return out;
     };
-    let Some(tier_a_sum) = d.u64() else {
-        out.rejected(RejectReason::Corrupt);
-        return out;
-    };
-    if checksum(tier_a_payload) != tier_a_sum {
-        // The length field itself is no longer trustworthy, so neither
-        // is any Tier B framing after it: stop here.
-        out.rejected(RejectReason::Corrupt);
-        return out;
-    }
     if corpus_fp == expected_fp {
         match decode_tier_a(tier_a_payload, method_count) {
             Some(summaries) => out.tier_a = Some(summaries),
@@ -469,27 +371,23 @@ pub fn load(path: &Path, expected_fp: u64, method_count: usize) -> LoadedCache {
     // hit the records are never consulted and verifying megabytes of
     // payload would dominate the warm path. Checksums run only when the
     // records will be used (Tier A miss) or rewritten (repair).
-    let mut frames: Vec<(u64, &[u8], u64)> = Vec::new();
+    let mut frames = Vec::new();
     while !d.done() {
-        let (Some(key), Some(len)) = (d.u64(), d.u32()) else {
+        let Some(key) = d.u64() else {
             out.rejected(RejectReason::Corrupt);
             break;
         };
-        let Some(payload) = d.take(len as usize) else {
+        let Ok(Some(frame)) = d.raw_frame(LENS) else {
             out.rejected(RejectReason::Corrupt);
             break;
         };
-        let Some(sum) = d.u64() else {
-            out.rejected(RejectReason::Corrupt);
-            break;
-        };
-        frames.push((key, payload, sum));
+        frames.push((key, frame));
     }
     if out.tier_a.is_some() && out.invalidated == 0 {
         return out;
     }
-    for (key, payload, sum) in frames {
-        if checksum(payload) != sum {
+    for (key, (payload, stored)) in frames {
+        if record::checksum(payload) != stored {
             out.rejected(RejectReason::Corrupt);
             continue;
         }
@@ -509,21 +407,17 @@ pub fn store(
     tier_a: &[u8],
     tier_b: &BTreeMap<u64, Vec<u8>>,
 ) -> io::Result<()> {
-    let mut bytes = Vec::with_capacity(
-        HEADER_LEN + tier_a.len() + 8 + tier_b.values().map(|p| p.len() + 20).sum::<usize>(),
-    );
-    bytes.extend_from_slice(MAGIC);
-    bytes.extend_from_slice(&SCHEMA_VERSION.to_le_bytes());
-    bytes.extend_from_slice(&corpus_fp.to_le_bytes());
-    bytes.extend_from_slice(&scc_count.to_le_bytes());
-    bytes.extend_from_slice(&(tier_a.len() as u32).to_le_bytes());
-    bytes.extend_from_slice(tier_a);
-    bytes.extend_from_slice(&checksum(tier_a).to_le_bytes());
+    let framed = |len: usize| record::FRAME_OVERHEAD + len;
+    let records: usize = tier_b.values().map(|p| 8 + framed(p.len())).sum();
+    let mut bytes =
+        Vec::with_capacity(record::HEADER_LEN + FIXED_LEN + framed(tier_a.len()) + records);
+    record::write_header(&mut bytes, MAGIC, SCHEMA_VERSION);
+    bytes.put_u64(corpus_fp);
+    bytes.put_u32(scc_count);
+    record::write_frame(&mut bytes, tier_a);
     for (key, payload) in tier_b {
-        bytes.extend_from_slice(&key.to_le_bytes());
-        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(payload);
-        bytes.extend_from_slice(&checksum(payload).to_le_bytes());
+        bytes.put_u64(*key);
+        record::write_frame(&mut bytes, payload);
     }
     if let Some(dir) = path.parent() {
         fs::create_dir_all(dir)?;
@@ -619,7 +513,7 @@ mod tests {
 
         let mut bytes = fs::read(&path).unwrap();
         bytes[8] = SCHEMA_VERSION as u8; // restore version
-        let mid = HEADER_LEN + tier_a.len() / 2;
+        let mid = record::HEADER_LEN + FIXED_LEN + 4 + tier_a.len() / 2;
         bytes[mid] ^= 0xff; // corrupt the Tier A payload
         fs::write(&path, &bytes).unwrap();
         let poisoned = load(&path, 7, model.methods.len());

@@ -248,53 +248,6 @@ impl Condensation {
     }
 }
 
-/// Runs `work` over `items` on up to `threads` scoped worker threads and
-/// returns `(item, result)` pairs in the original `items` order — one
-/// wave of the parallel bottom-up scheduler.
-///
-/// Items are dealt round-robin to workers, and results are re-assembled
-/// positionally, so the output (and therefore everything folded from it)
-/// is identical for every thread count — the determinism the incremental
-/// cache's fingerprints rely on. With `threads <= 1` no thread is
-/// spawned at all.
-pub fn run_wave<R, F>(items: &[usize], threads: usize, work: F) -> Vec<(usize, R)>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let workers = threads.min(items.len());
-    if workers <= 1 {
-        return items.iter().map(|&i| (i, work(i))).collect();
-    }
-    let mut slots: Vec<Option<(usize, R)>> = Vec::with_capacity(items.len());
-    slots.resize_with(items.len(), || None);
-    std::thread::scope(|scope| {
-        let work = &work;
-        let handles: Vec<_> = (0..workers)
-            .map(|t| {
-                scope.spawn(move || {
-                    items
-                        .iter()
-                        .enumerate()
-                        .skip(t)
-                        .step_by(workers)
-                        .map(|(pos, &i)| (pos, (i, work(i))))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (pos, result) in handle.join().expect("wave worker panicked") {
-                slots[pos] = Some(result);
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every wave slot filled"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

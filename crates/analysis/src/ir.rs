@@ -8,100 +8,18 @@
 
 use jgre_corpus::body::{AllocSite, BodyStmt, BranchKind, FieldKind, MethodBody, Place, Var};
 use jgre_corpus::{CodeModel, MethodDef, MethodId};
+use jgre_sim::record::StableHasher;
 use serde::{Deserialize, Serialize};
 
 /// A stable 64-bit content hash of one method's analysis-relevant facts.
 ///
 /// Fingerprints are the cache keys of the incremental summary engine:
 /// they must be identical across processes, platforms, and map iteration
-/// orders, so they are computed with an explicitly specified chunked
-/// mixer ([`StableHasher`]) rather than `std::hash` (whose output is not
-/// guaranteed stable between runs).
+/// orders, so they are computed with the record codec's explicitly
+/// specified [`StableHasher`] rather than `std::hash` (whose output is
+/// not guaranteed stable between runs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct Fingerprint(pub u64);
-
-/// Deterministic 64-bit hasher: each absorbed word is xored into the
-/// state and stirred with one multiply + rotate (the absorption map is
-/// invertible, so distinct prefixes never merge); [`finish`] runs the
-/// splitmix64 finalizer to diffuse the last words. One multiply per
-/// *eight* bytes keeps the warm cache path fast — the whole-corpus
-/// fingerprint and the on-disk checksums hash megabytes, where a
-/// byte-serial walk (FNV et al.) would dominate the runtime.
-///
-/// [`finish`]: StableHasher::finish
-///
-/// Every multi-byte value is folded in little-endian order and every
-/// variable-length field carries its length, so distinct fact sequences
-/// cannot collide by concatenation ambiguity.
-#[derive(Debug, Clone)]
-pub struct StableHasher(u64);
-
-impl Default for StableHasher {
-    fn default() -> Self {
-        // Seed at the FNV-1a offset basis (any fixed odd constant works).
-        StableHasher(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl StableHasher {
-    /// Fresh hasher at the fixed seed.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn absorb(&mut self, v: u64) {
-        self.0 = (self.0 ^ v)
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            .rotate_left(23);
-    }
-
-    /// Fold raw bytes, eight at a time, closed by the byte length (so a
-    /// trailing zero byte and a missing one hash differently).
-    pub fn write_bytes(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for chunk in &mut chunks {
-            self.absorb(u64::from_le_bytes(chunk.try_into().unwrap()));
-        }
-        let rest = chunks.remainder();
-        if !rest.is_empty() {
-            let mut tail = [0u8; 8];
-            tail[..rest.len()].copy_from_slice(rest);
-            self.absorb(u64::from_le_bytes(tail));
-        }
-        self.absorb(bytes.len() as u64);
-    }
-
-    /// Fold one byte.
-    pub fn write_u8(&mut self, v: u8) {
-        self.absorb(u64::from(v));
-    }
-
-    /// Fold a `u32`.
-    pub fn write_u32(&mut self, v: u32) {
-        self.absorb(u64::from(v));
-    }
-
-    /// Fold a `u64`.
-    pub fn write_u64(&mut self, v: u64) {
-        self.absorb(v);
-    }
-
-    /// Fold a string, length-prefixed.
-    pub fn write_str(&mut self, s: &str) {
-        self.write_u32(s.len() as u32);
-        self.write_bytes(s.as_bytes());
-    }
-
-    /// The accumulated hash, diffused through the splitmix64 finalizer
-    /// (per-absorb stirring is deliberately light, so the raw state's
-    /// low bits would be biased toward the last absorbed words).
-    pub fn finish(&self) -> u64 {
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-}
 
 /// Hashes the facts that determine one method's synthesized body and
 /// call edges: class + name (the JNI-wrapper special cases key on them),

@@ -28,15 +28,12 @@ use std::path::PathBuf;
 use jgre_corpus::body::{AllocSite, BranchKind, FieldKind, Place, Var};
 use jgre_corpus::spec::ProtectionLevel;
 use jgre_corpus::{CodeModel, MethodId};
+use jgre_sim::record::StableHasher;
 use serde::{Deserialize, Serialize};
 
 use crate::cache;
-use crate::dataflow::{
-    condense_call_graph, run_wave, solve_forward, ForwardAnalysis, JoinSemiLattice,
-};
-use crate::ir::{
-    corpus_fingerprint, method_fact_fingerprints, Cfg, StableHasher, Stmt, Terminator,
-};
+use crate::dataflow::{condense_call_graph, solve_forward, ForwardAnalysis, JoinSemiLattice};
+use crate::ir::{corpus_fingerprint, method_fact_fingerprints, Cfg, Stmt, Terminator};
 use crate::{DetectorOutput, IpcMethod, JgrEntrySets, RiskyInterface, SiftReason};
 
 /// A small set of branch predicates, as *must*-information: a bit is set
@@ -679,20 +676,27 @@ impl<'m> LeakChecker<'m> {
         let mut summary_fps: Vec<Option<u64>> = vec![None; n];
         let mut used_records: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
         for wave in &waves {
-            let outcomes = run_wave(wave, threads, |i| {
-                self.process_scc(
-                    i,
-                    &cond.sccs[i],
-                    caching,
-                    &fps,
-                    &scc_index,
-                    &summaries,
-                    &summary_fps,
-                    &loaded.tier_b,
-                    &name_index,
-                )
+            // Every SCC of a wave depends only on earlier waves, so the
+            // wave shards freely; the fold below is order-independent.
+            let outcomes = jgre_sim::shard(wave.len(), threads, |positions| {
+                positions
+                    .map(|pos| {
+                        let i = wave[pos];
+                        self.process_scc(
+                            i,
+                            &cond.sccs[i],
+                            caching,
+                            &fps,
+                            &scc_index,
+                            &summaries,
+                            &summary_fps,
+                            &loaded.tier_b,
+                            &name_index,
+                        )
+                    })
+                    .collect::<Vec<_>>()
             });
-            for (_, outcome) in outcomes {
+            for outcome in outcomes.into_iter().flatten() {
                 stats.cfg_blocks += outcome.cfg_blocks;
                 stats.solver_iterations += outcome.iterations;
                 stats.cache_hits += u64::from(outcome.hit);

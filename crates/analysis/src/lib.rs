@@ -57,16 +57,14 @@ pub mod witness;
 
 pub use cache::{RejectReason, CACHE_FILE, SCHEMA_VERSION};
 pub use codegen::{generate_test_case, GeneratedTestCase};
-pub use dataflow::{
-    condense_call_graph, run_wave, solve_forward, Condensation, ForwardAnalysis, Solution,
-};
+pub use dataflow::{condense_call_graph, solve_forward, Condensation, ForwardAnalysis, Solution};
 pub use detect::{DetectorOutput, RiskyInterface, SiftReason, VulnerableIpcDetector};
 pub use diagnostics::{predicted_leaks, AccuracyReport, Diagnostic, LintReport, RuleId, Severity};
 pub use extract_ipc::{IpcMethod, IpcMethodExtractor, ServiceKind};
 pub use extract_jgr::{JgrEntryExtractor, JgrEntrySets, NativePathAnalysis};
 pub use ir::{
     corpus_fingerprint, method_fact_fingerprint, method_fact_fingerprints, BasicBlock, BlockId,
-    Cfg, Fingerprint, StableHasher, Stmt, Terminator,
+    Cfg, Fingerprint, Stmt, Terminator,
 };
 pub use leakcheck::{
     intra_solver_cost, AnalysisOptions, CrossCheck, DataflowDetector, DataflowOutput, LeakChecker,

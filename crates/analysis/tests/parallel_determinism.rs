@@ -1,5 +1,6 @@
 //! Parallel-wave determinism: the SCC fan-out deals work to threads
-//! round-robin and reassembles results positionally, so `analyze` must
+//! round-robin (`jgre_sim::shard`) and folds the results
+//! order-independently, so `analyze` must
 //! produce byte-identical output for every thread count — here checked
 //! 16 times across 1/2/8 workers, on both the raw `DataflowOutput` and
 //! the serialized SARIF document.
@@ -40,17 +41,4 @@ fn sarif_bytes_are_stable_across_thread_counts() {
         let sarif = serde_json::to_string_pretty(&report.to_sarif(&model)).unwrap();
         assert_eq!(sarif, serial_sarif, "{threads}-thread SARIF bytes diverged");
     }
-}
-
-#[test]
-fn run_wave_preserves_item_order_for_any_thread_count() {
-    let items: Vec<usize> = (0..97).map(|i| i * 3).collect();
-    let serial = jgre_analysis::run_wave(&items, 1, |i| i * i);
-    for threads in [2, 3, 8, 64] {
-        let parallel = jgre_analysis::run_wave(&items, threads, |i| i * i);
-        assert_eq!(parallel, serial, "{threads} threads reordered the wave");
-    }
-    // Degenerate inputs.
-    assert!(jgre_analysis::run_wave(&[], 8, |i| i).is_empty());
-    assert_eq!(jgre_analysis::run_wave(&[5], 8, |i| i + 1), vec![(5, 6)]);
 }

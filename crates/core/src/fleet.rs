@@ -13,9 +13,9 @@
 //!    from [`stream_seed`]`(campaign_seed, i)`, so its run depends only on
 //!    the campaign seed and its id, never on the worker that executed it.
 //! 2. **Shard-count invariance** — devices are dealt round-robin to
-//!    workers (the `run_wave` pattern from the analysis scheduler) and
-//!    shard partials merge by commutative, associative addition, so the
-//!    summary is byte-identical for every `--threads` value.
+//!    workers by [`jgre_sim::shard`] and shard partials merge by
+//!    commutative, associative addition, so the summary is
+//!    byte-identical for every `--threads` value.
 //! 3. **Arena reuse without state leaks** — each worker synthesizes the
 //!    immutable Android image once and boots every device of its shard
 //!    from it ([`DefendedDevice::reset`]). A boot reads the image's
@@ -492,55 +492,26 @@ where
     F: Fn(&DeviceRun) + Sync,
 {
     let catalog = campaign_catalog(config);
-    let devices = config.devices;
-    let workers = config
-        .threads
-        .max(1)
-        .min(usize::try_from(devices).unwrap_or(usize::MAX))
-        .max(1);
-    if workers <= 1 {
+    let devices = usize::try_from(config.devices).unwrap_or(usize::MAX);
+    // Each worker folds its shard into one fixed-size partial. Because
+    // per-device results depend only on (campaign_seed, id) and the merge
+    // is commutative, the summary is identical for every thread count.
+    jgre_sim::shard(devices, config.threads, |ids| {
         let mut arena = DeviceArena::new();
-        let mut summary = FleetSummary::empty(config, &catalog);
-        for device_id in 0..devices {
-            let run = run_device(&mut arena, config, &catalog, device_id);
+        let mut partial = FleetSummary::empty(config, &catalog);
+        for device_id in ids {
+            let run = run_device(&mut arena, config, &catalog, device_id as u64);
             observer(&run);
-            summary.absorb(&run);
+            partial.absorb(&run);
         }
-        return summary;
-    }
-    // The run_wave dealing pattern: worker t owns devices t, t+W, t+2W, …
-    // Each worker folds its shard locally; partials merge at the end.
-    // Because per-device results depend only on (campaign_seed, id) and
-    // the merge is commutative, the summary is identical for every W.
-    let catalog = &catalog;
-    let observer = &observer;
-    let mut partials: Vec<FleetSummary> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|t| {
-                scope.spawn(move || {
-                    let mut arena = DeviceArena::new();
-                    let mut partial = FleetSummary::empty(config, catalog);
-                    let mut device_id = t as u64;
-                    while device_id < devices {
-                        let run = run_device(&mut arena, config, catalog, device_id);
-                        observer(&run);
-                        partial.absorb(&run);
-                        device_id += workers as u64;
-                    }
-                    partial
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("fleet worker panicked"))
-            .collect()
-    });
-    let mut summary = partials.remove(0);
-    for partial in &partials {
-        summary.merge(partial);
-    }
-    summary
+        partial
+    })
+    .into_iter()
+    .reduce(|mut summary, partial| {
+        summary.merge(&partial);
+        summary
+    })
+    .unwrap_or_else(|| FleetSummary::empty(config, &catalog))
 }
 
 #[cfg(test)]

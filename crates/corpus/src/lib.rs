@@ -46,3 +46,16 @@ pub use spec::{
     AospSpec, AppSpec, CostParams, Flaw, JgrBehavior, MethodSpec, Permission, Protection,
     ProtectionLevel, ServiceSpec, ThirdPartyAppSpec, JGR_CAP,
 };
+
+/// FNV-1a over a name: derives stable per-name variety (cost parameters,
+/// chain depths, catalog order) without an RNG. Not a checksum — the
+/// record formats use `jgre_sim::record::checksum` — and changing it
+/// would move every catalog-derived artifact.
+pub(crate) fn fnv(s: &str) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in s.bytes() {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}

@@ -31,6 +31,7 @@ use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
+use crate::fnv;
 use crate::spec::{AospSpec, JgrBehavior, MethodSpec, Permission, Protection};
 
 /// Index of a Java method in [`CodeModel::methods`].
@@ -344,15 +345,6 @@ struct Builder {
     natives: Vec<NativeFunction>,
     jni: Vec<JniRegistration>,
     class_index: BTreeMap<String, usize>,
-}
-
-fn fnv(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 impl Builder {

@@ -28,6 +28,8 @@ use std::collections::BTreeSet;
 
 use serde::{Deserialize, Serialize};
 
+use crate::fnv;
+
 /// Hard cap on JNI global references per runtime (see
 /// [`jgre-art`](https://docs.rs)'s `MAX_GLOBAL_REFS`; duplicated here so the
 /// corpus crate stays dependency-free).
@@ -435,16 +437,6 @@ impl AospSpec {
 // --------------------------------------------------------------------------
 // Catalog construction
 // --------------------------------------------------------------------------
-
-/// FNV-1a, used to derive stable per-name variety without an RNG.
-fn fnv(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Derives the cost parameters that exhaust the table in ~`target_secs` of
 /// virtual time at `grefs_per_call` references per call, with base kept

@@ -6,12 +6,8 @@
 //! replays only the journal records after it, which bounds replay work
 //! by the checkpoint interval.
 //!
-//! Layout (integers little-endian):
-//!
-//! ```text
-//! magic "JGRECKP1" | schema version u32 | payload length u32
-//! | serde_json payload | FNV-1a-64 checksum of the payload
-//! ```
+//! A checkpoint is a [`jgre_sim::record`] header with magic `JGRECKP1`
+//! followed by one frame holding the checkpoint's `serde_json` encoding.
 //!
 //! Decoding never panics: every malformed input maps to a typed
 //! [`CheckpointReject`], and the caller falls back to journal-only
@@ -23,18 +19,16 @@
 
 use std::fmt;
 
+use jgre_sim::record::{self, HeaderError};
 use jgre_sim::{Pid, SimTime};
 use serde::{Deserialize, Serialize};
 
-use crate::journal::checksum;
 use crate::DefenderConfig;
 
 /// Magic prefix of a checkpoint blob.
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"JGRECKP1";
 /// Checkpoint schema version; bump on any layout change.
-pub const CHECKPOINT_SCHEMA_VERSION: u32 = 1;
-/// Magic + version + payload length.
-const PREFIX_LEN: usize = 8 + 4 + 4;
+pub const CHECKPOINT_SCHEMA_VERSION: u32 = 2;
 
 /// Serialized form of one watch entry.
 ///
@@ -110,22 +104,20 @@ impl fmt::Display for CheckpointReject {
     }
 }
 
-/// Fingerprint of a configuration (FNV over its canonical JSON), stored
-/// in the checkpoint so recovery can detect a config change.
+/// Fingerprint of a configuration (the record checksum over its
+/// canonical JSON), stored in the checkpoint so recovery can detect a
+/// config change.
 pub fn config_fingerprint(config: &DefenderConfig) -> u64 {
     let json = serde_json::to_vec(config).expect("DefenderConfig always serializes");
-    checksum(&json)
+    record::checksum(&json)
 }
 
 /// Encodes a checkpoint into its framed, checksummed byte form.
 pub fn encode_checkpoint(cp: &DefenderCheckpoint) -> Vec<u8> {
-    let payload = serde_json::to_vec(cp).expect("checkpoints always serialize");
-    let mut out = Vec::with_capacity(PREFIX_LEN + payload.len() + 8);
-    out.extend_from_slice(&CHECKPOINT_MAGIC);
-    out.extend_from_slice(&CHECKPOINT_SCHEMA_VERSION.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out.extend_from_slice(&checksum(&payload).to_le_bytes());
+    let json = serde_json::to_vec(cp).expect("checkpoints always serialize");
+    let mut out = Vec::with_capacity(record::HEADER_LEN + record::FRAME_OVERHEAD + json.len());
+    record::write_header(&mut out, &CHECKPOINT_MAGIC, CHECKPOINT_SCHEMA_VERSION);
+    record::write_frame(&mut out, &json);
     out
 }
 
@@ -136,29 +128,18 @@ pub fn encode_checkpoint(cp: &DefenderCheckpoint) -> Vec<u8> {
 ///
 /// A [`CheckpointReject`] naming the first problem found.
 pub fn decode_checkpoint(bytes: &[u8]) -> Result<DefenderCheckpoint, CheckpointReject> {
-    if bytes.len() < PREFIX_LEN {
-        return Err(CheckpointReject::Truncated);
-    }
-    if bytes[..8] != CHECKPOINT_MAGIC {
-        return Err(CheckpointReject::BadMagic);
-    }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-    if version != CHECKPOINT_SCHEMA_VERSION {
-        return Err(CheckpointReject::BadVersion(version));
-    }
-    let len = u32::from_le_bytes(bytes[12..PREFIX_LEN].try_into().expect("4 bytes")) as usize;
-    let body_end = PREFIX_LEN
-        .checked_add(len)
+    // The frame's length field counts as fixed header: anything shorter
+    // is truncated before the magic is looked at.
+    let mut cur = record::read_header(bytes, &CHECKPOINT_MAGIC, CHECKPOINT_SCHEMA_VERSION, 4)
+        .map_err(|e| match e {
+            HeaderError::Short => CheckpointReject::Truncated,
+            HeaderError::BadMagic => CheckpointReject::BadMagic,
+            HeaderError::StaleVersion { found } => CheckpointReject::BadVersion(found),
+        })?;
+    let payload = cur
+        .frame(0..=u32::MAX)
+        .map_err(|_| CheckpointReject::BadChecksum)?
         .ok_or(CheckpointReject::Truncated)?;
-    let frame_end = body_end + 8;
-    if frame_end > bytes.len() {
-        return Err(CheckpointReject::Truncated);
-    }
-    let payload = &bytes[PREFIX_LEN..body_end];
-    let stored = u64::from_le_bytes(bytes[body_end..frame_end].try_into().expect("8 bytes"));
-    if checksum(payload) != stored {
-        return Err(CheckpointReject::BadChecksum);
-    }
     serde_json::from_slice(payload).map_err(|_| CheckpointReject::BadPayload)
 }
 
@@ -209,7 +190,7 @@ mod tests {
             Err(CheckpointReject::BadVersion(99))
         );
         let mut bad = good.clone();
-        bad[PREFIX_LEN + 5] ^= 0x08;
+        bad[record::HEADER_LEN + 4 + 5] ^= 0x08;
         assert_eq!(decode_checkpoint(&bad), Err(CheckpointReject::BadChecksum));
     }
 

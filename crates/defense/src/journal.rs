@@ -7,20 +7,14 @@
 //! writing), and hands the surviving records to the recovery path, which
 //! replays them on top of the last checkpoint.
 //!
-//! On-disk layout (all integers little-endian):
-//!
-//! ```text
-//! header:  magic "JGREWAL1" | schema version u32 | base sequence u64
-//! frame:   payload length u32 | serde_json payload | FNV-1a-64 checksum
-//! ```
-//!
-//! The sequence number of a frame is implicit: `base + index`. Compaction
-//! (after a checkpoint) rewrites the journal to an empty log whose base
-//! is the checkpoint's sequence, so replay work stays bounded by the
-//! checkpoint interval. The same discipline as the analysis cache applies
-//! throughout: bounds-checked decoding, checksum verification per region,
-//! and atomic whole-file replacement — corrupt input degrades to a
-//! shorter log, never to a panic.
+//! A journal is a [`jgre_sim::record`] header with magic `JGREWAL1` and
+//! one fixed field, the base sequence `u64`, followed by one frame per
+//! record holding the record's `serde_json` encoding. The sequence
+//! number of a frame is implicit: `base + index`. Compaction (after a
+//! checkpoint) rewrites the journal to an empty log whose base is the
+//! checkpoint's sequence, so replay work stays bounded by the checkpoint
+//! interval. Rewrites replace the whole file atomically; corrupt input
+//! degrades to a shorter log, never to a panic.
 
 use std::cell::RefCell;
 use std::fmt;
@@ -30,6 +24,7 @@ use std::path::{Path, PathBuf};
 use std::rc::Rc;
 
 use jgre_art::JgrEventKind;
+use jgre_sim::record::{self, HeaderError, Put};
 use jgre_sim::{Pid, SimTime, Uid};
 use serde::{Deserialize, Serialize};
 
@@ -38,23 +33,9 @@ use crate::DefenseError;
 /// Magic prefix of a journal file.
 pub const JOURNAL_MAGIC: [u8; 8] = *b"JGREWAL1";
 /// Journal schema version; bump on any layout change.
-pub const JOURNAL_SCHEMA_VERSION: u32 = 1;
-/// Header: magic + version + base sequence.
-const HEADER_LEN: usize = 8 + 4 + 8;
+pub const JOURNAL_SCHEMA_VERSION: u32 = 2;
 /// Sanity bound on a single frame's payload (a record is ~100 bytes).
 const MAX_FRAME_LEN: u32 = 1 << 20;
-
-/// FNV-1a 64-bit checksum, the same region-checksum primitive the
-/// analysis cache uses (duplicated here: the defense crate models the
-/// on-device daemon and must not depend on host-side tooling).
-pub fn checksum(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 /// One durable record: everything the defender needs to rebuild its
 /// in-memory state after a crash.
@@ -297,19 +278,16 @@ pub struct Journal {
 }
 
 fn header_bytes(base_seq: u64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN);
-    out.extend_from_slice(&JOURNAL_MAGIC);
-    out.extend_from_slice(&JOURNAL_SCHEMA_VERSION.to_le_bytes());
-    out.extend_from_slice(&base_seq.to_le_bytes());
+    let mut out = Vec::with_capacity(record::HEADER_LEN + 8);
+    record::write_header(&mut out, &JOURNAL_MAGIC, JOURNAL_SCHEMA_VERSION);
+    out.put_u64(base_seq);
     out
 }
 
-fn encode_frame(record: &JournalRecord) -> Vec<u8> {
-    let payload = serde_json::to_vec(record).expect("journal records always serialize");
-    let mut out = Vec::with_capacity(4 + payload.len() + 8);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out.extend_from_slice(&checksum(&payload).to_le_bytes());
+fn encode_frame(entry: &JournalRecord) -> Vec<u8> {
+    let json = serde_json::to_vec(entry).expect("journal records always serialize");
+    let mut out = Vec::with_capacity(record::FRAME_OVERHEAD + json.len());
+    record::write_frame(&mut out, &json);
     out
 }
 
@@ -321,12 +299,7 @@ impl Journal {
     /// Any error writing the header to the store.
     pub fn create(store: Rc<dyn StateStore>) -> io::Result<Self> {
         store.replace_journal(&header_bytes(0))?;
-        Ok(Self {
-            store,
-            next_seq: 0,
-            records_since_compaction: 0,
-            append_errors: 0,
-        })
+        Ok(Self::detached(store))
     }
 
     /// Reopens an existing journal after a crash: verifies the header,
@@ -343,12 +316,7 @@ impl Journal {
         let reset = |reason| -> io::Result<(Self, ReopenReport)> {
             store.replace_journal(&header_bytes(0))?;
             Ok((
-                Self {
-                    store: store.clone(),
-                    next_seq: 0,
-                    records_since_compaction: 0,
-                    append_errors: 0,
-                },
+                Self::detached(store.clone()),
                 ReopenReport {
                     base_seq: 0,
                     records: Vec::new(),
@@ -357,39 +325,25 @@ impl Journal {
                 },
             ))
         };
-        if bytes.len() < HEADER_LEN {
+        let mut cur = match record::read_header(&bytes, &JOURNAL_MAGIC, JOURNAL_SCHEMA_VERSION, 8) {
+            Ok(cur) => cur,
+            Err(HeaderError::Short) => return reset("short header"),
+            Err(HeaderError::BadMagic) => return reset("bad magic"),
+            Err(HeaderError::StaleVersion { .. }) => return reset("unknown schema version"),
+        };
+        let Some(base_seq) = cur.u64() else {
             return reset("short header");
-        }
-        if bytes[..8] != JOURNAL_MAGIC {
-            return reset("bad magic");
-        }
-        let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-        if version != JOURNAL_SCHEMA_VERSION {
-            return reset("unknown schema version");
-        }
-        let base_seq = u64::from_le_bytes(bytes[12..HEADER_LEN].try_into().expect("8 bytes"));
+        };
         let mut records = Vec::new();
-        let mut offset = HEADER_LEN;
-        while let Some(len_bytes) = bytes.get(offset..offset + 4) {
-            let len = u32::from_le_bytes(len_bytes.try_into().expect("4 bytes"));
-            if len > MAX_FRAME_LEN {
-                break;
-            }
-            let body_end = offset + 4 + len as usize;
-            let frame_end = body_end + 8;
-            if frame_end > bytes.len() {
-                break;
-            }
-            let payload = &bytes[offset + 4..body_end];
-            let stored = u64::from_le_bytes(bytes[body_end..frame_end].try_into().expect("8"));
-            if checksum(payload) != stored {
-                break;
-            }
-            let Ok(record) = serde_json::from_slice::<JournalRecord>(payload) else {
+        let mut offset = cur.pos();
+        // Every failure — an incomplete frame, a bad length or checksum,
+        // an undecodable payload — ends the clean prefix right there.
+        while let Ok(Some(payload)) = cur.frame(0..=MAX_FRAME_LEN) {
+            let Ok(entry) = serde_json::from_slice::<JournalRecord>(payload) else {
                 break;
             };
-            records.push((base_seq + records.len() as u64, record));
-            offset = frame_end;
+            records.push((base_seq + records.len() as u64, entry));
+            offset = cur.pos();
         }
         let truncated_bytes = (bytes.len() - offset) as u64;
         if truncated_bytes > 0 {
@@ -536,7 +490,7 @@ mod tests {
         let mut bytes = store.journal_bytes();
         // Flip a byte inside the third frame's payload.
         let frame = encode_frame(&event(0)).len();
-        let target = HEADER_LEN + 2 * frame + 10;
+        let target = record::HEADER_LEN + 8 + 2 * frame + 10;
         bytes[target] ^= 0x40;
         store.set_journal_bytes(bytes);
         let (_, report) = Journal::reopen(Rc::new(store)).unwrap();

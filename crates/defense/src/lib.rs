@@ -71,8 +71,8 @@ pub use defender::{
 };
 pub use error::DefenseError;
 pub use journal::{
-    checksum, DirStore, Journal, JournalRecord, MemoryStore, PersistError, ReopenReport,
-    StateStore, JOURNAL_MAGIC, JOURNAL_SCHEMA_VERSION,
+    DirStore, Journal, JournalRecord, MemoryStore, PersistError, ReopenReport, StateStore,
+    JOURNAL_MAGIC, JOURNAL_SCHEMA_VERSION,
 };
 pub use monitor::JgrMonitor;
 pub use naive_defense::{CallCountDefense, CallCountDetection};

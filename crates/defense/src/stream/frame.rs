@@ -1,16 +1,10 @@
 //! The framed binary event protocol.
 //!
-//! A stream is a 12-byte header (magic + schema version, mirroring the
-//! WAL's header discipline) followed by frames:
-//!
-//! ```text
-//! | len: u32 LE | payload: len bytes | checksum: u64 LE |
-//! ```
-//!
-//! where the checksum is the same FNV-1a-64 the journal uses, taken over
-//! the payload. Payloads are tagged: `1` is a Binder-log record
-//! (`at: u64 | uid: u32 | type_len: u16 | type bytes`), `2` a JGR add
-//! (`at: u64`). All integers little-endian.
+//! A stream is a [`jgre_sim::record`] header with magic `JGRESTR1` and no
+//! fixed fields, followed by one frame per event. Payloads are tagged:
+//! `1` is a Binder-log record (`at: u64 | uid: u32 | type_len: u16 |
+//! type bytes`), `2` a JGR add (`at: u64`). A zero length is refused
+//! like an oversized one.
 //!
 //! Decoding is *incremental*: [`FrameDecoder::feed`] accepts arbitrary
 //! byte slices (short reads, chunk boundaries inside a frame) and
@@ -22,16 +16,15 @@
 
 use std::fmt;
 
+use jgre_sim::record::{self, Cursor, FrameError, HeaderError, Put};
 use jgre_sim::{SimTime, Uid};
-
-use crate::checksum;
 
 /// Stream header magic (version baked into the trailing digit's schema
 /// constant, like `JGREWAL1`).
 pub const STREAM_MAGIC: [u8; 8] = *b"JGRESTR1";
 
 /// Schema version of the frame payloads.
-pub const STREAM_SCHEMA_VERSION: u32 = 1;
+pub const STREAM_SCHEMA_VERSION: u32 = 2;
 
 /// Upper bound on a frame payload; anything larger is corruption (the
 /// length field itself may be garbage, so this caps the allocation).
@@ -122,13 +115,11 @@ impl std::error::Error for FrameReject {}
 
 const TAG_IPC: u8 = 1;
 const TAG_ADD: u8 = 2;
-const HEADER_LEN: usize = STREAM_MAGIC.len() + 4;
 
 /// The 12-byte stream header.
 pub fn stream_header() -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN);
-    out.extend_from_slice(&STREAM_MAGIC);
-    out.extend_from_slice(&STREAM_SCHEMA_VERSION.to_le_bytes());
+    let mut out = Vec::with_capacity(record::HEADER_LEN);
+    record::write_header(&mut out, &STREAM_MAGIC, STREAM_SCHEMA_VERSION);
     out
 }
 
@@ -138,8 +129,8 @@ pub fn encode_event(event: &StreamEvent, out: &mut Vec<u8>) {
     match event {
         StreamEvent::Ipc { at, uid, ipc_type } => {
             payload.push(TAG_IPC);
-            payload.extend_from_slice(&at.as_micros().to_le_bytes());
-            payload.extend_from_slice(&uid.raw().to_le_bytes());
+            payload.put_u64(at.as_micros());
+            payload.put_u32(uid.raw());
             let bytes = ipc_type.as_bytes();
             assert!(
                 bytes.len() <= u16::MAX as usize,
@@ -150,13 +141,10 @@ pub fn encode_event(event: &StreamEvent, out: &mut Vec<u8>) {
         }
         StreamEvent::JgrAdd { at } => {
             payload.push(TAG_ADD);
-            payload.extend_from_slice(&at.as_micros().to_le_bytes());
+            payload.put_u64(at.as_micros());
         }
     }
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    let sum = checksum(&payload);
-    out.extend_from_slice(&payload);
-    out.extend_from_slice(&sum.to_le_bytes());
+    record::write_frame(out, &payload);
 }
 
 /// Encodes a whole stream: header plus one frame per event.
@@ -228,88 +216,62 @@ impl FrameDecoder {
     /// at the rejected frame; a rejected stream is fail-stop).
     pub fn next_event(&mut self) -> Result<Option<StreamEvent>, FrameReject> {
         if !self.header_seen {
-            if self.pending_bytes() < HEADER_LEN {
-                return Ok(None);
+            let rest = &self.buf[self.pos..];
+            match record::read_header(rest, &STREAM_MAGIC, STREAM_SCHEMA_VERSION, 0) {
+                Ok(_) => {}
+                Err(HeaderError::Short) => return Ok(None),
+                Err(HeaderError::BadMagic) => return Err(FrameReject::BadMagic),
+                Err(HeaderError::StaleVersion { found }) => {
+                    return Err(FrameReject::StaleVersion { found })
+                }
             }
-            let start = self.pos;
-            if self.buf[start..start + STREAM_MAGIC.len()] != STREAM_MAGIC {
-                return Err(FrameReject::BadMagic);
-            }
-            let found = u32::from_le_bytes(
-                self.buf[start + STREAM_MAGIC.len()..start + HEADER_LEN]
-                    .try_into()
-                    .expect("4 header bytes"),
-            );
-            if found != STREAM_SCHEMA_VERSION {
-                return Err(FrameReject::StaleVersion { found });
-            }
-            self.pos += HEADER_LEN;
+            self.pos += record::HEADER_LEN;
             self.header_seen = true;
         }
-        if self.pending_bytes() < 4 {
-            return Ok(None);
-        }
-        let len_bytes: [u8; 4] = self.buf[self.pos..self.pos + 4]
-            .try_into()
-            .expect("4 length bytes");
-        let len = u32::from_le_bytes(len_bytes);
-        if len == 0 || len > MAX_FRAME_LEN {
-            return Err(FrameReject::OversizedFrame { len });
-        }
-        let frame_len = 4 + len as usize + 8;
-        if self.pending_bytes() < frame_len {
-            return Ok(None);
-        }
-        let payload_start = self.pos + 4;
-        let payload_end = payload_start + len as usize;
-        let payload = &self.buf[payload_start..payload_end];
-        let stored = u64::from_le_bytes(
-            self.buf[payload_end..payload_end + 8]
-                .try_into()
-                .expect("8 checksum bytes"),
-        );
-        let computed = checksum(payload);
-        if computed != stored {
-            return Err(FrameReject::ChecksumMismatch { computed, stored });
-        }
+        let mut cur = Cursor::new(&self.buf[self.pos..]);
+        let payload = match cur.frame(1..=MAX_FRAME_LEN) {
+            Ok(Some(payload)) => payload,
+            Ok(None) => return Ok(None),
+            Err(FrameError::BadLength { len }) => return Err(FrameReject::OversizedFrame { len }),
+            Err(FrameError::Checksum { computed, stored }) => {
+                return Err(FrameReject::ChecksumMismatch { computed, stored })
+            }
+        };
         let event = decode_payload(payload)?;
-        self.pos += frame_len;
+        self.pos += cur.pos();
         Ok(Some(event))
     }
 }
 
 fn decode_payload(payload: &[u8]) -> Result<StreamEvent, FrameReject> {
-    if payload.len() < 9 {
+    let mut cur = Cursor::new(payload);
+    let (Some(tag), Some(at)) = (cur.u8(), cur.u64()) else {
         return Err(FrameReject::BadPayload);
-    }
-    let tag = payload[0];
-    let at = SimTime::from_micros(u64::from_le_bytes(
-        payload[1..9].try_into().expect("8 time bytes"),
-    ));
-    match tag {
-        TAG_ADD => {
-            if payload.len() != 9 {
-                return Err(FrameReject::BadPayload);
-            }
-            Ok(StreamEvent::JgrAdd { at })
-        }
+    };
+    let at = SimTime::from_micros(at);
+    let event = match tag {
+        TAG_ADD => StreamEvent::JgrAdd { at },
         TAG_IPC => {
-            if payload.len() < 15 {
+            let (Some(uid), Some(len)) = (cur.u32(), cur.u16()) else {
                 return Err(FrameReject::BadPayload);
-            }
-            let uid = Uid::new(u32::from_le_bytes(
-                payload[9..13].try_into().expect("4 uid bytes"),
-            ));
-            let type_len = u16::from_le_bytes(payload[13..15].try_into().expect("2 length bytes"));
-            if payload.len() != 15 + type_len as usize {
-                return Err(FrameReject::BadPayload);
-            }
-            let ipc_type = std::str::from_utf8(&payload[15..])
-                .map_err(|_| FrameReject::BadPayload)?
+            };
+            let ipc_type = cur
+                .take(usize::from(len))
+                .and_then(|b| std::str::from_utf8(b).ok())
+                .ok_or(FrameReject::BadPayload)?
                 .to_owned();
-            Ok(StreamEvent::Ipc { at, uid, ipc_type })
+            StreamEvent::Ipc {
+                at,
+                uid: Uid::new(uid),
+                ipc_type,
+            }
         }
-        found => Err(FrameReject::BadTag { found }),
+        found => return Err(FrameReject::BadTag { found }),
+    };
+    if cur.done() {
+        Ok(event)
+    } else {
+        Err(FrameReject::BadPayload)
     }
 }
 
@@ -381,10 +343,13 @@ mod tests {
     fn truncation_at_every_boundary_is_torn_not_error() {
         let events = sample_events();
         let clean = encode_stream(&events);
-        for cut in HEADER_LEN..clean.len() {
+        for cut in record::HEADER_LEN..clean.len() {
             let (decoded, torn) =
                 decode_stream(&clean[..cut]).expect("truncation is not corruption");
-            assert_eq!(torn, cut - HEADER_LEN - consumed_len(&events, &decoded));
+            assert_eq!(
+                torn,
+                cut - record::HEADER_LEN - consumed_len(&events, &decoded)
+            );
             assert!(decoded.len() <= events.len());
             assert_eq!(decoded[..], events[..decoded.len()]);
         }
@@ -418,15 +383,15 @@ mod tests {
     #[test]
     fn short_header_is_pending() {
         let bytes = stream_header();
-        let (events, torn) = decode_stream(&bytes[..HEADER_LEN - 3]).unwrap();
+        let (events, torn) = decode_stream(&bytes[..record::HEADER_LEN - 3]).unwrap();
         assert!(events.is_empty());
-        assert_eq!(torn, HEADER_LEN - 3);
+        assert_eq!(torn, record::HEADER_LEN - 3);
     }
 
     #[test]
     fn oversized_length_field_is_refused() {
         let mut bytes = stream_header();
-        bytes.extend_from_slice(&(MAX_FRAME_LEN + 1).to_le_bytes());
+        bytes.put_u32(MAX_FRAME_LEN + 1);
         bytes.extend_from_slice(&[0; 64]);
         assert_eq!(
             decode_stream(&bytes).unwrap_err(),
@@ -437,14 +402,22 @@ mod tests {
     }
 
     #[test]
-    fn unknown_tag_with_valid_checksum_is_typed() {
-        let mut payload = vec![7u8]; // no such tag
-        payload.extend_from_slice(&42u64.to_le_bytes());
+    fn zero_length_is_refused_like_an_oversized_one() {
+        // Refused on the length alone, before the trailer has arrived.
         let mut bytes = stream_header();
-        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        let sum = checksum(&payload);
-        bytes.extend_from_slice(&payload);
-        bytes.extend_from_slice(&sum.to_le_bytes());
+        bytes.put_u32(0);
+        assert_eq!(
+            decode_stream(&bytes).unwrap_err(),
+            FrameReject::OversizedFrame { len: 0 }
+        );
+    }
+
+    #[test]
+    fn unknown_tag_with_valid_checksum_is_typed() {
+        let mut bytes = stream_header();
+        let mut payload = vec![7]; // no such tag
+        payload.put_u64(42);
+        record::write_frame(&mut bytes, &payload);
         assert_eq!(
             decode_stream(&bytes).unwrap_err(),
             FrameReject::BadTag { found: 7 }

@@ -5,8 +5,8 @@
 //! log on every poll; this module runs the same algorithm *online*. The
 //! pipeline is three layers, each independently testable:
 //!
-//! 1. **Protocol** — length-prefixed, FNV-checksummed, versioned frames
-//!    carrying Binder-log and JGR-add events, with an incremental
+//! 1. **Protocol** — [`jgre_sim::record`] frames carrying Binder-log
+//!    and JGR-add events, with an incremental
 //!    decoder that treats torn tails as pending and corruption as typed
 //!    [`FrameReject`]s.
 //! 2. **Ingestion** — a bounded ring between producer and scorer whose

@@ -534,27 +534,16 @@ pub struct RecoveredStream {
 /// journal (never written) recovers to no events.
 pub fn recover_events(store: &dyn StateStore) -> Result<RecoveredStream, PersistError> {
     let bytes = store.load_journal().map_err(PersistError::Io)?;
-    if bytes.is_empty() {
-        return Ok(RecoveredStream {
-            events: Vec::new(),
-            torn_bytes: 0,
-            reject: None,
-        });
-    }
     let mut decoder = FrameDecoder::new();
     decoder.feed(&bytes);
     let mut events = Vec::new();
-    let mut reject = None;
-    loop {
+    let reject = loop {
         match decoder.next_event() {
             Ok(Some(event)) => events.push(event),
-            Ok(None) => break,
-            Err(r) => {
-                reject = Some(r);
-                break;
-            }
+            Ok(None) => break None,
+            Err(r) => break Some(r),
         }
-    }
+    };
     Ok(RecoveredStream {
         events,
         torn_bytes: decoder.pending_bytes(),
@@ -661,6 +650,19 @@ mod tests {
         for event in &recovered.events {
             assert!(event.at().as_micros() >= last_verdict_at);
         }
+    }
+
+    #[test]
+    fn a_never_written_journal_recovers_to_nothing() {
+        let recovered = recover_events(&MemoryStore::new()).unwrap();
+        assert_eq!(
+            recovered,
+            RecoveredStream {
+                events: Vec::new(),
+                torn_bytes: 0,
+                reject: None,
+            }
+        );
     }
 
     #[test]

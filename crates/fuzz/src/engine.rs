@@ -6,8 +6,8 @@
 //! Work is sharded **per service**: shard *s* draws its mutation decisions
 //! from `SimRng::stream(seed, STREAM_BASE + s)` and boots every trial
 //! device at `stream_seed(seed, trial_stream(s, seq))`, so a shard's
-//! results depend only on `(seed, s)`. Worker threads deal shards
-//! round-robin (the fleet's `run_wave` pattern) and the merge folds
+//! results depend only on `(seed, s)`. [`jgre_sim::shard`] deals shards
+//! round-robin to worker threads and the merge folds
 //! shards in index order, so the report is byte-identical for every
 //! `--threads` value.
 //!
@@ -657,40 +657,16 @@ pub fn replay_probe(
 /// [`FuzzReport`] — byte-identical for every `threads` value.
 pub fn run_fuzz(config: &FuzzConfig) -> FuzzReport {
     let plans = build_plan(config);
-    let workers = config.threads.max(1).min(plans.len().max(1));
-    let mut shard_outcomes: Vec<(usize, ShardOutcome)> = if workers <= 1 {
-        let mut arena = DeviceArena::new();
-        plans
-            .iter()
-            .enumerate()
-            .map(|(s, plan)| (s, fuzz_service(&mut arena, config, plan, s)))
-            .collect()
-    } else {
-        let plans_ref = &plans;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|t| {
-                    scope.spawn(move || {
-                        let mut arena = DeviceArena::new();
-                        let mut partial = Vec::new();
-                        let mut shard = t;
-                        while shard < plans_ref.len() {
-                            partial.push((
-                                shard,
-                                fuzz_service(&mut arena, config, &plans_ref[shard], shard),
-                            ));
-                            shard += workers;
-                        }
-                        partial
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("fuzz worker panicked"))
-                .collect()
+    let mut shard_outcomes: Vec<(usize, ShardOutcome)> =
+        jgre_sim::shard(plans.len(), config.threads, |shards| {
+            let mut arena = DeviceArena::new();
+            shards
+                .map(|s| (s, fuzz_service(&mut arena, config, &plans[s], s)))
+                .collect::<Vec<_>>()
         })
-    };
+        .into_iter()
+        .flatten()
+        .collect();
     shard_outcomes.sort_by_key(|(s, _)| *s);
 
     let mut edges = BTreeSet::new();

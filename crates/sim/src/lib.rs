@@ -16,6 +16,9 @@
 //!   experiments for post-hoc analysis.
 //! * [`FaultLayer`] — a seeded, deterministic fault injector used by the
 //!   chaos experiments to break the defender's assumptions on purpose.
+//! * [`record`] — the one framed-record codec and checksum behind every
+//!   persisted or shipped byte format.
+//! * [`shard`] — the one deterministic shard-and-merge thread fan-out.
 //!
 //! # Example
 //!
@@ -36,7 +39,9 @@ mod clock;
 mod event;
 mod fault;
 mod ids;
+pub mod record;
 mod rng;
+mod shard;
 pub mod source;
 mod stats;
 mod trace;
@@ -49,5 +54,6 @@ pub use fault::{
 };
 pub use ids::{Pid, Tid, Uid};
 pub use rng::{stream_seed, SimRng};
+pub use shard::shard;
 pub use stats::{Histogram, Samples, Summary, HISTOGRAM_BINS};
 pub use trace::{TraceEvent, TraceSink};

@@ -27,7 +27,7 @@ pub struct SimRng {
 
 /// One round of the splitmix64 finalizer: full 64-bit avalanche, so a
 /// single flipped input bit scrambles every output bit.
-const fn splitmix64(mut z: u64) -> u64 {
+pub(crate) const fn splitmix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)

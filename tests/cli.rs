@@ -484,6 +484,24 @@ fn committed_fuzz_golden_matches_a_fresh_run() {
 }
 
 #[test]
+fn committed_serve_golden_matches_a_fresh_run() {
+    assert_matches_golden(
+        &[
+            "serve",
+            "--seed",
+            "11",
+            "--events-per-sec",
+            "10000",
+            "--duration",
+            "0.5",
+        ],
+        "serve_seed11",
+        "jgre serve --seed 11 --events-per-sec 10000 --duration 0.5 \
+         --out artifacts/serve_seed11.json",
+    );
+}
+
+#[test]
 fn committed_chaos_golden_matches_a_fresh_run() {
     let out = jgre()
         .args(["chaos", "--seed", "0", "--json"])
