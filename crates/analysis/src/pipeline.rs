@@ -6,7 +6,7 @@ use jgre_corpus::CodeModel;
 use jgre_framework::System;
 
 use crate::{
-    AnalysisOptions, AnalysisReport, ConfirmedVulnerability, DataflowDetector, IpcMethodExtractor,
+    AnalysisReport, ConfirmedVulnerability, DataflowDetector, IpcMethodExtractor,
     JgrEntryExtractor, JgreVerifier, ServiceKind, SiftReason, VerificationStatus, VerifierConfig,
 };
 
@@ -43,25 +43,15 @@ impl Pipeline {
     /// Steps 1–3 only; every risky row is reported
     /// [`VerificationStatus::StaticOnly`].
     pub fn run_static(&self) -> AnalysisReport {
-        self.run(None, &AnalysisOptions::default())
-    }
-
-    /// [`Pipeline::run_static`] with summary caching and parallelism
-    /// knobs for step 3.
-    pub fn run_static_with(&self, options: &AnalysisOptions) -> AnalysisReport {
-        self.run(None, options)
+        self.run(None)
     }
 
     /// The full pipeline including dynamic verification against `system`.
     pub fn run_full(&self, system: &mut System, config: VerifierConfig) -> AnalysisReport {
-        self.run(Some((system, config)), &AnalysisOptions::default())
+        self.run(Some((system, config)))
     }
 
-    fn run(
-        &self,
-        dynamic: Option<(&mut System, VerifierConfig)>,
-        options: &AnalysisOptions,
-    ) -> AnalysisReport {
+    fn run(&self, dynamic: Option<(&mut System, VerifierConfig)>) -> AnalysisReport {
         // Step 1: IPC surface.
         let ipc_methods = IpcMethodExtractor::new(&self.model).extract();
         let services_total = ipc_methods
@@ -89,7 +79,7 @@ impl Pipeline {
         // filter. The legacy heuristic detector stays on as a cross-check
         // oracle in debug builds — any divergence is a bug in one of the
         // two implementations.
-        let flow = DataflowDetector::new(&self.model, &entries).detect_with(&ipc_methods, options);
+        let flow = DataflowDetector::new(&self.model, &entries).detect(&ipc_methods);
         debug_assert_eq!(
             flow.cross_check(
                 &crate::VulnerableIpcDetector::new(&self.model, &entries).detect(&ipc_methods)

@@ -110,78 +110,6 @@ impl AnalysisReport {
             .collect()
     }
 
-    /// Renders the full report as a Markdown document: headline counts,
-    /// sift statistics, and one table per exposure kind — the shape of a
-    /// disclosure report to a security team.
-    pub fn to_markdown(&self) -> String {
-        use std::fmt::Write as _;
-        let mut md = String::from("# JGRE analysis report\n\n");
-        let _ = writeln!(
-            md,
-            "* **{} system services** analysed ({} native), exposing **{}** IPC methods",
-            self.services_total, self.native_services, self.ipc_methods_total
-        );
-        let _ = writeln!(
-            md,
-            "* **{} native paths** to `IndirectReferenceTable::Add` ({} init-only, filtered; {} exploitable)",
-            self.native_paths.total_paths,
-            self.native_paths.init_only_paths,
-            self.native_paths.exploitable_paths
-        );
-        let _ = writeln!(
-            md,
-            "* **{} Java JGR entry methods**; **{} risky** interfaces after sifting",
-            self.java_jgr_entries, self.risky_total
-        );
-        let confirmed = self.confirmed_service_interfaces();
-        let _ = writeln!(
-            md,
-            "* **{} confirmed vulnerable** interfaces in **{} services** ({} reachable with zero permissions)",
-            confirmed.len(),
-            self.confirmed_services().len(),
-            self.zero_permission_services().len()
-        );
-        let _ = writeln!(
-            md,
-            "* Dataflow solver: {} methods / {} basic blocks, {} block transfers over {} call-graph SCCs\n",
-            self.solver.methods,
-            self.solver.cfg_blocks,
-            self.solver.solver_iterations,
-            self.solver.sccs
-        );
-        md.push_str("## Sift statistics\n\n| rule | candidates cleared |\n|---|---|\n");
-        for (reason, count) in &self.sift_counts {
-            let _ = writeln!(md, "| {reason:?} | {count} |");
-        }
-        md.push_str("\n## Findings\n\n| service | interface.method | permissions | status |\n|---|---|---|---|\n");
-        for row in &self.rows {
-            let perms = if row.permissions.is_empty() {
-                "-".to_owned()
-            } else {
-                row.permissions
-                    .iter()
-                    .map(|p| p.manifest_name().to_owned())
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            };
-            let _ = writeln!(
-                md,
-                "| {} | {}.{} | {} | {:?}{} |",
-                row.service,
-                row.interface,
-                row.method,
-                perms,
-                row.status,
-                if row.bypassed_protection {
-                    " (protection bypassed)"
-                } else {
-                    ""
-                }
-            );
-        }
-        md
-    }
-
     /// Renders a plain-text summary block (used by examples and
     /// EXPERIMENTS.md generation).
     pub fn summary(&self) -> String {

@@ -187,15 +187,6 @@ impl Heap {
         Ok(())
     }
 
-    /// Current pin count of a live object.
-    ///
-    /// # Errors
-    ///
-    /// [`ArtError::StaleObjRef`] if the object was collected.
-    pub fn pin_count(&self, obj: ObjRef) -> Result<u32, ArtError> {
-        self.record(obj).map(|r| r.pins)
-    }
-
     /// Attaches a finalizer to run when `obj` is collected.
     ///
     /// # Errors

@@ -4,7 +4,7 @@
 //! and tabulates the recovery bill — crashes, restarts, records replayed,
 //! and the virtual recovery delay (supervisor backoff + replay) — the
 //! numbers the EXPERIMENTS.md recovery table quotes. The timed pass
-//! measures the two real-time kernels of the crash-consistent defender:
+//! measures the two real-time kernels of the durable defender:
 //! writing one checkpoint of a loaded monitor, and a full resume
 //! (reopen + restore + replay) whose replay is bounded by the checkpoint
 //! interval.
@@ -15,7 +15,7 @@ use std::rc::Rc;
 use criterion::{criterion_group, Criterion};
 use jgre_bench::{artifacts_enabled, write_artifact};
 use jgre_core::{experiments, ExperimentScale};
-use jgre_defense::{CrashConsistentConfig, CrashConsistentDefender, DefenderConfig, MemoryStore};
+use jgre_defense::{DefenderConfig, DurableConfig, JgreDefender, MemoryStore};
 use jgre_framework::{CallOptions, System, SystemConfig};
 use jgre_sim::{FaultKind, FaultPlan};
 
@@ -65,12 +65,7 @@ fn generate_artifacts() {
 /// A defended system whose journal and watch tables carry real load:
 /// returns the system, the defender, its config, and a handle on the
 /// shared store (for freezing its bytes).
-fn loaded_defender() -> (
-    System,
-    CrashConsistentDefender,
-    CrashConsistentConfig,
-    Rc<MemoryStore>,
-) {
+fn loaded_defender() -> (System, JgreDefender, DefenderConfig, Rc<MemoryStore>) {
     let scale = ExperimentScale::quick();
     let mut system = System::boot_with(SystemConfig {
         seed: 5,
@@ -78,15 +73,15 @@ fn loaded_defender() -> (
         faults: FaultPlan::none(),
         ..SystemConfig::default()
     });
-    let config = CrashConsistentConfig {
-        defender: DefenderConfig {
-            ..scale.defender_config()
-        },
-        ..CrashConsistentConfig::default()
-    };
+    let config = scale.defender_config();
     let store = Rc::new(MemoryStore::new());
-    let mut defender =
-        CrashConsistentDefender::install(&mut system, config.clone(), store.clone()).unwrap();
+    let defender = JgreDefender::install_durable(
+        &mut system,
+        config.clone(),
+        DurableConfig::default(),
+        store.clone(),
+    )
+    .unwrap();
     let mal = system.install_app("com.evil", []);
     // Enough traffic to fill the watch tables, not enough to alarm.
     for _ in 0..200u32 {
@@ -107,7 +102,7 @@ fn bench_recovery(c: &mut Criterion) {
     let mut group = c.benchmark_group("recovery");
     group.sample_size(20);
 
-    let (system, mut defender, _, _) = loaded_defender();
+    let (system, defender, _, _) = loaded_defender();
     group.bench_function("checkpoint_write", |b| {
         b.iter(|| defender.checkpoint_now(&system));
     });
@@ -117,7 +112,7 @@ fn bench_recovery(c: &mut Criterion) {
     // full resume from those bytes.
     let (mut system, defender, config, store) = loaded_defender();
     drop(defender);
-    let interval = config.checkpoint_interval;
+    let interval = DurableConfig::default().checkpoint_interval;
     let journal_bytes = store.journal_bytes();
     let checkpoint_bytes = store.checkpoint_bytes();
     group.bench_function("resume_replay_from_checkpoint", |b| {
@@ -126,8 +121,13 @@ fn bench_recovery(c: &mut Criterion) {
             s.set_journal_bytes(journal_bytes.clone());
             s.set_checkpoint_bytes(checkpoint_bytes.clone());
             system.clear_jgr_observers();
-            let resumed =
-                CrashConsistentDefender::resume(&mut system, config.clone(), Rc::new(s)).unwrap();
+            let resumed = JgreDefender::resume(
+                &mut system,
+                config.clone(),
+                DurableConfig::default(),
+                Rc::new(s),
+            )
+            .unwrap();
             assert!(
                 resumed.stats().replayed_records <= interval,
                 "replay must be bounded by the checkpoint interval"

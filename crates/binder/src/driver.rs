@@ -191,11 +191,6 @@ impl BinderDriver {
         self.log_sorted
     }
 
-    /// Replaces the latency model (used by the Figure 10 sweep).
-    pub fn set_latency_model(&mut self, model: LatencyModel) {
-        self.latency = model;
-    }
-
     /// Enables or disables the extra per-transaction recording cost the
     /// paper's extended driver incurs (Figure 10 compares both).
     pub fn set_defense_recording(&mut self, enabled: bool) {

@@ -16,8 +16,8 @@
 //!   ([`DetectionOutcome::Degraded`]) — silent failure is itself a
 //!   violation;
 //! * the defender process itself is mortal: every cell runs the
-//!   crash-consistent harness (journal + checkpoint + supervised
-//!   restarts), and the `defender-crash` channel kills it mid-pass; at or
+//!   durable defender (journal + checkpoint + supervised restarts),
+//!   and the `defender-crash` channel kills it mid-pass; at or
 //!   below moderate intensity it must recover and still converge, and
 //!   the supervisor must never exhaust its restart budget.
 //!
@@ -29,9 +29,7 @@ use std::rc::Rc;
 
 use jgre_attack::AttackVector;
 use jgre_corpus::spec::AospSpec;
-use jgre_defense::{
-    CrashConsistentConfig, CrashConsistentDefender, DetectionOutcome, MemoryStore, ScoringKind,
-};
+use jgre_defense::{DetectionOutcome, DurableConfig, JgreDefender, MemoryStore, ScoringKind};
 use jgre_framework::{CallOptions, System, SystemConfig};
 use jgre_sim::{FaultIntensity, FaultKind, FaultPlan, SimDuration};
 use serde::{Deserialize, Serialize};
@@ -251,16 +249,14 @@ fn run_cell(
         faults: plan,
         ..scale.with_seed(cell_seed).system_config()
     });
-    // Every cell runs the crash-consistent harness (journal + checkpoint
-    // + supervised restarts). With the crash channel quiet this is
-    // byte-identical in timing and RNG consumption to the raw defender;
-    // with it active, the cell gains the crash dimension.
-    let mut defender = CrashConsistentDefender::install(
+    // Every cell runs the durable defender (journal + checkpoint +
+    // supervised restarts). With the crash channel quiet this is
+    // byte-identical in timing and RNG consumption to the plain one; with
+    // it active, the cell gains the crash dimension.
+    let defender = JgreDefender::install_durable(
         &mut system,
-        CrashConsistentConfig {
-            defender: chaos_defender_config(scale),
-            ..CrashConsistentConfig::default()
-        },
+        chaos_defender_config(scale),
+        DurableConfig::default(),
         Rc::new(MemoryStore::new()),
     )
     .expect("chaos defender config is valid");

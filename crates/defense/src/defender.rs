@@ -1,6 +1,6 @@
 //! Phase 3: the JGRE Defender service.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::rc::Rc;
@@ -12,7 +12,34 @@ use serde::{Deserialize, Serialize};
 
 use crate::{segment_tree_scores, DefenseError, JgrMonitor, ScoreParams, ScoreReport, UidScore};
 
+mod durable;
+
+use durable::Durable;
+pub use durable::{DurableConfig, RecoveryStats};
+
+/// Escalating correlation windows (§V-D.1). Detection retries with the
+/// next window when the best score is not confident — the mechanism
+/// behind the paper's three slow (>1 s) detections.
+const WINDOWS: [SimDuration; 3] = [
+    SimDuration::from_millis(8),
+    SimDuration::from_millis(16),
+    SimDuration::from_millis(32),
+];
+
+/// Stopping rule for the §V-D.1 window escalation: the top score must
+/// explain at least this fraction of the victim's recorded adds.
+const CONFIDENCE: f64 = 0.35;
+
+/// Correlation watchdog floor. Not a paper parameter: Algorithm 1
+/// assumes a complete driver log (§V-B). When the fraction of IPC log
+/// records that survived in the scored horizon (estimated from driver
+/// sequence-number gaps) falls below this, the defender falls back to
+/// per-UID call-count scoring and reports
+/// [`DegradationCause::LowIpcCoverage`].
+const COVERAGE_FLOOR: f64 = 0.95;
+
 /// Defender tuning. The defaults are the paper's deployed parameters.
+/// Algorithm 1's Δ and bin width come from [`ScoreParams::default`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DefenderConfig {
     /// Runtime starts recording JGR event times at this table size.
@@ -22,31 +49,12 @@ pub struct DefenderConfig {
     /// Recovery target: kill until the victim's table is back below this
     /// (Observation 1 puts the benign band under ~3000).
     pub normal_level: usize,
-    /// The Δ uncertainty band for Algorithm 1 (system-wide average
-    /// 1.8 ms).
-    pub delta: SimDuration,
-    /// Escalating correlation windows. Detection retries with the next
-    /// window when the best score is not confident — the mechanism behind
-    /// §V-D.1's three slow (>1 s) detections.
-    pub windows: Vec<SimDuration>,
-    /// Histogram bin width.
-    pub bin: SimDuration,
-    /// Minimum fraction of observed adds the top score must explain to
-    /// stop escalating windows.
-    pub confidence: f64,
     /// Safety valve on kills per detection.
     pub max_kills: usize,
     /// §VI extension: classify IPC calls by code-execution path before
     /// scoring. A multi-path attacker splits its timing signature across
     /// paths; per-path buckets restore the concentration.
     pub classify_paths: bool,
-    /// Correlation watchdog: when the fraction of IPC log records that
-    /// survived in the scored horizon (estimated from driver sequence-
-    /// number gaps) falls below this floor, Algorithm 1's timing
-    /// correlation is no longer trustworthy and the defender falls back
-    /// to coarse per-UID call-count scoring, reporting
-    /// [`DegradationCause::LowIpcCoverage`].
-    pub coverage_floor: f64,
     /// Retries per victim when `am force-stop` fails (fault injection);
     /// each retry backs off exponentially from
     /// [`kill_backoff`](Self::kill_backoff).
@@ -66,51 +74,12 @@ impl Default for DefenderConfig {
             record_threshold: crate::RECORD_THRESHOLD,
             trigger_threshold: crate::TRIGGER_THRESHOLD,
             normal_level: 3_000,
-            delta: SimDuration::from_micros(1_800),
-            windows: vec![
-                SimDuration::from_millis(8),
-                SimDuration::from_millis(16),
-                SimDuration::from_millis(32),
-            ],
-            bin: SimDuration::from_micros(50),
-            confidence: 0.35,
             max_kills: 8,
             classify_paths: false,
-            coverage_floor: 0.95,
             kill_retries: 3,
             kill_backoff: SimDuration::from_millis(10),
             cooldown: SimDuration::ZERO,
         }
-    }
-}
-
-impl DefenderConfig {
-    /// Validates the configuration.
-    ///
-    /// # Errors
-    ///
-    /// The first [`DefenseError`] found, checking thresholds, windows,
-    /// bin width, and the confidence / coverage fractions.
-    pub fn validate(&self) -> Result<(), DefenseError> {
-        if self.record_threshold >= self.trigger_threshold {
-            return Err(DefenseError::InvalidThresholds {
-                record: self.record_threshold,
-                trigger: self.trigger_threshold,
-            });
-        }
-        if self.windows.is_empty() {
-            return Err(DefenseError::NoWindows);
-        }
-        if self.bin.as_micros() == 0 {
-            return Err(DefenseError::ZeroBin);
-        }
-        if !(0.0..=1.0).contains(&self.confidence) || self.confidence.is_nan() {
-            return Err(DefenseError::InvalidConfidence(self.confidence));
-        }
-        if !(0.0..=1.0).contains(&self.coverage_floor) || self.coverage_floor.is_nan() {
-            return Err(DefenseError::InvalidCoverageFloor(self.coverage_floor));
-        }
-        Ok(())
     }
 }
 
@@ -135,7 +104,7 @@ pub enum DegradationCause {
     LowIpcCoverage {
         /// Estimated surviving fraction of records in the horizon.
         observed: f64,
-        /// The configured [`DefenderConfig::coverage_floor`].
+        /// The coverage floor it fell below (0.95).
         floor: f64,
     },
     /// The monitor's JGR timestamps arrived out of order (corrupted
@@ -298,95 +267,80 @@ impl std::ops::Deref for DetectionOutcome {
 
 /// The defender service: owns the monitor, reads the driver log, scores,
 /// kills.
+///
+/// [`install`](Self::install) gives the paper's defender, which never
+/// dies. [`install_durable`](Self::install_durable) and
+/// [`resume`](Self::resume) give the same defender backed by a
+/// write-ahead journal, checkpoints and a supervisor, so the defender
+/// process itself may crash and come back with its state (see
+/// [`DurableConfig`]).
 #[derive(Debug)]
 pub struct JgreDefender {
-    monitor: Rc<JgrMonitor>,
+    /// Replaced by a freshly installed monitor when a durable defender
+    /// restarts after a crash.
+    monitor: RefCell<Rc<JgrMonitor>>,
     config: DefenderConfig,
     /// Per-victim end time of the last completed pass, for alarm
     /// hysteresis.
     last_pass: RefCell<BTreeMap<Pid, SimTime>>,
-    /// When set (only by the crash-consistent harness), [`try_poll`]
-    /// consults the fault layer's defender-crash channel at each poll /
-    /// kill boundary. Off by default: an unsupervised defender never
-    /// crashes, and never draws from the channel.
-    ///
-    /// [`try_poll`]: Self::try_poll
-    crash_channel: Cell<bool>,
+    /// Journal, checkpoint store and supervisor; `None` for a defender
+    /// that cannot crash.
+    durable: Option<RefCell<Durable>>,
+}
+
+/// What a scoring pass reads about one victim.
+struct Evidence {
+    /// The victim's recorded add times, sorted.
+    adds: Vec<SimTime>,
+    /// Whether the monitor handed the add times back out of order.
+    unsorted: bool,
+    /// When recording began for the victim.
+    since: SimTime,
+    /// Per-app, per-IPC-type call times toward the victim.
+    ipc: BTreeMap<Uid, BTreeMap<String, Vec<SimTime>>>,
+    /// Estimated surviving fraction of IPC log records in the horizon.
+    coverage: f64,
+}
+
+/// Ends a pass for `victim`: clears its alarm and recording, and stamps
+/// the cooldown when the pass completed. Live passes and journaled
+/// decisions both end here.
+fn end_pass(
+    monitor: &JgrMonitor,
+    last_pass: &mut BTreeMap<Pid, SimTime>,
+    victim: Pid,
+    completed_at: Option<SimTime>,
+) {
+    monitor.reset(victim);
+    if let Some(at) = completed_at {
+        last_pass.insert(victim, at);
+    }
 }
 
 impl JgreDefender {
-    /// Installs the defense on a device: validates the configuration,
-    /// registers the runtime monitor on every current and future process,
-    /// shares the device's fault layer with the monitor, and turns on the
-    /// Binder driver's IPC recording (the Figure 10 overhead).
+    /// Installs the defense on a device: registers the runtime monitor
+    /// on every current and future process, shares the device's fault
+    /// layer with the monitor, and turns on the Binder driver's IPC
+    /// recording (the Figure 10 overhead).
     ///
     /// # Errors
     ///
-    /// Any [`DefenseError`] from [`DefenderConfig::validate`].
+    /// [`DefenseError::InvalidThresholds`] unless
+    /// `record_threshold < trigger_threshold`.
     pub fn install(system: &mut System, config: DefenderConfig) -> Result<Self, DefenseError> {
-        config.validate()?;
-        let monitor = Rc::new(JgrMonitor::new(
-            config.record_threshold,
-            config.trigger_threshold,
-        )?);
-        monitor.set_fault_layer(system.faults().clone());
-        system.register_jgr_observer(monitor.clone());
-        system.driver_mut().set_defense_recording(true);
+        let monitor =
+            JgrMonitor::install(system, config.record_threshold, config.trigger_threshold)?;
         Ok(Self {
-            monitor,
+            monitor: RefCell::new(monitor),
             config,
             last_pass: RefCell::new(BTreeMap::new()),
-            crash_channel: Cell::new(false),
+            durable: None,
         })
-    }
-
-    /// Rebuilds a defender around an already-recovered monitor and
-    /// cooldown state (the crash-consistent harness, after replay).
-    ///
-    /// # Errors
-    ///
-    /// Any [`DefenseError`] from [`DefenderConfig::validate`].
-    pub(crate) fn from_parts(
-        monitor: Rc<JgrMonitor>,
-        config: DefenderConfig,
-        last_pass: Vec<(Pid, SimTime)>,
-    ) -> Result<Self, DefenseError> {
-        config.validate()?;
-        Ok(Self {
-            monitor,
-            config,
-            last_pass: RefCell::new(last_pass.into_iter().collect()),
-            crash_channel: Cell::new(false),
-        })
-    }
-
-    /// The per-victim cooldown stamps, in pid order (checkpointing).
-    pub(crate) fn last_pass_entries(&self) -> Vec<(Pid, SimTime)> {
-        self.last_pass
-            .borrow()
-            .iter()
-            .map(|(&pid, &at)| (pid, at))
-            .collect()
-    }
-
-    /// Arms or disarms the crash channel (crash-consistent harness only).
-    pub(crate) fn set_crash_channel(&self, enabled: bool) {
-        self.crash_channel.set(enabled);
-    }
-
-    /// Returns `Err(point)` when the armed crash channel says the
-    /// defender process dies at `point`; a cheap no-op (no RNG draw)
-    /// while the channel is disarmed.
-    fn crash_if(&self, system: &System, point: CrashPoint) -> Result<(), CrashPoint> {
-        if self.crash_channel.get() && system.faults().crash_at(point) {
-            return Err(point);
-        }
-        Ok(())
     }
 
     /// The shared monitor.
-    pub fn monitor(&self) -> &Rc<JgrMonitor> {
-        &self.monitor
+    pub fn monitor(&self) -> Rc<JgrMonitor> {
+        self.monitor.borrow().clone()
     }
 
     /// The active configuration.
@@ -403,20 +357,13 @@ impl JgreDefender {
         victim: Pid,
         delta: SimDuration,
     ) -> Option<ScoreReport> {
-        let mut adds = self.monitor.add_times(victim);
-        if adds.is_empty() {
-            return None;
-        }
-        adds.sort_unstable();
-        let since = self.monitor.recording_since(victim)?;
-        let window = *self.config.windows.last()?;
-        let (ipc, _coverage) = self.collect_ipc(system, victim, since);
+        let evidence = self.gather(system, victim)?;
         let params = ScoreParams {
             delta,
-            window,
-            bin: self.config.bin,
+            window: WINDOWS[WINDOWS.len() - 1],
+            ..ScoreParams::default()
         };
-        Some(segment_tree_scores(&ipc, &adds, params))
+        Some(segment_tree_scores(&evidence.ipc, &evidence.adds, params))
     }
 
     /// Checks for alarms and, when one is raised, runs detection and
@@ -435,28 +382,44 @@ impl JgreDefender {
     ///    [`DefenderConfig::cooldown`] (alarm hysteresis);
     /// 5. whatever reduced confidence is reported in
     ///    [`DetectionOutcome::Degraded`].
+    ///
+    /// A durable defender may also die during the tick, at any
+    /// [`CrashPoint`] the fault layer's crash channel selects. The pass
+    /// then stops dead: kills and clock advances already made stay made,
+    /// the monitor is *not* reset, the driver log is *not* pruned, and no
+    /// outcome is produced — the state a SIGKILLed process leaves. The
+    /// supervisor then restarts it from the journal, or gives up, after
+    /// which every poll returns `None`.
     pub fn poll(&self, system: &mut System) -> Option<DetectionOutcome> {
-        debug_assert!(
-            !self.crash_channel.get(),
-            "an armed crash channel requires try_poll"
-        );
-        self.try_poll(system).ok().flatten()
+        if !self.is_running() {
+            return None;
+        }
+        match self
+            .pass(system)
+            .and_then(|outcome| self.persist(system, outcome))
+        {
+            Ok(outcome) => outcome,
+            Err(_) => {
+                self.crash(system);
+                None
+            }
+        }
     }
 
-    /// [`poll`](Self::poll), with the defender's own mortality modeled:
-    /// when the crash channel is armed (crash-consistent harness) and the
-    /// fault layer fires, the pass stops dead at the given
-    /// [`CrashPoint`] — whatever kills and clock advances already
-    /// happened stay happened, the monitor is *not* reset, the driver log
-    /// is *not* pruned, and no outcome is produced. Exactly the state a
-    /// real process leaves behind when it is SIGKILLed mid-pass.
-    ///
-    /// # Errors
-    ///
-    /// The [`CrashPoint`] at which the defender died.
-    pub fn try_poll(&self, system: &mut System) -> Result<Option<DetectionOutcome>, CrashPoint> {
+    /// Whether the defender dies at `point`. Only a durable defender can,
+    /// so only it draws from the fault layer's crash channel.
+    fn may_crash(&self, system: &System, point: CrashPoint) -> Result<(), CrashPoint> {
+        if self.durable.is_some() && system.faults().crash_at(point) {
+            return Err(point);
+        }
+        Ok(())
+    }
+
+    /// One detection + recovery pass for the first alarmed victim out of
+    /// cooldown, if any.
+    fn pass(&self, system: &mut System) -> Result<Option<DetectionOutcome>, CrashPoint> {
         let now = system.now();
-        let Some(victim) = self.monitor.alarmed_pids().into_iter().find(|pid| {
+        let Some(victim) = self.monitor().alarmed_pids().into_iter().find(|pid| {
             self.last_pass
                 .borrow()
                 .get(pid)
@@ -464,36 +427,81 @@ impl JgreDefender {
         }) else {
             return Ok(None);
         };
-        self.crash_if(system, CrashPoint::PollStart)?;
-        let detected_at = now;
-        let mut causes: Vec<DegradationCause> = Vec::new();
-
-        let mut adds = self.monitor.add_times(victim);
-        let since = match self.monitor.recording_since(victim) {
-            Some(t) if !adds.is_empty() => t,
-            _ => {
-                self.monitor.reset(victim);
-                return Ok(None);
-            }
-        };
+        self.may_crash(system, CrashPoint::PollStart)?;
         // Ground-truth cross-check: a dead victim has nothing to recover.
-        if system.jgr_count(victim).is_none() {
-            self.monitor.reset(victim);
-            return Ok(None);
-        }
-        if !adds.windows(2).all(|w| w[0] <= w[1]) {
+        let outcome = match system
+            .jgr_count(victim)
+            .and_then(|_| self.gather(system, victim))
+        {
+            Some(evidence) => {
+                let since = evidence.since;
+                let outcome = self.respond(system, victim, now, evidence)?;
+                // Bound the proc-file log: records older than the
+                // recovered window are useless now.
+                system.driver_mut().prune_log(since);
+                Some(outcome)
+            }
+            None => None,
+        };
+        end_pass(
+            &self.monitor(),
+            &mut self.last_pass.borrow_mut(),
+            victim,
+            outcome.as_ref().map(|_| system.now()),
+        );
+        Ok(outcome)
+    }
+
+    /// Collects what a scoring pass reads about `victim`: its recorded
+    /// adds (sorted), when recording began, and the IPC series aimed at
+    /// it with the log's coverage. `None` when nothing is recorded.
+    fn gather(&self, system: &System, victim: Pid) -> Option<Evidence> {
+        let monitor = self.monitor();
+        let mut adds = monitor.add_times(victim);
+        let since = monitor
+            .recording_since(victim)
+            .filter(|_| !adds.is_empty())?;
+        let unsorted = !adds.is_sorted();
+        if unsorted {
             adds.sort_unstable();
-            causes.push(DegradationCause::UnsortedJgrTimestamps);
         }
         let (ipc, coverage) = self.collect_ipc(system, victim, since);
+        Some(Evidence {
+            adds,
+            unsorted,
+            since,
+            ipc,
+            coverage,
+        })
+    }
 
+    /// Scores the apps and kills by rank until the victim's table is back
+    /// to normal. The scoring cost lands on the clock before recovery
+    /// begins, so kill timestamps (and any respawns) happen after the
+    /// analysis delay — the ordering the paper's on-device defender has.
+    fn respond(
+        &self,
+        system: &mut System,
+        victim: Pid,
+        detected_at: SimTime,
+        evidence: Evidence,
+    ) -> Result<DetectionOutcome, CrashPoint> {
+        let Evidence {
+            adds,
+            unsorted,
+            ipc,
+            coverage,
+            ..
+        } = evidence;
+        let mut causes: Vec<DegradationCause> = Vec::new();
+        if unsorted {
+            causes.push(DegradationCause::UnsortedJgrTimestamps);
+        }
         let mut rounds = 0usize;
         let mut pairs_processed = 0u64;
         let mut records_scanned = 0u64;
         let mut response_us = 0u64;
-        let scoring;
-        let report;
-        if coverage < self.config.coverage_floor {
+        let (scoring, report) = if coverage < COVERAGE_FLOOR {
             // Correlation watchdog: too many records are missing for the
             // timing histogram to mean anything — Algorithm 1 would score
             // whichever app happened to keep its records. Fall back to
@@ -501,29 +509,26 @@ impl JgreDefender {
             // predictably and we *say so*).
             causes.push(DegradationCause::LowIpcCoverage {
                 observed: coverage,
-                floor: self.config.coverage_floor,
+                floor: COVERAGE_FLOOR,
             });
-            scoring = ScoringKind::CallCount;
             rounds = 1;
             let r = call_count_scores(&ipc);
             records_scanned = r.records_scanned;
             // One linear pass over the log; no pair matching, no
             // histogram.
             response_us += r.records_scanned;
-            report = r;
+            (ScoringKind::CallCount, r)
         } else {
-            scoring = ScoringKind::SegmentTree;
             // Escalating-window correlation.
-            let mut last = None;
-            for window in &self.config.windows {
+            let report = loop {
+                let window = WINDOWS[rounds];
                 rounds += 1;
                 let r = segment_tree_scores(
                     &ipc,
                     &adds,
                     ScoreParams {
-                        delta: self.config.delta,
-                        window: *window,
-                        bin: self.config.bin,
+                        window,
+                        ..ScoreParams::default()
                     },
                 );
                 pairs_processed += r.pairs_processed;
@@ -536,31 +541,23 @@ impl JgreDefender {
                 // ≈0.5 s; escalation doubles the window each round, which is
                 // how the midi/sip/print trio lands above one second and
                 // `registerDeviceServer` near 3.6 s (§V-D.1).
-                let window_factor = (window.as_micros()).max(1) as f64
-                    / self.config.windows[0].as_micros().max(1) as f64;
+                let window_factor = window.as_micros() as f64 / WINDOWS[0].as_micros() as f64;
                 response_us += (adds.len() as f64 * 62.0 * window_factor) as u64
                     + r.records_scanned * 3
                     + r.pairs_processed * 2;
                 let confident = r
                     .top()
-                    .is_some_and(|t| t.score as f64 >= self.config.confidence * adds.len() as f64);
-                last = Some(r);
-                if confident {
-                    break;
+                    .is_some_and(|t| t.score as f64 >= CONFIDENCE * adds.len() as f64);
+                if confident || rounds == WINDOWS.len() {
+                    break r;
                 }
-            }
-            let Some(last) = last else {
-                return Ok(None);
             };
-            report = last;
-        }
-        // The scoring cost lands on the clock before recovery begins, so
-        // kill timestamps (and any respawns) happen after the analysis
-        // delay — same ordering the paper's on-device defender has.
+            (ScoringKind::SegmentTree, report)
+        };
         system
             .clock()
             .advance(SimDuration::from_micros(response_us));
-        self.crash_if(system, CrashPoint::PostScoring)?;
+        self.may_crash(system, CrashPoint::PostScoring)?;
 
         // Recovery: kill by rank until the table is back to normal, with
         // bounded retry-with-backoff when a kill fails.
@@ -571,7 +568,7 @@ impl JgreDefender {
             }
             match system.jgr_count(victim) {
                 Some(count) if count >= self.config.normal_level => {
-                    self.crash_if(system, CrashPoint::Kill)?;
+                    self.may_crash(system, CrashPoint::Kill)?;
                     let mut attempts = 0u32;
                     loop {
                         attempts += 1;
@@ -606,17 +603,9 @@ impl JgreDefender {
             }
         }
         let victim_jgr_after = system.jgr_count(victim);
-        if let Some(remaining) = victim_jgr_after {
-            if remaining >= self.config.normal_level {
-                causes.push(DegradationCause::RecoveryIncomplete { remaining });
-            }
+        if let Some(remaining) = victim_jgr_after.filter(|&n| n >= self.config.normal_level) {
+            causes.push(DegradationCause::RecoveryIncomplete { remaining });
         }
-        let response_delay = SimDuration::from_micros(response_us);
-        self.monitor.reset(victim);
-        self.last_pass.borrow_mut().insert(victim, system.now());
-        // Bound the proc-file log: records older than the recovered
-        // window are useless now.
-        system.driver_mut().prune_log(since);
         let report = DetectionReport {
             victim,
             detected_at,
@@ -627,14 +616,14 @@ impl JgreDefender {
             rounds,
             pairs_processed,
             records_scanned,
-            response_delay,
+            response_delay: SimDuration::from_micros(response_us),
             victim_jgr_after,
         };
-        Ok(Some(if causes.is_empty() {
+        Ok(if causes.is_empty() {
             DetectionOutcome::Full(report)
         } else {
             DetectionOutcome::Degraded { report, causes }
-        }))
+        })
     }
 
     /// Groups the driver's transaction log into the per-app, per-IPC-type
@@ -649,12 +638,7 @@ impl JgreDefender {
         victim: Pid,
         since: SimTime,
     ) -> (BTreeMap<Uid, BTreeMap<String, Vec<SimTime>>>, f64) {
-        let window = self
-            .config
-            .windows
-            .last()
-            .copied()
-            .unwrap_or(SimDuration::ZERO);
+        let window = WINDOWS[WINDOWS.len() - 1];
         let horizon = SimTime::from_micros(since.as_micros().saturating_sub(window.as_micros()));
         // Group by the borrowed names first, so each series key is
         // formatted once rather than once per record.
@@ -799,21 +783,17 @@ mod tests {
     fn config_validation_rejects_nonsense() {
         let mut system = System::boot(7);
         let bad = DefenderConfig {
-            windows: vec![],
+            record_threshold: 500,
+            trigger_threshold: 500,
             ..DefenderConfig::default()
         };
         assert_eq!(
             JgreDefender::install(&mut system, bad).err(),
-            Some(DefenseError::NoWindows)
+            Some(DefenseError::InvalidThresholds {
+                record: 500,
+                trigger: 500
+            })
         );
-        let bad = DefenderConfig {
-            coverage_floor: 1.5,
-            ..DefenderConfig::default()
-        };
-        assert!(matches!(
-            JgreDefender::install(&mut system, bad).err(),
-            Some(DefenseError::InvalidCoverageFloor(_))
-        ));
     }
 
     #[test]
@@ -990,11 +970,7 @@ mod tests {
         let d = attack_until_detection(&mut system, &defender, evil, 8_000);
         assert!(d.is_degraded());
         assert_eq!(d.scoring, ScoringKind::CallCount);
-        assert!(
-            d.coverage < defender.config().coverage_floor,
-            "{}",
-            d.coverage
-        );
+        assert!(d.coverage < COVERAGE_FLOOR, "{}", d.coverage);
         assert!(d
             .causes()
             .iter()

@@ -8,7 +8,7 @@
 use std::fmt;
 
 /// Why a defense component refused its configuration or input.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum DefenseError {
     /// `record_threshold` must be strictly below `trigger_threshold` —
@@ -20,15 +20,6 @@ pub enum DefenseError {
         /// The offered trigger threshold.
         trigger: usize,
     },
-    /// The escalating-window list is empty: no correlation round could
-    /// ever run.
-    NoWindows,
-    /// The histogram bin width is zero.
-    ZeroBin,
-    /// The confidence fraction is not in `[0, 1]`.
-    InvalidConfidence(f64),
-    /// The IPC-log coverage floor is not in `[0, 1]`.
-    InvalidCoverageFloor(f64),
 }
 
 impl fmt::Display for DefenseError {
@@ -39,14 +30,6 @@ impl fmt::Display for DefenseError {
                 "record threshold {record} must be below trigger threshold {trigger}: \
                  recording must begin before the alarm"
             ),
-            DefenseError::NoWindows => write!(f, "at least one correlation window is required"),
-            DefenseError::ZeroBin => write!(f, "histogram bin width must be positive"),
-            DefenseError::InvalidConfidence(c) => {
-                write!(f, "confidence {c} is not a fraction in [0, 1]")
-            }
-            DefenseError::InvalidCoverageFloor(c) => {
-                write!(f, "coverage floor {c} is not a fraction in [0, 1]")
-            }
         }
     }
 }
@@ -64,9 +47,5 @@ mod tests {
             trigger: 10,
         };
         assert!(e.to_string().contains("before the alarm"));
-        assert!(DefenseError::NoWindows.to_string().contains("window"));
-        assert!(DefenseError::InvalidConfidence(1.5)
-            .to_string()
-            .contains("1.5"));
     }
 }

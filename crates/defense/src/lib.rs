@@ -26,6 +26,14 @@
 //! reduction in confidence is reported as a typed
 //! [`DegradationCause`] inside [`DetectionOutcome::Degraded`].
 //!
+//! [`JgreDefender`] is the one on-device defender. Built with
+//! [`JgreDefender::install_durable`] or [`JgreDefender::resume`] over a
+//! [`StateStore`], the same defender journals every monitor event and
+//! decision, checkpoints its state, and survives its own crashes under a
+//! supervisor ([`DurableConfig`], [`RecoveryStats`]); with no crash it
+//! runs exactly as [`JgreDefender::install`] does. The streaming
+//! [`stream`] service is a separate front-end with its own scorer.
+//!
 //! # Example
 //!
 //! ```
@@ -50,7 +58,6 @@
 #![deny(missing_docs)]
 
 mod checkpoint;
-mod crashsafe;
 mod defender;
 mod error;
 mod journal;
@@ -65,9 +72,9 @@ pub use checkpoint::{
     config_fingerprint, decode_checkpoint, encode_checkpoint, CheckpointReject, DefenderCheckpoint,
     MonitorSnapshot, WatchSnapshot, CHECKPOINT_MAGIC, CHECKPOINT_SCHEMA_VERSION,
 };
-pub use crashsafe::{CrashConsistentConfig, CrashConsistentDefender, RecoveryStats};
 pub use defender::{
-    DefenderConfig, DegradationCause, DetectionOutcome, DetectionReport, JgreDefender, ScoringKind,
+    DefenderConfig, DegradationCause, DetectionOutcome, DetectionReport, DurableConfig,
+    JgreDefender, RecoveryStats, ScoringKind,
 };
 pub use error::DefenseError;
 pub use journal::{

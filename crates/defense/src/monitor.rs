@@ -5,6 +5,7 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use jgre_art::{JgrEvent, JgrEventKind, JgrObserver};
+use jgre_framework::System;
 use jgre_sim::{apply_skew, FaultLayer, JgrLogAction, Pid, SimTime};
 
 use crate::checkpoint::{MonitorSnapshot, WatchSnapshot};
@@ -83,10 +84,25 @@ impl JgrMonitor {
         })
     }
 
-    /// Convenience: a monitor with the paper's 4000/12000 thresholds.
-    pub fn with_paper_thresholds() -> Self {
-        Self::new(crate::RECORD_THRESHOLD, crate::TRIGGER_THRESHOLD)
-            .expect("the paper's 4000 < 12000 thresholds are statically valid")
+    /// Creates a monitor and wires it onto a device: it shares the
+    /// device's fault layer, observes every current and future process,
+    /// and the Binder driver starts its defense recording (the Figure 10
+    /// overhead). Every defender installs its monitor here.
+    ///
+    /// # Errors
+    ///
+    /// [`DefenseError::InvalidThresholds`] unless
+    /// `record_threshold < trigger_threshold`.
+    pub(crate) fn install(
+        system: &mut System,
+        record_threshold: usize,
+        trigger_threshold: usize,
+    ) -> Result<Rc<Self>, DefenseError> {
+        let monitor = Rc::new(Self::new(record_threshold, trigger_threshold)?);
+        monitor.set_fault_layer(system.faults().clone());
+        system.register_jgr_observer(monitor.clone());
+        system.driver_mut().set_defense_recording(true);
+        Ok(monitor)
     }
 
     /// Routes this monitor's event journal through a fault layer (the
@@ -97,8 +113,8 @@ impl JgrMonitor {
     }
 
     /// Routes every observed event through a write-ahead journal before
-    /// applying it. Installed by the crash-consistent defender *after*
-    /// replay, so recovery does not re-journal what it replays.
+    /// applying it. Installed by a durable defender *after* replay, so
+    /// recovery does not re-journal what it replays.
     pub fn attach_journal(&self, journal: Rc<RefCell<Journal>>) {
         self.inner.borrow_mut().journal = Some(journal);
     }
@@ -134,16 +150,6 @@ impl JgrMonitor {
             .watches
             .get(&pid)
             .map(|w| w.add_times.clone())
-            .unwrap_or_default()
-    }
-
-    /// Recorded remove timestamps for `pid`.
-    pub fn remove_times(&self, pid: Pid) -> Vec<SimTime> {
-        self.inner
-            .borrow()
-            .watches
-            .get(&pid)
-            .map(|w| w.remove_times.clone())
             .unwrap_or_default()
     }
 

@@ -51,10 +51,7 @@ impl CallCountDefense {
         trigger_threshold: usize,
         normal_level: usize,
     ) -> Result<Self, DefenseError> {
-        let monitor = Rc::new(JgrMonitor::new(record_threshold, trigger_threshold)?);
-        monitor.set_fault_layer(system.faults().clone());
-        system.register_jgr_observer(monitor.clone());
-        system.driver_mut().set_defense_recording(true);
+        let monitor = JgrMonitor::install(system, record_threshold, trigger_threshold)?;
         Ok(Self {
             monitor,
             normal_level,
@@ -71,10 +68,16 @@ impl CallCountDefense {
     /// until the victim's table is back to normal.
     pub fn poll(&self, system: &mut System) -> Option<CallCountDetection> {
         let victim = self.monitor.alarmed_pids().into_iter().next()?;
-        let Some(since) = self.monitor.recording_since(victim) else {
-            self.monitor.reset(victim);
-            return None;
-        };
+        let detection = self
+            .monitor
+            .recording_since(victim)
+            .map(|since| self.respond(system, victim, since));
+        self.monitor.reset(victim);
+        detection
+    }
+
+    /// Ranks apps by raw call count toward `victim` and kills by rank.
+    fn respond(&self, system: &mut System, victim: Pid, since: SimTime) -> CallCountDetection {
         let horizon = SimTime::from_micros(since.as_micros().saturating_sub(50_000));
         let mut counts: std::collections::BTreeMap<Uid, u64> = Default::default();
         for record in system.driver().log_since(horizon) {
@@ -101,13 +104,12 @@ impl CallCountDefense {
                 _ => break,
             }
         }
-        self.monitor.reset(victim);
         system.driver_mut().prune_log(since);
-        Some(CallCountDetection {
+        CallCountDetection {
             victim,
             call_counts,
             killed,
-        })
+        }
     }
 }
 

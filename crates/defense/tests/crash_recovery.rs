@@ -1,8 +1,9 @@
-//! Crash-consistency invariants for [`CrashConsistentDefender`].
+//! Crash-consistency invariants for the durable [`JgreDefender`].
 //!
 //! The headline property is *differential*: the same seeded attack run
 //! twice — once fault-free, once with the defender crashing at random
-//! [`CrashPoint`]s — must end in the same place. The attacker dies in
+//! [`CrashPoint`]s — must end in the same place. The fault-free durable
+//! run must in turn equal a plain [`JgreDefender::install`] run exactly. The attacker dies in
 //! both runs; when the crashed run delivers its detection outcome (a
 //! crash between the kill and the journal append can swallow it), the
 //! victim and kill set match the clean run exactly. The only permitted
@@ -12,11 +13,12 @@
 //! torn tails, stale schemas, checksum rot — and requires typed
 //! rejection plus a working journal-only recovery, never a panic.
 
+use std::io;
 use std::rc::Rc;
 
 use jgre_defense::{
-    decode_checkpoint, CheckpointReject, CrashConsistentConfig, CrashConsistentDefender,
-    DefenderConfig, DetectionOutcome, MemoryStore, CHECKPOINT_SCHEMA_VERSION,
+    decode_checkpoint, CheckpointReject, DefenderConfig, DetectionOutcome, DurableConfig,
+    JgreDefender, MemoryStore, StateStore, CHECKPOINT_SCHEMA_VERSION,
 };
 use jgre_framework::{CallOptions, System, SystemConfig};
 use jgre_sim::{CrashPoint, FaultPlan, SimDuration, Uid};
@@ -25,31 +27,42 @@ use proptest::prelude::*;
 const CAP: usize = 3_200;
 const JOURNAL_HEADER_LEN: usize = 8 + 4 + 8;
 
-fn config() -> CrashConsistentConfig {
-    CrashConsistentConfig {
-        defender: DefenderConfig {
-            record_threshold: 250,
-            trigger_threshold: 750,
-            normal_level: 190,
-            cooldown: SimDuration::from_millis(100),
-            ..DefenderConfig::default()
-        },
-        checkpoint_interval: 64,
-        ..CrashConsistentConfig::default()
+fn config() -> DefenderConfig {
+    DefenderConfig {
+        record_threshold: 250,
+        trigger_threshold: 750,
+        normal_level: 190,
+        cooldown: SimDuration::from_millis(100),
+        ..DefenderConfig::default()
     }
 }
 
-fn defended(seed: u64, plan: FaultPlan) -> (System, CrashConsistentDefender, Rc<MemoryStore>) {
-    let mut system = System::boot_with(SystemConfig {
+fn durable() -> DurableConfig {
+    DurableConfig {
+        checkpoint_interval: 64,
+        ..DurableConfig::default()
+    }
+}
+
+fn boot(seed: u64, plan: FaultPlan) -> System {
+    System::boot_with(SystemConfig {
         seed,
         jgr_capacity: Some(CAP),
         faults: plan,
         ..SystemConfig::default()
-    });
+    })
+}
+
+fn defended(seed: u64, plan: FaultPlan) -> (System, JgreDefender, Rc<MemoryStore>) {
+    let mut system = boot(seed, plan);
     let store = Rc::new(MemoryStore::new());
-    let defender = CrashConsistentDefender::install(&mut system, config(), store.clone())
+    let defender = JgreDefender::install_durable(&mut system, config(), durable(), store.clone())
         .expect("config is valid");
     (system, defender, store)
+}
+
+fn resume(system: &mut System, store: Rc<MemoryStore>) -> JgreDefender {
+    JgreDefender::resume(system, config(), durable(), store).expect("store is readable")
 }
 
 /// One leaking attacker driven until the defender finishes the job:
@@ -60,7 +73,7 @@ struct RunResult {
     attacker_dead: bool,
 }
 
-fn drive(system: &mut System, defender: &mut CrashConsistentDefender, mal: Uid) -> RunResult {
+fn drive(system: &mut System, defender: &JgreDefender, mal: Uid) -> RunResult {
     for _ in 0..(CAP as u64 * 4) {
         let Ok(o) = system.call_service(
             mal,
@@ -119,17 +132,27 @@ proptest! {
     /// Differential recovery: a defender that crashes and recovers ends
     /// where the uncrashed one does — same dead attacker, same victim,
     /// same kill set when the outcome survives — and every microsecond
-    /// of divergence is accounted for in `recovery_delay_us`.
+    /// of divergence is accounted for in `recovery_delay_us`. The
+    /// uncrashed durable run is itself the plain defender's run: same
+    /// outcome in every field, same final clock.
     #[test]
     fn crashed_run_converges_to_the_clean_run(seed in 0u64..500, plan in crash_plan_strategy()) {
-        let (mut clean_sys, mut clean_def, _) = defended(seed, FaultPlan::none());
+        let (mut clean_sys, clean_def, _) = defended(seed, FaultPlan::none());
         let clean_mal = clean_sys.install_app("com.prop.attacker", []);
-        let clean = drive(&mut clean_sys, &mut clean_def, clean_mal);
+        let clean = drive(&mut clean_sys, &clean_def, clean_mal);
+
+        let mut plain_sys = boot(seed, FaultPlan::none());
+        let plain_def = JgreDefender::install(&mut plain_sys, config()).expect("config is valid");
+        let plain_mal = plain_sys.install_app("com.prop.attacker", []);
+        let plain = drive(&mut plain_sys, &plain_def, plain_mal);
+        prop_assert_eq!(&clean.outcome, &plain.outcome);
+        prop_assert_eq!(clean.attacker_dead, plain.attacker_dead);
+        prop_assert_eq!(clean_sys.now(), plain_sys.now());
 
         let budget = plan.crash_budget;
-        let (mut sys, mut def, _) = defended(seed, plan);
+        let (mut sys, def, _) = defended(seed, plan);
         let mal = sys.install_app("com.prop.attacker", []);
-        let crashed = drive(&mut sys, &mut def, mal);
+        let crashed = drive(&mut sys, &def, mal);
         let stats = def.stats();
 
         // The supervisor's default budget (8 consecutive) exceeds the
@@ -153,10 +176,11 @@ proptest! {
         // recovery delay decomposes into backoff + replay exactly.
         if stats.crashes > 0 {
             prop_assert!(stats.truncated_bytes > 0);
-            let backoff = def.supervisor().total_backoff().as_micros();
-            let replay = stats.replayed_records * 2; // replay_cost = 2 µs
+            let supervisor = def.supervisor().expect("a durable defender is supervised");
+            let backoff = supervisor.total_backoff().as_micros();
+            let replay = stats.replayed_records * 2; // 2 µs per replayed record
             prop_assert_eq!(stats.recovery_delay_us, backoff + replay);
-            let cap = def.supervisor().config().backoff_cap.as_micros();
+            let cap = supervisor.config().backoff_cap.as_micros();
             prop_assert!(stats.recovery_delay_us <= stats.restarts * cap + replay);
         } else {
             prop_assert_eq!(stats.recovery_delay_us, 0);
@@ -167,7 +191,7 @@ proptest! {
 /// Loads the store with sub-trigger traffic and returns it alongside
 /// the live watch count, ready for byte-level tampering.
 fn loaded_store(seed: u64, calls: u32) -> (System, Rc<MemoryStore>, usize) {
-    let (mut system, mut defender, store) = defended(seed, FaultPlan::none());
+    let (mut system, defender, store) = defended(seed, FaultPlan::none());
     let mal = system.install_app("com.prop.attacker", []);
     for _ in 0..calls {
         system
@@ -180,11 +204,7 @@ fn loaded_store(seed: u64, calls: u32) -> (System, Rc<MemoryStore>, usize) {
             .unwrap();
         assert!(defender.poll(&mut system).is_none(), "stays below trigger");
     }
-    let live = defender
-        .defender()
-        .unwrap()
-        .monitor()
-        .current_count(system.system_server_pid());
+    let live = defender.monitor().current_count(system.system_server_pid());
     drop(defender);
     system.clear_jgr_observers();
     (system, store, live)
@@ -199,7 +219,7 @@ fn journal_bit_flip_truncates_to_the_clean_prefix_without_panicking() {
     let mid = JOURNAL_HEADER_LEN + (bytes.len() - JOURNAL_HEADER_LEN) / 2;
     bytes[mid] ^= 0x10;
     store.set_journal_bytes(bytes);
-    let resumed = CrashConsistentDefender::resume(&mut system, config(), store).unwrap();
+    let resumed = resume(&mut system, store);
     let stats = resumed.stats();
     assert!(
         stats.truncated_bytes > 0,
@@ -216,14 +236,14 @@ fn journal_mid_frame_truncation_recovers_the_prefix() {
     let torn = bytes.len() - 3;
     bytes.truncate(torn);
     store.set_journal_bytes(bytes);
-    let resumed = CrashConsistentDefender::resume(&mut system, config(), store.clone()).unwrap();
+    let resumed = resume(&mut system, store.clone());
     assert!(resumed.stats().truncated_bytes > 0);
     assert!(resumed.is_running());
     // Recovery rewrote a well-formed journal: a second resume sees no
     // damage at all.
     drop(resumed);
     system.clear_jgr_observers();
-    let again = CrashConsistentDefender::resume(&mut system, config(), store).unwrap();
+    let again = resume(&mut system, store);
     assert_eq!(again.stats().truncated_bytes, 0);
 }
 
@@ -240,7 +260,7 @@ fn stale_checkpoint_schema_is_rejected_and_recovery_goes_journal_only() {
     );
     assert_ne!(99, CHECKPOINT_SCHEMA_VERSION);
     store.set_checkpoint_bytes(Some(cp));
-    let resumed = CrashConsistentDefender::resume(&mut system, config(), store).unwrap();
+    let resumed = resume(&mut system, store);
     let stats = resumed.stats();
     assert_eq!(stats.checkpoints_rejected, 1);
     assert!(resumed.is_running(), "journal-only recovery still boots");
@@ -258,7 +278,7 @@ fn checkpoint_checksum_rot_is_rejected_without_panicking() {
     cp[last] ^= 0x01;
     assert_eq!(decode_checkpoint(&cp), Err(CheckpointReject::BadChecksum));
     store.set_checkpoint_bytes(Some(cp));
-    let resumed = CrashConsistentDefender::resume(&mut system, config(), store).unwrap();
+    let resumed = resume(&mut system, store);
     assert_eq!(resumed.stats().checkpoints_rejected, 1);
     assert!(resumed.is_running());
 }
@@ -269,8 +289,65 @@ fn journal_only_recovery_still_finishes_the_attack() {
     // still detects and kills.
     let (mut system, store, _) = loaded_store(23, 600);
     store.set_checkpoint_bytes(None);
-    let mut resumed = CrashConsistentDefender::resume(&mut system, config(), store).unwrap();
+    let resumed = resume(&mut system, store);
     let mal = system.install_app("com.prop.attacker2", []);
-    let result = drive(&mut system, &mut resumed, mal);
+    let result = drive(&mut system, &resumed, mal);
     assert!(result.attacker_dead, "fresh attacker dies post-recovery");
+}
+
+/// A store whose journal appends always fail: every WAL write is lost.
+#[derive(Debug, Default)]
+struct AppendFailsStore(MemoryStore);
+
+impl StateStore for AppendFailsStore {
+    fn load_journal(&self) -> io::Result<Vec<u8>> {
+        self.0.load_journal()
+    }
+
+    fn append_journal(&self, _bytes: &[u8]) -> io::Result<()> {
+        Err(io::Error::other("disk full"))
+    }
+
+    fn replace_journal(&self, bytes: &[u8]) -> io::Result<()> {
+        self.0.replace_journal(bytes)
+    }
+
+    fn load_checkpoint(&self) -> io::Result<Option<Vec<u8>>> {
+        self.0.load_checkpoint()
+    }
+
+    fn store_checkpoint(&self, bytes: &[u8]) -> io::Result<()> {
+        self.0.store_checkpoint(bytes)
+    }
+}
+
+#[test]
+fn lost_journal_writes_are_counted_as_store_errors() {
+    let mut system = boot(29, FaultPlan::none());
+    let defender = JgreDefender::install_durable(
+        &mut system,
+        config(),
+        durable(),
+        Rc::new(AppendFailsStore::default()),
+    )
+    .expect("config is valid");
+    let mal = system.install_app("com.prop.attacker", []);
+    for _ in 0..100 {
+        system
+            .call_service(
+                mal,
+                "clipboard",
+                "addPrimaryClipChangedListener",
+                CallOptions::default(),
+            )
+            .unwrap();
+        assert!(defender.poll(&mut system).is_none(), "stays below trigger");
+    }
+    let stats = defender.stats();
+    assert!(
+        stats.store_errors >= 100,
+        "every journaled event was lost, got {} store errors",
+        stats.store_errors
+    );
+    assert!(defender.is_running(), "a lossy journal is not fatal");
 }

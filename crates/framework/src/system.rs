@@ -1655,14 +1655,6 @@ impl System {
             .map(|m| m.total_retained)
             .unwrap_or(0)
     }
-
-    /// Completed call count for one interface.
-    pub fn call_count(&self, service: &str, method: &str) -> u64 {
-        self.service(service)
-            .and_then(|s| s.per_method.get(method))
-            .map(|m| m.calls)
-            .unwrap_or(0)
-    }
 }
 
 /// Restart policy for a supervised system service (`init`-style): how

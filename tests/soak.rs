@@ -7,9 +7,7 @@ use std::rc::Rc;
 
 use jgre_repro::core::attack::AttackVector;
 use jgre_repro::core::corpus::spec::AospSpec;
-use jgre_repro::core::defense::{
-    CrashConsistentConfig, CrashConsistentDefender, JgreDefender, MemoryStore,
-};
+use jgre_repro::core::defense::{DurableConfig, JgreDefender, MemoryStore};
 use jgre_repro::core::framework::{CallOptions, FrameworkError, System, SystemConfig};
 use jgre_repro::core::ExperimentScale;
 use jgre_repro::sim::FaultPlan;
@@ -121,12 +119,10 @@ fn crash_consistent_defender_survives_a_campaign_of_crashes() {
         ..scale.system_config()
     });
     let store = Rc::new(MemoryStore::new());
-    let mut defender = CrashConsistentDefender::install(
+    let defender = JgreDefender::install_durable(
         &mut system,
-        CrashConsistentConfig {
-            defender: scale.defender_config(),
-            ..CrashConsistentConfig::default()
-        },
+        scale.defender_config(),
+        DurableConfig::default(),
         store,
     )
     .expect("config is valid");
