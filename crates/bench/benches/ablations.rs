@@ -1,8 +1,9 @@
 //! Ablations called out in DESIGN.md:
 //!
-//! 1. **Segment tree vs naive array** in Algorithm 1 (§V-D.2's
-//!    optimisation) across Δ widths — the tree's advantage grows with Δ
-//!    because each pair updates a wider interval.
+//! 1. **Histogram structures** for Algorithm 1 across Δ widths and bin
+//!    widths: the deployed difference array (two writes per vote), §V-D.2's
+//!    lazy segment tree (O(log bins) per vote) and the naive flat array
+//!    (one write per bin the vote covers).
 //! 2. **Alarm-threshold sensitivity**: how the record/trigger thresholds
 //!    move the detection point (calls survived before the alarm).
 //! 3. **Δ sensitivity** of the attacker/benign score separation (the
@@ -16,7 +17,9 @@ use criterion::{criterion_group, BenchmarkId, Criterion};
 use jgre_attack::{run_interleaved, Actor, ActorKind, AttackVector};
 use jgre_bench::{artifacts_enabled, write_artifact};
 use jgre_corpus::spec::AospSpec;
-use jgre_defense::{naive_scores, segment_tree_scores, DefenderConfig, JgreDefender, ScoreParams};
+use jgre_defense::{
+    naive_scores, segment_tree_scores, DefenderConfig, JgreDefender, ScoreParams, SegmentTree,
+};
 use jgre_framework::{CallOptions, CallStatus, System, SystemConfig};
 use jgre_sim::{SimDuration, SimTime, Uid};
 use serde::Serialize;
@@ -327,23 +330,56 @@ fn generate_artifacts() {
     );
 }
 
+/// Ablation 1's tree arm: Algorithm 1 with §V-D.2's segment tree as the
+/// histogram, paired like `naive_scores` (a moving lower bound over the
+/// time-ordered calls). Only the total is returned; the property tests
+/// pin the scores of all three structures to each other.
+fn segment_tree_total(ipc: &IpcByUid, jgr: &[SimTime], p: ScoreParams) -> u64 {
+    let bin_us = p.bin.as_micros();
+    let bins = (p.window.as_micros() / bin_us) as usize + 2;
+    let delta_bins = (p.delta.as_micros() / bin_us) as usize;
+    let mut tree = SegmentTree::new(bins);
+    let mut total = 0;
+    for calls in ipc.values().flat_map(|types| types.values()) {
+        tree.clear();
+        let mut start = 0;
+        for &add in jgr {
+            let floor = add.as_micros().saturating_sub(p.window.as_micros());
+            while start < calls.len() && calls[start].as_micros() < floor {
+                start += 1;
+            }
+            for &call in calls[start..].iter().take_while(|&&c| c <= add) {
+                let lo = ((add - call).as_micros() / bin_us) as usize;
+                tree.range_add(lo, lo + delta_bins, 1);
+            }
+        }
+        total += tree.global_max();
+    }
+    total
+}
+
 fn bench_histograms(c: &mut Criterion) {
     let (ipc, jgr) = fixture(8_000);
     let mut group = c.benchmark_group("algorithm1_histogram");
     group.sample_size(20);
-    for delta_us in [79u64, 1_800, 3_583] {
-        let params = ScoreParams {
-            delta: SimDuration::from_micros(delta_us),
-            ..ScoreParams::default()
-        };
-        group.bench_with_input(
-            BenchmarkId::new("segment_tree", delta_us),
-            &params,
-            |b, p| b.iter(|| segment_tree_scores(std::hint::black_box(&ipc), &jgr, *p)),
-        );
-        group.bench_with_input(BenchmarkId::new("naive", delta_us), &params, |b, p| {
-            b.iter(|| naive_scores(std::hint::black_box(&ipc), &jgr, *p));
-        });
+    for bin_us in [25u64, 50, 100] {
+        for delta_us in [79u64, 1_800, 3_583] {
+            let params = ScoreParams {
+                delta: SimDuration::from_micros(delta_us),
+                bin: SimDuration::from_micros(bin_us),
+                ..ScoreParams::default()
+            };
+            let at = format!("bin{bin_us}us_delta{delta_us}us");
+            group.bench_with_input(BenchmarkId::new("deployed", &at), &params, |b, p| {
+                b.iter(|| segment_tree_scores(std::hint::black_box(&ipc), &jgr, *p));
+            });
+            group.bench_with_input(BenchmarkId::new("segment_tree", &at), &params, |b, p| {
+                b.iter(|| segment_tree_total(std::hint::black_box(&ipc), &jgr, *p));
+            });
+            group.bench_with_input(BenchmarkId::new("naive", &at), &params, |b, p| {
+                b.iter(|| naive_scores(std::hint::black_box(&ipc), &jgr, *p));
+            });
+        }
     }
     group.finish();
 }

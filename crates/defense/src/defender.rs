@@ -86,8 +86,9 @@ impl Default for DefenderConfig {
 /// Which ranking produced a detection's scores.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ScoringKind {
-    /// Algorithm 1 timing correlation over the segment-tree histogram —
-    /// full confidence.
+    /// Algorithm 1 timing correlation — full confidence. The name is
+    /// historical (the histogram is now a difference array); it is kept
+    /// because reports serialize it.
     SegmentTree,
     /// Coarse per-UID call-count ranking — the degraded fallback when the
     /// IPC log cannot support timing correlation.

@@ -11,10 +11,15 @@
 //!    every IPC type it invoked, slide each `(IPC call, JGR add)` pair's
 //!    possible `Delay ∈ [JGRTime−IPCTime, JGRTime−IPCTime+Δ]` interval
 //!    into a histogram and take the best-supported delay; the app's
-//!    `jgre_score` is the sum over its IPC types. The histogram is backed
-//!    by a lazy [`SegmentTree`] (range add / global max), the paper's
-//!    §V-D.2 memory optimisation; a naive array implementation is kept
-//!    for the ablation bench.
+//!    `jgre_score` is the sum over its IPC types. The histogram is a
+//!    difference array (two writes per vote whatever Δ is, one prefix
+//!    scan per report), and per-type state sits in dense slots reused
+//!    across window resets ([`IncrementalScorer`]). The paper's §V-D.2
+//!    lazy [`SegmentTree`] (range add / global max) and a naive flat
+//!    array ([`naive_scores`]) stay as the ablation bench's other arms
+//!    and as test oracles; the serialized `SegmentTree` labels
+//!    ([`ScoringKind::SegmentTree`], `DetectionStats::segment_tree_scored`)
+//!    are historical names kept so reports stay byte-identical.
 //! 3. **Recover** — [`JgreDefender::poll`] kills the top-ranked apps
 //!    (`am force-stop`) until the victim's JGR table returns to a normal
 //!    level, mirroring the LMK contract that any app may be killed to

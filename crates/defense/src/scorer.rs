@@ -14,8 +14,6 @@ use std::collections::{BTreeMap, VecDeque};
 use jgre_sim::{SimDuration, SimTime, Uid};
 use serde::{Deserialize, Serialize};
 
-use crate::SegmentTree;
-
 /// Tuning of one scoring pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ScoreParams {
@@ -69,15 +67,19 @@ impl ScoreReport {
     }
 }
 
-/// Computes Algorithm 1 with the segment-tree histogram (the deployed
-/// configuration).
+/// Computes Algorithm 1 with the deployed histogram (the batch form the
+/// on-device defender calls).
 ///
-/// Since the streaming defender landed, this is a thin wrapper over
-/// [`IncrementalScorer`]: the batch call seeds every IPC call into the
-/// correlator, streams the JGR adds through it, and snapshots the report.
-/// Batch and streaming verdicts are therefore equal *by construction* —
-/// they execute the same vote arithmetic — while [`naive_scores`] stays an
-/// independent flat-array implementation for real differential power.
+/// This is a thin wrapper over [`IncrementalScorer`]: the batch call seeds
+/// every IPC call into the correlator, streams the JGR adds through it,
+/// and snapshots the report. Batch and streaming verdicts are therefore
+/// equal *by construction* — they execute the same vote arithmetic —
+/// while [`naive_scores`] stays an independent flat-array implementation
+/// for real differential power, and [`SegmentTree`](crate::SegmentTree)
+/// remains as §V-D.2's structure for the ablation and as a second oracle.
+/// The name predates the difference array and is kept, like the
+/// serialized `ScoringKind::SegmentTree` label, so reports stay
+/// byte-identical.
 pub fn segment_tree_scores(
     ipc_by_uid: &BTreeMap<Uid, BTreeMap<String, Vec<SimTime>>>,
     jgr_adds: &[SimTime],
@@ -170,7 +172,11 @@ pub fn naive_scores(
 /// still inside the pairing window, and the votes awaiting retraction.
 #[derive(Debug, Clone)]
 struct TypeState {
-    tree: SegmentTree,
+    /// The delay histogram as a difference array over `bins + 1` slots:
+    /// a vote on `lo..=hi` adds at `lo` and subtracts just past `hi`, so
+    /// each bin's count is the prefix sum up to it. A vote costs two
+    /// writes whatever Δ is; [`Self::max`] pays one scan per report.
+    diff: Vec<i64>,
     /// Calls not yet aged out of the window, oldest first. The front is
     /// popped the instant an add's window floor passes it — the moving
     /// lower bound of the batch pairing, made persistent.
@@ -184,10 +190,44 @@ struct TypeState {
 impl TypeState {
     fn new(bins: usize) -> Self {
         Self {
-            tree: SegmentTree::new(bins),
+            diff: vec![0; bins + 1],
             calls: VecDeque::new(),
             retractions: VecDeque::new(),
         }
+    }
+
+    /// Zeroes a slot for reuse by another `(uid, type)`, keeping its
+    /// allocations.
+    fn clear(&mut self) {
+        self.diff.fill(0);
+        self.calls.clear();
+        self.retractions.clear();
+    }
+
+    /// Adds `value` to every bin in `lo..=hi`, clamped to the bin range
+    /// exactly as [`SegmentTree::range_add`](crate::SegmentTree::range_add)
+    /// clamps: a range starting past the last bin is dropped. A retraction
+    /// replays its vote with `value = -1`.
+    fn vote(diff: &mut [i64], lo: usize, hi: usize, value: i64) {
+        let bins = diff.len() - 1;
+        if lo >= bins {
+            return;
+        }
+        diff[lo] += value;
+        diff[hi.min(bins - 1) + 1] -= value;
+    }
+
+    /// The best-supported delay bin's count (`ThisTypeMax`), clamped at
+    /// zero like the tree's global max.
+    fn max(&self) -> u64 {
+        let bins = self.diff.len() - 1;
+        let mut count = 0i64;
+        let mut best = 0i64;
+        for &d in &self.diff[..bins] {
+            count += d;
+            best = best.max(count);
+        }
+        best as u64
     }
 }
 
@@ -197,11 +237,17 @@ impl TypeState {
 /// poll, so each poll costs O(pairs in window) even when only a handful of
 /// events arrived since the last one. This form keeps the histogram alive
 /// between events: an IPC call enters the per-type deque in O(1), a JGR
-/// add votes with one `range_add(+1)` per paired call (O(log bins) each),
-/// and — when a [`horizon`](Self::with_horizon) is set — a vote leaving
-/// the sliding window is undone with the mirrored `range_add(−1)` from the
-/// retraction ring. Scoring cost tracks the *event rate*, not the window
-/// size.
+/// add votes with two difference-array writes per paired call (O(1)
+/// whatever Δ is), and — when a [`horizon`](Self::with_horizon) is set —
+/// a vote leaving the sliding window is undone with the mirrored writes
+/// from the retraction ring. Scoring cost tracks the *event rate*, not the
+/// window size; [`report`](Self::report) pays one prefix scan of the bins
+/// per IPC type.
+///
+/// Per-type state lives in dense slots: a `(uid, type) → slot` index is
+/// read only when a call arrives and when a report orders its rows, and
+/// adds walk the live slots as a flat slice. [`reset`](Self::reset) keeps
+/// the slots' allocations and zeroes each one when it is next handed out.
 ///
 /// Feeding events out of time order is allowed but mirrors the batch
 /// semantics: calls older than an already-processed add's window floor
@@ -229,7 +275,13 @@ pub struct IncrementalScorer {
     bins: usize,
     delta_bins: usize,
     horizon: Option<SimDuration>,
-    states: BTreeMap<Uid, BTreeMap<String, TypeState>>,
+    /// `(uid, type) → slot`; an app tracked with no calls yet maps to an
+    /// empty inner map.
+    index: BTreeMap<Uid, BTreeMap<String, usize>>,
+    /// Per-type states; `slots[..live]` are in use, the rest are left
+    /// over from before a reset and zeroed when handed out again.
+    slots: Vec<TypeState>,
+    live: usize,
     pairs_processed: u64,
     records_scanned: u64,
 }
@@ -251,7 +303,9 @@ impl IncrementalScorer {
             bins,
             delta_bins,
             horizon: None,
-            states: BTreeMap::new(),
+            index: BTreeMap::new(),
+            slots: Vec::new(),
+            live: 0,
             pairs_processed: 0,
             records_scanned: 0,
         }
@@ -277,19 +331,27 @@ impl IncrementalScorer {
     /// implicitly; the batch wrapper uses it for apps whose log slice
     /// happens to hold no records.
     pub fn track_app(&mut self, uid: Uid) {
-        self.states.entry(uid).or_default();
+        self.index.entry(uid).or_default();
     }
 
     /// Records one Binder-log record: `uid` invoked `ipc_type` at `at`.
     pub fn push_ipc(&mut self, uid: Uid, ipc_type: &str, at: SimTime) {
         self.records_scanned += 1;
-        let bins = self.bins;
-        let types = self.states.entry(uid).or_default();
-        if !types.contains_key(ipc_type) {
-            types.insert(ipc_type.to_owned(), TypeState::new(bins));
-        }
-        let state = types.get_mut(ipc_type).expect("state just ensured");
-        state.calls.push_back(at);
+        let types = self.index.entry(uid).or_default();
+        let slot = match types.get(ipc_type) {
+            Some(&slot) => slot,
+            None => {
+                let slot = self.live;
+                match self.slots.get_mut(slot) {
+                    Some(reused) => reused.clear(),
+                    None => self.slots.push(TypeState::new(self.bins)),
+                }
+                self.live += 1;
+                types.insert(ipc_type.to_owned(), slot);
+                slot
+            }
+        };
+        self.slots[slot].calls.push_back(at);
     }
 
     /// Records one JGR add at `add`: every live call within the window
@@ -302,23 +364,21 @@ impl IncrementalScorer {
             .as_micros()
             .saturating_sub(self.params.window.as_micros());
         let mut pairs = 0u64;
-        for types in self.states.values_mut() {
-            for state in types.values_mut() {
-                while state.calls.front().is_some_and(|c| c.as_micros() < floor) {
-                    state.calls.pop_front();
+        for state in &mut self.slots[..self.live] {
+            while state.calls.front().is_some_and(|c| c.as_micros() < floor) {
+                state.calls.pop_front();
+            }
+            for &call in &state.calls {
+                if call > add {
+                    break;
                 }
-                for &call in &state.calls {
-                    if call > add {
-                        break;
-                    }
-                    let lo = ((add - call).as_micros() / bin_us) as usize;
-                    let hi = lo + self.delta_bins;
-                    state.tree.range_add(lo, hi, 1);
-                    if let Some(horizon) = self.horizon {
-                        state.retractions.push_back((add + horizon, lo, hi));
-                    }
-                    pairs += 1;
+                let lo = ((add - call).as_micros() / bin_us) as usize;
+                let hi = lo + self.delta_bins;
+                TypeState::vote(&mut state.diff, lo, hi, 1);
+                if let Some(horizon) = self.horizon {
+                    state.retractions.push_back((add + horizon, lo, hi));
                 }
+                pairs += 1;
             }
         }
         self.pairs_processed += pairs;
@@ -334,15 +394,13 @@ impl IncrementalScorer {
         if self.horizon.is_none() {
             return;
         }
-        for types in self.states.values_mut() {
-            for state in types.values_mut() {
-                while let Some(&(expires, lo, hi)) = state.retractions.front() {
-                    if expires > now {
-                        break;
-                    }
-                    state.tree.range_add(lo, hi, -1);
-                    state.retractions.pop_front();
+        for state in &mut self.slots[..self.live] {
+            while let Some(&(expires, lo, hi)) = state.retractions.front() {
+                if expires > now {
+                    break;
                 }
+                TypeState::vote(&mut state.diff, lo, hi, -1);
+                state.retractions.pop_front();
             }
         }
     }
@@ -352,10 +410,8 @@ impl IncrementalScorer {
     pub fn live_votes(&self) -> u64 {
         match self.horizon {
             // With a horizon every live vote has a pending retraction.
-            Some(_) => self
-                .states
-                .values()
-                .flat_map(|t| t.values())
+            Some(_) => self.slots[..self.live]
+                .iter()
                 .map(|s| s.retractions.len() as u64)
                 .sum(),
             None => self.pairs_processed,
@@ -364,12 +420,12 @@ impl IncrementalScorer {
 
     /// Snapshots the current scores without disturbing the live state.
     pub fn report(&self) -> ScoreReport {
-        let mut scores = Vec::with_capacity(self.states.len());
-        for (&uid, types) in &self.states {
+        let mut scores = Vec::with_capacity(self.index.len());
+        for (&uid, types) in &self.index {
             let mut per_type = Vec::new();
             let mut total = 0u64;
-            for (ipc_type, state) in types {
-                let this_type_max = state.tree.global_max();
+            for (ipc_type, &slot) in types {
+                let this_type_max = self.slots[slot].max();
                 if this_type_max > 0 {
                     per_type.push((ipc_type.clone(), this_type_max));
                 }
@@ -390,9 +446,11 @@ impl IncrementalScorer {
     }
 
     /// Forgets every call, vote, and counter — the post-verdict window
-    /// reset, equivalent to constructing afresh (allocations aside).
+    /// reset, equivalent to constructing afresh (allocations aside: the
+    /// slots are kept and zeroed as they are reused).
     pub fn reset(&mut self) {
-        self.states.clear();
+        self.index.clear();
+        self.live = 0;
         self.pairs_processed = 0;
         self.records_scanned = 0;
     }

@@ -1,6 +1,8 @@
 //! A lazily-propagated segment tree over delay bins: range add, global /
 //! range max. This is the data structure §V-D.2 adopts to keep Algorithm
-//! 1's interval bookkeeping cheap.
+//! 1's interval bookkeeping cheap. The deployed scorer uses a difference
+//! array instead (see [`IncrementalScorer`](crate::IncrementalScorer));
+//! the tree stays as the ablation bench's §V-D.2 arm and as a test oracle.
 
 /// Range-add / range-max segment tree over `n` fixed bins.
 ///

@@ -32,7 +32,8 @@ pub struct DetectionStats {
     pub full: u64,
     /// Degraded passes.
     pub degraded: u64,
-    /// Passes scored by Algorithm 1's segment-tree correlation.
+    /// Passes scored by Algorithm 1's timing correlation (the name
+    /// predates the difference-array histogram and is serialized).
     pub segment_tree_scored: u64,
     /// Passes that fell back to call-count ranking.
     pub call_count_scored: u64,

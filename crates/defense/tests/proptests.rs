@@ -2,11 +2,91 @@
 
 use std::collections::BTreeMap;
 
-use jgre_defense::{naive_scores, segment_tree_scores, ScoreParams};
+use jgre_defense::{
+    naive_scores, segment_tree_scores, IncrementalScorer, ScoreParams, ScoreReport, SegmentTree,
+    UidScore,
+};
 use jgre_sim::{SimDuration, SimTime, Uid};
 use proptest::prelude::*;
 
 type IpcByUid = BTreeMap<Uid, BTreeMap<String, Vec<SimTime>>>;
+
+/// Algorithm 1 as a batch pass over §V-D.2's lazy segment tree: the
+/// second oracle for the deployed difference-array scorer, independent of
+/// both it and `naive_scores`' flat array.
+fn tree_scores(ipc: &IpcByUid, adds: &[SimTime], p: ScoreParams) -> ScoreReport {
+    let bin_us = p.bin.as_micros();
+    let bins = (p.window.as_micros() / bin_us) as usize + 2;
+    let delta_bins = (p.delta.as_micros() / bin_us) as usize;
+    let mut tree = SegmentTree::new(bins);
+    let (mut pairs_processed, mut records_scanned) = (0u64, 0u64);
+    let mut scores = Vec::new();
+    for (&uid, types) in ipc {
+        let mut per_type = Vec::new();
+        let mut score = 0u64;
+        for (ipc_type, calls) in types {
+            records_scanned += calls.len() as u64;
+            tree.clear();
+            for &add in adds {
+                let floor = add.as_micros().saturating_sub(p.window.as_micros());
+                for &call in calls {
+                    if call.as_micros() < floor || call > add {
+                        continue;
+                    }
+                    let lo = ((add - call).as_micros() / bin_us) as usize;
+                    tree.range_add(lo, lo + delta_bins, 1);
+                    pairs_processed += 1;
+                }
+            }
+            let max = tree.global_max();
+            if max > 0 {
+                per_type.push((ipc_type.clone(), max));
+            }
+            score += max;
+        }
+        scores.push(UidScore {
+            uid,
+            score,
+            per_type,
+        });
+    }
+    scores.sort_by(|a, b| b.score.cmp(&a.score).then(a.uid.cmp(&b.uid)));
+    ScoreReport {
+        scores,
+        pairs_processed,
+        records_scanned,
+    }
+}
+
+/// One step of an interleaved stream.
+#[derive(Debug, Clone)]
+enum Step {
+    Ipc(u32, u8),
+    Add,
+    Advance,
+    Reset,
+}
+
+/// Random stream: time gaps of up to 3 ms (so pairing windows and the
+/// horizon overlap many events) and every kind of step, resets included.
+fn stream_strategy() -> impl Strategy<Value = Vec<(u64, Step)>> {
+    let step = prop_oneof![
+        6 => (0u32..4, 0u8..3).prop_map(|(app, ty)| Step::Ipc(app, ty)),
+        5 => Just(Step::Add),
+        1 => Just(Step::Advance),
+        1 => Just(Step::Reset),
+    ];
+    proptest::collection::vec((0u64..3_000, step), 0..300)
+}
+
+fn feed(scorer: &mut IncrementalScorer, at: SimTime, step: &Step) {
+    match *step {
+        Step::Ipc(app, ty) => scorer.push_ipc(Uid::new(10_000 + app), &format!("I.type{ty}"), at),
+        Step::Add => scorer.push_add(at),
+        Step::Advance => scorer.advance(at),
+        Step::Reset => scorer.reset(),
+    }
+}
 
 /// Random workload: a handful of apps with a couple of IPC types each,
 /// call times in a bounded horizon, plus a set of JGR add times.
@@ -45,16 +125,47 @@ fn params(delta_us: u64) -> ScoreParams {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// The segment-tree and naive implementations agree everywhere — the
-    /// §V-D.2 optimisation is score-preserving.
+    /// The deployed difference-array scorer, the segment-tree oracle and
+    /// the naive flat array agree everywhere — neither the §V-D.2 tree nor
+    /// the difference array changes a score.
     #[test]
     fn tree_equals_naive((ipc, adds) in workload_strategy(), delta_us in 50u64..5_000) {
         let p = params(delta_us);
-        let a = segment_tree_scores(&ipc, &adds, p);
-        let b = naive_scores(&ipc, &adds, p);
-        prop_assert_eq!(a.scores, b.scores);
-        prop_assert_eq!(a.pairs_processed, b.pairs_processed);
-        prop_assert_eq!(a.records_scanned, b.records_scanned);
+        let deployed = segment_tree_scores(&ipc, &adds, p);
+        let tree = tree_scores(&ipc, &adds, p);
+        let naive = naive_scores(&ipc, &adds, p);
+        prop_assert_eq!(&deployed, &tree);
+        prop_assert_eq!(&deployed, &naive);
+    }
+
+    /// A scorer that is reset and reuses its slots equals, after every
+    /// step, a scorer built afresh at the last reset and fed the same
+    /// events since — in the report and in the live vote count.
+    #[test]
+    fn reset_reuses_slots_like_a_fresh_scorer(
+        steps in stream_strategy(),
+        horizon_us in prop_oneof![1 => Just(None), 3 => (1_000u64..40_000).prop_map(Some)],
+        delta_us in 50u64..5_000,
+    ) {
+        let p = params(delta_us);
+        let build = || match horizon_us {
+            Some(h) => IncrementalScorer::with_horizon(p, SimDuration::from_micros(h)),
+            None => IncrementalScorer::new(p),
+        };
+        let mut reused = build();
+        let mut fresh = build();
+        let mut now = 0u64;
+        for (gap, step) in &steps {
+            now += gap;
+            let at = SimTime::from_micros(now);
+            feed(&mut reused, at, step);
+            match step {
+                Step::Reset => fresh = build(),
+                _ => feed(&mut fresh, at, step),
+            }
+            prop_assert_eq!(reused.report(), fresh.report());
+            prop_assert_eq!(reused.live_votes(), fresh.live_votes());
+        }
     }
 
     /// Shifting every timestamp by the same offset leaves all scores
