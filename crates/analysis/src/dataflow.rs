@@ -124,6 +124,16 @@ pub struct Condensation {
 
 /// Tarjan's algorithm (iterative), emitting SCCs callee-first.
 pub fn condense_call_graph(model: &CodeModel) -> Condensation {
+    condense_within(model, &vec![true; model.methods.len()])
+}
+
+/// [`condense_call_graph`] over only the methods `member` marks; edges
+/// to other methods are ignored. When the marked set is closed under
+/// callers, its SCCs are exactly the whole graph's SCCs that touch it.
+pub(crate) fn condense_within(model: &CodeModel, member: &[bool]) -> Condensation {
+    if !member.contains(&true) {
+        return Condensation { sccs: Vec::new() };
+    }
     let n = model.methods.len();
     let mut index: Vec<Option<u32>> = vec![None; n];
     let mut lowlink = vec![0u32; n];
@@ -139,11 +149,12 @@ pub fn condense_call_graph(model: &CodeModel) -> Condensation {
             .iter()
             .chain(def.handler_posts.iter())
             .map(|m| m.0 as usize)
+            .filter(|&w| member[w])
             .collect()
     };
 
     for root in 0..n {
-        if index[root].is_some() {
+        if !member[root] || index[root].is_some() {
             continue;
         }
         let mut frames: Vec<(usize, Vec<usize>, usize)> = vec![(root, edges(root), 0)];
@@ -205,7 +216,8 @@ impl Condensation {
         map
     }
 
-    /// Dense method-indexed variant of [`Condensation::scc_of`].
+    /// Dense method-indexed variant of [`Condensation::scc_of`];
+    /// `usize::MAX` for methods outside the condensation.
     pub fn scc_index(&self, method_count: usize) -> Vec<usize> {
         let mut index = vec![usize::MAX; method_count];
         for (i, scc) in self.sccs.iter().enumerate() {
@@ -220,7 +232,9 @@ impl Condensation {
     /// with no external callees, level `k` holds SCCs whose deepest
     /// external callee sits at level `k-1`. All SCCs within one wave are
     /// mutually independent, so a bottom-up summary computation can
-    /// process each wave in parallel with one barrier per level.
+    /// process each wave in parallel with one barrier per level. Callees
+    /// outside the condensation (the finished callees of a cone) do not
+    /// count.
     pub fn levels(&self, model: &CodeModel) -> Vec<Vec<usize>> {
         let scc_index = self.scc_index(model.methods.len());
         let mut level = vec![0usize; self.sccs.len()];
@@ -232,7 +246,7 @@ impl Condensation {
                 for callee in def.calls.iter().chain(def.handler_posts.iter()) {
                     let j = scc_index[callee.0 as usize];
                     // Callee-first order guarantees j's level is final.
-                    if j != i {
+                    if j != i && j != usize::MAX {
                         l = l.max(level[j] + 1);
                     }
                 }

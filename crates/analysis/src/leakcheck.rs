@@ -24,15 +24,16 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::path::PathBuf;
+use std::sync::OnceLock;
 
 use jgre_corpus::body::{AllocSite, BranchKind, FieldKind, Place, Var};
 use jgre_corpus::spec::ProtectionLevel;
-use jgre_corpus::{CodeModel, MethodId};
+use jgre_corpus::{CodeModel, MethodDef, MethodId};
 use jgre_sim::record::StableHasher;
 use serde::{Deserialize, Serialize};
 
 use crate::cache;
-use crate::dataflow::{condense_call_graph, solve_forward, ForwardAnalysis, JoinSemiLattice};
+use crate::dataflow::{condense_within, solve_forward, ForwardAnalysis, JoinSemiLattice};
 use crate::ir::{corpus_fingerprint, method_fact_fingerprints, Cfg, Stmt, Terminator};
 use crate::{DetectorOutput, IpcMethod, JgrEntrySets, RiskyInterface, SiftReason};
 
@@ -530,8 +531,8 @@ pub struct LeakChecker<'m> {
 struct SccOutcome {
     /// The SCC cache key (0 when caching is disabled).
     key: u64,
-    /// Portable record bytes for the store pass (caching runs only).
-    record: Option<Vec<u8>>,
+    /// Where the SCC's Tier B record comes from on store.
+    record: RecordSource,
     /// Final summaries of the SCC's members.
     members: Vec<(MethodId, MethodSummary)>,
     /// Served from the cache?
@@ -542,6 +543,40 @@ struct SccOutcome {
     cfg_blocks: usize,
     /// Solver block transfers (0 on a hit).
     iterations: u64,
+}
+
+/// An SCC's Tier B record for the next cache file.
+enum RecordSource {
+    /// Caching is off.
+    Uncached,
+    /// The loaded record at this [`cache::TierB`] position, carried over.
+    Carried(usize),
+    /// A record encoded by this run.
+    Fresh(Vec<u8>),
+}
+
+/// Per-method state of one run, seeded from Tier A outside the edit's
+/// cone and filled SCC by SCC inside it.
+struct MethodTables {
+    /// `None` until the method's SCC is seeded or processed.
+    summaries: Vec<Option<MethodSummary>>,
+    /// The next cache file's index (caching runs only): seeded rows as
+    /// loaded, the others written as their SCCs complete. Callers' SCC
+    /// keys read the callee summary fingerprints from it instead of
+    /// re-encoding the callee summary for every call edge.
+    index: Vec<cache::IndexRow>,
+}
+
+/// What Tier A settled before any SCC is processed.
+struct Seed {
+    tables: MethodTables,
+    /// Methods whose summaries this run must compute or look up in Tier
+    /// B — all of them without a usable index.
+    dirty: Vec<bool>,
+    /// SCCs served whole from Tier A.
+    clean_sccs: usize,
+    /// Loaded Tier B records still in use, by position.
+    carried: Vec<bool>,
 }
 
 /// The completed whole-corpus analysis: per-method summaries plus
@@ -591,13 +626,16 @@ impl<'m> LeakChecker<'m> {
 
     /// [`LeakChecker::analyze`] with caching and parallelism knobs.
     ///
-    /// With a cache directory the run is incremental: an unchanged
-    /// corpus is served whole from the Tier A table; after an edit, only
-    /// the SCC-condensation cone above the changed methods is
-    /// recomputed, everything below comes from Tier B records. Verdicts
-    /// are structurally identical in every mode — hits and misses only
-    /// show up in [`SolverStats`]. Cache writes are best-effort: an
-    /// unwritable directory degrades to a cold run, never an error.
+    /// With a cache directory the run is incremental: the Tier A index
+    /// names the methods whose facts changed, and only the SCCs of their
+    /// caller cone are processed — looked up in Tier B, else recomputed.
+    /// Every other method takes its summary from Tier A, so an unchanged
+    /// corpus processes no SCC at all. Without a usable index (no file,
+    /// another method count, a rejected index) every SCC goes through
+    /// Tier B. Verdicts are structurally identical in every mode — hits
+    /// and misses only show up in [`SolverStats`]. Cache writes are
+    /// best-effort: an unwritable directory degrades to a cold run, never
+    /// an error.
     pub fn analyze_with(&self, options: &AnalysisOptions) -> LeakAnalysis {
         let model = self.model;
         let n = model.methods.len();
@@ -608,7 +646,7 @@ impl<'m> LeakChecker<'m> {
         };
 
         // Fact fingerprints are cheap (no body synthesis, no lowering):
-        // the entire warm path hashes facts and decodes Tier A.
+        // on an unchanged corpus they are all the run compares.
         let mut is_jgr_entry = vec![false; n];
         if let Some(entries) = self.entries {
             for id in &entries.java_entries {
@@ -624,60 +662,38 @@ impl<'m> LeakChecker<'m> {
             .cache_dir
             .as_ref()
             .map(|dir| dir.join(cache::CACHE_FILE));
-        let loaded = match &cache_path {
+        let caching = cache_path.is_some();
+        let mut loaded = match &cache_path {
             Some(path) => cache::load(path, corpus_fp, n),
             None => cache::LoadedCache::default(),
         };
         stats.cache_invalidated = loaded.invalidated;
 
-        // Tier A fast path: the corpus is byte-identical to the cached
-        // one, so every SCC's summaries are served without lowering a
-        // single CFG or even condensing the call graph.
-        if let Some(tier_a) = loaded.tier_a {
-            stats.sccs = loaded.scc_count as usize;
-            stats.cache_hits = u64::from(loaded.scc_count);
-            if loaded.invalidated > 0 {
-                // Tier A survived but some region was rejected (e.g. a
-                // truncated Tier B tail): rewrite the file from the
-                // surviving parts so the next run loads clean.
-                if let Some(path) = &cache_path {
-                    let encoded = cache::encode_tier_a(&tier_a);
-                    let _ =
-                        cache::store(path, corpus_fp, loaded.scc_count, &encoded, &loaded.tier_b);
-                }
-            }
-            let summaries = tier_a
-                .into_iter()
-                .enumerate()
-                .map(|(i, s)| (MethodId(i as u32), s))
-                .collect();
-            return LeakAnalysis { summaries, stats };
-        }
+        let Seed {
+            mut tables,
+            dirty,
+            clean_sccs,
+            mut carried,
+        } = seed(model, &fps, &mut loaded, caching);
 
-        let caching = cache_path.is_some();
-        let cond = condense_call_graph(model);
-        stats.sccs = cond.sccs.len();
-        let scc_index = cond.scc_index(n);
-        let waves = cond.levels(model);
-        let name_index: HashMap<(&str, &str), MethodId> = if loaded.tier_b.is_empty() {
-            HashMap::new()
+        // Only the SCCs touching the dirty set are processed; the set is
+        // closed under callers, so each of them is wholly dirty.
+        let cond = condense_within(model, &dirty);
+        stats.sccs = clean_sccs + cond.sccs.len();
+        stats.cache_hits = clean_sccs as u64;
+        let (scc_index, waves) = if cond.sccs.is_empty() {
+            (Vec::new(), Vec::new())
         } else {
-            model
-                .methods
-                .iter()
-                .map(|d| ((d.class.as_str(), d.name.as_str()), d.id))
-                .collect()
+            (cond.scc_index(n), cond.levels(model))
         };
-
-        let mut summaries: Vec<Option<MethodSummary>> = vec![None; n];
-        // Summary fingerprints, computed once per method as its SCC
-        // completes; `scc_key` reads its callees' entries instead of
-        // re-encoding the callee summary for every call edge.
-        let mut summary_fps: Vec<Option<u64>> = vec![None; n];
-        let mut used_records: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
+        // Built when a dirty SCC first finds its Tier B record; a cone
+        // whose keys all changed never builds it.
+        let name_index = OnceLock::new();
+        let mut fresh: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
         for wave in &waves {
-            // Every SCC of a wave depends only on earlier waves, so the
-            // wave shards freely; the fold below is order-independent.
+            // Every SCC of a wave depends only on earlier waves and Tier
+            // A, so the wave shards freely; the fold below is
+            // order-independent.
             let outcomes = jgre_sim::shard(wave.len(), threads, |positions| {
                 positions
                     .map(|pos| {
@@ -688,8 +704,7 @@ impl<'m> LeakChecker<'m> {
                             caching,
                             &fps,
                             &scc_index,
-                            &summaries,
-                            &summary_fps,
+                            &tables,
                             &loaded.tier_b,
                             &name_index,
                         )
@@ -702,41 +717,53 @@ impl<'m> LeakChecker<'m> {
                 stats.cache_hits += u64::from(outcome.hit);
                 stats.cache_misses += u64::from(!outcome.hit);
                 stats.cache_invalidated += outcome.invalidated;
-                if let Some(record) = outcome.record {
-                    used_records.insert(outcome.key, record);
+                match outcome.record {
+                    RecordSource::Uncached => {}
+                    RecordSource::Carried(pos) => carried[pos] = true,
+                    RecordSource::Fresh(record) => {
+                        fresh.insert(outcome.key, record);
+                    }
                 }
                 for (m, s) in outcome.members {
+                    let i = m.0 as usize;
                     if caching {
-                        summary_fps[m.0 as usize] = Some(cache::summary_fingerprint(model, m, &s));
+                        tables.index[i] = cache::IndexRow {
+                            fact_fp: fps[i],
+                            scc_key: outcome.key,
+                            summary_fp: cache::summary_fingerprint(model, m, &s),
+                        };
                     }
-                    summaries[m.0 as usize] = Some(s);
+                    tables.summaries[i] = Some(s);
                 }
             }
         }
-
-        let summaries: BTreeMap<MethodId, MethodSummary> = summaries
+        let summaries: Vec<MethodSummary> = tables
+            .summaries
             .into_iter()
-            .enumerate()
-            .map(|(i, s)| (MethodId(i as u32), s.expect("every SCC processed")))
+            .map(|s| s.expect("every SCC processed"))
             .collect();
 
-        // We only reach here when Tier A missed, so the file on disk is
-        // absent or stale: rewrite it whole. Stale Tier B keys are
-        // garbage-collected by keeping only the keys this run used.
-        if let Some(path) = &cache_path {
-            let ordered: Vec<MethodSummary> = model
-                .methods
-                .iter()
-                .map(|def| summaries[&def.id].clone())
-                .collect();
-            let tier_a = cache::encode_tier_a(&ordered);
-            let _ = cache::store(path, corpus_fp, stats.sccs as u32, &tier_a, &used_records);
+        // A clean exact hit leaves the file as it is. Anything else
+        // rewrites it whole: Tier A for this corpus, and in Tier B the
+        // records of this corpus's SCCs only, so stale keys are
+        // garbage-collected.
+        let unchanged = loaded.exact && stats.cache_invalidated == 0 && cond.sccs.is_empty();
+        if let Some(path) = cache_path.as_ref().filter(|_| !unchanged) {
+            let mut tier_a = cache::encode_tier_a(&summaries);
+            cache::encode_index(&mut tier_a, &tables.index);
+            let tier_b = loaded.tier_b.carry_over(&carried, fresh);
+            let _ = cache::store(path, corpus_fp, stats.sccs as u32, &tier_a, &tier_b);
         }
+        let summaries = summaries
+            .into_iter()
+            .enumerate()
+            .map(|(i, s)| (MethodId(i as u32), s))
+            .collect();
         LeakAnalysis { summaries, stats }
     }
 
-    /// Serves one SCC from the cache or computes it: intra solve per
-    /// member plus the SCC-local fixpoint over callee summaries.
+    /// Serves one SCC from Tier B or computes it: intra solve per member
+    /// plus the SCC-local fixpoint over callee summaries.
     #[allow(clippy::too_many_arguments)]
     fn process_scc(
         &self,
@@ -745,36 +772,49 @@ impl<'m> LeakChecker<'m> {
         caching: bool,
         fps: &[u64],
         scc_index: &[usize],
-        global: &[Option<MethodSummary>],
-        summary_fps: &[Option<u64>],
-        tier_b: &BTreeMap<u64, Vec<u8>>,
-        name_index: &HashMap<(&str, &str), MethodId>,
+        tables: &MethodTables,
+        tier_b: &cache::TierB,
+        name_index: &OnceLock<HashMap<(&'m str, &'m str), MethodId>>,
     ) -> SccOutcome {
         let model = self.model;
         let mut invalidated = 0u64;
         let key = if caching {
-            self.scc_key(scc_idx, scc, fps, scc_index, summary_fps)
+            self.scc_key(scc_idx, scc, fps, scc_index, tables)
         } else {
             0
         };
-        if caching {
-            if let Some(bytes) = tier_b.get(&key) {
-                match cache::remap_record(bytes, scc, name_index) {
-                    Some(members) => {
-                        return SccOutcome {
-                            key,
-                            record: Some(bytes.clone()),
-                            members,
-                            hit: true,
-                            invalidated,
-                            cfg_blocks: 0,
-                            iterations: 0,
-                        }
-                    }
-                    // A key collision or hand-crafted record that passed
-                    // the checksum but does not map onto this SCC.
-                    None => invalidated += 1,
+        // Tier B is empty when caching is off.
+        if let Some((pos, bytes)) = tier_b.find(key) {
+            let names = name_index.get_or_init(|| {
+                model
+                    .methods
+                    .iter()
+                    .map(|d| ((d.class.as_str(), d.name.as_str()), d.id))
+                    .collect()
+            });
+            match cache::remap_record(bytes, scc, names) {
+                Some((mut members, canonical)) => {
+                    // A record stored under another numbering is encoded
+                    // again, so the next file matches a fresh run's.
+                    let record = if canonical {
+                        RecordSource::Carried(pos)
+                    } else {
+                        members.sort_by_key(|(m, _)| *m);
+                        RecordSource::Fresh(encode_members(model, &members))
+                    };
+                    return SccOutcome {
+                        key,
+                        record,
+                        members,
+                        hit: true,
+                        invalidated,
+                        cfg_blocks: 0,
+                        iterations: 0,
+                    };
                 }
+                // A key collision or hand-crafted record that passed
+                // the checksum but does not map onto this SCC.
+                None => invalidated += 1,
             }
         }
 
@@ -795,7 +835,7 @@ impl<'m> LeakChecker<'m> {
         loop {
             let mut changed = false;
             for (i, m) in scc.iter().enumerate() {
-                let folded = fold_summary(*m, &intras[i], &local, global);
+                let folded = fold_summary(*m, &intras[i], &local, &tables.summaries);
                 if local[m] != folded {
                     local.insert(*m, folded);
                     changed = true;
@@ -806,11 +846,11 @@ impl<'m> LeakChecker<'m> {
             }
         }
         let members: Vec<(MethodId, MethodSummary)> = local.into_iter().collect();
-        let record = caching.then(|| {
-            let refs: Vec<(MethodId, &MethodSummary)> =
-                members.iter().map(|(m, s)| (*m, s)).collect();
-            cache::encode_record(model, &refs)
-        });
+        let record = if caching {
+            RecordSource::Fresh(encode_members(model, &members))
+        } else {
+            RecordSource::Uncached
+        };
         SccOutcome {
             key,
             record,
@@ -832,7 +872,7 @@ impl<'m> LeakChecker<'m> {
         scc: &[MethodId],
         fps: &[u64],
         scc_index: &[usize],
-        summary_fps: &[Option<u64>],
+        tables: &MethodTables,
     ) -> u64 {
         let model = self.model;
         let mut member_fps: Vec<u64> = scc.iter().map(|m| fps[m.0 as usize]).collect();
@@ -841,10 +881,15 @@ impl<'m> LeakChecker<'m> {
         for m in scc {
             let def = model.method(*m);
             for callee in def.calls.iter().chain(def.handler_posts.iter()) {
-                if scc_index[callee.0 as usize] == scc_idx {
+                let callee = callee.0 as usize;
+                if scc_index[callee] == scc_idx {
                     continue;
                 }
-                callee_fps.push(summary_fps[callee.0 as usize].expect("callee-first wave order"));
+                assert!(
+                    tables.summaries[callee].is_some(),
+                    "callee-first wave order"
+                );
+                callee_fps.push(tables.index[callee].summary_fp);
             }
         }
         callee_fps.sort_unstable();
@@ -861,6 +906,125 @@ impl<'m> LeakChecker<'m> {
             h.write_u64(fp);
         }
         h.finish()
+    }
+}
+
+/// [`cache::encode_record`] over owned `(member, summary)` pairs.
+fn encode_members(model: &CodeModel, members: &[(MethodId, MethodSummary)]) -> Vec<u8> {
+    let refs: Vec<(MethodId, &MethodSummary)> = members.iter().map(|(m, s)| (*m, s)).collect();
+    cache::encode_record(model, &refs)
+}
+
+/// Splits the corpus at the edit. With a Tier A index for this method
+/// count, a method is dirty when its fact fingerprint differs from the
+/// index, or when its SCC's Tier B record is missing from a verified file
+/// (so a repaired file holds every record again); every caller of a dirty
+/// method is dirty too. Every other method keeps its summary and index
+/// row from Tier A, and its SCC's record is carried over. Without an
+/// index every method is dirty.
+fn seed(model: &CodeModel, fps: &[u64], loaded: &mut cache::LoadedCache, caching: bool) -> Seed {
+    let n = fps.len();
+    let Some(table) = loaded.tier_a.take() else {
+        return Seed {
+            tables: MethodTables {
+                summaries: vec![None; n],
+                index: vec![cache::IndexRow::default(); if caching { n } else { 0 }],
+            },
+            dirty: vec![true; n],
+            clean_sccs: 0,
+            carried: vec![false; loaded.tier_b.len()],
+        };
+    };
+    let index = std::mem::take(&mut loaded.index);
+    let record_at: Vec<Option<usize>> = if loaded.tier_b_verified {
+        index
+            .iter()
+            .map(|row| loaded.tier_b.position(row.scc_key))
+            .collect()
+    } else {
+        Vec::new()
+    };
+    let mut dirty: Vec<bool> = index
+        .iter()
+        .zip(fps)
+        .enumerate()
+        .map(|(i, (row, fp))| row.fact_fp != *fp || record_at.get(i).is_some_and(Option::is_none))
+        .collect();
+    close_under_callers(model, &mut dirty);
+
+    let mut carried = vec![false; loaded.tier_b.len()];
+    let mut clean_sccs = 0;
+    for (pos, dirty) in record_at.iter().zip(&dirty) {
+        // Members of one SCC share its record: count it once.
+        if let (Some(pos), false) = (*pos, *dirty) {
+            clean_sccs += usize::from(!carried[pos]);
+            carried[pos] = true;
+        }
+    }
+    // Unverified records mean a clean exact hit: every fact fingerprint
+    // matched, nothing is dirty, and the header counts the SCCs.
+    if !loaded.tier_b_verified {
+        clean_sccs = loaded.scc_count as usize;
+    }
+    // Collected in place: `Option<MethodSummary>` has the summary's
+    // layout, so the table's buffer is reused.
+    let mut summaries: Vec<Option<MethodSummary>> = table.into_iter().map(Some).collect();
+    for (summary, dirty) in summaries.iter_mut().zip(&dirty) {
+        if *dirty {
+            *summary = None;
+        }
+    }
+    Seed {
+        tables: MethodTables { summaries, index },
+        dirty,
+        clean_sccs,
+        carried,
+    }
+}
+
+/// Closes `dirty` under callers (direct calls and Handler posts): a
+/// method whose callee's summary may change must be recomputed too.
+fn close_under_callers(model: &CodeModel, dirty: &mut [bool]) {
+    let mut work: Vec<u32> = (0..dirty.len() as u32)
+        .filter(|&i| dirty[i as usize])
+        .collect();
+    if work.is_empty() {
+        return;
+    }
+    fn callees(def: &MethodDef) -> impl Iterator<Item = usize> + '_ {
+        def.calls
+            .iter()
+            .chain(def.handler_posts.iter())
+            .map(|m| m.0 as usize)
+    }
+    // Callers in compressed rows: the callers of `m` are
+    // `callers[start[m]..start[m + 1]]`. Rows are filled back to front
+    // from their ends, which leaves `start[m]` at each row's first slot.
+    let n = dirty.len();
+    let mut start = vec![0u32; n + 1];
+    for def in &model.methods {
+        for callee in callees(def) {
+            start[callee] += 1;
+        }
+    }
+    for i in 1..=n {
+        start[i] += start[i - 1];
+    }
+    let mut callers = vec![0u32; start[n] as usize];
+    for (caller, def) in model.methods.iter().enumerate() {
+        for callee in callees(def) {
+            start[callee] -= 1;
+            callers[start[callee] as usize] = caller as u32;
+        }
+    }
+    while let Some(m) = work.pop() {
+        let m = m as usize;
+        for &caller in &callers[start[m] as usize..start[m + 1] as usize] {
+            if !dirty[caller as usize] {
+                dirty[caller as usize] = true;
+                work.push(caller);
+            }
+        }
     }
 }
 

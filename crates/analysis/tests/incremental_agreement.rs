@@ -2,14 +2,17 @@
 //! corpus mutation sequence is replayed twice — once against a
 //! persistent cache directory that survives every step, once cold from
 //! scratch per step — and the `DataflowOutput` verdicts must be
-//! structurally equal at *every* step. The vendored proptest has no
-//! shrinking, so a divergence triggers a manual delta-debugging pass
+//! structurally equal at *every* step. So must the cache files: the
+//! persistent directory's, rewritten incrementally, and the one a cold
+//! cached run writes into a fresh directory. The vendored proptest has
+//! no shrinking, so a divergence triggers a manual delta-debugging pass
 //! that reports the minimal divergent edit script.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use jgre_analysis::{
     AnalysisOptions, DataflowDetector, DataflowOutput, IpcMethodExtractor, JgrEntryExtractor,
+    CACHE_FILE,
 };
 use jgre_corpus::{spec::AospSpec, CodeModel, MethodId, ParamUsage};
 use proptest::prelude::*;
@@ -97,8 +100,19 @@ fn fresh_cache_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// Whether the cache file in `dir` equals the one a cold cached run of
+/// `model` writes into a fresh directory.
+fn cache_file_matches_cold(model: &CodeModel, dir: &Path, tag: &str) -> bool {
+    let fresh = fresh_cache_dir(tag);
+    detect(model, &AnalysisOptions::with_cache_dir(&fresh));
+    let equal =
+        std::fs::read(dir.join(CACHE_FILE)).ok() == std::fs::read(fresh.join(CACHE_FILE)).ok();
+    std::fs::remove_dir_all(&fresh).ok();
+    equal
+}
+
 /// Replays `ops` with a persistent cache vs cold per step; returns the
-/// index of the first step whose verdicts diverge.
+/// index of the first step whose verdicts or cache files diverge.
 fn first_divergence(ops: &[EditOp]) -> Option<usize> {
     let spec = AospSpec::android_6_0_1();
     let mut model = CodeModel::synthesize(&spec);
@@ -110,7 +124,8 @@ fn first_divergence(ops: &[EditOp]) -> Option<usize> {
         apply(&mut model, op, step);
         let cached = detect(&model, &cached_options);
         let cold = detect(&model, &cold_options);
-        if !verdicts_equal(&cached, &cold) {
+        if !verdicts_equal(&cached, &cold) || !cache_file_matches_cold(&model, &dir, "replay-cold")
+        {
             divergent = Some(step);
             break;
         }
@@ -178,7 +193,7 @@ fn scripted_edits_agree_and_rewarm() {
     let dir = fresh_cache_dir("scripted");
     let cached_options = AnalysisOptions::with_cache_dir(&dir);
     // Prime the cache with the unmutated corpus so every step exercises
-    // partial invalidation rather than a cold start.
+    // the Tier A delta path rather than a cold start.
     detect(&model, &cached_options);
     for (step, op) in ops.iter().enumerate() {
         apply(&mut model, op, step);
@@ -187,6 +202,10 @@ fn scripted_edits_agree_and_rewarm() {
         assert!(
             verdicts_equal(&cached, &cold),
             "verdicts diverged after step {step} ({op:?})"
+        );
+        assert!(
+            cache_file_matches_cold(&model, &dir, "scripted-cold"),
+            "cache file diverged from a cold cached run's after step {step} ({op:?})"
         );
         // An edit must not invalidate the whole cache: most SCCs are
         // outside the changed cone and still hit.

@@ -1,7 +1,7 @@
 //! The incremental summary engine's headline numbers: cold (first run
 //! with a cache dir — computes everything and populates the file) vs
-//! warm (second run, pure Tier A hit) vs a one-method edit (Tier B
-//! partial invalidation), plus the uncached baseline for reference.
+//! warm (second run, pure Tier A hit) vs a one-method edit (Tier A
+//! delta), plus the uncached baseline for reference.
 //! The acceptance bar from DESIGN.md §7 is warm ≥ 10x faster than cold
 //! on an unchanged corpus, asserted here on manually timed runs so the
 //! artifact records the actual ratio, not just criterion's per-bench

@@ -221,10 +221,27 @@ pub fn read_header<'a>(
 /// `out`: re-reading bytes just written, at another alignment, stalls on
 /// store forwarding.
 pub fn write_frame(out: &mut Vec<u8>, payload: &[u8]) {
-    let len = u32::try_from(payload.len()).unwrap_or_else(|_| panic!("frame payload too long"));
-    out.put_u32(len);
+    out.put_u32(frame_len(payload));
     out.extend_from_slice(payload);
     out.put_u64(checksum(payload));
+}
+
+/// [`write_frame`] to any writer, streaming `payload` instead of
+/// copying it into a buffer first.
+///
+/// # Errors
+///
+/// Whatever `out` returns.
+pub fn write_frame_to(out: &mut impl std::io::Write, payload: &[u8]) -> std::io::Result<()> {
+    out.write_all(&frame_len(payload).to_le_bytes())?;
+    out.write_all(payload)?;
+    out.write_all(&checksum(payload).to_le_bytes())
+}
+
+/// A frame's length field. Panics past `u32::MAX` payload bytes, a
+/// writer bug.
+fn frame_len(payload: &[u8]) -> u32 {
+    u32::try_from(payload.len()).unwrap_or_else(|_| panic!("frame payload too long"))
 }
 
 /// A bounds-checked little-endian reader over untrusted bytes. Every
@@ -356,6 +373,17 @@ impl<'a> Cursor<'a> {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn streamed_frames_match_buffered_ones() {
+        for payload in [&b""[..], b"x", b"twelve bytes", &[7u8; 1000][..]] {
+            let mut buffered = Vec::new();
+            write_frame(&mut buffered, payload);
+            let mut streamed = Vec::new();
+            write_frame_to(&mut streamed, payload).unwrap();
+            assert_eq!(streamed, buffered);
+        }
+    }
 
     #[test]
     fn header_checks_short_before_magic_before_version() {
