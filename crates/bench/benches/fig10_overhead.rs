@@ -36,7 +36,7 @@ fn bench_transactions(c: &mut Criterion) {
                 let mut driver = BinderDriver::new(clock, TraceSink::disabled());
                 driver.set_defense_recording(defense);
                 driver.set_log_enabled(false);
-                let node = driver.create_node(Pid::new(412), "echo");
+                let node = driver.create_node(Pid::new(412));
                 let mut parcel = Parcel::new();
                 parcel.write_string("payload").write_blob(64 * 1024);
                 b.iter(|| {

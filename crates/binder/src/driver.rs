@@ -1,9 +1,9 @@
 //! The simulated Binder kernel driver: nodes, routing, the transaction log,
 //! and death notification links.
 
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::rc::Rc;
 
 use jgre_sim::{FaultLayer, IpcLogAction, Pid, SimClock, SimTime, TraceSink, Uid};
 use serde::{Deserialize, Serialize};
@@ -39,12 +39,49 @@ impl fmt::Display for NodeId {
     }
 }
 
+/// The method half of a logged transaction's name: the AIDL method the
+/// transaction code addressed, or the bare code when it addressed none.
+///
+/// Names are interned: the framework resolves each (service, method)
+/// pair to one shared `Rc<str>` and every record clones the handle, so
+/// logging a transaction neither hashes nor allocates. An unknown code
+/// is kept as the number and rendered as `#<code>` only when read.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub enum IpcMethod {
+    /// A method of the interface, e.g. `"addPrimaryClipChangedListener"`.
+    Named(Rc<str>),
+    /// A transaction code outside the method table (`onTransact`
+    /// returned `false`); renders as `#<code>`.
+    Code(u32),
+}
+
+impl fmt::Display for IpcMethod {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            IpcMethod::Named(name) => f.write_str(name),
+            IpcMethod::Code(code) => write!(f, "#{code}"),
+        }
+    }
+}
+
+impl From<&str> for IpcMethod {
+    fn from(name: &str) -> Self {
+        IpcMethod::Named(name.into())
+    }
+}
+
+impl PartialEq<&str> for IpcMethod {
+    fn eq(&self, other: &&str) -> bool {
+        matches!(self, IpcMethod::Named(name) if **name == **other)
+    }
+}
+
 /// One logged transaction — the record format the paper's defense stores in
 /// `/proc/jgre_ipc_log`: *"the related data of IPC calls on from_pid,
 /// to_pid, target_handle, to_node and timestamp"* (§V-B). We add the caller
 /// uid (the kernel knows it) and the interface/method pair, which the real
 /// system recovers from the transaction code.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IpcRecord {
     /// Driver-assigned transaction sequence number. Every routed
     /// transaction consumes one, *including* records a fault injector
@@ -61,10 +98,11 @@ pub struct IpcRecord {
     pub to_pid: Pid,
     /// Target node.
     pub to_node: NodeId,
-    /// Interface descriptor, e.g. `"IClipboard"`.
-    pub interface: String,
-    /// Method name, e.g. `"addPrimaryClipChangedListener"`.
-    pub method: String,
+    /// Interface descriptor, e.g. `"IClipboard"` (interned, see
+    /// [`IpcMethod`]).
+    pub interface: Rc<str>,
+    /// The method the transaction code addressed.
+    pub method: IpcMethod,
     /// Payload size in bytes.
     pub payload_bytes: usize,
     /// Code-execution-path tag for the transaction (0 for the common
@@ -114,7 +152,6 @@ pub struct DeathNotification {
 #[derive(Debug, Clone)]
 struct NodeInfo {
     host: Pid,
-    label: Cow<'static, str>,
     alive: bool,
 }
 
@@ -208,13 +245,10 @@ impl BinderDriver {
         self.log_enabled = enabled;
     }
 
-    /// Registers a new node hosted by `host`.
-    pub fn create_node(&mut self, host: Pid, label: impl Into<Cow<'static, str>>) -> NodeId {
-        self.nodes.push(NodeInfo {
-            host,
-            label: label.into(),
-            alive: true,
-        });
+    /// Registers a new node hosted by `host`: a service endpoint or a
+    /// client callback object (its host process names the owner).
+    pub fn create_node(&mut self, host: Pid) -> NodeId {
+        self.nodes.push(NodeInfo { host, alive: true });
         NodeId(self.nodes.len() as u64)
     }
 
@@ -237,12 +271,6 @@ impl BinderDriver {
         Ok(info.host)
     }
 
-    /// Human-readable node label: the service name, or `"callback"` for
-    /// a client callback object (its host process names the owner).
-    pub fn node_label(&self, node: NodeId) -> Option<&str> {
-        self.node(node).map(|i| &*i.label)
-    }
-
     /// Whether the node is alive.
     pub fn is_alive(&self, node: NodeId) -> bool {
         self.node(node).is_some_and(|i| i.alive)
@@ -254,6 +282,9 @@ impl BinderDriver {
     /// transaction entered the driver — the true time, which log faults
     /// never alter.
     ///
+    /// Pass interned names (`Rc<str>` clones) to log without allocating;
+    /// a `&str` is copied into a fresh `Rc<str>`.
+    ///
     /// # Errors
     ///
     /// [`BinderError::UnknownNode`] / [`BinderError::DeadNode`] for bad
@@ -263,8 +294,8 @@ impl BinderDriver {
         from_pid: Pid,
         from_uid: Uid,
         node: NodeId,
-        interface: &str,
-        method: &str,
+        interface: impl Into<Rc<str>>,
+        method: impl Into<IpcMethod>,
         parcel: &Parcel,
     ) -> Result<SimTime, BinderError> {
         self.record_transaction_on_path(from_pid, from_uid, node, interface, method, parcel, 0)
@@ -278,8 +309,8 @@ impl BinderDriver {
         from_pid: Pid,
         from_uid: Uid,
         node: NodeId,
-        interface: &str,
-        method: &str,
+        interface: impl Into<Rc<str>>,
+        method: impl Into<IpcMethod>,
         parcel: &Parcel,
         path_id: u8,
     ) -> Result<SimTime, BinderError> {
@@ -306,8 +337,8 @@ impl BinderDriver {
             from_uid,
             to_pid,
             to_node: node,
-            interface: interface.to_owned(),
-            method: method.to_owned(),
+            interface: interface.into(),
+            method: method.into(),
             payload_bytes,
             path_id,
         };
@@ -495,7 +526,7 @@ mod tests {
     #[test]
     fn transaction_routes_to_host() {
         let mut d = driver();
-        let node = d.create_node(Pid::new(412), "wifi");
+        let node = d.create_node(Pid::new(412));
         let mut p = Parcel::new();
         p.write_i32(1);
         d.record_transaction(
@@ -511,15 +542,66 @@ mod tests {
         let rec = &d.log()[0];
         assert_eq!(rec.to_pid, Pid::new(412));
         assert_eq!(rec.ipc_type(), "IWifiManager.acquireWifiLock");
-        assert_eq!(d.node_label(node), Some("wifi"));
-        assert_eq!(d.node_label(NodeId::new(0)), None);
+    }
+
+    #[test]
+    fn path_classified_key_appends_the_path() {
+        let mut d = driver();
+        let node = d.create_node(Pid::new(412));
+        let p = Parcel::new();
+        for path_id in [0u8, 3, 255] {
+            d.record_transaction_on_path(
+                Pid::new(9000),
+                Uid::new(10061),
+                node,
+                "IWifiManager",
+                "acquireWifiLock",
+                &p,
+                path_id,
+            )
+            .unwrap();
+            let rec = d.log().last().unwrap();
+            assert_eq!(rec.method, "acquireWifiLock");
+            assert_eq!(rec.ipc_type(), "IWifiManager.acquireWifiLock");
+            assert_eq!(
+                rec.ipc_type_with_path(),
+                format!("IWifiManager.acquireWifiLock#{path_id}")
+            );
+        }
+    }
+
+    #[test]
+    fn unknown_code_key_renders_the_code() {
+        let mut d = driver();
+        let node = d.create_node(Pid::new(412));
+        let p = Parcel::new();
+        let interface: Rc<str> = "IWifiManager".into();
+        for code in [0u32, 41, u32::MAX] {
+            d.record_transaction(
+                Pid::new(9000),
+                Uid::new(10061),
+                node,
+                Rc::clone(&interface),
+                IpcMethod::Code(code),
+                &p,
+            )
+            .unwrap();
+            let rec = d.log().last().unwrap();
+            assert_ne!(rec.method, format!("#{code}").as_str());
+            assert_eq!(rec.ipc_type(), format!("IWifiManager.#{code}"));
+            assert_eq!(rec.ipc_type_with_path(), format!("IWifiManager.#{code}#0"));
+            assert!(
+                Rc::ptr_eq(&rec.interface, &interface),
+                "interned, not copied"
+            );
+        }
     }
 
     #[test]
     fn transactions_advance_the_clock() {
         let clock = SimClock::new();
         let mut d = BinderDriver::new(clock.clone(), TraceSink::disabled());
-        let node = d.create_node(Pid::new(1), "svc");
+        let node = d.create_node(Pid::new(1));
         let p = Parcel::new();
         d.record_transaction(Pid::new(2), Uid::new(10000), node, "I", "m", &p)
             .unwrap();
@@ -532,7 +614,7 @@ mod tests {
     #[test]
     fn dead_node_rejects_transactions() {
         let mut d = driver();
-        let node = d.create_node(Pid::new(1), "svc");
+        let node = d.create_node(Pid::new(1));
         d.kill_process(Pid::new(1));
         let p = Parcel::new();
         assert_eq!(
@@ -556,7 +638,7 @@ mod tests {
     #[test]
     fn death_links_fire_on_process_death() {
         let mut d = driver();
-        let app_node = d.create_node(Pid::new(9000), "callback");
+        let app_node = d.create_node(Pid::new(9000));
         d.link_to_death(app_node, Pid::new(412), 77).unwrap();
         assert_eq!(d.death_link_count(), 1);
         let notes = d.kill_process(Pid::new(9000));
@@ -574,7 +656,7 @@ mod tests {
     #[test]
     fn unlink_removes_exactly_one_registration() {
         let mut d = driver();
-        let node = d.create_node(Pid::new(9000), "cb");
+        let node = d.create_node(Pid::new(9000));
         d.link_to_death(node, Pid::new(412), 1).unwrap();
         d.link_to_death(node, Pid::new(412), 2).unwrap();
         d.unlink_to_death(node, Pid::new(412), 1).unwrap();
@@ -591,7 +673,7 @@ mod tests {
     #[test]
     fn watcher_death_drops_its_links() {
         let mut d = driver();
-        let node = d.create_node(Pid::new(9000), "cb");
+        let node = d.create_node(Pid::new(9000));
         d.link_to_death(node, Pid::new(412), 1).unwrap();
         d.kill_process(Pid::new(412));
         assert_eq!(d.death_link_count(), 0);
@@ -603,7 +685,7 @@ mod tests {
     fn log_since_and_prune() {
         let clock = SimClock::new();
         let mut d = BinderDriver::new(clock.clone(), TraceSink::disabled());
-        let node = d.create_node(Pid::new(1), "svc");
+        let node = d.create_node(Pid::new(1));
         let p = Parcel::new();
         let mut stamps = Vec::new();
         for _ in 0..5 {
@@ -622,7 +704,7 @@ mod tests {
     #[test]
     fn oversized_transactions_are_rejected() {
         let mut d = driver();
-        let node = d.create_node(Pid::new(1), "svc");
+        let node = d.create_node(Pid::new(1));
         let mut p = Parcel::new();
         p.write_blob(2 * 1024 * 1024);
         assert!(matches!(
@@ -643,7 +725,7 @@ mod tests {
     #[test]
     fn seq_numbers_are_dense_and_monotonic() {
         let mut d = driver();
-        let node = d.create_node(Pid::new(1), "svc");
+        let node = d.create_node(Pid::new(1));
         let p = Parcel::new();
         for expected in 0..4u64 {
             d.record_transaction(Pid::new(2), Uid::new(10000), node, "I", "m", &p)
@@ -657,8 +739,8 @@ mod tests {
         let mut faulted = driver();
         faulted.set_fault_layer(FaultLayer::inactive());
         let mut plain = driver();
-        let pn = plain.create_node(Pid::new(1), "svc");
-        let fnode = faulted.create_node(Pid::new(1), "svc");
+        let pn = plain.create_node(Pid::new(1));
+        let fnode = faulted.create_node(Pid::new(1));
         let p = Parcel::new();
         for _ in 0..8 {
             plain
@@ -680,7 +762,7 @@ mod tests {
             FaultPlan::single(FaultKind::IpcDrop, FaultIntensity::Severe),
             3,
         ));
-        let node = d.create_node(Pid::new(1), "svc");
+        let node = d.create_node(Pid::new(1));
         let p = Parcel::new();
         for _ in 0..200 {
             d.record_transaction(Pid::new(2), Uid::new(10000), node, "I", "m", &p)
@@ -701,7 +783,7 @@ mod tests {
             FaultPlan::single(FaultKind::IpcReorder, FaultIntensity::Severe),
             5,
         ));
-        let node = d.create_node(Pid::new(1), "svc");
+        let node = d.create_node(Pid::new(1));
         let p = Parcel::new();
         let mut stamps = Vec::new();
         for _ in 0..100 {
@@ -723,7 +805,7 @@ mod tests {
     fn log_can_be_disabled() {
         let mut d = driver();
         d.set_log_enabled(false);
-        let node = d.create_node(Pid::new(1), "svc");
+        let node = d.create_node(Pid::new(1));
         let p = Parcel::new();
         d.record_transaction(Pid::new(2), Uid::new(10000), node, "I", "m", &p)
             .unwrap();

@@ -12,8 +12,6 @@ pub enum BinderError {
     /// The target node's hosting process has died
     /// (`DeadObjectException` territory).
     DeadNode,
-    /// A service name was registered twice with the service manager.
-    ServiceNameTaken(String),
     /// Reading past the end of a parcel.
     ParcelUnderflow,
     /// The next parcel value had a different type than requested.
@@ -41,9 +39,6 @@ impl fmt::Display for BinderError {
         match self {
             BinderError::UnknownNode => write!(f, "unknown binder node"),
             BinderError::DeadNode => write!(f, "binder node's hosting process has died"),
-            BinderError::ServiceNameTaken(name) => {
-                write!(f, "service name already registered: {name}")
-            }
             BinderError::ParcelUnderflow => write!(f, "read past end of parcel"),
             BinderError::ParcelTypeMismatch { expected, found } => {
                 write!(
@@ -68,9 +63,6 @@ mod tests {
     #[test]
     fn display_variants() {
         assert_eq!(BinderError::UnknownNode.to_string(), "unknown binder node");
-        assert!(BinderError::ServiceNameTaken("wifi".into())
-            .to_string()
-            .contains("wifi"));
         let e = BinderError::ParcelTypeMismatch {
             expected: "string",
             found: "i32",

@@ -12,8 +12,6 @@
 //! * [`BinderDriver`] — node registry, transaction routing/logging
 //!   (the `/proc/jgre_ipc_log` analog of §V-B), death notification links,
 //!   and a latency model with an optional defense-recording overhead.
-//! * [`ServiceManager`] — `addService`/`getService` by name, the discovery
-//!   step of every exploit (`ServiceManager.getService("wifi")`).
 //! * [`materialize_strong_binder`] — the unmarshalling step that turns an
 //!   incoming node into a proxy object plus a global reference in the
 //!   receiving runtime; this is the JGR-entry point the static analysis
@@ -22,23 +20,20 @@
 //! # Example
 //!
 //! ```
-//! use jgre_binder::{BinderDriver, Parcel, ServiceManager};
+//! use jgre_binder::{BinderDriver, Parcel};
 //! use jgre_sim::{Pid, SimClock, TraceSink, Uid};
 //!
 //! let clock = SimClock::new();
 //! let mut driver = BinderDriver::new(clock.clone(), TraceSink::disabled());
-//! let mut sm = ServiceManager::new();
 //!
-//! // system_server publishes the clipboard service.
-//! let node = driver.create_node(Pid::new(412), "clipboard");
-//! sm.add_service("clipboard", node)?;
+//! // system_server publishes the clipboard service's node.
+//! let node = driver.create_node(Pid::new(412));
 //!
-//! // An app finds it and sends a transaction.
-//! let found = sm.get_service("clipboard").unwrap();
+//! // An app sends it a transaction.
 //! let mut parcel = Parcel::new();
 //! parcel.write_string("listener registration");
 //! driver.record_transaction(
-//!     Pid::new(9001), Uid::new(10061), found,
+//!     Pid::new(9001), Uid::new(10061), node,
 //!     "IClipboard", "addPrimaryClipChangedListener", &parcel)?;
 //! assert_eq!(driver.log().len(), 1);
 //! assert_eq!(driver.log()[0].to_pid, Pid::new(412));
@@ -49,14 +44,13 @@ mod driver;
 mod error;
 mod latency;
 mod parcel;
-mod service_manager;
 mod strong_binder;
 
 pub use driver::{
-    BinderDriver, DeathLink, DeathNotification, IpcRecord, NodeId, TRANSACTION_BUFFER_LIMIT,
+    BinderDriver, DeathLink, DeathNotification, IpcMethod, IpcRecord, NodeId,
+    TRANSACTION_BUFFER_LIMIT,
 };
 pub use error::BinderError;
 pub use latency::LatencyModel;
 pub use parcel::{Parcel, ParcelValue};
-pub use service_manager::ServiceManager;
 pub use strong_binder::{materialize_strong_binder, ReceivedBinder};

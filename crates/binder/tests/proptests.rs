@@ -64,7 +64,7 @@ proptest! {
         let hosts = [Pid::new(1), Pid::new(2), Pid::new(3), Pid::new(4)];
         let nodes: Vec<NodeId> = hosts
             .iter()
-            .map(|&h| driver.create_node(h, format!("svc-{h}")))
+            .map(|&h| driver.create_node(h))
             .collect();
         let mut killed = [false; 4];
         let mut accepted = 0usize;
@@ -106,7 +106,7 @@ proptest! {
         let mut driver = BinderDriver::new(clock, TraceSink::disabled());
         let owner = Pid::new(9);
         let nodes: Vec<NodeId> =
-            (0..6).map(|i| driver.create_node(owner, format!("cb{i}"))).collect();
+            (0..6).map(|_| driver.create_node(owner)).collect();
         let mut expected = 0usize;
         for (node_idx, watcher) in &links {
             let node = nodes[*node_idx as usize];

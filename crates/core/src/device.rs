@@ -77,8 +77,7 @@ impl DefendedDevice {
     /// tables, installed apps — survives; the arena-reuse test in
     /// `crates/core/tests/device_reset.rs` pins that equivalence.
     pub fn reset(&mut self, scale: ExperimentScale) {
-        let spec = self.system.spec_shared();
-        let mut system = System::boot_with_spec(scale.system_config(), spec);
+        let mut system = self.system.reboot(scale.system_config());
         self.defender = JgreDefender::install(&mut system, scale.defender_config())
             .expect("scale presets produce a valid defender config");
         self.system = system;

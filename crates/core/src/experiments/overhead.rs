@@ -78,7 +78,7 @@ pub fn fig10(scale: ExperimentScale, rounds: usize) -> Fig10 {
         let clock = SimClock::new();
         let mut driver = BinderDriver::new(clock.clone(), TraceSink::disabled());
         driver.set_defense_recording(defense);
-        let node = driver.create_node(Pid::new(412), "echo");
+        let node = driver.create_node(Pid::new(412));
         let mut parcel = Parcel::new();
         parcel.write_blob(kib * 1024);
         let before = clock.now();

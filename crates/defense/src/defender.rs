@@ -5,7 +5,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::rc::Rc;
 
-use jgre_binder::IpcRecord;
+use jgre_binder::{IpcMethod, IpcRecord};
 use jgre_framework::{KillOutcome, System};
 use jgre_sim::{CrashPoint, Pid, SimDuration, SimTime, Uid};
 use serde::{Deserialize, Serialize};
@@ -644,7 +644,8 @@ impl JgreDefender {
         // Group by the borrowed names first, so each series key is
         // formatted once rather than once per record.
         type Series<'a> = (&'a IpcRecord, Vec<SimTime>);
-        let mut grouped: BTreeMap<(Uid, &str, &str, Option<u8>), Series<'_>> = BTreeMap::new();
+        let mut grouped: BTreeMap<(Uid, &str, &IpcMethod, Option<u8>), Series<'_>> =
+            BTreeMap::new();
         let mut seen = BTreeSet::new();
         let mut seq_lo = u64::MAX;
         let mut seq_hi = 0u64;
@@ -778,6 +779,39 @@ mod tests {
             }
         }
         panic!("attack must trip the alarm within {budget} calls");
+    }
+
+    #[test]
+    fn collect_ipc_merges_series_whose_names_render_alike() {
+        for classify_paths in [false, true] {
+            let base = DefenderConfig {
+                classify_paths,
+                ..DefenderConfig::default()
+            };
+            let (mut system, defender) = defended_system_with(4_000, FaultPlan::none(), base);
+            let victim = system.system_server_pid();
+            let app = system.install_app("com.example", []);
+            let app_pid = system.launch_app(app).unwrap();
+            let node = system.driver_mut().create_node(victim);
+            let parcel = jgre_binder::Parcel::new();
+            // "a.b" + "c" and "a" + "b.c" both render "a.b.c".
+            for (interface, method) in [("a.b", "c"), ("a", "b.c"), ("a.b", "c"), ("a.b", "d")] {
+                system
+                    .driver_mut()
+                    .record_transaction(app_pid, app, node, interface, method, &parcel)
+                    .unwrap();
+            }
+            let (ipc, coverage) = defender.collect_ipc(&system, victim, system.now());
+            assert_eq!(coverage, 1.0);
+            let suffix = if classify_paths { "#0" } else { "" };
+            let series = &ipc[&app];
+            let keys: Vec<&str> = series.keys().map(String::as_str).collect();
+            assert_eq!(keys, [format!("a.b.c{suffix}"), format!("a.b.d{suffix}")]);
+            let merged = &series[&format!("a.b.c{suffix}")];
+            assert_eq!(merged.len(), 3);
+            assert!(merged.windows(2).all(|w| w[0] <= w[1]));
+            assert_eq!(series[&format!("a.b.d{suffix}")].len(), 1);
+        }
     }
 
     #[test]

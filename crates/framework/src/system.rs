@@ -1,11 +1,12 @@
 //! The assembled device: boot, IPC dispatch, protections, death, reboot.
 
+use std::cell::{RefCell, RefMut};
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
 use jgre_art::{ArtError, JgrObserver};
 use jgre_binder::{
-    materialize_strong_binder, BinderDriver, BinderError, Parcel, ReceivedBinder, ServiceManager,
+    materialize_strong_binder, BinderDriver, BinderError, IpcMethod, Parcel, ReceivedBinder,
 };
 use jgre_corpus::spec::{
     AospSpec, Flaw, JgrBehavior, MethodSpec, Permission, Protection, ProtectionLevel, ServiceSpec,
@@ -263,6 +264,62 @@ struct ServiceState {
     per_method: BTreeMap<String, MethodState>,
 }
 
+/// The Binder-log names of one image, interned on first use: each
+/// service's interface and each method name become one `Rc<str>`, which
+/// every later [`IpcRecord`](jgre_binder::IpcRecord) clones instead of
+/// copying the name. Shared by every device booted from the image with
+/// [`System::reboot`], so a name is resolved at most once per image.
+/// Indexed like the name-sorted service table, which is the same for
+/// every boot of one spec.
+#[derive(Debug, Default)]
+struct LogNames {
+    services: RefCell<Vec<Option<ServiceLogNames>>>,
+}
+
+#[derive(Debug, Clone)]
+struct ServiceLogNames {
+    interface: Rc<str>,
+    /// By method position; `None` until the method is first logged.
+    methods: Vec<Option<Rc<str>>>,
+}
+
+impl LogNames {
+    /// The names of service `index`, described by `spec`.
+    fn service(&self, index: usize, spec: &ServiceSpec) -> RefMut<'_, ServiceLogNames> {
+        RefMut::map(self.services.borrow_mut(), |services| {
+            if services.len() <= index {
+                services.resize(index + 1, None);
+            }
+            services[index].get_or_insert_with(|| ServiceLogNames {
+                interface: spec.interface.as_str().into(),
+                methods: vec![None; spec.methods.len()],
+            })
+        })
+    }
+
+    /// The interned interface of service `index`.
+    fn interface(&self, index: usize, spec: &ServiceSpec) -> Rc<str> {
+        Rc::clone(&self.service(index, spec).interface)
+    }
+
+    /// The interned interface of service `index` and the logged method
+    /// of transaction `code`: the interned name of the method at that
+    /// position, or [`IpcMethod::Code`] for a code outside the table.
+    fn resolve(&self, index: usize, spec: &ServiceSpec, code: u32) -> (Rc<str>, IpcMethod) {
+        let mut names = self.service(index, spec);
+        let position = code
+            .checked_sub(FIRST_CALL_TRANSACTION)
+            .map_or(usize::MAX, |i| i as usize);
+        let method = match (names.methods.get_mut(position), spec.methods.get(position)) {
+            (Some(slot), Some(m)) => IpcMethod::Named(Rc::clone(
+                slot.get_or_insert_with(|| m.name.as_str().into()),
+            )),
+            _ => IpcMethod::Code(code),
+        };
+        (Rc::clone(&names.interface), method)
+    }
+}
+
 /// Arguments of one server-side dispatch, bundled so `call_service` and
 /// `transact_raw` hand the shared core the same shape.
 struct DispatchRequest<'a> {
@@ -285,11 +342,12 @@ pub struct System {
     trace: TraceSink,
     rng: SimRng,
     driver: BinderDriver,
-    service_manager: ServiceManager,
     spec: Rc<AospSpec>,
+    log_names: Rc<LogNames>,
     processes: ProcessTable,
     system_server: Pid,
-    /// Registered services, sorted by name.
+    /// Registered services, sorted by name: the device's service
+    /// directory.
     services: Vec<ServiceState>,
     apps: BTreeMap<Uid, InstalledApp>,
     next_uid: u32,
@@ -334,6 +392,18 @@ impl System {
     /// service registry and every dispatch read names, interfaces and
     /// method tables from it in place.
     pub fn boot_with_spec(config: SystemConfig, spec: Rc<AospSpec>) -> Self {
+        Self::boot_image(config, spec, Rc::default())
+    }
+
+    /// Boots a fresh device from this device's image: the shared spec
+    /// and the Binder-log names already interned for it. Observably the
+    /// same as [`boot_with_spec`](Self::boot_with_spec) with this
+    /// device's spec; the names just are not resolved again.
+    pub fn reboot(&self, config: SystemConfig) -> Self {
+        Self::boot_image(config, Rc::clone(&self.spec), Rc::clone(&self.log_names))
+    }
+
+    fn boot_image(config: SystemConfig, spec: Rc<AospSpec>, log_names: Rc<LogNames>) -> Self {
         let clock = SimClock::new();
         let trace = if config.tracing {
             TraceSink::new()
@@ -351,8 +421,8 @@ impl System {
             clock: clock.clone(),
             trace: trace.clone(),
             driver,
-            service_manager: ServiceManager::new(),
             spec,
+            log_names,
             processes: ProcessTable::new(clock, trace),
             system_server: Pid::new(0), // replaced below
             services: Vec::new(),
@@ -426,23 +496,21 @@ impl System {
     }
 
     /// Publishes one service of the shared spec from `host`: a Binder
-    /// node, a service-manager entry and empty per-method state.
+    /// node and empty per-method state, filed in the name-sorted service
+    /// table — the device's service directory (`ServiceManager`), which
+    /// refuses a second service under a taken name.
     fn register_service(&mut self, host: Pid, slot: SpecSlot) {
         let spec = Rc::clone(&self.spec);
-        let name = &slot.resolve(&spec).name;
-        let node = self.driver.create_node(host, name.clone());
-        self.service_manager
-            .add_service(name.as_str(), node)
-            .expect("service names are unique across the image");
+        let at = self
+            .find_service(&slot.resolve(&spec).name)
+            .expect_err("service names are unique across the image");
+        let node = self.driver.create_node(host);
         let state = ServiceState {
             slot,
             host,
             node,
             per_method: BTreeMap::new(),
         };
-        let at = self
-            .find_service(name)
-            .expect_err("service names are unique across the image");
         self.services.insert(at, state);
     }
 
@@ -498,12 +566,6 @@ impl System {
     /// The ground-truth spec the device was booted from.
     pub fn spec(&self) -> &AospSpec {
         &self.spec
-    }
-
-    /// A shareable handle to the spec, for booting further devices from
-    /// the same image without re-synthesizing it.
-    pub fn spec_shared(&self) -> Rc<AospSpec> {
-        Rc::clone(&self.spec)
     }
 
     /// `system_server`'s pid.
@@ -570,6 +632,12 @@ impl System {
         })
     }
 
+    /// The process hosting `service`: [`service_info`](Self::service_info)`.host`
+    /// without copying the service's names.
+    pub fn service_host(&self, service: &str) -> Option<Pid> {
+        self.service(service).map(|s| s.host)
+    }
+
     /// Names of every registered service (104 at boot, plus the app
     /// services).
     pub fn service_names(&self) -> Vec<String> {
@@ -629,7 +697,7 @@ impl System {
             Some(pid) if self.processes.is_healthy(pid) => pid,
             _ => self.launch_app(caller)?,
         };
-        Ok(self.driver.create_node(pid, "callback"))
+        Ok(self.driver.create_node(pid))
     }
 
     /// Per-reason counts of fail-stop rejections folded into the driver's
@@ -949,18 +1017,20 @@ impl System {
         // 2. Resolve the service and method, borrowing both from the
         //    shared spec.
         let spec = Rc::clone(&self.spec);
-        let (svc_spec, node, host) = {
-            let svc = self
-                .service(service)
-                .ok_or_else(|| FrameworkError::UnknownService(service.to_owned()))?;
-            (svc.slot.resolve(&spec), svc.node, svc.host)
-        };
-        let mspec = svc_spec
-            .method(method)
+        let index = self
+            .find_service(service)
+            .map_err(|_| FrameworkError::UnknownService(service.to_owned()))?;
+        let svc = &self.services[index];
+        let (svc_spec, node, host) = (svc.slot.resolve(&spec), svc.node, svc.host);
+        let position = svc_spec
+            .methods
+            .iter()
+            .position(|m| m.name == method)
             .ok_or_else(|| FrameworkError::UnknownMethod {
                 service: service.to_owned(),
                 method: method.to_owned(),
             })?;
+        let mspec = &svc_spec.methods[position];
         if !self.processes.is_healthy(host) {
             return Err(FrameworkError::ServiceDead);
         }
@@ -1008,18 +1078,21 @@ impl System {
             JgrBehavior::RetainPerCall { .. } | JgrBehavior::Transient | JgrBehavior::ReplaceSingle
         );
         if passes_binder {
-            let cb = self.driver.create_node(caller_pid, "callback");
+            let cb = self.driver.create_node(caller_pid);
             parcel.write_strong_binder(cb);
         }
         if options.payload_extra_bytes > 0 {
             parcel.write_blob(options.payload_extra_bytes);
         }
+        let (interface, logged_method) =
+            self.log_names
+                .resolve(index, svc_spec, position as u32 + FIRST_CALL_TRANSACTION);
         let sent_at = self.driver.record_transaction_on_path(
             caller_pid,
             caller,
             node,
-            &svc_spec.interface,
-            method,
+            interface,
+            logged_method,
             &parcel,
             options.path_variant,
         )?;
@@ -1079,16 +1152,14 @@ impl System {
             _ => self.launch_app(caller)?,
         };
         let spec = Rc::clone(&self.spec);
-        let (svc_spec, node, host) = {
-            let svc = self
-                .service(service)
-                .ok_or_else(|| FrameworkError::UnknownService(service.to_owned()))?;
-            (svc.slot.resolve(&spec), svc.node, svc.host)
-        };
+        let index = self
+            .find_service(service)
+            .map_err(|_| FrameworkError::UnknownService(service.to_owned()))?;
+        let svc = &self.services[index];
+        let (svc_spec, node, host) = (svc.slot.resolve(&spec), svc.node, svc.host);
         if !self.processes.is_healthy(host) {
             return Err(FrameworkError::ServiceDead);
         }
-        let iface = svc_spec.interface.as_str();
         let mspec = code
             .checked_sub(FIRST_CALL_TRANSACTION)
             .and_then(|i| svc_spec.methods.get(i as usize));
@@ -1096,10 +1167,10 @@ impl System {
             // Unknown transaction code: the kernel cannot know the code is
             // bad, so the driver still routes and logs the transaction;
             // the server's `onTransact` then returns false.
-            let label = format!("#{code}");
+            let (interface, method) = self.log_names.resolve(index, svc_spec, code);
             let sent_at = match self
                 .driver
-                .record_transaction_on_path(caller_pid, caller, node, iface, &label, parcel, 0)
+                .record_transaction_on_path(caller_pid, caller, node, interface, method, parcel, 0)
             {
                 Ok(at) => at,
                 Err(BinderError::TransactionTooLarge { .. }) => {
@@ -1124,15 +1195,11 @@ impl System {
             }
         }
 
-        let sent_at = match self.driver.record_transaction_on_path(
-            caller_pid,
-            caller,
-            node,
-            iface,
-            &mspec.name,
-            parcel,
-            0,
-        ) {
+        let (interface, method) = self.log_names.resolve(index, svc_spec, code);
+        let sent_at = match self
+            .driver
+            .record_transaction_on_path(caller_pid, caller, node, interface, method, parcel, 0)
+        {
             Ok(at) => at,
             Err(BinderError::TransactionTooLarge { .. }) => {
                 // The driver already counted "oversized-payload".
@@ -1541,10 +1608,10 @@ impl System {
         for app in self.apps.values_mut() {
             app.pid = None;
         }
+        // The service directory holds stale nodes; start_framework
+        // re-registers every service.
         self.services.clear();
         self.helper_counts.clear();
-        // The service manager holds stale nodes; rebuild it.
-        self.service_manager = ServiceManager::new();
         // Boot takes ~10 s of virtual time on the paper's hardware class.
         self.clock.advance(SimDuration::from_secs(10));
         self.start_framework();
@@ -1570,9 +1637,10 @@ impl System {
         method: &str,
     ) -> Result<usize, FrameworkError> {
         let spec = Rc::clone(&self.spec);
-        let svc = self
-            .service(service)
-            .ok_or_else(|| FrameworkError::UnknownService(service.to_owned()))?;
+        let index = self
+            .find_service(service)
+            .map_err(|_| FrameworkError::UnknownService(service.to_owned()))?;
+        let svc = &self.services[index];
         let svc_spec = svc.slot.resolve(&spec);
         if svc_spec.method(method).is_none() {
             return Err(FrameworkError::UnknownMethod {
@@ -1581,7 +1649,8 @@ impl System {
             });
         }
         let host = svc.host;
-        let iface = svc_spec.interface.as_str();
+        let interface = self.log_names.interface(index, svc_spec);
+        let on_callback = IpcMethod::from("onCallback");
         let targets: Vec<jgre_binder::NodeId> = svc
             .per_method
             .get(method)
@@ -1604,7 +1673,14 @@ impl System {
             // RemoteCallbackList does.
             if self
                 .driver
-                .record_transaction(host, Uid::SYSTEM, node, iface, "onCallback", &parcel)
+                .record_transaction(
+                    host,
+                    Uid::SYSTEM,
+                    node,
+                    Rc::clone(&interface),
+                    on_callback.clone(),
+                    &parcel,
+                )
                 .is_ok()
             {
                 delivered += 1;
@@ -2339,6 +2415,95 @@ mod tests {
             .unwrap();
         assert_eq!(outcome.status.reject(), Some(CallReject::UnknownCode));
         assert_eq!(system.reject_counts().get("unknown-code"), Some(&2));
+    }
+
+    #[test]
+    fn logged_transactions_render_their_ipc_type_keys() {
+        let mut system = System::boot(0);
+        let app = system.install_app("com.example", []);
+        let count = system.method_count("clipboard").unwrap() as u32;
+        let last_key = |system: &System| {
+            let record = system.driver().log().last().unwrap();
+            (record.ipc_type(), record.ipc_type_with_path())
+        };
+        // A known code logs the method's name.
+        let code = system
+            .transaction_code("clipboard", "addPrimaryClipChangedListener")
+            .unwrap();
+        let mut parcel = well_formed_parcel(&mut system, app);
+        system
+            .transact_raw(app, "clipboard", code, &mut parcel)
+            .unwrap();
+        assert_eq!(
+            last_key(&system),
+            (
+                "IClipboard.addPrimaryClipChangedListener".to_owned(),
+                "IClipboard.addPrimaryClipChangedListener#0".to_owned()
+            )
+        );
+        // An unknown code logs `<Interface>.#<code>`.
+        for code in [FIRST_CALL_TRANSACTION + count, 0, 4_000_000_000] {
+            parcel.rewind();
+            system
+                .transact_raw(app, "clipboard", code, &mut parcel)
+                .unwrap();
+            assert_eq!(
+                last_key(&system),
+                (
+                    format!("IClipboard.#{code}"),
+                    format!("IClipboard.#{code}#0")
+                )
+            );
+        }
+        // The path-classified key appends the execution path.
+        let options = CallOptions {
+            path_variant: 2,
+            ..CallOptions::default()
+        };
+        system
+            .call_service(app, "clipboard", "addPrimaryClipChangedListener", options)
+            .unwrap();
+        assert_eq!(
+            last_key(&system),
+            (
+                "IClipboard.addPrimaryClipChangedListener".to_owned(),
+                "IClipboard.addPrimaryClipChangedListener#2".to_owned()
+            )
+        );
+        // Callbacks the service fires log `<Interface>.onCallback`.
+        assert!(
+            system
+                .fire_service_callbacks("clipboard", "addPrimaryClipChangedListener")
+                .unwrap()
+                > 0
+        );
+        assert_eq!(last_key(&system).0, "IClipboard.onCallback");
+    }
+
+    #[test]
+    fn reboot_reuses_the_interned_log_names() {
+        let call = |system: &mut System| {
+            let app = system.install_app("com.example", []);
+            system
+                .call_service(
+                    app,
+                    "clipboard",
+                    "addPrimaryClipChangedListener",
+                    CallOptions::default(),
+                )
+                .unwrap();
+            system.driver().log().last().unwrap().clone()
+        };
+        let mut first = System::boot(0);
+        let before = call(&mut first);
+        let mut second = first.reboot(SystemConfig::default());
+        let after = call(&mut second);
+        assert_eq!(after.ipc_type(), "IClipboard.addPrimaryClipChangedListener");
+        assert!(Rc::ptr_eq(&before.interface, &after.interface));
+        let (IpcMethod::Named(a), IpcMethod::Named(b)) = (&before.method, &after.method) else {
+            panic!("a known method logs its name");
+        };
+        assert!(Rc::ptr_eq(a, b), "resolved once per image");
     }
 
     #[test]

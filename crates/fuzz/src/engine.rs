@@ -22,6 +22,16 @@
 //! server-limit rejection edge earns a **spoof re-probe** with the
 //! `"android"` package — the coverage-guided escalation that rediscovers
 //! `enqueueToast`'s Code-Snippet 3 flaw without static hints.
+//!
+//! # Coverage keys
+//!
+//! A shard covers one service, so it keys its edges by `(method, outcome)`
+//! in typed, `Copy` form: a `MethodKey` and an `Outcome`. An exec
+//! files its result without formatting or copying a name; the merge
+//! renders the report's `String` labels once per distinct outcome and
+//! sums the per-shard edge and pair counts.
+
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -29,8 +39,8 @@ use jgre_binder::{NodeId, Parcel};
 use jgre_core::fleet::DeviceArena;
 use jgre_core::{DefendedDevice, ExperimentScale};
 use jgre_corpus::spec::{AospSpec, MethodSpec, Permission, Protection, ProtectionLevel};
-use jgre_framework::{CallOutcome, CallStatus, FrameworkError};
-use jgre_sim::{stream_seed, SimRng, Uid};
+use jgre_framework::{CallOutcome, CallReject, CallStatus, FrameworkError, FIRST_CALL_TRANSACTION};
+use jgre_sim::{stream_seed, Pid, SimRng, Uid};
 
 use crate::input::{FuzzInput, ParcelOp};
 use crate::report::{CoverageSummary, Finding, FuzzReport, LeakSignature, MinimizedRepro};
@@ -142,6 +152,10 @@ struct ServicePlan {
     name: String,
     host: &'static str,
     methods: Vec<MethodPlan>,
+    /// For each position of the service's whole method table, the
+    /// position of the first method with the same name: what makes a
+    /// [`MethodKey`] name-canonical.
+    canonical: Vec<u32>,
     grantable: Vec<Permission>,
     budget: u64,
     /// Global exec index where this shard's budget window starts — what
@@ -179,7 +193,16 @@ fn build_plan(config: &FuzzConfig) -> Vec<ServicePlan> {
                 .filter(|(_, m)| config.attack_surface.admits(m))
                 .map(|(i, m)| MethodPlan {
                     name: m.name.clone(),
-                    code: i as u32 + jgre_framework::FIRST_CALL_TRANSACTION,
+                    code: i as u32 + FIRST_CALL_TRANSACTION,
+                })
+                .collect();
+            let canonical = svc
+                .methods
+                .iter()
+                .enumerate()
+                .map(|(i, m)| {
+                    let first = svc.methods[..i].iter().position(|o| o.name == m.name);
+                    first.unwrap_or(i) as u32
                 })
                 .collect();
             if methods.is_empty() {
@@ -195,6 +218,7 @@ fn build_plan(config: &FuzzConfig) -> Vec<ServicePlan> {
                 name: svc.name.clone(),
                 host,
                 methods,
+                canonical,
                 grantable: grantable.into_iter().collect(),
                 budget: 0,
                 exec_offset: 0,
@@ -228,13 +252,89 @@ fn build_plan(config: &FuzzConfig) -> Vec<ServicePlan> {
     plans
 }
 
+impl ServicePlan {
+    /// Size of the service's whole method table (admitted or not): the
+    /// storm draws codes from it.
+    fn method_count(&self) -> u32 {
+        self.canonical.len() as u32
+    }
+
+    /// The coverage key of a transaction code.
+    fn key(&self, code: u32) -> MethodKey {
+        code.checked_sub(FIRST_CALL_TRANSACTION)
+            .and_then(|i| self.canonical.get(i as usize))
+            .map_or(MethodKey::Unknown(code), |&first| MethodKey::Method(first))
+    }
+}
+
+/// The method half of a shard's coverage key. Keys and the report's
+/// method labels correspond one to one within a service: `Method` holds
+/// the position of the first method of that name, `Unknown` a code
+/// outside the table (labelled `#<code>`), so per-shard key counts sum
+/// to the report's distinct `(service, method, outcome)` count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum MethodKey {
+    Method(u32),
+    Unknown(u32),
+}
+
+/// What one fuzz exec ended in: the typed form of the report's outcome
+/// labels ([`label`](Self::label)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Outcome {
+    Completed,
+    CompletedAbort,
+    ServerLimit,
+    Rejected(CallReject),
+    /// An addressing error, by its `err:` label.
+    Error(&'static str),
+}
+
+impl Outcome {
+    fn of(result: &Result<CallOutcome, FrameworkError>) -> Self {
+        match result {
+            Ok(o) => match o.status {
+                CallStatus::Completed if o.host_aborted => Outcome::CompletedAbort,
+                CallStatus::Completed => Outcome::Completed,
+                CallStatus::RejectedByServerLimit => Outcome::ServerLimit,
+                CallStatus::Rejected(r) => Outcome::Rejected(r),
+            },
+            Err(e) => Outcome::Error(error_label(e)),
+        }
+    }
+
+    /// The report's label: `rejected:<reason>` spells out
+    /// [`CallReject::reason`].
+    fn label(self) -> &'static str {
+        match self {
+            Outcome::Completed => "completed",
+            Outcome::CompletedAbort => "completed-abort",
+            Outcome::ServerLimit => "server-limit",
+            Outcome::Rejected(r) => match r {
+                CallReject::UnknownCode => "rejected:unknown-code",
+                CallReject::Underflow => "rejected:parcel-underflow",
+                CallReject::TypeConfusion => "rejected:parcel-type-mismatch",
+                CallReject::StaleBinder => "rejected:stale-binder",
+                CallReject::MissingBinder => "rejected:missing-binder",
+                CallReject::OversizedPayload => "rejected:oversized-payload",
+            },
+            Outcome::Error(label) => label,
+        }
+    }
+
+    /// Whether the handler ran: the pair counts as completed.
+    fn completed(self) -> bool {
+        matches!(self, Outcome::Completed | Outcome::CompletedAbort)
+    }
+}
+
 /// Everything one shard produced; merged in shard order.
 #[derive(Default)]
 struct ShardOutcome {
-    edges: BTreeSet<(String, String, String)>,
-    completed: BTreeSet<(String, String)>,
-    outcomes: BTreeMap<String, u64>,
-    rejects: BTreeMap<String, u64>,
+    edges: BTreeSet<(MethodKey, Outcome)>,
+    completed: BTreeSet<MethodKey>,
+    outcomes: BTreeMap<Outcome, u64>,
+    rejects: BTreeMap<&'static str, u64>,
     findings: Vec<Finding>,
     execs: u64,
     minimize_execs: u64,
@@ -242,13 +342,26 @@ struct ShardOutcome {
     detections: u64,
 }
 
+impl ShardOutcome {
+    /// Files one exec's outcome under its coverage key; returns whether
+    /// the edge is new.
+    fn record(&mut self, key: MethodKey, outcome: Outcome) -> bool {
+        *self.outcomes.entry(outcome).or_insert(0) += 1;
+        if outcome.completed() {
+            self.completed.insert(key);
+        }
+        self.execs += 1;
+        self.edges.insert((key, outcome))
+    }
+}
+
 /// One probe/minimization trial on a freshly booted device.
 struct Trial {
     growth: usize,
-    outcomes: Vec<String>,
+    outcomes: Vec<Outcome>,
     aborts: u64,
     detections: u64,
-    rejects: BTreeMap<String, u64>,
+    rejects: BTreeMap<&'static str, u64>,
 }
 
 /// Seed stream of trial `seq` within shard `shard` (disjoint from the
@@ -259,27 +372,15 @@ const fn trial_stream(shard: usize, seq: u64) -> u64 {
 
 fn error_label(e: &FrameworkError) -> &'static str {
     match e {
-        FrameworkError::UnknownApp => "unknown-app",
-        FrameworkError::UnknownService(_) => "unknown-service",
-        FrameworkError::UnknownMethod { .. } => "unknown-method",
-        FrameworkError::PermissionDenied { .. } => "permission-denied",
-        FrameworkError::HelperLimitExceeded { .. } => "helper-limit",
-        FrameworkError::ServiceDead => "service-dead",
-        FrameworkError::Binder(_) => "binder",
-        FrameworkError::Art(_) => "art",
-        _ => "other",
-    }
-}
-
-fn outcome_label(result: &Result<CallOutcome, FrameworkError>) -> String {
-    match result {
-        Ok(o) => match o.status {
-            CallStatus::Completed if o.host_aborted => "completed-abort".to_owned(),
-            CallStatus::Completed => "completed".to_owned(),
-            CallStatus::RejectedByServerLimit => "server-limit".to_owned(),
-            CallStatus::Rejected(r) => format!("rejected:{}", r.reason()),
-        },
-        Err(e) => format!("err:{}", error_label(e)),
+        FrameworkError::UnknownApp => "err:unknown-app",
+        FrameworkError::UnknownService(_) => "err:unknown-service",
+        FrameworkError::UnknownMethod { .. } => "err:unknown-method",
+        FrameworkError::PermissionDenied { .. } => "err:permission-denied",
+        FrameworkError::HelperLimitExceeded { .. } => "err:helper-limit",
+        FrameworkError::ServiceDead => "err:service-dead",
+        FrameworkError::Binder(_) => "err:binder",
+        FrameworkError::Art(_) => "err:art",
+        _ => "err:other",
     }
 }
 
@@ -328,7 +429,9 @@ fn exec_once(
 }
 
 /// Boots a fresh device, installs a fresh fuzz app, replays `input`, and
-/// reads the GC-surviving JGR growth of the service host.
+/// reads the GC-surviving JGR growth of the service host. A plan service
+/// missing from the booted image shows up as `err:unknown-service`
+/// outcomes with zero growth, never as a panic.
 fn run_trial(
     arena: &mut DeviceArena,
     config: &FuzzConfig,
@@ -344,13 +447,13 @@ fn run_trial(
         format!("com.fuzz.{}", plan.name),
         plan.grantable.iter().copied(),
     );
-    let host = device
-        .system()
-        .service_info(&plan.name)
-        .expect("plan services exist on the booted image")
-        .host;
-    device.system_mut().gc_process(host);
-    let before = device.system().jgr_count(host).unwrap_or(0);
+    let gc_count = |device: &mut DefendedDevice, host: Option<Pid>| {
+        let host = host?;
+        device.system_mut().gc_process(host);
+        device.system().jgr_count(host)
+    };
+    let host = device.system().service_host(&plan.name);
+    let before = gc_count(device, host).unwrap_or(0);
     let mut outcomes = Vec::with_capacity(input.calls as usize);
     let mut aborts = 0u64;
     for _ in 0..input.calls {
@@ -358,44 +461,28 @@ fn run_trial(
         if matches!(&result, Ok(o) if o.host_aborted) {
             aborts += 1;
         }
-        outcomes.push(outcome_label(&result));
+        outcomes.push(Outcome::of(&result));
     }
     // Re-resolve the host: an abort mid-trial soft-reboots the image and
     // the service re-registers under a new pid.
-    let host = device
-        .system()
-        .service_info(&plan.name)
-        .map_or(host, |info| info.host);
-    device.system_mut().gc_process(host);
-    let after = device.system().jgr_count(host).unwrap_or(0);
+    let host = device.system().service_host(&plan.name).or(host);
+    let after = gc_count(device, host).unwrap_or(0);
     Trial {
         growth: after.saturating_sub(before),
         outcomes,
         aborts,
         detections: device.detections().len() as u64,
-        rejects: device
-            .system()
-            .reject_counts()
-            .iter()
-            .map(|(k, v)| ((*k).to_owned(), *v))
-            .collect(),
+        rejects: device.system().reject_counts().clone(),
     }
 }
 
-fn absorb_trial(out: &mut ShardOutcome, service: &str, method: &str, trial: &Trial) {
-    for label in &trial.outcomes {
-        *out.outcomes.entry(label.clone()).or_insert(0) += 1;
-        out.edges
-            .insert((service.to_owned(), method.to_owned(), label.clone()));
-        if label == "completed" || label == "completed-abort" {
-            out.completed
-                .insert((service.to_owned(), method.to_owned()));
-        }
+fn absorb_trial(out: &mut ShardOutcome, key: MethodKey, trial: &Trial) {
+    for &outcome in &trial.outcomes {
+        out.record(key, outcome);
     }
-    for (reason, count) in &trial.rejects {
-        *out.rejects.entry(reason.clone()).or_insert(0) += count;
+    for (&reason, count) in &trial.rejects {
+        *out.rejects.entry(reason).or_insert(0) += count;
     }
-    out.execs += trial.outcomes.len() as u64;
     out.host_aborts += trial.aborts;
     out.detections += trial.detections;
 }
@@ -491,16 +578,16 @@ fn fuzz_service(
                 LeakSignature::RetainPerCall,
             ));
         } else {
-            if trial.outcomes.iter().any(|l| l == "server-limit") {
+            if trial.outcomes.contains(&Outcome::ServerLimit) {
                 // Coverage feedback: a capped interface earns a spoofed
                 // re-probe — the Code-Snippet 3 escalation.
                 spoof_candidates.push(m);
             }
-            absorb_trial(&mut out, &plan.name, &m.name, &trial);
+            absorb_trial(&mut out, plan.key(m.code), &trial);
         }
     }
     for (spent, m, trial, input, signature) in leak_findings {
-        absorb_trial(&mut out, &plan.name, &m.name, &trial);
+        absorb_trial(&mut out, plan.key(m.code), &trial);
         let minimized = minimize(arena, config, plan, &input, shard, &mut trial_seq, &mut out);
         out.findings.push(Finding {
             service: plan.name.clone(),
@@ -524,7 +611,7 @@ fn fuzz_service(
         input.calls = PROBE_CALLS;
         let trial = run_trial(arena, config, plan, &input, shard, &mut trial_seq);
         let spent = plan.budget - budget;
-        absorb_trial(&mut out, &plan.name, &m.name, &trial);
+        absorb_trial(&mut out, plan.key(m.code), &trial);
         if trial.growth >= LEAK_THRESHOLD {
             let minimized = minimize(arena, config, plan, &input, shard, &mut trial_seq, &mut out);
             out.findings.push(Finding {
@@ -549,10 +636,7 @@ fn fuzz_service(
             format!("com.fuzz.{}", plan.name),
             plan.grantable.iter().copied(),
         );
-        let method_count = device
-            .system()
-            .method_count(&plan.name)
-            .unwrap_or(plan.methods.len()) as u32;
+        let method_count = plan.method_count();
         let mut corpus: Vec<FuzzInput> = plan
             .methods
             .iter()
@@ -573,19 +657,7 @@ fn fuzz_service(
                 input.mutate(&mut rng, method_count);
             }
             let result = exec_once(device, app, &plan.name, &input);
-            let method_label = device
-                .system()
-                .method_for_code(&plan.name, input.code)
-                .map_or_else(|| format!("#{}", input.code), str::to_owned);
-            let label = outcome_label(&result);
-            let mut interesting =
-                out.edges
-                    .insert((plan.name.clone(), method_label.clone(), label.clone()));
-            *out.outcomes.entry(label.clone()).or_insert(0) += 1;
-            if label == "completed" || label == "completed-abort" {
-                out.completed.insert((plan.name.clone(), method_label));
-            }
-            out.execs += 1;
+            let mut interesting = out.record(plan.key(input.code), Outcome::of(&result));
             if let Ok(o) = &result {
                 if o.host_aborted {
                     out.host_aborts += 1;
@@ -600,8 +672,8 @@ fn fuzz_service(
             }
         }
         out.detections += device.detections().len() as u64;
-        for (reason, count) in device.system().reject_counts() {
-            *out.rejects.entry((*reason).to_owned()).or_insert(0) += count;
+        for (&reason, count) in device.system().reject_counts() {
+            *out.rejects.entry(reason).or_insert(0) += count;
         }
     }
     out
@@ -625,7 +697,7 @@ pub fn replay_probe(
         .chain(spec.prebuilt_apps.iter().flat_map(|a| a.services.iter()))
         .find(|s| s.name == service)?;
     let idx = svc.methods.iter().position(|m| m.name == method)?;
-    let code = idx as u32 + jgre_framework::FIRST_CALL_TRANSACTION;
+    let code = idx as u32 + FIRST_CALL_TRANSACTION;
     let grantable: BTreeSet<Permission> = svc
         .methods
         .iter()
@@ -636,7 +708,7 @@ pub fn replay_probe(
     let app = device
         .system_mut()
         .install_app(format!("com.fuzz.replay.{service}"), grantable);
-    let host = device.system().service_info(service)?.host;
+    let host = device.system().service_host(service)?;
     device.system_mut().gc_process(host);
     let before = device.system().jgr_count(host).unwrap_or(0);
     let mut input = FuzzInput::well_formed(code);
@@ -644,10 +716,7 @@ pub fn replay_probe(
     for _ in 0..input.calls {
         let _ = exec_once(&mut device, app, service, &input);
     }
-    let host = device
-        .system()
-        .service_info(service)
-        .map_or(host, |info| info.host);
+    let host = device.system().service_host(service).unwrap_or(host);
     device.system_mut().gc_process(host);
     let after = device.system().jgr_count(host).unwrap_or(0);
     Some(after.saturating_sub(before))
@@ -669,23 +738,25 @@ pub fn run_fuzz(config: &FuzzConfig) -> FuzzReport {
         .collect();
     shard_outcomes.sort_by_key(|(s, _)| *s);
 
-    let mut edges = BTreeSet::new();
-    let mut completed = BTreeSet::new();
-    let mut outcomes = BTreeMap::new();
-    let mut rejects = BTreeMap::new();
+    // Each shard is one service, so its distinct keys are distinct
+    // report labels and the global counts are the per-shard sums.
+    let mut edges = 0usize;
+    let mut completed = 0usize;
+    let mut outcome_counts: BTreeMap<Outcome, u64> = BTreeMap::new();
+    let mut rejects: BTreeMap<String, u64> = BTreeMap::new();
     let mut findings = Vec::new();
     let mut execs = 0u64;
     let mut minimize_execs = 0u64;
     let mut host_aborts = 0u64;
     let mut detections = 0u64;
     for (_, shard) in shard_outcomes {
-        edges.extend(shard.edges);
-        completed.extend(shard.completed);
-        for (label, count) in shard.outcomes {
-            *outcomes.entry(label).or_insert(0) += count;
+        edges += shard.edges.len();
+        completed += shard.completed.len();
+        for (outcome, count) in shard.outcomes {
+            *outcome_counts.entry(outcome).or_insert(0) += count;
         }
         for (reason, count) in shard.rejects {
-            *rejects.entry(reason).or_insert(0) += count;
+            *rejects.entry(reason.to_owned()).or_insert(0) += count;
         }
         findings.extend(shard.findings);
         execs += shard.execs;
@@ -693,6 +764,10 @@ pub fn run_fuzz(config: &FuzzConfig) -> FuzzReport {
         host_aborts += shard.host_aborts;
         detections += shard.detections;
     }
+    let outcomes = outcome_counts
+        .into_iter()
+        .map(|(outcome, count)| (outcome.label().to_owned(), count))
+        .collect();
     findings.sort_by(|a, b| {
         (&a.service, &a.method, a.signature).cmp(&(&b.service, &b.method, b.signature))
     });
@@ -707,8 +782,8 @@ pub fn run_fuzz(config: &FuzzConfig) -> FuzzReport {
         execs,
         minimize_execs,
         coverage: CoverageSummary {
-            edges: edges.len(),
-            completed_pairs: completed.len(),
+            edges,
+            completed_pairs: completed,
             pairs,
             outcomes,
         },
@@ -717,5 +792,57 @@ pub fn run_fuzz(config: &FuzzConfig) -> FuzzReport {
         detections,
         execs_to_first_leak,
         findings,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn rejected_labels_spell_out_the_reject_reason() {
+        for reject in [
+            CallReject::UnknownCode,
+            CallReject::Underflow,
+            CallReject::TypeConfusion,
+            CallReject::StaleBinder,
+            CallReject::MissingBinder,
+            CallReject::OversizedPayload,
+        ] {
+            assert_eq!(
+                Outcome::Rejected(reject).label(),
+                format!("rejected:{}", reject.reason())
+            );
+        }
+    }
+
+    #[test]
+    fn method_keys_are_name_canonical() {
+        let plans = build_plan(&FuzzConfig::new(ExperimentScale::quick()));
+        let spec = AospSpec::android_6_0_1();
+        let services: Vec<_> = spec
+            .services
+            .iter()
+            .chain(spec.prebuilt_apps.iter().flat_map(|a| a.services.iter()))
+            .collect();
+        assert_eq!(plans.len(), services.len());
+        for plan in &plans {
+            let Some(svc) = services.iter().find(|s| s.name == plan.name) else {
+                panic!("{} is on the image", plan.name);
+            };
+            assert_eq!(plan.method_count() as usize, svc.methods.len());
+            // Same key exactly when same name: keys count report labels.
+            let mut keys = BTreeMap::new();
+            for (i, m) in svc.methods.iter().enumerate() {
+                let key = plan.key(i as u32 + FIRST_CALL_TRANSACTION);
+                assert!(matches!(key, MethodKey::Method(_)));
+                assert_eq!(*keys.entry(key).or_insert(&m.name), &m.name);
+            }
+            let names: BTreeSet<_> = svc.methods.iter().map(|m| &m.name).collect();
+            assert_eq!(keys.len(), names.len());
+            let past = plan.method_count() + FIRST_CALL_TRANSACTION;
+            assert_eq!(plan.key(0), MethodKey::Unknown(0));
+            assert_eq!(plan.key(past), MethodKey::Unknown(past));
+        }
     }
 }

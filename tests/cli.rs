@@ -484,6 +484,20 @@ fn committed_fuzz_golden_matches_a_fresh_run() {
 }
 
 #[test]
+fn committed_full_fuzz_golden_matches_a_fresh_run() {
+    // The default campaign: the whole probe sweep, spoof re-probes and
+    // minimization, which the 2000-exec golden never reaches. The report
+    // is identical for every --threads value.
+    for threads in ["1", "4"] {
+        assert_matches_golden(
+            &["fuzz", "--seed", "7", "--threads", threads],
+            "fuzz_seed7_default",
+            "jgre fuzz --seed 7 --out artifacts/fuzz_seed7_default.json",
+        );
+    }
+}
+
+#[test]
 fn committed_serve_golden_matches_a_fresh_run() {
     assert_matches_golden(
         &[
