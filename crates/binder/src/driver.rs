@@ -1,8 +1,10 @@
 //! The simulated Binder kernel driver: nodes, routing, the transaction log,
 //! and death notification links.
 
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::{Deref, Range};
 use std::rc::Rc;
 
 use jgre_sim::{FaultLayer, IpcLogAction, Pid, SimClock, SimTime, TraceSink, Uid};
@@ -39,17 +41,106 @@ impl fmt::Display for NodeId {
     }
 }
 
+/// A name in the transaction log: one range of a shared `Rc<str>`.
+///
+/// The framework interns every interface and method name of an image
+/// into one buffer when it builds the image, and each record clones a
+/// handle to its name's range, so logging a transaction neither hashes
+/// nor allocates. A `LogName` compares, orders and prints as the name.
+#[derive(Clone)]
+pub struct LogName {
+    buffer: Rc<str>,
+    start: u32,
+    end: u32,
+}
+
+impl LogName {
+    /// The name at `range` of `buffer`.
+    ///
+    /// # Panics
+    ///
+    /// If `range` is not a `str` range of `buffer`, or `buffer` exceeds
+    /// 4 GiB.
+    pub fn new(buffer: &Rc<str>, range: Range<usize>) -> Self {
+        assert!(
+            buffer.get(range.clone()).is_some(),
+            "a name is a str range of its buffer"
+        );
+        let offset = |at: usize| u32::try_from(at).expect("a name buffer fits 4 GiB");
+        Self {
+            buffer: Rc::clone(buffer),
+            start: offset(range.start),
+            end: offset(range.end),
+        }
+    }
+
+    /// The name.
+    pub fn as_str(&self) -> &str {
+        &self.buffer[self.start as usize..self.end as usize]
+    }
+
+    /// Whether both handles name the same range of the same buffer: the
+    /// name was interned once, not copied.
+    pub fn ptr_eq(a: &Self, b: &Self) -> bool {
+        Rc::ptr_eq(&a.buffer, &b.buffer) && (a.start, a.end) == (b.start, b.end)
+    }
+}
+
+impl From<&str> for LogName {
+    /// A name in a buffer of its own.
+    fn from(name: &str) -> Self {
+        Self::new(&name.into(), 0..name.len())
+    }
+}
+
+impl Deref for LogName {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl PartialEq for LogName {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_str() == other.as_str()
+    }
+}
+
+impl Eq for LogName {}
+
+impl PartialOrd for LogName {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for LogName {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.as_str().cmp(other.as_str())
+    }
+}
+
+impl fmt::Debug for LogName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+impl fmt::Display for LogName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self)
+    }
+}
+
 /// The method half of a logged transaction's name: the AIDL method the
 /// transaction code addressed, or the bare code when it addressed none.
-///
-/// Names are interned: the framework resolves each (service, method)
-/// pair to one shared `Rc<str>` and every record clones the handle, so
-/// logging a transaction neither hashes nor allocates. An unknown code
-/// is kept as the number and rendered as `#<code>` only when read.
+/// An unknown code is kept as the number and rendered as `#<code>` only
+/// when read.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub enum IpcMethod {
     /// A method of the interface, e.g. `"addPrimaryClipChangedListener"`.
-    Named(Rc<str>),
+    Named(LogName),
     /// A transaction code outside the method table (`onTransact`
     /// returned `false`); renders as `#<code>`.
     Code(u32),
@@ -72,7 +163,7 @@ impl From<&str> for IpcMethod {
 
 impl PartialEq<&str> for IpcMethod {
     fn eq(&self, other: &&str) -> bool {
-        matches!(self, IpcMethod::Named(name) if **name == **other)
+        matches!(self, IpcMethod::Named(name) if name.as_str() == *other)
     }
 }
 
@@ -99,8 +190,8 @@ pub struct IpcRecord {
     /// Target node.
     pub to_node: NodeId,
     /// Interface descriptor, e.g. `"IClipboard"` (interned, see
-    /// [`IpcMethod`]).
-    pub interface: Rc<str>,
+    /// [`LogName`]).
+    pub interface: LogName,
     /// The method the transaction code addressed.
     pub method: IpcMethod,
     /// Payload size in bytes.
@@ -282,8 +373,8 @@ impl BinderDriver {
     /// transaction entered the driver — the true time, which log faults
     /// never alter.
     ///
-    /// Pass interned names (`Rc<str>` clones) to log without allocating;
-    /// a `&str` is copied into a fresh `Rc<str>`.
+    /// Pass interned [`LogName`]s to log without allocating; a `&str` is
+    /// copied into a fresh buffer.
     ///
     /// # Errors
     ///
@@ -294,7 +385,7 @@ impl BinderDriver {
         from_pid: Pid,
         from_uid: Uid,
         node: NodeId,
-        interface: impl Into<Rc<str>>,
+        interface: impl Into<LogName>,
         method: impl Into<IpcMethod>,
         parcel: &Parcel,
     ) -> Result<SimTime, BinderError> {
@@ -309,7 +400,7 @@ impl BinderDriver {
         from_pid: Pid,
         from_uid: Uid,
         node: NodeId,
-        interface: impl Into<Rc<str>>,
+        interface: impl Into<LogName>,
         method: impl Into<IpcMethod>,
         parcel: &Parcel,
         path_id: u8,
@@ -571,17 +662,40 @@ mod tests {
     }
 
     #[test]
+    fn log_names_compare_as_the_names_they_slice() {
+        let buffer: Rc<str> = "IClipboardsetPrimaryClip".into();
+        let interface = LogName::new(&buffer, 0..10);
+        let method = LogName::new(&buffer, 10..24);
+        assert_eq!(interface.as_str(), "IClipboard");
+        assert_eq!(method.to_string(), "setPrimaryClip");
+        assert_eq!(format!("{method:?}"), "\"setPrimaryClip\"");
+        // Equal and ordered by content, whatever buffer holds the name.
+        let copied = LogName::from("IClipboard");
+        assert_eq!(interface, copied);
+        assert!(!LogName::ptr_eq(&interface, &copied));
+        assert!(LogName::ptr_eq(&interface, &interface.clone()));
+        assert!(interface < method);
+        assert_eq!(IpcMethod::Named(method), "setPrimaryClip");
+    }
+
+    #[test]
+    #[should_panic(expected = "a name is a str range of its buffer")]
+    fn a_log_name_must_lie_inside_its_buffer() {
+        let _ = LogName::new(&"IClipboard".into(), 4..11);
+    }
+
+    #[test]
     fn unknown_code_key_renders_the_code() {
         let mut d = driver();
         let node = d.create_node(Pid::new(412));
         let p = Parcel::new();
-        let interface: Rc<str> = "IWifiManager".into();
+        let interface = LogName::from("IWifiManager");
         for code in [0u32, 41, u32::MAX] {
             d.record_transaction(
                 Pid::new(9000),
                 Uid::new(10061),
                 node,
-                Rc::clone(&interface),
+                interface.clone(),
                 IpcMethod::Code(code),
                 &p,
             )
@@ -591,7 +705,7 @@ mod tests {
             assert_eq!(rec.ipc_type(), format!("IWifiManager.#{code}"));
             assert_eq!(rec.ipc_type_with_path(), format!("IWifiManager.#{code}#0"));
             assert!(
-                Rc::ptr_eq(&rec.interface, &interface),
+                LogName::ptr_eq(&rec.interface, &interface),
                 "interned, not copied"
             );
         }

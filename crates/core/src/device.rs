@@ -10,7 +10,7 @@ use std::rc::Rc;
 
 use jgre_corpus::spec::AospSpec;
 use jgre_defense::{DetectionOutcome, JgreDefender};
-use jgre_framework::{CallOptions, CallOutcome, FrameworkError, System};
+use jgre_framework::{CallOptions, CallOutcome, FrameworkError, System, SystemImage};
 use jgre_sim::Uid;
 
 use crate::ExperimentScale;
@@ -51,11 +51,11 @@ impl DefendedDevice {
         Self::boot_with_spec(scale, Rc::new(AospSpec::android_6_0_1()))
     }
 
-    /// Boots a device from an already-synthesized (possibly shared) spec —
+    /// Boots a device from an already-synthesized (possibly shared) image —
     /// the fleet engine's boot path, where thousands of devices per worker
     /// share one immutable Android image.
-    pub fn boot_with_spec(scale: ExperimentScale, spec: Rc<AospSpec>) -> Self {
-        let mut system = System::boot_with_spec(scale.system_config(), spec);
+    pub fn boot_with_spec(scale: ExperimentScale, image: impl Into<SystemImage>) -> Self {
+        let mut system = System::boot_with_spec(scale.system_config(), image);
         let defender = JgreDefender::install(&mut system, scale.defender_config())
             .expect("scale presets produce a valid defender config");
         Self {
@@ -66,7 +66,7 @@ impl DefendedDevice {
     }
 
     /// Re-boots this device in place for the next fleet run: a new system
-    /// booted from the same shared spec (read in place, never copied) and
+    /// booted from the same shared image (read in place, never copied) and
     /// a new defender replace the old ones; only the detections buffer's
     /// allocation is kept.
     ///
@@ -77,7 +77,7 @@ impl DefendedDevice {
     /// tables, installed apps — survives; the arena-reuse test in
     /// `crates/core/tests/device_reset.rs` pins that equivalence.
     pub fn reset(&mut self, scale: ExperimentScale) {
-        let mut system = self.system.reboot(scale.system_config());
+        let mut system = System::boot_with_spec(scale.system_config(), self.system.image());
         self.defender = JgreDefender::install(&mut system, scale.defender_config())
             .expect("scale presets produce a valid defender config");
         self.system = system;

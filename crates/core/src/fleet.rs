@@ -44,7 +44,7 @@ use std::rc::Rc;
 use jgre_attack::AttackVector;
 use jgre_corpus::spec::AospSpec;
 use jgre_defense::{DetectionOutcome, DetectionStats};
-use jgre_framework::FrameworkError;
+use jgre_framework::{FrameworkError, SystemImage};
 use jgre_sim::{stream_seed, Histogram};
 use serde::{Deserialize, Serialize};
 
@@ -351,13 +351,14 @@ impl FleetSummary {
 /// One worker's device slot plus the shared Android image.
 ///
 /// Booting a device from the arena replaces the slot's previous device
-/// with a new one booted from the shared spec; only the spec (read in
-/// place, never copied) and the slot's detections buffer carry over. A
+/// with a new one booted from the shared image; only the image (its spec
+/// read in place, never copied, and its interned Binder-log names) and
+/// the slot's detections buffer carry over. A
 /// reused slot is observationally identical to a fresh boot (pinned by
 /// `crates/core/tests/device_reset.rs`).
 #[derive(Debug)]
 pub struct DeviceArena {
-    spec: Rc<AospSpec>,
+    image: SystemImage,
     slot: Option<DefendedDevice>,
 }
 
@@ -365,7 +366,7 @@ impl DeviceArena {
     /// Creates an arena around a freshly synthesized Android image.
     pub fn new() -> Self {
         Self {
-            spec: Rc::new(AospSpec::android_6_0_1()),
+            image: SystemImage::new(Rc::new(AospSpec::android_6_0_1())),
             slot: None,
         }
     }
@@ -375,7 +376,7 @@ impl DeviceArena {
         match &mut self.slot {
             Some(device) => device.reset(scale),
             None => {
-                self.slot = Some(DefendedDevice::boot_with_spec(scale, Rc::clone(&self.spec)));
+                self.slot = Some(DefendedDevice::boot_with_spec(scale, self.image.clone()));
             }
         }
         self.slot.as_mut().expect("slot was just filled")

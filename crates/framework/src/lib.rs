@@ -48,7 +48,7 @@ pub use lmk::{
 pub use process::{Process, ProcessTable};
 pub use system::{
     CallOptions, CallOutcome, CallReject, CallStatus, KillOutcome, ServiceInfo, Supervisor,
-    SupervisorConfig, System, SystemConfig, FIRST_CALL_TRANSACTION,
+    SupervisorConfig, System, SystemConfig, SystemImage, FIRST_CALL_TRANSACTION,
 };
 
 /// Number of processes running on the stock image before any third-party

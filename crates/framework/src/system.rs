@@ -1,12 +1,12 @@
 //! The assembled device: boot, IPC dispatch, protections, death, reboot.
 
-use std::cell::{RefCell, RefMut};
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
 use jgre_art::{ArtError, JgrObserver};
 use jgre_binder::{
-    materialize_strong_binder, BinderDriver, BinderError, IpcMethod, Parcel, ReceivedBinder,
+    materialize_strong_binder, BinderDriver, BinderError, IpcMethod, LogName, Parcel,
+    ReceivedBinder,
 };
 use jgre_corpus::spec::{
     AospSpec, Flaw, JgrBehavior, MethodSpec, Permission, Protection, ProtectionLevel, ServiceSpec,
@@ -264,59 +264,120 @@ struct ServiceState {
     per_method: BTreeMap<String, MethodState>,
 }
 
-/// The Binder-log names of one image, interned on first use: each
-/// service's interface and each method name become one `Rc<str>`, which
-/// every later [`IpcRecord`](jgre_binder::IpcRecord) clones instead of
-/// copying the name. Shared by every device booted from the image with
-/// [`System::reboot`], so a name is resolved at most once per image.
-/// Indexed like the name-sorted service table, which is the same for
-/// every boot of one spec.
-#[derive(Debug, Default)]
-struct LogNames {
-    services: RefCell<Vec<Option<ServiceLogNames>>>,
-}
-
+/// A bootable Android image: the [`AospSpec`] every device booted from it
+/// reads in place, and the Binder-log names interned from that spec once.
+/// Cloning shares both, so a fleet of devices booted from one image
+/// resolves each name once. [`System::boot_with_spec`] also takes a bare
+/// `Rc<AospSpec>`, which interns the names for that boot alone.
 #[derive(Debug, Clone)]
-struct ServiceLogNames {
-    interface: Rc<str>,
-    /// By method position; `None` until the method is first logged.
-    methods: Vec<Option<Rc<str>>>,
+pub struct SystemImage {
+    spec: Rc<AospSpec>,
+    names: Rc<ImageNames>,
 }
 
-impl LogNames {
-    /// The names of service `index`, described by `spec`.
-    fn service(&self, index: usize, spec: &ServiceSpec) -> RefMut<'_, ServiceLogNames> {
-        RefMut::map(self.services.borrow_mut(), |services| {
-            if services.len() <= index {
-                services.resize(index + 1, None);
-            }
-            services[index].get_or_insert_with(|| ServiceLogNames {
-                interface: spec.interface.as_str().into(),
-                methods: vec![None; spec.methods.len()],
-            })
-        })
+impl SystemImage {
+    /// Interns the Binder-log names of `spec`.
+    pub fn new(spec: Rc<AospSpec>) -> Self {
+        let names = ImageNames::of(&spec);
+        Self {
+            spec,
+            names: Rc::new(names),
+        }
     }
+}
 
-    /// The interned interface of service `index`.
-    fn interface(&self, index: usize, spec: &ServiceSpec) -> Rc<str> {
-        Rc::clone(&self.service(index, spec).interface)
+impl From<Rc<AospSpec>> for SystemImage {
+    fn from(spec: Rc<AospSpec>) -> Self {
+        Self::new(spec)
     }
+}
 
-    /// The interned interface of service `index` and the logged method
-    /// of transaction `code`: the interned name of the method at that
-    /// position, or [`IpcMethod::Code`] for a code outside the table.
-    fn resolve(&self, index: usize, spec: &ServiceSpec, code: u32) -> (Rc<str>, IpcMethod) {
-        let mut names = self.service(index, spec);
-        let position = code
-            .checked_sub(FIRST_CALL_TRANSACTION)
-            .map_or(usize::MAX, |i| i as usize);
-        let method = match (names.methods.get_mut(position), spec.methods.get(position)) {
-            (Some(slot), Some(m)) => IpcMethod::Named(Rc::clone(
-                slot.get_or_insert_with(|| m.name.as_str().into()),
-            )),
-            _ => IpcMethod::Code(code),
+/// The Binder-log names of an image: every service's interface and
+/// method names, services in spec-slot order (system services, then each
+/// prebuilt app's), back to back in one buffer. A logged name is a
+/// [`LogName`] handle to its range, which every
+/// [`IpcRecord`](jgre_binder::IpcRecord) clones instead of copying the
+/// name, and building the table costs a few allocations, not one per
+/// name.
+#[derive(Debug)]
+struct ImageNames {
+    buffer: Rc<str>,
+    /// Name `k` is `buffer[starts[k]..starts[k + 1]]`.
+    starts: Vec<usize>,
+    /// Service `s`'s interface is name `firsts[s]`; its methods, in
+    /// transaction-code order, run up to name `firsts[s + 1]`.
+    firsts: Vec<usize>,
+    /// The service index of each prebuilt app's first service.
+    app_offsets: Vec<usize>,
+}
+
+impl ImageNames {
+    fn of(spec: &AospSpec) -> Self {
+        let services = || {
+            spec.services
+                .iter()
+                .chain(spec.prebuilt_apps.iter().flat_map(|a| a.services.iter()))
         };
-        (Rc::clone(&names.interface), method)
+        let (mut bytes, mut names) = (0, 0);
+        for svc in services() {
+            bytes += svc.interface.len() + svc.methods.iter().map(|m| m.name.len()).sum::<usize>();
+            names += 1 + svc.methods.len();
+        }
+        let mut text = String::with_capacity(bytes);
+        let mut starts = Vec::with_capacity(names + 1);
+        starts.push(0);
+        let mut firsts = Vec::new();
+        for svc in services() {
+            firsts.push(starts.len() - 1);
+            let methods = svc.methods.iter().map(|m| &m.name);
+            for name in std::iter::once(&svc.interface).chain(methods) {
+                text.push_str(name);
+                starts.push(text.len());
+            }
+        }
+        firsts.push(starts.len() - 1);
+        let mut app_offsets = Vec::with_capacity(spec.prebuilt_apps.len());
+        let mut offset = spec.services.len();
+        for app in &spec.prebuilt_apps {
+            app_offsets.push(offset);
+            offset += app.services.len();
+        }
+        Self {
+            buffer: text.into(),
+            starts,
+            firsts,
+            app_offsets,
+        }
+    }
+
+    fn name(&self, k: usize) -> LogName {
+        LogName::new(&self.buffer, self.starts[k]..self.starts[k + 1])
+    }
+
+    /// The logged interface of the service at `slot`.
+    fn interface(&self, slot: SpecSlot) -> LogName {
+        self.name(self.firsts[self.service(slot)])
+    }
+
+    /// The logged interface and method of transaction `code` on the
+    /// service at `slot`: the method at that position, or
+    /// [`IpcMethod::Code`] for a code outside the table.
+    fn resolve(&self, slot: SpecSlot, code: u32) -> (LogName, IpcMethod) {
+        let s = self.service(slot);
+        let (first, end) = (self.firsts[s], self.firsts[s + 1]);
+        let method = code
+            .checked_sub(FIRST_CALL_TRANSACTION)
+            .map(|position| first + 1 + position as usize)
+            .filter(|&k| k < end)
+            .map_or(IpcMethod::Code(code), |k| IpcMethod::Named(self.name(k)));
+        (self.name(first), method)
+    }
+
+    fn service(&self, slot: SpecSlot) -> usize {
+        match slot {
+            SpecSlot::System(index) => index,
+            SpecSlot::Prebuilt { app, service } => self.app_offsets[app] + service,
+        }
     }
 }
 
@@ -343,7 +404,7 @@ pub struct System {
     rng: SimRng,
     driver: BinderDriver,
     spec: Rc<AospSpec>,
-    log_names: Rc<LogNames>,
+    names: Rc<ImageNames>,
     processes: ProcessTable,
     system_server: Pid,
     /// Registered services, sorted by name: the device's service
@@ -383,27 +444,17 @@ impl System {
         Self::boot_with_spec(config, Rc::new(AospSpec::android_6_0_1()))
     }
 
-    /// Boots a device from an already-synthesized (possibly shared) spec.
+    /// Boots a device from an already-synthesized (possibly shared) image.
     ///
     /// Fleet campaigns boot the same Android image thousands of times per
-    /// worker; sharing one immutable [`AospSpec`] across those boots
-    /// removes the per-device synthesis cost without changing a single
-    /// observable behaviour. The device never copies the spec: its
-    /// service registry and every dispatch read names, interfaces and
-    /// method tables from it in place.
-    pub fn boot_with_spec(config: SystemConfig, spec: Rc<AospSpec>) -> Self {
-        Self::boot_image(config, spec, Rc::default())
-    }
-
-    /// Boots a fresh device from this device's image: the shared spec
-    /// and the Binder-log names already interned for it. Observably the
-    /// same as [`boot_with_spec`](Self::boot_with_spec) with this
-    /// device's spec; the names just are not resolved again.
-    pub fn reboot(&self, config: SystemConfig) -> Self {
-        Self::boot_image(config, Rc::clone(&self.spec), Rc::clone(&self.log_names))
-    }
-
-    fn boot_image(config: SystemConfig, spec: Rc<AospSpec>, log_names: Rc<LogNames>) -> Self {
+    /// worker; sharing one immutable [`SystemImage`] across those boots
+    /// removes the per-device synthesis and name-interning cost without
+    /// changing a single observable behaviour. The device never copies
+    /// the spec: its service registry and every dispatch read names,
+    /// interfaces and method tables from it in place. A bare
+    /// `Rc<AospSpec>` is accepted too and interned for this boot.
+    pub fn boot_with_spec(config: SystemConfig, image: impl Into<SystemImage>) -> Self {
+        let SystemImage { spec, names } = image.into();
         let clock = SimClock::new();
         let trace = if config.tracing {
             TraceSink::new()
@@ -422,7 +473,7 @@ impl System {
             trace: trace.clone(),
             driver,
             spec,
-            log_names,
+            names,
             processes: ProcessTable::new(clock, trace),
             system_server: Pid::new(0), // replaced below
             services: Vec::new(),
@@ -566,6 +617,15 @@ impl System {
     /// The ground-truth spec the device was booted from.
     pub fn spec(&self) -> &AospSpec {
         &self.spec
+    }
+
+    /// The image this device was booted from, to boot the next device
+    /// from without interning its names again.
+    pub fn image(&self) -> SystemImage {
+        SystemImage {
+            spec: Rc::clone(&self.spec),
+            names: Rc::clone(&self.names),
+        }
     }
 
     /// `system_server`'s pid.
@@ -1021,7 +1081,8 @@ impl System {
             .find_service(service)
             .map_err(|_| FrameworkError::UnknownService(service.to_owned()))?;
         let svc = &self.services[index];
-        let (svc_spec, node, host) = (svc.slot.resolve(&spec), svc.node, svc.host);
+        let (slot, node, host) = (svc.slot, svc.node, svc.host);
+        let svc_spec = slot.resolve(&spec);
         let position = svc_spec
             .methods
             .iter()
@@ -1084,9 +1145,10 @@ impl System {
         if options.payload_extra_bytes > 0 {
             parcel.write_blob(options.payload_extra_bytes);
         }
-        let (interface, logged_method) =
-            self.log_names
-                .resolve(index, svc_spec, position as u32 + FIRST_CALL_TRANSACTION);
+        let (interface, logged_method) = self.names.resolve(
+            self.services[index].slot,
+            position as u32 + FIRST_CALL_TRANSACTION,
+        );
         let sent_at = self.driver.record_transaction_on_path(
             caller_pid,
             caller,
@@ -1156,7 +1218,8 @@ impl System {
             .find_service(service)
             .map_err(|_| FrameworkError::UnknownService(service.to_owned()))?;
         let svc = &self.services[index];
-        let (svc_spec, node, host) = (svc.slot.resolve(&spec), svc.node, svc.host);
+        let (slot, node, host) = (svc.slot, svc.node, svc.host);
+        let svc_spec = slot.resolve(&spec);
         if !self.processes.is_healthy(host) {
             return Err(FrameworkError::ServiceDead);
         }
@@ -1167,7 +1230,7 @@ impl System {
             // Unknown transaction code: the kernel cannot know the code is
             // bad, so the driver still routes and logs the transaction;
             // the server's `onTransact` then returns false.
-            let (interface, method) = self.log_names.resolve(index, svc_spec, code);
+            let (interface, method) = self.names.resolve(slot, code);
             let sent_at = match self
                 .driver
                 .record_transaction_on_path(caller_pid, caller, node, interface, method, parcel, 0)
@@ -1195,7 +1258,7 @@ impl System {
             }
         }
 
-        let (interface, method) = self.log_names.resolve(index, svc_spec, code);
+        let (interface, method) = self.names.resolve(slot, code);
         let sent_at = match self
             .driver
             .record_transaction_on_path(caller_pid, caller, node, interface, method, parcel, 0)
@@ -1649,7 +1712,7 @@ impl System {
             });
         }
         let host = svc.host;
-        let interface = self.log_names.interface(index, svc_spec);
+        let interface = self.names.interface(svc.slot);
         let on_callback = IpcMethod::from("onCallback");
         let targets: Vec<jgre_binder::NodeId> = svc
             .per_method
@@ -1677,7 +1740,7 @@ impl System {
                     host,
                     Uid::SYSTEM,
                     node,
-                    Rc::clone(&interface),
+                    interface.clone(),
                     on_callback.clone(),
                     &parcel,
                 )
@@ -2481,7 +2544,7 @@ mod tests {
     }
 
     #[test]
-    fn reboot_reuses_the_interned_log_names() {
+    fn devices_booted_from_one_image_share_its_log_names() {
         let call = |system: &mut System| {
             let app = system.install_app("com.example", []);
             system
@@ -2496,14 +2559,66 @@ mod tests {
         };
         let mut first = System::boot(0);
         let before = call(&mut first);
-        let mut second = first.reboot(SystemConfig::default());
+        let mut second = System::boot_with_spec(SystemConfig::default(), first.image());
         let after = call(&mut second);
         assert_eq!(after.ipc_type(), "IClipboard.addPrimaryClipChangedListener");
-        assert!(Rc::ptr_eq(&before.interface, &after.interface));
+        assert!(LogName::ptr_eq(&before.interface, &after.interface));
         let (IpcMethod::Named(a), IpcMethod::Named(b)) = (&before.method, &after.method) else {
             panic!("a known method logs its name");
         };
-        assert!(Rc::ptr_eq(a, b), "resolved once per image");
+        assert!(LogName::ptr_eq(a, b), "interned once per image");
+    }
+
+    #[test]
+    fn log_names_survive_an_app_service_leaving_the_directory() {
+        // Every transaction the driver routes to a registered service is
+        // logged under the names the spec gives it; returns how many.
+        fn assert_logged_by_spec(system: &mut System, app: Uid) -> usize {
+            let spec = Rc::clone(&system.spec);
+            let mut logged = 0;
+            for name in system.service_names() {
+                let svc = spec
+                    .services
+                    .iter()
+                    .chain(spec.prebuilt_apps.iter().flat_map(|a| a.services.iter()))
+                    .find(|s| s.name == name)
+                    .unwrap();
+                let past = svc.methods.len() as u32 + FIRST_CALL_TRANSACTION;
+                for code in FIRST_CALL_TRANSACTION..=past {
+                    let expected = match svc.methods.get((code - FIRST_CALL_TRANSACTION) as usize) {
+                        Some(m) => format!("{}.{}", svc.interface, m.name),
+                        None => format!("{}.#{code}", svc.interface),
+                    };
+                    let len = system.driver().log().len();
+                    let _ = system.transact_raw(app, &name, code, &mut Parcel::new());
+                    // Permission-gated methods are refused before routing.
+                    if system.driver().log().len() > len {
+                        let record = system.driver().log().last().unwrap();
+                        assert_eq!(record.ipc_type(), expected);
+                        logged += 1;
+                    }
+                }
+            }
+            logged
+        }
+        let mut system = small_system(150);
+        let app = system.install_app("com.evil", []);
+        let before = system.service_names().len();
+        // Crash PicoTts: its service leaves the name-sorted directory,
+        // shifting every service that sorts after it.
+        let crashed = (0..200).any(|_| {
+            system
+                .call_service(app, "pico_tts", "setCallback", CallOptions::default())
+                .unwrap()
+                .host_aborted
+        });
+        assert!(crashed);
+        assert_eq!(system.service_names().len(), before - 1);
+        assert!(assert_logged_by_spec(&mut system, app) > 2_000);
+        // A device booted from the same image logs the same names.
+        let mut next = System::boot_with_spec(system.config.clone(), system.image());
+        let app = next.install_app("com.evil", []);
+        assert!(assert_logged_by_spec(&mut next, app) > 2_000);
     }
 
     #[test]

@@ -152,10 +152,8 @@ struct ServicePlan {
     name: String,
     host: &'static str,
     methods: Vec<MethodPlan>,
-    /// For each position of the service's whole method table, the
-    /// position of the first method with the same name: what makes a
-    /// [`MethodKey`] name-canonical.
-    canonical: Vec<u32>,
+    /// Size of the service's whole method table (admitted or not).
+    method_count: u32,
     grantable: Vec<Permission>,
     budget: u64,
     /// Global exec index where this shard's budget window starts — what
@@ -196,15 +194,6 @@ fn build_plan(config: &FuzzConfig) -> Vec<ServicePlan> {
                     code: i as u32 + FIRST_CALL_TRANSACTION,
                 })
                 .collect();
-            let canonical = svc
-                .methods
-                .iter()
-                .enumerate()
-                .map(|(i, m)| {
-                    let first = svc.methods[..i].iter().position(|o| o.name == m.name);
-                    first.unwrap_or(i) as u32
-                })
-                .collect();
             if methods.is_empty() {
                 return None;
             }
@@ -218,7 +207,7 @@ fn build_plan(config: &FuzzConfig) -> Vec<ServicePlan> {
                 name: svc.name.clone(),
                 host,
                 methods,
-                canonical,
+                method_count: svc.methods.len() as u32,
                 grantable: grantable.into_iter().collect(),
                 budget: 0,
                 exec_offset: 0,
@@ -256,22 +245,25 @@ impl ServicePlan {
     /// Size of the service's whole method table (admitted or not): the
     /// storm draws codes from it.
     fn method_count(&self) -> u32 {
-        self.canonical.len() as u32
+        self.method_count
     }
 
     /// The coverage key of a transaction code.
     fn key(&self, code: u32) -> MethodKey {
-        code.checked_sub(FIRST_CALL_TRANSACTION)
-            .and_then(|i| self.canonical.get(i as usize))
-            .map_or(MethodKey::Unknown(code), |&first| MethodKey::Method(first))
+        match code.checked_sub(FIRST_CALL_TRANSACTION) {
+            Some(position) if position < self.method_count => MethodKey::Method(position),
+            _ => MethodKey::Unknown(code),
+        }
     }
 }
 
-/// The method half of a shard's coverage key. Keys and the report's
-/// method labels correspond one to one within a service: `Method` holds
-/// the position of the first method of that name, `Unknown` a code
-/// outside the table (labelled `#<code>`), so per-shard key counts sum
-/// to the report's distinct `(service, method, outcome)` count.
+/// The method half of a shard's coverage key: `Method` holds a position
+/// in the service's method table, `Unknown` a code outside it (labelled
+/// `#<code>`). Method names are unique within a service (pinned by the
+/// `method_names_are_unique_within_each_service` test), so keys and the
+/// report's method labels correspond one to one and per-shard key
+/// counts sum to the report's distinct `(service, method, outcome)`
+/// count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum MethodKey {
     Method(u32),
@@ -817,7 +809,7 @@ mod tests {
     }
 
     #[test]
-    fn method_keys_are_name_canonical() {
+    fn method_names_are_unique_within_each_service() {
         let plans = build_plan(&FuzzConfig::new(ExperimentScale::quick()));
         let spec = AospSpec::android_6_0_1();
         let services: Vec<_> = spec
@@ -830,16 +822,14 @@ mod tests {
             let Some(svc) = services.iter().find(|s| s.name == plan.name) else {
                 panic!("{} is on the image", plan.name);
             };
-            assert_eq!(plan.method_count() as usize, svc.methods.len());
-            // Same key exactly when same name: keys count report labels.
-            let mut keys = BTreeMap::new();
-            for (i, m) in svc.methods.iter().enumerate() {
-                let key = plan.key(i as u32 + FIRST_CALL_TRANSACTION);
-                assert!(matches!(key, MethodKey::Method(_)));
-                assert_eq!(*keys.entry(key).or_insert(&m.name), &m.name);
-            }
+            // Positional keys count report labels only while no two
+            // methods of a service share a name.
             let names: BTreeSet<_> = svc.methods.iter().map(|m| &m.name).collect();
-            assert_eq!(keys.len(), names.len());
+            assert_eq!(names.len(), svc.methods.len(), "{}", plan.name);
+            assert_eq!(plan.method_count() as usize, svc.methods.len());
+            for i in 0..plan.method_count() {
+                assert_eq!(plan.key(i + FIRST_CALL_TRANSACTION), MethodKey::Method(i));
+            }
             let past = plan.method_count() + FIRST_CALL_TRANSACTION;
             assert_eq!(plan.key(0), MethodKey::Unknown(0));
             assert_eq!(plan.key(past), MethodKey::Unknown(past));
