@@ -423,6 +423,22 @@ impl<T: Deserialize> Deserialize for Box<T> {
     }
 }
 
+/// Serializes the shared value, as serde's `rc` feature does (sharing is
+/// not preserved).
+#[cfg(feature = "rc")]
+impl<T: Serialize + ?Sized> Serialize for std::rc::Rc<T> {
+    fn to_value(&self) -> Value {
+        (**self).to_value()
+    }
+}
+
+#[cfg(feature = "rc")]
+impl Deserialize for std::rc::Rc<str> {
+    fn from_value(value: &Value) -> Result<Self, Error> {
+        String::from_value(value).map(Into::into)
+    }
+}
+
 impl<T: Serialize> Serialize for Option<T> {
     fn to_value(&self) -> Value {
         match self {

@@ -9,6 +9,7 @@
 
 use std::borrow::Cow;
 use std::fmt;
+use std::rc::Rc;
 
 use serde::{Deserialize, Serialize};
 
@@ -59,18 +60,126 @@ pub enum Finalizer {
     Unpin(ObjRef),
 }
 
+/// The class name of a heap object. Literal names are borrowed, owned
+/// names are kept as given, and a name many objects carry (the stock
+/// framework references of every boot of one image) is shared, so
+/// allocating such an object copies nothing.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ClassName(ClassRepr);
+
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum ClassRepr {
+    Text(Cow<'static, str>),
+    Shared(Rc<str>),
+}
+
+impl ClassName {
+    /// The name.
+    pub fn as_str(&self) -> &str {
+        match &self.0 {
+            ClassRepr::Text(name) => name,
+            ClassRepr::Shared(name) => name,
+        }
+    }
+}
+
+impl From<&'static str> for ClassName {
+    fn from(name: &'static str) -> Self {
+        Self(ClassRepr::Text(Cow::Borrowed(name)))
+    }
+}
+
+impl From<String> for ClassName {
+    fn from(name: String) -> Self {
+        Self(ClassRepr::Text(Cow::Owned(name)))
+    }
+}
+
+impl From<Cow<'static, str>> for ClassName {
+    fn from(name: Cow<'static, str>) -> Self {
+        Self(ClassRepr::Text(name))
+    }
+}
+
+impl From<Rc<str>> for ClassName {
+    fn from(name: Rc<str>) -> Self {
+        Self(ClassRepr::Shared(name))
+    }
+}
+
+/// An object's finalizers, in attachment order. A `BinderProxy` has
+/// exactly one, held inline, so attaching it allocates nothing; the
+/// type is no larger than a `Vec`.
+#[derive(Debug, Clone, Default)]
+enum Finalizers {
+    #[default]
+    None,
+    One(Finalizer),
+    Many(Vec<Finalizer>),
+}
+
+impl Finalizers {
+    fn push(&mut self, finalizer: Finalizer) {
+        *self = match std::mem::take(self) {
+            Finalizers::None => Finalizers::One(finalizer),
+            Finalizers::One(first) => Finalizers::Many(vec![first, finalizer]),
+            Finalizers::Many(mut all) => {
+                all.push(finalizer);
+                Finalizers::Many(all)
+            }
+        };
+    }
+
+    fn into_sequence(self) -> impl Iterator<Item = Finalizer> {
+        let (first, rest) = match self {
+            Finalizers::None => (None, Vec::new()),
+            Finalizers::One(first) => (Some(first), Vec::new()),
+            Finalizers::Many(all) => (None, all),
+        };
+        first.into_iter().chain(rest)
+    }
+}
+
 #[derive(Debug, Clone)]
 struct ObjectRecord {
-    /// Literal class names are borrowed, not copied.
-    class: Cow<'static, str>,
+    class: ClassName,
     pins: u32,
-    finalizers: Vec<Finalizer>,
+    finalizers: Finalizers,
 }
 
 #[derive(Debug, Clone, Default)]
 struct Slot {
     serial: u32,
     record: Option<ObjectRecord>,
+}
+
+/// One bit per heap slot.
+#[derive(Debug, Clone, Default)]
+struct SlotBits(Vec<u64>);
+
+impl SlotBits {
+    fn get(&self, index: u32) -> bool {
+        self.0
+            .get(index as usize / 64)
+            .is_some_and(|bits| bits & (1 << (index % 64)) != 0)
+    }
+
+    fn set(&mut self, index: u32) {
+        self.0[index as usize / 64] |= 1 << (index % 64);
+    }
+
+    fn clear(&mut self, index: u32) {
+        self.0[index as usize / 64] &= !(1 << (index % 64));
+    }
+
+    /// The lowest set bit at or after word `word`, if any.
+    fn first_from(&self, word: usize) -> Option<u32> {
+        let (w, bits) = self.0[word..]
+            .iter()
+            .enumerate()
+            .find(|(_, bits)| **bits != 0)?;
+        Some(((word + w) * 64) as u32 + bits.trailing_zeros())
+    }
 }
 
 /// The simulated heap for one runtime.
@@ -95,6 +204,12 @@ pub struct Heap {
     free: Vec<u32>,
     live: usize,
     total_allocated: u64,
+    /// Collection state, one bit per slot and grown with the slots: the
+    /// objects the current round frees (`due`), and the objects whose
+    /// last pin a finalizer of this round released, which the next round
+    /// frees (`due_next`).
+    due: SlotBits,
+    due_next: SlotBits,
 }
 
 impl Heap {
@@ -104,11 +219,11 @@ impl Heap {
     }
 
     /// Allocates a new, unpinned object of `class`.
-    pub fn alloc(&mut self, class: impl Into<Cow<'static, str>>) -> ObjRef {
+    pub fn alloc(&mut self, class: impl Into<ClassName>) -> ObjRef {
         let record = ObjectRecord {
             class: class.into(),
             pins: 0,
-            finalizers: Vec::new(),
+            finalizers: Finalizers::None,
         };
         self.total_allocated += 1;
         self.live += 1;
@@ -125,6 +240,10 @@ impl Heap {
                 serial: 0,
                 record: Some(record),
             });
+            if index.is_multiple_of(64) {
+                self.due.0.push(0);
+                self.due_next.0.push(0);
+            }
             ObjRef { index, serial: 0 }
         }
     }
@@ -156,7 +275,7 @@ impl Heap {
     ///
     /// [`ArtError::StaleObjRef`] if the object was collected.
     pub fn class_of(&self, obj: ObjRef) -> Result<&str, ArtError> {
-        self.record(obj).map(|r| &*r.class)
+        self.record(obj).map(|r| r.class.as_str())
     }
 
     /// Increments the pin count, keeping the object alive across
@@ -207,11 +326,86 @@ impl Heap {
         self.total_allocated
     }
 
-    /// Sweeps one round: frees every unpinned object and returns the freed
-    /// handles together with their pending finalizers. The caller
-    /// ([`Runtime::collect_garbage`](crate::Runtime::collect_garbage)) is
-    /// responsible for executing the finalizers and re-sweeping until a
-    /// fixpoint, since finalizers may unpin further objects.
+    /// Starts a collection: makes room in the free list for every live
+    /// object (at most one allocation, whatever the collection frees),
+    /// and marks every unpinned object due in its first round — the one
+    /// full scan of the heap a collection makes. Returns whether any
+    /// object is due.
+    pub(crate) fn mark_unpinned(&mut self) -> bool {
+        self.free.reserve(self.live);
+        let mut any = false;
+        for (index, slot) in self.slots.iter().enumerate() {
+            if matches!(&slot.record, Some(r) if r.pins == 0) {
+                self.due.set(index as u32);
+                any = true;
+            }
+        }
+        any
+    }
+
+    /// Frees the lowest-slot object due in the current round at or after
+    /// word `*cursor` of the round's bitmap, and returns it with its
+    /// finalizers. `None` ends the round. Rounds free in slot order, so
+    /// the free list (and with it the handles later allocations get) is
+    /// filled exactly as a full sweep of the heap would fill it.
+    pub(crate) fn free_next_due(
+        &mut self,
+        cursor: &mut usize,
+    ) -> Option<(ObjRef, impl Iterator<Item = Finalizer>)> {
+        let index = self.due.first_from(*cursor)?;
+        *cursor = index as usize / 64;
+        self.due.clear(index);
+        let slot = &mut self.slots[index as usize];
+        let record = slot.record.take().expect("a due object is live");
+        let obj = ObjRef {
+            index,
+            serial: slot.serial,
+        };
+        slot.serial = slot.serial.wrapping_add(1);
+        self.free.push(index);
+        self.live -= 1;
+        Some((obj, record.finalizers.into_sequence()))
+    }
+
+    /// Releases a pin on behalf of a finalizer of the current round. An
+    /// object the round has yet to free is left alone: a full sweep would
+    /// already have freed it, making this handle stale. An object whose
+    /// last pin this was becomes due in the next round.
+    ///
+    /// # Errors
+    ///
+    /// [`ArtError::StaleObjRef`] if the object was collected, or is due
+    /// in the current round.
+    ///
+    /// # Panics
+    ///
+    /// As [`unpin`](Self::unpin), if the pin count is already zero.
+    pub(crate) fn unpin_collecting(&mut self, obj: ObjRef) -> Result<(), ArtError> {
+        let pending = self.due.get(obj.index);
+        let record = self.record_mut(obj)?;
+        if record.pins == 0 && pending {
+            return Err(ArtError::StaleObjRef);
+        }
+        assert!(record.pins > 0, "unpin of an unpinned object {obj}");
+        record.pins -= 1;
+        if record.pins == 0 {
+            self.due_next.set(obj.index);
+        }
+        Ok(())
+    }
+
+    /// Ends a round: the objects released during it become due. Returns
+    /// whether any are.
+    pub(crate) fn next_round(&mut self) -> bool {
+        std::mem::swap(&mut self.due, &mut self.due_next);
+        self.due.first_from(0).is_some()
+    }
+
+    /// Sweeps one round by scanning every slot: frees every unpinned
+    /// object and returns the freed handles together with their pending
+    /// finalizers — the reference collector the incremental rounds are
+    /// checked against.
+    #[cfg(test)]
     pub(crate) fn sweep_unpinned(&mut self) -> Vec<(ObjRef, Vec<Finalizer>)> {
         let mut freed = Vec::new();
         for index in 0..self.slots.len() {
@@ -226,7 +420,7 @@ impl Heap {
                 slot.serial = slot.serial.wrapping_add(1);
                 self.free.push(index as u32);
                 self.live -= 1;
-                freed.push((obj, record.finalizers));
+                freed.push((obj, record.finalizers.into_sequence().collect()));
             }
         }
         freed

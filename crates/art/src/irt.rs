@@ -359,29 +359,33 @@ impl IndirectRefTable {
     }
 
     /// Closes the segment opened by `cookie`, bulk-removing every entry
-    /// added since, and returns the released objects.
+    /// added since and handing each released object to `release`, in
+    /// slot order.
     ///
     /// # Errors
     ///
     /// [`ArtError::FrameMismatch`] if `cookie` does not correspond to a
-    /// currently open segment (pops must nest).
-    pub fn pop_frame(&mut self, cookie: IrtCookie) -> Result<Vec<ObjRef>, ArtError> {
+    /// currently open segment (pops must nest); nothing is released then.
+    pub fn pop_frame(
+        &mut self,
+        cookie: IrtCookie,
+        mut release: impl FnMut(ObjRef),
+    ) -> Result<(), ArtError> {
         if cookie.top_index > self.top_index || cookie.top_index != self.segment_base {
             return Err(ArtError::FrameMismatch);
         }
-        let mut released = Vec::new();
         for i in cookie.top_index..self.top_index {
             let slot = &mut self.slots[i as usize];
             if let Some(obj) = slot.obj.take() {
                 slot.serial = slot.serial.wrapping_add(1);
                 self.total_removes += 1;
-                released.push(obj);
+                release(obj);
             }
         }
         self.top_index = cookie.top_index;
         self.num_holes = cookie.num_holes;
         self.segment_base = cookie.prev_segment_base;
-        Ok(released)
+        Ok(())
     }
 
     /// Iterates over the live objects in the table.
@@ -479,7 +483,8 @@ mod tests {
         // Entries below the segment base are protected.
         assert!(t.remove(outer).is_err());
         assert!(t.remove(i2).is_ok());
-        let released = t.pop_frame(cookie).unwrap();
+        let mut released = Vec::new();
+        t.pop_frame(cookie, |obj| released.push(obj)).unwrap();
         assert_eq!(released.len(), 1);
         assert_eq!(t.len(), 1);
         assert!(t.get(outer).is_ok());
@@ -492,9 +497,9 @@ mod tests {
         let c1 = t.push_frame();
         t.add(heap.alloc("x")).unwrap();
         let c2 = t.push_frame();
-        t.pop_frame(c2).unwrap();
-        t.pop_frame(c1).unwrap();
-        assert_eq!(t.pop_frame(c2), Err(ArtError::FrameMismatch));
+        t.pop_frame(c2, |_| {}).unwrap();
+        t.pop_frame(c1, |_| {}).unwrap();
+        assert_eq!(t.pop_frame(c2, |_| {}), Err(ArtError::FrameMismatch));
     }
 
     #[test]

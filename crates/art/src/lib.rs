@@ -42,7 +42,7 @@ mod observer;
 mod runtime;
 
 pub use error::ArtError;
-pub use heap::{Finalizer, Heap, ObjRef};
+pub use heap::{ClassName, Finalizer, Heap, ObjRef};
 pub use irt::{IndirectRef, IndirectRefTable, IrtCookie, RefKind};
 pub use observer::{JgrEvent, JgrEventKind, JgrObserver, ObserverRegistry};
 pub use runtime::{EnvId, GcStats, Runtime, RuntimeState, RuntimeStats};

@@ -33,7 +33,11 @@ fn bench_irt(c: &mut Criterion) {
             for &o in &objs {
                 table.add(o).expect("frame has room");
             }
-            table.pop_frame(cookie).expect("balanced")
+            table
+                .pop_frame(cookie, |obj| {
+                    std::hint::black_box(obj);
+                })
+                .expect("balanced");
         });
     });
     group.finish();

@@ -82,8 +82,28 @@ impl LogName {
     /// Whether both handles name the same range of the same buffer: the
     /// name was interned once, not copied.
     pub fn ptr_eq(a: &Self, b: &Self) -> bool {
-        Rc::ptr_eq(&a.buffer, &b.buffer) && (a.start, a.end) == (b.start, b.end)
+        a.id() == b.id()
     }
+
+    /// A copyable identity of this handle: equal exactly when
+    /// [`ptr_eq`](Self::ptr_eq) holds. Equal ids imply equal names; equal
+    /// names in different buffers have different ids. The order of ids
+    /// follows buffer addresses, so it is not stable between runs.
+    pub fn id(&self) -> LogNameId {
+        LogNameId {
+            buffer: Rc::as_ptr(&self.buffer).cast::<u8>() as usize,
+            start: self.start,
+            end: self.end,
+        }
+    }
+}
+
+/// The identity of a [`LogName`] handle (see [`LogName::id`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct LogNameId {
+    buffer: usize,
+    start: u32,
+    end: u32,
 }
 
 impl From<&str> for LogName {
@@ -496,7 +516,7 @@ impl BinderDriver {
     /// full scan; once delay/reorder faults have unsorted it, this falls
     /// back to filtering the whole log rather than silently skipping
     /// out-of-place records.
-    pub fn log_since(&self, since: SimTime) -> impl Iterator<Item = &IpcRecord> {
+    pub fn log_since(&self, since: SimTime) -> impl Iterator<Item = &IpcRecord> + Clone {
         let start = if self.log_sorted {
             self.log.partition_point(|r| r.at < since)
         } else {
@@ -569,19 +589,21 @@ impl BinderDriver {
     /// notifications to deliver. Links watched *by* the dead process are
     /// dropped.
     pub fn kill_process(&mut self, pid: Pid) -> Vec<DeathNotification> {
-        let mut dead_nodes = Vec::new();
-        for (index, info) in self.nodes.iter_mut().enumerate() {
-            if info.host == pid && info.alive {
-                info.alive = false;
-                dead_nodes.push(NodeId(index as u64 + 1));
-            }
-        }
+        // Links are settled before the nodes are marked, while "alive and
+        // hosted by `pid`" still singles out the nodes this death kills.
+        let nodes = &self.nodes;
+        let dying = |node: NodeId| {
+            let index = node.0.checked_sub(1);
+            index
+                .and_then(|i| nodes.get(usize::try_from(i).ok()?))
+                .is_some_and(|info| info.host == pid && info.alive)
+        };
         let mut notifications = Vec::new();
         self.death_links.retain(|link| {
             if link.watcher == pid {
                 return false;
             }
-            if dead_nodes.contains(&link.node) {
+            if dying(link.node) {
                 notifications.push(DeathNotification {
                     node: link.node,
                     watcher: link.watcher,
@@ -591,16 +613,19 @@ impl BinderDriver {
             }
             true
         });
+        let mut dead_nodes = 0usize;
+        for info in &mut self.nodes {
+            if info.host == pid && info.alive {
+                info.alive = false;
+                dead_nodes += 1;
+            }
+        }
         self.trace.record(
             self.clock.now(),
             Some(pid),
             None,
             "binder.process_death",
-            format_args!(
-                "nodes={} notifications={}",
-                dead_nodes.len(),
-                notifications.len()
-            ),
+            format_args!("nodes={dead_nodes} notifications={}", notifications.len()),
         );
         notifications
     }

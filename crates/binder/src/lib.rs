@@ -47,7 +47,7 @@ mod parcel;
 mod strong_binder;
 
 pub use driver::{
-    BinderDriver, DeathLink, DeathNotification, IpcMethod, IpcRecord, LogName, NodeId,
+    BinderDriver, DeathLink, DeathNotification, IpcMethod, IpcRecord, LogName, LogNameId, NodeId,
     TRANSACTION_BUFFER_LIMIT,
 };
 pub use error::BinderError;

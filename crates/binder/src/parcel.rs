@@ -1,5 +1,7 @@
 //! Typed transaction payloads.
 
+use std::rc::Rc;
+
 use serde::{Deserialize, Serialize};
 
 use crate::{BinderError, NodeId};
@@ -11,8 +13,10 @@ pub enum ParcelValue {
     I32(i32),
     /// A 64-bit integer (8 bytes).
     I64(i64),
-    /// A UTF-16 string (4-byte length prefix + 2 bytes per char).
-    String(String),
+    /// A UTF-16 string (4-byte length prefix + 2 bytes per char). The
+    /// text is shared: writing a name the sender already holds (a
+    /// package name) bumps a count instead of copying it.
+    String(Rc<str>),
     /// An opaque byte blob of the given length; only the size matters for
     /// the simulation (Figure 10 sweeps payload size).
     Blob(usize),
@@ -86,8 +90,9 @@ impl Parcel {
         self
     }
 
-    /// Appends a string.
-    pub fn write_string(&mut self, v: impl Into<String>) -> &mut Self {
+    /// Appends a string. Pass an `Rc<str>` to share text the caller
+    /// already holds instead of copying it.
+    pub fn write_string(&mut self, v: impl Into<Rc<str>>) -> &mut Self {
         self.values.push(ParcelValue::String(v.into()));
         self
     }
@@ -228,6 +233,13 @@ impl Parcel {
             .collect()
     }
 
+    /// Empties the parcel for reuse (`Parcel.recycle`): the values and
+    /// the cursor go, the value storage stays allocated.
+    pub fn clear(&mut self) {
+        self.values.clear();
+        self.cursor = 0;
+    }
+
     /// Resets the read cursor to the beginning (`Parcel.setDataPosition(0)`).
     pub fn rewind(&mut self) {
         self.cursor = 0;
@@ -311,6 +323,21 @@ mod tests {
             .write_i32(9)
             .write_strong_binder(NodeId::new(2));
         assert_eq!(p.strong_binders(), vec![NodeId::new(1), NodeId::new(2)]);
+    }
+
+    #[test]
+    fn clear_empties_for_reuse_and_shares_written_text() {
+        let package: Rc<str> = Rc::from("com.example");
+        let mut p = Parcel::new();
+        p.write_string(Rc::clone(&package)).write_i32(3);
+        assert_eq!(p.read_string().unwrap(), "com.example");
+        assert_eq!(Rc::strong_count(&package), 2, "written without a copy");
+        p.clear();
+        assert!(p.is_empty());
+        assert_eq!(p.data_position(), 0);
+        assert_eq!(Rc::strong_count(&package), 1);
+        p.write_string("android");
+        assert_eq!(p.read_string().unwrap(), "android");
     }
 
     #[test]

@@ -8,7 +8,7 @@ fn value_strategy() -> impl Strategy<Value = ParcelValue> {
     prop_oneof![
         any::<i32>().prop_map(ParcelValue::I32),
         any::<i64>().prop_map(ParcelValue::I64),
-        "[a-zA-Z0-9 ]{0,40}".prop_map(ParcelValue::String),
+        "[a-zA-Z0-9 ]{0,40}".prop_map(|s: String| ParcelValue::String(s.into())),
         (0usize..100_000).prop_map(ParcelValue::Blob),
         (1u64..1_000).prop_map(|n| ParcelValue::StrongBinder(NodeId::new(n))),
     ]
@@ -34,7 +34,7 @@ proptest! {
             match v {
                 ParcelValue::I32(x) => prop_assert_eq!(parcel.read_i32().unwrap(), *x),
                 ParcelValue::I64(x) => prop_assert_eq!(parcel.read_i64().unwrap(), *x),
-                ParcelValue::String(s) => prop_assert_eq!(parcel.read_string().unwrap(), s.as_str()),
+                ParcelValue::String(s) => prop_assert_eq!(parcel.read_string().unwrap(), &**s),
                 ParcelValue::Blob(n) => prop_assert_eq!(parcel.read_blob().unwrap(), *n),
                 ParcelValue::StrongBinder(n) => {
                     prop_assert_eq!(parcel.read_strong_binder().unwrap(), *n);

@@ -1,17 +1,21 @@
 //! Allocation budget of the fleet's per-device path.
 //!
 //! A device boot reads the shared Android image in place and a dispatch
-//! borrows its names from it, so neither should copy the spec. A counting
+//! borrows its names from it, so neither should copy the spec; a
+//! defended call reuses its parcel and shares its package name, and a
+//! kill's collection reuses the heap's own bookkeeping. A counting
 //! global allocator pins that: a re-boot of an arena slot and a
 //! steady-state defended call each stay under a fixed number of heap
-//! allocations. Counts are per thread, so tests running in parallel do
-//! not see each other's allocations.
+//! allocations, and a kill costs the same number whatever the number of
+//! entries it releases. Counts are per thread, so tests running in
+//! parallel do not see each other's allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use jgre_core::fleet::{campaign_catalog, DeviceArena, FleetConfig};
 use jgre_core::ExperimentScale;
+use jgre_framework::{CallOptions, KillOutcome};
 
 struct Counting;
 
@@ -61,13 +65,14 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
 /// Allocations allowed for one re-boot of an arena slot: a new system
 /// (process table, runtimes, the binder node table, the name-sorted
 /// service directory) plus the defender install. Service names are read
-/// from the shared spec, never copied (112 measured).
-const BOOT_BUDGET: u64 = 150;
+/// from the shared spec and the stock references' class names are
+/// rendered once per image, never per boot (39 measured).
+const BOOT_BUDGET: u64 = 45;
 
 /// Allocations allowed, on average, for one defended call before the
-/// defender has anything to score. The logged record clones interned
-/// names instead of copying them (4.1 measured).
-const CALL_BUDGET: f64 = 5.0;
+/// defender has anything to score: only the amortized growth of the
+/// driver log, the heap and the retained lists is left (0.17 measured).
+const CALL_BUDGET: f64 = 0.25;
 
 #[test]
 fn arena_reboot_reads_the_shared_spec_in_place() {
@@ -126,4 +131,43 @@ fn steady_state_dispatch_borrows_its_names() {
             vector.label()
         );
     }
+}
+
+/// Allocations of `kill_app` on an attacker that retained `entries`
+/// clipboard listeners in `system_server`: the release of the entries
+/// and the collection that returns them. The device runs without a
+/// defender, whose monitor records the Remove events above its record
+/// threshold into a growing buffer.
+fn kill_allocations(entries: usize) -> u64 {
+    let scale = ExperimentScale::quick();
+    let mut system = jgre_framework::System::boot_with(scale.system_config());
+    let mal = system.install_app("com.malware", []);
+    for _ in 0..entries {
+        system
+            .call_service(
+                mal,
+                "clipboard",
+                "addPrimaryClipChangedListener",
+                CallOptions::default(),
+            )
+            .expect("the clipboard leak dispatches");
+    }
+    let before = system.system_server_jgr_count();
+    let (outcome, n) = allocations(|| system.kill_app(mal));
+    assert_eq!(outcome, KillOutcome::Killed);
+    assert_eq!(system.system_server_jgr_count(), before - entries);
+    n
+}
+
+/// Allocations allowed for one kill, whatever the number of entries it
+/// releases: the collection's bookkeeping grows with the heap, and the
+/// free list is sized once per collection (2 measured).
+const KILL_BUDGET: u64 = 3;
+
+#[test]
+fn a_kill_allocates_the_same_whatever_it_releases() {
+    let few = kill_allocations(100);
+    let many = kill_allocations(675);
+    assert_eq!(few, many, "a kill's allocations grew with its entries");
+    assert!(many <= KILL_BUDGET, "a kill made {many} allocations");
 }

@@ -306,6 +306,12 @@ impl ServiceSpec {
         self.methods.iter().find(|m| m.name == name)
     }
 
+    /// Position of a method in the AIDL table (its transaction code is
+    /// `FIRST_CALL_TRANSACTION` plus this).
+    pub fn position(&self, name: &str) -> Option<usize> {
+        self.methods.iter().position(|m| m.name == name)
+    }
+
     /// Whether any method is vulnerable.
     pub fn is_vulnerable(&self) -> bool {
         self.methods.iter().any(MethodSpec::is_vulnerable)

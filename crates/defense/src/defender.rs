@@ -1,11 +1,11 @@
 //! Phase 3: the JGRE Defender service.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
 
-use jgre_binder::{IpcMethod, IpcRecord};
+use jgre_binder::{IpcMethod, IpcRecord, LogNameId};
 use jgre_framework::{KillOutcome, System};
 use jgre_sim::{CrashPoint, Pid, SimDuration, SimTime, Uid};
 use serde::{Deserialize, Serialize};
@@ -628,80 +628,178 @@ impl JgreDefender {
     }
 
     /// Groups the driver's transaction log into the per-app, per-IPC-type
-    /// time series Algorithm 1 consumes, deduplicating records by driver
-    /// sequence number (duplicate faults must not double-vote). Only
+    /// time series Algorithm 1 consumes (see [`collect_series`]). Only
     /// app-uid traffic addressed to the victim within the recording
     /// horizon is scored; coverage is estimated over *all* horizon
     /// records, because drops do not discriminate by target.
-    fn collect_ipc(
-        &self,
-        system: &System,
-        victim: Pid,
-        since: SimTime,
-    ) -> (BTreeMap<Uid, BTreeMap<String, Vec<SimTime>>>, f64) {
+    fn collect_ipc(&self, system: &System, victim: Pid, since: SimTime) -> (IpcSeries, f64) {
         let window = WINDOWS[WINDOWS.len() - 1];
         let horizon = SimTime::from_micros(since.as_micros().saturating_sub(window.as_micros()));
-        // Group by the borrowed names first, so each series key is
-        // formatted once rather than once per record.
-        type Series<'a> = (&'a IpcRecord, Vec<SimTime>);
-        let mut grouped: BTreeMap<(Uid, &str, &IpcMethod, Option<u8>), Series<'_>> =
-            BTreeMap::new();
-        let mut seen = BTreeSet::new();
-        let mut seq_lo = u64::MAX;
-        let mut seq_hi = 0u64;
-        for record in system.driver().log_since(horizon) {
-            seq_lo = seq_lo.min(record.seq);
-            seq_hi = seq_hi.max(record.seq);
-            if !seen.insert(record.seq) {
-                continue;
-            }
-            if record.to_pid != victim || !record.from_uid.is_app() {
-                continue;
-            }
-            let path = self.config.classify_paths.then_some(record.path_id);
-            grouped
-                .entry((record.from_uid, &record.interface, &record.method, path))
-                .or_insert_with(|| (record, Vec::new()))
-                .1
-                .push(record.at);
-        }
-        let mut out: BTreeMap<Uid, BTreeMap<String, Vec<SimTime>>> = BTreeMap::new();
-        for ((uid, ..), (first, times)) in grouped {
-            let key = if self.config.classify_paths {
-                first.ipc_type_with_path()
-            } else {
-                first.ipc_type()
-            };
-            // Distinct name pairs can render to the same key ("a.b" + "c"
-            // and "a" + "b.c"); such series merge, as they always have.
-            out.entry(uid)
-                .or_default()
-                .entry(key)
-                .or_default()
-                .extend(times);
-        }
-        // Delay/reorder faults can hand the series back out of order;
-        // the scorer's pairing assumes sorted times.
-        for types in out.values_mut() {
-            for series in types.values_mut() {
-                if !series.windows(2).all(|w| w[0] <= w[1]) {
-                    series.sort_unstable();
-                }
-            }
-        }
-        let coverage = if seen.is_empty() {
-            1.0
-        } else {
-            seen.len() as f64 / (seq_hi - seq_lo + 1) as f64
-        };
-        (out, coverage)
+        collect_series(
+            system.driver().log_since(horizon),
+            victim,
+            self.config.classify_paths,
+        )
     }
+}
+
+/// Per-app, per-IPC-type call times: what Algorithm 1 scores.
+type IpcSeries = BTreeMap<Uid, BTreeMap<String, Vec<SimTime>>>;
+
+/// The method half of a series identity.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum MethodId {
+    Named(LogNameId),
+    Code(u32),
+}
+
+impl MethodId {
+    fn of(method: &IpcMethod) -> Self {
+        match method {
+            IpcMethod::Named(name) => MethodId::Named(name.id()),
+            IpcMethod::Code(code) => MethodId::Code(*code),
+        }
+    }
+}
+
+/// Groups `records` into the series of app traffic addressed to
+/// `victim`, and estimates the log's coverage of them: distinct sequence
+/// numbers over the span `[seq_lo, seq_hi]` they cover.
+///
+/// A record whose sequence number was already seen is a duplicate (a
+/// fault) and does not vote again; a bitmap over the span tracks the
+/// numbers seen. Records group under a copyable identity — caller,
+/// interface and method handles, and the path when `classify_paths` —
+/// and each group's key is rendered once. Handles to equal names in
+/// different buffers, and distinct name pairs that render alike
+/// (`"a.b"` + `"c"`, `"a"` + `"b.c"`), land in one series when the keys
+/// are rendered. A series ends sorted whatever order its groups merged
+/// in, so the result does not depend on the identities' order.
+fn collect_series<'a>(
+    records: impl Iterator<Item = &'a IpcRecord> + Clone,
+    victim: Pid,
+    classify_paths: bool,
+) -> (IpcSeries, f64) {
+    let span = records.clone().fold(None, |span, r| match span {
+        None => Some((r.seq, r.seq)),
+        Some((lo, hi)) => Some((r.seq.min(lo), r.seq.max(hi))),
+    });
+    let Some((seq_lo, seq_hi)) = span else {
+        return (IpcSeries::new(), 1.0);
+    };
+    let mut seen = vec![0u64; (seq_hi - seq_lo) as usize / 64 + 1];
+    let mut distinct = 0u64;
+    type Series<'a> = (&'a IpcRecord, Vec<SimTime>);
+    let mut grouped: BTreeMap<(Uid, LogNameId, MethodId, Option<u8>), Series<'_>> = BTreeMap::new();
+    for record in records {
+        let bit = record.seq - seq_lo;
+        let (word, mask) = ((bit / 64) as usize, 1u64 << (bit % 64));
+        if seen[word] & mask != 0 {
+            continue;
+        }
+        seen[word] |= mask;
+        distinct += 1;
+        if record.to_pid != victim || !record.from_uid.is_app() {
+            continue;
+        }
+        let path = classify_paths.then_some(record.path_id);
+        let id = (
+            record.from_uid,
+            record.interface.id(),
+            MethodId::of(&record.method),
+            path,
+        );
+        grouped
+            .entry(id)
+            .or_insert_with(|| (record, Vec::new()))
+            .1
+            .push(record.at);
+    }
+    let mut out = IpcSeries::new();
+    for ((uid, ..), (first, times)) in grouped {
+        let key = if classify_paths {
+            first.ipc_type_with_path()
+        } else {
+            first.ipc_type()
+        };
+        out.entry(uid)
+            .or_default()
+            .entry(key)
+            .or_default()
+            .extend(times);
+    }
+    sort_series(&mut out);
+    (out, distinct as f64 / (seq_hi - seq_lo + 1) as f64)
+}
+
+/// Delay/reorder faults can hand a series back out of order, and merged
+/// groups concatenate; the scorer's pairing assumes sorted times.
+fn sort_series(series: &mut IpcSeries) {
+    for types in series.values_mut() {
+        for times in types.values_mut() {
+            if !times.is_sorted() {
+                times.sort_unstable();
+            }
+        }
+    }
+}
+
+/// The grouping [`collect_series`] replaces, kept as its oracle: a
+/// `BTreeSet` of sequence numbers for the dedup, and groups keyed by the
+/// borrowed names.
+#[cfg(test)]
+fn collect_series_oracle<'a>(
+    records: impl Iterator<Item = &'a IpcRecord>,
+    victim: Pid,
+    classify_paths: bool,
+) -> (IpcSeries, f64) {
+    type Series<'a> = (&'a IpcRecord, Vec<SimTime>);
+    let mut grouped: BTreeMap<(Uid, &str, &IpcMethod, Option<u8>), Series<'_>> = BTreeMap::new();
+    let mut seen = std::collections::BTreeSet::new();
+    let mut seq_lo = u64::MAX;
+    let mut seq_hi = 0u64;
+    for record in records {
+        seq_lo = seq_lo.min(record.seq);
+        seq_hi = seq_hi.max(record.seq);
+        if !seen.insert(record.seq) {
+            continue;
+        }
+        if record.to_pid != victim || !record.from_uid.is_app() {
+            continue;
+        }
+        let path = classify_paths.then_some(record.path_id);
+        grouped
+            .entry((record.from_uid, &record.interface, &record.method, path))
+            .or_insert_with(|| (record, Vec::new()))
+            .1
+            .push(record.at);
+    }
+    let mut out = IpcSeries::new();
+    for ((uid, ..), (first, times)) in grouped {
+        let key = if classify_paths {
+            first.ipc_type_with_path()
+        } else {
+            first.ipc_type()
+        };
+        out.entry(uid)
+            .or_default()
+            .entry(key)
+            .or_default()
+            .extend(times);
+    }
+    sort_series(&mut out);
+    let coverage = if seen.is_empty() {
+        1.0
+    } else {
+        seen.len() as f64 / (seq_hi - seq_lo + 1) as f64
+    };
+    (out, coverage)
 }
 
 /// The degraded ranking: raw per-UID call volume toward the victim (the
 /// §V-A strawman, reused deliberately — when timing data is untrustworthy
 /// the honest coarse signal beats a precise hallucination).
-fn call_count_scores(ipc: &BTreeMap<Uid, BTreeMap<String, Vec<SimTime>>>) -> ScoreReport {
+fn call_count_scores(ipc: &IpcSeries) -> ScoreReport {
     let mut records_scanned = 0u64;
     let mut scores: Vec<UidScore> = ipc
         .iter()
@@ -811,6 +909,115 @@ mod tests {
             assert_eq!(merged.len(), 3);
             assert!(merged.windows(2).all(|w| w[0] <= w[1]));
             assert_eq!(series[&format!("a.b.d{suffix}")].len(), 1);
+        }
+    }
+
+    /// One generated log record: caller (0 is a system uid), target,
+    /// name pair (by index into `NAMES`), path, and time.
+    type LogEntry = (u8, bool, u8, u8, u64);
+
+    /// Interface/method pairs, including pairs that render alike.
+    const NAMES: [(&str, &str); 5] = [
+        ("a.b", "c"),
+        ("a", "b.c"),
+        ("IClipboard", "addPrimaryClipChangedListener"),
+        ("IClipboard", "getState"),
+        ("IWifiManager", "acquireWifiLock"),
+    ];
+
+    /// Builds a log from `entries` (sequence numbers in order, every
+    /// other name pair interned in one shared buffer and the rest in
+    /// buffers of their own, so equal names come with different
+    /// handles), then applies the faults: `drops` remove records,
+    /// `dups` re-append copies, `swaps` exchange neighbours and the
+    /// first `pruned` records are cut.
+    fn faulty_log(
+        entries: &[LogEntry],
+        drops: &[usize],
+        dups: &[usize],
+        swaps: &[usize],
+        pruned: usize,
+    ) -> Vec<IpcRecord> {
+        use jgre_binder::{LogName, NodeId};
+        let shared: Vec<(LogName, LogName)> = NAMES
+            .iter()
+            .map(|&(i, m)| (LogName::from(i), LogName::from(m)))
+            .collect();
+        let victim = Pid::new(7);
+        let mut log: Vec<IpcRecord> = entries
+            .iter()
+            .enumerate()
+            .map(|(seq, &(caller, to_victim, name, path, at))| {
+                let (interface, method) = match name as usize % 7 {
+                    k @ 0..=4 if seq % 2 == 0 => shared[k].clone(),
+                    k @ 0..=4 => (LogName::from(NAMES[k].0), LogName::from(NAMES[k].1)),
+                    k => (shared[k % 5].0.clone(), LogName::from("")),
+                };
+                let method = match name as usize % 7 {
+                    5 => IpcMethod::Code(9),
+                    6 => IpcMethod::Code(10),
+                    _ => IpcMethod::Named(method),
+                };
+                IpcRecord {
+                    seq: seq as u64,
+                    at: SimTime::from_micros(at),
+                    from_pid: Pid::new(500 + u32::from(caller)),
+                    from_uid: if caller == 0 {
+                        Uid::SYSTEM
+                    } else {
+                        Uid::new(10_000 + u32::from(caller))
+                    },
+                    to_pid: if to_victim { victim } else { Pid::new(8) },
+                    to_node: NodeId::new(1),
+                    interface,
+                    method,
+                    payload_bytes: 0,
+                    path_id: path % 3,
+                }
+            })
+            .collect();
+        for &d in drops {
+            if !log.is_empty() {
+                log.remove(d % log.len());
+            }
+        }
+        for &d in dups {
+            if !log.is_empty() {
+                let copy = log[d % log.len()].clone();
+                log.push(copy);
+            }
+        }
+        for &w in swaps {
+            if log.len() > 1 {
+                let i = w % (log.len() - 1);
+                log.swap(i, i + 1);
+            }
+        }
+        log.drain(..pruned.min(log.len()));
+        log
+    }
+
+    proptest::proptest! {
+        /// The bitmap dedup and id grouping produce the series and the
+        /// coverage the `BTreeSet` dedup and name grouping did, on logs
+        /// with duplicated, reordered, dropped and pruned records.
+        #[test]
+        fn collect_series_matches_the_oracle(
+            entries in proptest::collection::vec(
+                (0u8..4, proptest::prelude::any::<bool>(), 0u8..7, 0u8..3, 0u64..5_000),
+                0..120,
+            ),
+            drops in proptest::collection::vec(0usize..200, 0..20),
+            dups in proptest::collection::vec(0usize..200, 0..20),
+            swaps in proptest::collection::vec(0usize..200, 0..20),
+            pruned in 0usize..30,
+        ) {
+            let log = faulty_log(&entries, &drops, &dups, &swaps, pruned);
+            for classify_paths in [false, true] {
+                let fast = collect_series(log.iter(), Pid::new(7), classify_paths);
+                let oracle = collect_series_oracle(log.iter(), Pid::new(7), classify_paths);
+                proptest::prop_assert_eq!(fast, oracle);
+            }
         }
     }
 

@@ -1,5 +1,6 @@
 //! The assembled device: boot, IPC dispatch, protections, death, reboot.
 
+use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
@@ -215,7 +216,8 @@ pub struct ServiceInfo {
 
 #[derive(Debug)]
 struct InstalledApp {
-    package: String,
+    /// Shared, so the framework's own marshal writes it without a copy.
+    package: Rc<str>,
     granted: BTreeSet<Permission>,
     pid: Option<Pid>,
 }
@@ -236,7 +238,7 @@ struct MethodState {
 /// Where a registered service's [`ServiceSpec`] lives in the device's
 /// shared [`AospSpec`]: a system service, or a service a prebuilt app
 /// exports.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum SpecSlot {
     System(usize),
     Prebuilt { app: usize, service: usize },
@@ -261,14 +263,37 @@ struct ServiceState {
     slot: SpecSlot,
     host: Pid,
     node: jgre_binder::NodeId,
-    per_method: BTreeMap<String, MethodState>,
+    /// Per-method state indexed by the method's position in the AIDL
+    /// table; empty until the service's first dispatch, then one entry
+    /// per method.
+    per_method: Vec<MethodState>,
+}
+
+impl ServiceState {
+    /// The state of the method at `position`, allocating the table on
+    /// the service's first dispatch.
+    fn method_mut(&mut self, position: usize, method_count: usize) -> &mut MethodState {
+        if self.per_method.is_empty() {
+            self.per_method
+                .resize_with(method_count, MethodState::default);
+        }
+        &mut self.per_method[position]
+    }
+
+    /// The state of the method at `position`, if the service was ever
+    /// dispatched to.
+    fn method(&self, position: usize) -> Option<&MethodState> {
+        self.per_method.get(position)
+    }
 }
 
 /// A bootable Android image: the [`AospSpec`] every device booted from it
-/// reads in place, and the Binder-log names interned from that spec once.
-/// Cloning shares both, so a fleet of devices booted from one image
-/// resolves each name once. [`System::boot_with_spec`] also takes a bare
-/// `Rc<AospSpec>`, which interns the names for that boot alone.
+/// reads in place, and the names interned from that spec once — the
+/// Binder-log names and the class names of the framework's stock
+/// references. Cloning shares both, so a fleet of devices booted from
+/// one image resolves each name once. [`System::boot_with_spec`] also
+/// takes a bare `Rc<AospSpec>`, which interns the names for that boot
+/// alone.
 #[derive(Debug, Clone)]
 pub struct SystemImage {
     spec: Rc<AospSpec>,
@@ -292,13 +317,15 @@ impl From<Rc<AospSpec>> for SystemImage {
     }
 }
 
-/// The Binder-log names of an image: every service's interface and
-/// method names, services in spec-slot order (system services, then each
-/// prebuilt app's), back to back in one buffer. A logged name is a
-/// [`LogName`] handle to its range, which every
+/// The names of an image. The Binder-log names: every service's
+/// interface and method names, services in spec-slot order (system
+/// services, then each prebuilt app's), back to back in one buffer. A
+/// logged name is a [`LogName`] handle to its range, which every
 /// [`IpcRecord`](jgre_binder::IpcRecord) clones instead of copying the
 /// name, and building the table costs a few allocations, not one per
-/// name.
+/// name. Besides them, the names a boot or a call would otherwise
+/// format or copy: the spoofed system package and the stock references'
+/// class names.
 #[derive(Debug)]
 struct ImageNames {
     buffer: Rc<str>,
@@ -309,6 +336,11 @@ struct ImageNames {
     firsts: Vec<usize>,
     /// The service index of each prebuilt app's first service.
     app_offsets: Vec<usize>,
+    /// `"android"`, the package the `enqueueToast` spoof claims.
+    system_package: Rc<str>,
+    /// `framework.internal.Callback{i}` for every stock reference index
+    /// a boot from this image has needed so far.
+    stock_classes: RefCell<Vec<Rc<str>>>,
 }
 
 impl ImageNames {
@@ -347,7 +379,21 @@ impl ImageNames {
             starts,
             firsts,
             app_offsets,
+            system_package: "android".into(),
+            stock_classes: RefCell::default(),
         }
+    }
+
+    /// The class names of `count` stock references: distinct, so an
+    /// abort-time reference-table dump tells them apart, and rendered
+    /// once per image rather than at every boot.
+    fn stock_classes(&self, count: usize) -> std::cell::Ref<'_, [Rc<str>]> {
+        let mut names = self.stock_classes.borrow_mut();
+        for i in names.len()..count {
+            names.push(format!("framework.internal.Callback{i}").into());
+        }
+        drop(names);
+        std::cell::Ref::map(self.stock_classes.borrow(), |names| &names[..count])
     }
 
     fn name(&self, k: usize) -> LogName {
@@ -382,17 +428,28 @@ impl ImageNames {
 }
 
 /// Arguments of one server-side dispatch, bundled so `call_service` and
-/// `transact_raw` hand the shared core the same shape.
+/// `transact_raw` hand the shared core the same shape. The service and
+/// method are resolved once, by the entry point: `index` into the
+/// service table, `position` in the service's AIDL method table.
 struct DispatchRequest<'a> {
     caller: Uid,
     caller_pid: Pid,
-    service: &'a str,
+    index: usize,
+    position: usize,
     mspec: &'a MethodSpec,
     host: Pid,
     parcel: &'a mut Parcel,
     sent_at: SimTime,
     via_helper: bool,
     path_variant: u8,
+}
+
+/// Whether a method's parcel carries a callback binder after the package.
+fn passes_binder(mspec: &MethodSpec) -> bool {
+    matches!(
+        mspec.jgr,
+        JgrBehavior::RetainPerCall { .. } | JgrBehavior::Transient | JgrBehavior::ReplaceSingle
+    )
 }
 
 /// The simulated device.
@@ -412,7 +469,10 @@ pub struct System {
     services: Vec<ServiceState>,
     apps: BTreeMap<Uid, InstalledApp>,
     next_uid: u32,
-    helper_counts: BTreeMap<(Uid, String, String), u32>,
+    /// Helper-class calls per (caller, service, method position).
+    helper_counts: BTreeMap<(Uid, SpecSlot, usize), u32>,
+    /// The parcel `call_service` marshals into, reused call after call.
+    marshal: Parcel,
     config: SystemConfig,
     soft_reboots: u32,
     jgr_observers: Vec<Rc<dyn JgrObserver>>,
@@ -480,6 +540,7 @@ impl System {
             apps: BTreeMap::new(),
             next_uid: Uid::FIRST_APPLICATION.raw(),
             helper_counts: BTreeMap::new(),
+            marshal: Parcel::new(),
             config,
             soft_reboots: 0,
             jgr_observers: Vec::new(),
@@ -518,8 +579,8 @@ impl System {
         // The framework's own standing references: allocated once at boot
         // and never released (they belong to system components, not apps).
         let p = self.processes.get_mut(pid).expect("just spawned");
-        for i in 0..self.config.stock_jgr {
-            let obj = p.runtime.alloc(format!("framework.internal.Callback{i}"));
+        for class in self.names.stock_classes(self.config.stock_jgr).iter() {
+            let obj = p.runtime.alloc(Rc::clone(class));
             p.runtime
                 .add_global(obj)
                 .expect("stock references fit any sane capacity");
@@ -560,7 +621,7 @@ impl System {
             slot,
             host,
             node,
-            per_method: BTreeMap::new(),
+            per_method: Vec::new(),
         };
         self.services.insert(at, state);
     }
@@ -573,11 +634,6 @@ impl System {
 
     fn service(&self, name: &str) -> Option<&ServiceState> {
         self.find_service(name).ok().map(|i| &self.services[i])
-    }
-
-    fn service_mut(&mut self, name: &str) -> Option<&mut ServiceState> {
-        let i = self.find_service(name).ok()?;
-        Some(&mut self.services[i])
     }
 
     // -- accessors ---------------------------------------------------------
@@ -800,7 +856,7 @@ impl System {
         self.apps.insert(
             uid,
             InstalledApp {
-                package: package.into(),
+                package: package.into().into(),
                 granted: granted.into_iter().collect(),
                 pid: None,
             },
@@ -824,7 +880,13 @@ impl System {
 
     /// Package name of an installed app.
     pub fn package_of(&self, uid: Uid) -> Option<&str> {
-        self.apps.get(&uid).map(|a| a.package.as_str())
+        self.apps.get(&uid).map(|a| &*a.package)
+    }
+
+    /// Package name of an installed app, shared: a client writing it
+    /// into a parcel bumps a count instead of copying it.
+    pub fn shared_package_of(&self, uid: Uid) -> Option<&Rc<str>> {
+        self.apps.get(&uid).map(|a| &a.package)
     }
 
     /// The app's live pid, if it is running.
@@ -885,7 +947,7 @@ impl System {
                 None => break,
             }
         }
-        let package = self.apps[&uid].package.clone();
+        let package = Rc::clone(&self.apps[&uid].package);
         let pid = self.spawn_process(uid, &package, OOM_SCORE_FOREGROUND);
         for p in self.processes.iter_mut() {
             if p.uid.is_app() && p.pid != pid {
@@ -951,7 +1013,7 @@ impl System {
     /// Respawns a just-killed app as a fresh background process (sticky
     /// services / sync adapters bringing it straight back).
     fn respawn_app(&mut self, uid: Uid) {
-        let Some(package) = self.apps.get(&uid).map(|a| a.package.clone()) else {
+        let Some(package) = self.apps.get(&uid).map(|a| Rc::clone(&a.package)) else {
             return;
         };
         let pid = self.spawn_process(uid, &package, OOM_SCORE_BACKGROUND);
@@ -969,7 +1031,7 @@ impl System {
         // Release retained entries and note which hosts to collect.
         let mut affected_hosts = BTreeSet::new();
         for svc in &mut self.services {
-            for state in svc.per_method.values_mut() {
+            for state in &mut svc.per_method {
                 if let Some(entries) = state.retained.remove(&pid) {
                     state.total_retained = state.total_retained.saturating_sub(entries.len());
                     if let Some(host) = self.processes.get_mut(svc.host) {
@@ -1074,8 +1136,9 @@ impl System {
             _ => self.launch_app(caller)?,
         };
 
-        // 2. Resolve the service and method, borrowing both from the
-        //    shared spec.
+        // 2. Resolve the service and method once, borrowing both from
+        //    the shared spec; everything downstream addresses them by
+        //    table index and AIDL position.
         let spec = Rc::clone(&self.spec);
         let index = self
             .find_service(service)
@@ -1084,9 +1147,7 @@ impl System {
         let (slot, node, host) = (svc.slot, svc.node, svc.host);
         let svc_spec = slot.resolve(&spec);
         let position = svc_spec
-            .methods
-            .iter()
-            .position(|m| m.name == method)
+            .position(method)
             .ok_or_else(|| FrameworkError::UnknownMethod {
                 service: service.to_owned(),
                 method: method.to_owned(),
@@ -1115,8 +1176,11 @@ impl System {
                 limit,
             } = &mspec.protection
             {
-                let key = (caller, service.to_owned(), method.to_owned());
-                let count = self.helper_counts.get(&key).copied().unwrap_or(0);
+                let count = self
+                    .helper_counts
+                    .get(&(caller, slot, position))
+                    .copied()
+                    .unwrap_or(0);
                 if count >= *limit {
                     return Err(FrameworkError::HelperLimitExceeded {
                         helper: helper_class.clone(),
@@ -1126,30 +1190,12 @@ impl System {
             }
         }
 
-        // 5. Marshal and send the transaction.
-        let package = if options.spoof_system_package {
-            "android".to_owned()
-        } else {
-            self.apps[&caller].package.clone()
-        };
-        let mut parcel = Parcel::new();
-        parcel.write_string(package);
-        let passes_binder = matches!(
-            mspec.jgr,
-            JgrBehavior::RetainPerCall { .. } | JgrBehavior::Transient | JgrBehavior::ReplaceSingle
-        );
-        if passes_binder {
-            let cb = self.driver.create_node(caller_pid);
-            parcel.write_strong_binder(cb);
-        }
-        if options.payload_extra_bytes > 0 {
-            parcel.write_blob(options.payload_extra_bytes);
-        }
-        let (interface, logged_method) = self.names.resolve(
-            self.services[index].slot,
-            position as u32 + FIRST_CALL_TRANSACTION,
-        );
-        let sent_at = self.driver.record_transaction_on_path(
+        // 5. Marshal into the reused parcel and send the transaction.
+        let mut parcel = std::mem::take(&mut self.marshal);
+        self.marshal_call(&mut parcel, caller, caller_pid, mspec, &options);
+        let code = position as u32 + FIRST_CALL_TRANSACTION;
+        let (interface, logged_method) = self.names.resolve(slot, code);
+        let outcome = match self.driver.record_transaction_on_path(
             caller_pid,
             caller,
             node,
@@ -1157,23 +1203,55 @@ impl System {
             logged_method,
             &parcel,
             options.path_variant,
-        )?;
+        ) {
+            // 6-7. Server side: unmarshal and run the handler. The
+            // framework marshalled the parcel above so every read
+            // succeeds; `transact_raw` feeds the same core arbitrary
+            // parcels and exercises the typed rejections instead.
+            Ok(sent_at) => self.dispatch_parcel(DispatchRequest {
+                caller,
+                caller_pid,
+                index,
+                position,
+                mspec,
+                host,
+                parcel: &mut parcel,
+                sent_at,
+                via_helper: options.via_helper,
+                path_variant: options.path_variant,
+            }),
+            Err(e) => Err(FrameworkError::Binder(e)),
+        };
+        self.marshal = parcel;
+        outcome
+    }
 
-        // 6-7. Server side: unmarshal and run the handler. The framework
-        // marshalled the parcel above so every read succeeds; `transact_raw`
-        // feeds the same core arbitrary parcels and exercises the typed
-        // rejections instead.
-        self.dispatch_parcel(DispatchRequest {
-            caller,
-            caller_pid,
-            service,
-            mspec,
-            host,
-            parcel: &mut parcel,
-            sent_at,
-            via_helper: options.via_helper,
-            path_variant: options.path_variant,
-        })
+    /// Writes the framework's own marshal of a call into `parcel`,
+    /// emptied first: the calling package (shared with the app record,
+    /// not copied), the callback binder for methods that take one, and
+    /// any padding.
+    fn marshal_call(
+        &mut self,
+        parcel: &mut Parcel,
+        caller: Uid,
+        caller_pid: Pid,
+        mspec: &MethodSpec,
+        options: &CallOptions,
+    ) {
+        parcel.clear();
+        let package = if options.spoof_system_package {
+            Rc::clone(&self.names.system_package)
+        } else {
+            Rc::clone(&self.apps[&caller].package)
+        };
+        parcel.write_string(package);
+        if passes_binder(mspec) {
+            let cb = self.driver.create_node(caller_pid);
+            parcel.write_strong_binder(cb);
+        }
+        if options.payload_extra_bytes > 0 {
+            parcel.write_blob(options.payload_extra_bytes);
+        }
     }
 
     /// Dispatches one **raw** Binder transaction, the attacker-grade entry
@@ -1223,10 +1301,11 @@ impl System {
         if !self.processes.is_healthy(host) {
             return Err(FrameworkError::ServiceDead);
         }
-        let mspec = code
+        let position = code
             .checked_sub(FIRST_CALL_TRANSACTION)
-            .and_then(|i| svc_spec.methods.get(i as usize));
-        let Some(mspec) = mspec else {
+            .map(|i| i as usize)
+            .filter(|&i| i < svc_spec.methods.len());
+        let Some(position) = position else {
             // Unknown transaction code: the kernel cannot know the code is
             // bad, so the driver still routes and logs the transaction;
             // the server's `onTransact` then returns false.
@@ -1245,6 +1324,7 @@ impl System {
             };
             return Ok(self.reject_call(host, sent_at, CallReject::UnknownCode));
         };
+        let mspec = &svc_spec.methods[position];
 
         // Permission check at the Binder boundary (server-side; raw
         // transactions cannot skip it).
@@ -1274,7 +1354,8 @@ impl System {
         self.dispatch_parcel(DispatchRequest {
             caller,
             caller_pid,
-            service,
+            index,
+            position,
             mspec,
             host,
             parcel,
@@ -1318,7 +1399,8 @@ impl System {
         let DispatchRequest {
             caller,
             caller_pid,
-            service,
+            index,
+            position,
             mspec,
             host,
             parcel,
@@ -1326,7 +1408,6 @@ impl System {
             via_helper,
             path_variant,
         } = req;
-        let method = mspec.name.as_str();
 
         // Server-side unmarshal. The wire format is: calling package
         // (string), then — for methods that take a client callback — a
@@ -1341,11 +1422,7 @@ impl System {
                 return Ok(self.reject_call(host, sent_at, CallReject::from_parcel_error(&e)))
             }
         };
-        let passes_binder = matches!(
-            mspec.jgr,
-            JgrBehavior::RetainPerCall { .. } | JgrBehavior::Transient | JgrBehavior::ReplaceSingle
-        );
-        let callback_node = if passes_binder {
+        let callback_node = if passes_binder(mspec) {
             match parcel.read_strong_binder() {
                 Ok(cb) if self.driver.is_alive(cb) => Some(cb),
                 // A dead or never-created node: linking a death recipient
@@ -1365,43 +1442,26 @@ impl System {
         }
 
         // 6. Server-side per-process limit (Table III).
-        let total_retained = {
-            let svc = self
-                .service_mut(service)
-                .ok_or_else(|| FrameworkError::UnknownService(service.to_owned()))?;
-            let state = match svc.per_method.get_mut(method) {
-                Some(state) => state,
-                None => svc.per_method.entry(method.to_owned()).or_default(),
-            };
-            state.calls += 1;
-            state.total_retained
-        };
+        let method_count = self.services[index].slot.resolve(&self.spec).methods.len();
+        let state = self.services[index].method_mut(position, method_count);
+        state.calls += 1;
+        let total_retained = state.total_retained;
+        let caller_retained = state.retained.get(&caller_pid).map_or(0, Vec::len);
         if let Protection::PerProcessLimit { limit, flaw } = &mspec.protection {
             let spoofed = *flaw == Some(Flaw::SystemPackageSpoof) && system_package;
-            if !spoofed {
-                let svc = self
-                    .service(service)
-                    .ok_or_else(|| FrameworkError::UnknownService(service.to_owned()))?;
-                let count = svc
-                    .per_method
-                    .get(method)
-                    .and_then(|s| s.retained.get(&caller_pid))
-                    .map(|v| v.len())
-                    .unwrap_or(0);
-                if count >= *limit as usize {
-                    // Rejected: a short constant cost, no JGR (the
-                    // handler frame is never entered on this path).
-                    let cost = SimDuration::from_micros(self.rng.jitter(150, 50));
-                    self.clock.advance(cost);
-                    return Ok(CallOutcome {
-                        status: CallStatus::RejectedByServerLimit,
-                        sent_at,
-                        exec_time: cost,
-                        jgr_created: 0,
-                        host_jgr_count: self.jgr_count(host).unwrap_or(0),
-                        host_aborted: false,
-                    });
-                }
+            if !spoofed && caller_retained >= *limit as usize {
+                // Rejected: a short constant cost, no JGR (the handler
+                // frame is never entered on this path).
+                let cost = SimDuration::from_micros(self.rng.jitter(150, 50));
+                self.clock.advance(cost);
+                return Ok(CallOutcome {
+                    status: CallStatus::RejectedByServerLimit,
+                    sent_at,
+                    exec_time: cost,
+                    jgr_created: 0,
+                    host_jgr_count: self.jgr_count(host).unwrap_or(0),
+                    host_aborted: false,
+                });
             }
         }
 
@@ -1447,7 +1507,7 @@ impl System {
                     return Ok(self.reject_call(host, sent_at, CallReject::MissingBinder));
                 };
                 for _ in 0..grefs_per_call.max(1) {
-                    match self.materialize_and_retain(service, method, caller_pid, host, node) {
+                    match self.materialize_and_retain(index, position, caller_pid, host, node) {
                         Ok(()) => jgr_created += 1,
                         Err(ArtError::TableOverflow { .. }) => {
                             host_aborted = true;
@@ -1469,7 +1529,7 @@ impl System {
                 Err(e) => return Err(FrameworkError::Art(e)),
             },
             JgrBehavior::ReplaceSingle => {
-                match self.materialize_replace_single(service, method, caller_pid, host) {
+                match self.materialize_replace_single(index, position, caller_pid, host) {
                     Ok(()) => jgr_created += 1,
                     Err(ArtError::TableOverflow { .. }) | Err(ArtError::RuntimeAborted) => {
                         host_aborted = true;
@@ -1507,9 +1567,10 @@ impl System {
 
         if via_helper {
             if let Protection::HelperThreshold { .. } = &mspec.protection {
+                let slot = self.services[index].slot;
                 *self
                     .helper_counts
-                    .entry((caller, service.to_owned(), method.to_owned()))
+                    .entry((caller, slot, position))
                     .or_insert(0) += 1;
             }
         }
@@ -1563,10 +1624,13 @@ impl System {
         }
     }
 
+    /// Materialises the call's binder in the host and files it as
+    /// retained for the caller, under the method at `position` of the
+    /// service at `index` (the dispatch already allocated its state).
     fn materialize_and_retain(
         &mut self,
-        service: &str,
-        method: &str,
+        index: usize,
+        position: usize,
         caller_pid: Pid,
         host: Pid,
         node: jgre_binder::NodeId,
@@ -1577,15 +1641,7 @@ impl System {
             .ok_or(ArtError::RuntimeAborted)?;
         let rb = materialize_strong_binder(&mut p.runtime, node)?;
         p.runtime.retain(rb.proxy)?;
-        // The service can only vanish mid-call if the host aborted, in
-        // which case the retained entry dies with it — dropping the
-        // bookkeeping is the graceful path, not a panic.
-        let Some(state) = self
-            .service_mut(service)
-            .and_then(|svc| svc.per_method.get_mut(method))
-        else {
-            return Ok(());
-        };
+        let state = &mut self.services[index].per_method[position];
         state.retained.entry(caller_pid).or_default().push(rb);
         state.total_retained += 1;
         Ok(())
@@ -1601,14 +1657,16 @@ impl System {
         materialize_strong_binder(&mut p.runtime, node).map(|_| ())
     }
 
+    /// Materialises a binder and makes it the caller's single member of
+    /// the method at `position` of the service at `index`, releasing the
+    /// member it replaces.
     fn materialize_replace_single(
         &mut self,
-        service: &str,
-        method: &str,
+        index: usize,
+        position: usize,
         caller_pid: Pid,
         host: Pid,
     ) -> Result<(), ArtError> {
-        let svc = self.find_service(service).ok();
         let p = self
             .processes
             .get_mut(host)
@@ -1616,9 +1674,7 @@ impl System {
         let node = jgre_binder::NodeId::new(0);
         let rb = materialize_strong_binder(&mut p.runtime, node)?;
         p.runtime.retain(rb.proxy)?;
-        let Some(state) = svc.and_then(|i| self.services[i].per_method.get_mut(method)) else {
-            return Ok(());
-        };
+        let state = &mut self.services[index].per_method[position];
         if let Some(prev) = state.single.insert(caller_pid, rb) {
             // The replaced member's proxy becomes collectable.
             let _ = p.runtime.release(prev.proxy);
@@ -1704,19 +1760,17 @@ impl System {
             .find_service(service)
             .map_err(|_| FrameworkError::UnknownService(service.to_owned()))?;
         let svc = &self.services[index];
-        let svc_spec = svc.slot.resolve(&spec);
-        if svc_spec.method(method).is_none() {
+        let Some(position) = svc.slot.resolve(&spec).position(method) else {
             return Err(FrameworkError::UnknownMethod {
                 service: service.to_owned(),
                 method: method.to_owned(),
             });
-        }
+        };
         let host = svc.host;
         let interface = self.names.interface(svc.slot);
         let on_callback = IpcMethod::from("onCallback");
         let targets: Vec<jgre_binder::NodeId> = svc
-            .per_method
-            .get(method)
+            .method(position)
             .map(|state| {
                 state
                     .retained
@@ -1767,7 +1821,16 @@ impl System {
         );
         let host_jgr = self.jgr_count(svc.host).unwrap_or(0);
         let _ = writeln!(out, "  host JGR table: {host_jgr} entries");
-        for (method, state) in &svc.per_method {
+        // Methods that were ever dispatched to, by name.
+        let mut called: Vec<(&str, &MethodState)> = spec
+            .methods
+            .iter()
+            .zip(&svc.per_method)
+            .filter(|(_, state)| state.calls > 0)
+            .map(|(m, state)| (m.name.as_str(), state))
+            .collect();
+        called.sort_unstable_by_key(|&(method, _)| method);
+        for (method, state) in called {
             let _ = writeln!(
                 out,
                 "  {method}: {} calls, {} retained",
@@ -1790,9 +1853,11 @@ impl System {
     /// alongside the JGR table).
     pub fn retained_entries(&self, service: &str, method: &str) -> usize {
         self.service(service)
-            .and_then(|s| s.per_method.get(method))
-            .map(|m| m.total_retained)
-            .unwrap_or(0)
+            .and_then(|s| {
+                let position = s.slot.resolve(&self.spec).position(method)?;
+                s.method(position)
+            })
+            .map_or(0, |m| m.total_retained)
     }
 }
 
@@ -2725,5 +2790,122 @@ mod tests {
         let ss = system.system_server_pid();
         system.gc_process(ss);
         assert_eq!(system.system_server_jgr_count(), before);
+    }
+
+    #[test]
+    fn abort_dump_names_each_stock_reference() {
+        // The stock references' class names are rendered once per image;
+        // the abort-time reference-table dump must still tell them apart,
+        // across a soft reboot and on a second device of the same image.
+        let config = SystemConfig {
+            seed: 3,
+            tracing: true,
+            jgr_capacity: Some(40),
+            stock_jgr: 12,
+            ..SystemConfig::default()
+        };
+        let abort_dumps = |system: &mut System| {
+            let app = system.install_app("com.evil", []);
+            for _ in 0..60 {
+                system
+                    .call_service(
+                        app,
+                        "clipboard",
+                        "addPrimaryClipChangedListener",
+                        CallOptions::default(),
+                    )
+                    .unwrap();
+            }
+            let dumps: Vec<String> = system
+                .trace()
+                .of_kind("art.abort")
+                .into_iter()
+                .map(|e| e.detail)
+                .collect();
+            dumps
+        };
+        let mut first = System::boot_with(config.clone());
+        let dumps = abort_dumps(&mut first);
+        let mut second = System::boot_with_spec(config, first.image());
+        let again = abort_dumps(&mut second);
+        assert_eq!(dumps, again);
+        // Captured before the names were shared.
+        let pinned = "JNI ERROR (app bug): global reference table overflow (max=40); \
+                      summary: 28 of android::BpBinder, \
+                      1 of framework.internal.Callback0, \
+                      1 of framework.internal.Callback1, \
+                      1 of framework.internal.Callback10, \
+                      1 of framework.internal.Callback11";
+        assert_eq!(dumps, [pinned, pinned]);
+    }
+
+    #[test]
+    fn per_method_state_is_dense_but_reported_by_name() {
+        // notification's AIDL table puts setConfig1 (16) and
+        // updatePolicy1 (21) before enqueueToast (22); by name,
+        // enqueueToast comes first.
+        let mut system = System::boot(0);
+        let a = system.install_app("com.a", []);
+        let b = system.install_app("com.b", []);
+        let call = |system: &mut System, uid: Uid, method: &str| {
+            system
+                .call_service(uid, "notification", method, CallOptions::default())
+                .unwrap()
+                .status
+        };
+        for _ in 0..2 {
+            assert!(call(&mut system, a, "setConfig1").is_completed());
+        }
+        assert!(call(&mut system, a, "updatePolicy1").is_completed());
+        let statuses: Vec<CallStatus> = (0..52)
+            .map(|_| call(&mut system, a, "enqueueToast"))
+            .collect();
+        let rejected = statuses
+            .iter()
+            .filter(|s| **s == CallStatus::RejectedByServerLimit)
+            .count();
+        assert_eq!(rejected, 2, "the per-process limit caps com.a at 50");
+        for _ in 0..3 {
+            assert!(call(&mut system, b, "enqueueToast").is_completed());
+        }
+        let method_lines = |system: &System| {
+            let dump = system.dumpsys("notification").unwrap();
+            dump.lines()
+                .filter(|l| l.starts_with("  ") && !l.starts_with("   "))
+                .skip(1) // the host JGR table line
+                .map(str::to_owned)
+                .collect::<Vec<_>>()
+        };
+        // Only the methods that were called, in name order; rejected
+        // calls count as calls.
+        assert_eq!(
+            method_lines(&system),
+            [
+                "  enqueueToast: 55 calls, 53 retained",
+                "  setConfig1: 2 calls, 0 retained",
+                "  updatePolicy1: 1 calls, 0 retained",
+            ]
+        );
+        let fire = |system: &mut System, method: &str| {
+            system
+                .fire_service_callbacks("notification", method)
+                .unwrap()
+        };
+        assert_eq!(system.retained_entries("notification", "enqueueToast"), 53);
+        assert_eq!(fire(&mut system, "enqueueToast"), 53);
+        assert_eq!(fire(&mut system, "getState"), 0, "never called");
+        assert_eq!(system.retained_entries("notification", "getState"), 0);
+
+        assert_eq!(system.kill_app(a), KillOutcome::Killed);
+        assert_eq!(system.retained_entries("notification", "enqueueToast"), 3);
+        assert_eq!(fire(&mut system, "enqueueToast"), 3);
+        assert_eq!(
+            method_lines(&system),
+            [
+                "  enqueueToast: 55 calls, 3 retained",
+                "  setConfig1: 2 calls, 0 retained",
+                "  updatePolicy1: 1 calls, 0 retained",
+            ]
+        );
     }
 }

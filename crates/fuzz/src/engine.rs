@@ -34,6 +34,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::rc::Rc;
 
 use jgre_binder::{NodeId, Parcel};
 use jgre_core::fleet::DeviceArena;
@@ -376,26 +377,60 @@ fn error_label(e: &FrameworkError) -> &'static str {
     }
 }
 
-/// Builds the parcel from the input's recipe and sends the transaction.
+/// What every exec of a worker reuses: one parcel, and the spoofed
+/// package name the execs share instead of copying.
+struct ExecBuffers {
+    parcel: Parcel,
+    spoofed_package: Rc<str>,
+}
+
+impl ExecBuffers {
+    fn new() -> Self {
+        Self {
+            parcel: Parcel::new(),
+            spoofed_package: "android".into(),
+        }
+    }
+}
+
+/// One worker thread's reusable state: the device arena every trial
+/// boots from, and the exec buffers.
+struct Worker {
+    arena: DeviceArena,
+    buffers: ExecBuffers,
+}
+
+impl Worker {
+    fn new() -> Self {
+        Self {
+            arena: DeviceArena::new(),
+            buffers: ExecBuffers::new(),
+        }
+    }
+}
+
+/// Builds the parcel from the input's recipe, in the worker's reused
+/// parcel, and sends the transaction.
 fn exec_once(
     device: &mut DefendedDevice,
     app: Uid,
     service: &str,
     input: &FuzzInput,
+    buffers: &mut ExecBuffers,
 ) -> Result<CallOutcome, FrameworkError> {
-    let mut parcel = Parcel::new();
+    let parcel = &mut buffers.parcel;
+    parcel.clear();
     for op in &input.ops {
         match op {
             ParcelOp::Package => {
-                let pkg = device
-                    .system()
-                    .package_of(app)
-                    .unwrap_or("com.fuzz")
-                    .to_owned();
+                let pkg = match device.system().shared_package_of(app) {
+                    Some(pkg) => Rc::clone(pkg),
+                    None => "com.fuzz".into(),
+                };
                 parcel.write_string(pkg);
             }
             ParcelOp::SpoofedPackage => {
-                parcel.write_string("android");
+                parcel.write_string(Rc::clone(&buffers.spoofed_package));
             }
             ParcelOp::CallbackBinder => {
                 let node = device.system_mut().create_callback_node(app)?;
@@ -417,7 +452,7 @@ fn exec_once(
             }
         }
     }
-    device.transact_raw(app, service, input.code, &mut parcel)
+    device.transact_raw(app, service, input.code, parcel)
 }
 
 /// Boots a fresh device, installs a fresh fuzz app, replays `input`, and
@@ -425,13 +460,14 @@ fn exec_once(
 /// missing from the booted image shows up as `err:unknown-service`
 /// outcomes with zero growth, never as a panic.
 fn run_trial(
-    arena: &mut DeviceArena,
+    worker: &mut Worker,
     config: &FuzzConfig,
     plan: &ServicePlan,
     input: &FuzzInput,
     shard: usize,
     trial_seq: &mut u64,
 ) -> Trial {
+    let Worker { arena, buffers } = worker;
     let seed = stream_seed(config.seed, trial_stream(shard, *trial_seq));
     *trial_seq += 1;
     let device = arena.boot(config.scale.with_seed(seed));
@@ -449,7 +485,7 @@ fn run_trial(
     let mut outcomes = Vec::with_capacity(input.calls as usize);
     let mut aborts = 0u64;
     for _ in 0..input.calls {
-        let result = exec_once(device, app, &plan.name, input);
+        let result = exec_once(device, app, &plan.name, input, buffers);
         if matches!(&result, Ok(o) if o.host_aborted) {
             aborts += 1;
         }
@@ -483,7 +519,7 @@ fn absorb_trial(out: &mut ShardOutcome, key: MethodKey, trial: &Trial) {
 /// removal (each surviving op is load-bearing), then a binary search for
 /// the fewest calls whose growth still exceeds [`SOUND_CAP_MAX`].
 fn minimize(
-    arena: &mut DeviceArena,
+    worker: &mut Worker,
     config: &FuzzConfig,
     plan: &ServicePlan,
     base: &FuzzInput,
@@ -492,7 +528,7 @@ fn minimize(
     out: &mut ShardOutcome,
 ) -> MinimizedRepro {
     let mut leaks = |input: &FuzzInput, seq: &mut u64, out: &mut ShardOutcome| {
-        let trial = run_trial(arena, config, plan, input, shard, seq);
+        let trial = run_trial(worker, config, plan, input, shard, seq);
         out.minimize_execs += input.calls as u64;
         trial.growth > SOUND_CAP_MAX
     };
@@ -539,7 +575,7 @@ fn minimize(
 /// Runs one service shard end to end: probe sweep, spoof re-probes,
 /// mutation storm.
 fn fuzz_service(
-    arena: &mut DeviceArena,
+    worker: &mut Worker,
     config: &FuzzConfig,
     plan: &ServicePlan,
     shard: usize,
@@ -559,7 +595,7 @@ fn fuzz_service(
         budget -= u64::from(PROBE_CALLS);
         let mut input = FuzzInput::well_formed(m.code);
         input.calls = PROBE_CALLS;
-        let trial = run_trial(arena, config, plan, &input, shard, &mut trial_seq);
+        let trial = run_trial(worker, config, plan, &input, shard, &mut trial_seq);
         let spent = plan.budget - budget;
         if trial.growth >= LEAK_THRESHOLD {
             leak_findings.push((
@@ -580,7 +616,15 @@ fn fuzz_service(
     }
     for (spent, m, trial, input, signature) in leak_findings {
         absorb_trial(&mut out, plan.key(m.code), &trial);
-        let minimized = minimize(arena, config, plan, &input, shard, &mut trial_seq, &mut out);
+        let minimized = minimize(
+            worker,
+            config,
+            plan,
+            &input,
+            shard,
+            &mut trial_seq,
+            &mut out,
+        );
         out.findings.push(Finding {
             service: plan.name.clone(),
             method: m.name.clone(),
@@ -601,11 +645,19 @@ fn fuzz_service(
         budget -= u64::from(PROBE_CALLS);
         let mut input = FuzzInput::spoofed(m.code);
         input.calls = PROBE_CALLS;
-        let trial = run_trial(arena, config, plan, &input, shard, &mut trial_seq);
+        let trial = run_trial(worker, config, plan, &input, shard, &mut trial_seq);
         let spent = plan.budget - budget;
         absorb_trial(&mut out, plan.key(m.code), &trial);
         if trial.growth >= LEAK_THRESHOLD {
-            let minimized = minimize(arena, config, plan, &input, shard, &mut trial_seq, &mut out);
+            let minimized = minimize(
+                worker,
+                config,
+                plan,
+                &input,
+                shard,
+                &mut trial_seq,
+                &mut out,
+            );
             out.findings.push(Finding {
                 service: plan.name.clone(),
                 method: m.name.clone(),
@@ -623,6 +675,7 @@ fn fuzz_service(
     // shapes, steered by edge novelty and JGR-growth feedback.
     if budget > 0 {
         let seed = stream_seed(config.seed, trial_stream(shard, trial_seq));
+        let Worker { arena, buffers } = worker;
         let device = arena.boot(config.scale.with_seed(seed));
         let app = device.system_mut().install_app(
             format!("com.fuzz.{}", plan.name),
@@ -635,20 +688,23 @@ fn fuzz_service(
             .map(|m| FuzzInput::well_formed(m.code))
             .collect();
         let mut prev_jgr = 0usize;
+        // Each exec's input is mutated in this one buffer; only inputs
+        // that join the corpus are copied out of it.
+        let mut input = FuzzInput::well_formed(FIRST_CALL_TRANSACTION);
         while budget > 0 {
             budget -= 1;
-            let mut input = match corpus.is_empty() {
+            match corpus.is_empty() {
                 false if rng.chance(0.7) => {
                     let idx: usize = rng.range(0..corpus.len());
-                    corpus[idx].clone()
+                    input.clone_from(&corpus[idx]);
                 }
-                _ => FuzzInput::well_formed(rng.range(1..=method_count.max(1))),
-            };
+                _ => input.set_well_formed(rng.range(1..=method_count.max(1))),
+            }
             let mutations = 1 + rng.range(0..=2u32);
             for _ in 0..mutations {
                 input.mutate(&mut rng, method_count);
             }
-            let result = exec_once(device, app, &plan.name, &input);
+            let result = exec_once(device, app, &plan.name, &input, buffers);
             let mut interesting = out.record(plan.key(input.code), Outcome::of(&result));
             if let Ok(o) = &result {
                 if o.host_aborted {
@@ -660,7 +716,7 @@ fn fuzz_service(
                 prev_jgr = o.host_jgr_count;
             }
             if interesting && corpus.len() < 256 {
-                corpus.push(input);
+                corpus.push(input.clone());
             }
         }
         out.detections += device.detections().len() as u64;
@@ -705,8 +761,9 @@ pub fn replay_probe(
     let before = device.system().jgr_count(host).unwrap_or(0);
     let mut input = FuzzInput::well_formed(code);
     input.calls = PROBE_CALLS;
+    let mut buffers = ExecBuffers::new();
     for _ in 0..input.calls {
-        let _ = exec_once(&mut device, app, service, &input);
+        let _ = exec_once(&mut device, app, service, &input, &mut buffers);
     }
     let host = device.system().service_host(service).unwrap_or(host);
     device.system_mut().gc_process(host);
@@ -720,9 +777,9 @@ pub fn run_fuzz(config: &FuzzConfig) -> FuzzReport {
     let plans = build_plan(config);
     let mut shard_outcomes: Vec<(usize, ShardOutcome)> =
         jgre_sim::shard(plans.len(), config.threads, |shards| {
-            let mut arena = DeviceArena::new();
+            let mut worker = Worker::new();
             shards
-                .map(|s| (s, fuzz_service(&mut arena, config, &plans[s], s)))
+                .map(|s| (s, fuzz_service(&mut worker, config, &plans[s], s)))
                 .collect::<Vec<_>>()
         })
         .into_iter()

@@ -51,7 +51,10 @@ impl ParcelOp {
 
 /// A replayable fuzz input: which transaction to send, what to put in
 /// the parcel, and how many times to send it.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// `clone_from` reuses the target's recipe storage, so a mutation loop
+/// can copy corpus entries into one working input without allocating.
+#[derive(Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FuzzInput {
     /// Raw transaction code (1-based; out-of-table codes are themselves
     /// a mutation).
@@ -62,15 +65,43 @@ pub struct FuzzInput {
     pub calls: u32,
 }
 
+impl Clone for FuzzInput {
+    fn clone(&self) -> Self {
+        Self {
+            code: self.code,
+            ops: self.ops.clone(),
+            calls: self.calls,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.code = source.code;
+        self.ops.clone_from(&source.ops);
+        self.calls = source.calls;
+    }
+}
+
+/// The wire format the framework marshals: package, then callback.
+const WELL_FORMED: [ParcelOp; 2] = [ParcelOp::Package, ParcelOp::CallbackBinder];
+
 impl FuzzInput {
     /// The well-formed input for a method: the exact shape the framework
     /// itself marshals.
     pub fn well_formed(code: u32) -> Self {
         Self {
             code,
-            ops: vec![ParcelOp::Package, ParcelOp::CallbackBinder],
+            ops: WELL_FORMED.to_vec(),
             calls: 1,
         }
+    }
+
+    /// Turns this input into [`well_formed`](Self::well_formed)`(code)`
+    /// in place, reusing its recipe storage.
+    pub fn set_well_formed(&mut self, code: u32) {
+        self.code = code;
+        self.ops.clear();
+        self.ops.extend_from_slice(&WELL_FORMED);
+        self.calls = 1;
     }
 
     /// The spoofed variant: same shape, but the package string claims to
@@ -173,6 +204,20 @@ mod tests {
         };
         assert_eq!(mutate_all(7), mutate_all(7));
         assert_ne!(mutate_all(7), mutate_all(8));
+    }
+
+    #[test]
+    fn in_place_rewrites_match_fresh_inputs() {
+        let mut rng = SimRng::seed(3);
+        let mut mutated = FuzzInput::well_formed(2);
+        for _ in 0..6 {
+            mutated.mutate(&mut rng, 8);
+        }
+        let mut input = FuzzInput::spoofed(5);
+        input.clone_from(&mutated);
+        assert_eq!(input, mutated);
+        input.set_well_formed(4);
+        assert_eq!(input, FuzzInput::well_formed(4));
     }
 
     #[test]

@@ -61,8 +61,10 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
 }
 
 /// Allocations allowed per exec (campaign execs plus minimization execs)
-/// of the whole campaign below, set-up included (4.2 measured).
-const EXEC_BUDGET: f64 = 5.0;
+/// of the whole campaign below, set-up included. Execs reuse one parcel
+/// and share the package name, and the mutation storm mutates one
+/// reused input; what is left is mostly the trial boots (0.61 measured).
+const EXEC_BUDGET: f64 = 0.7;
 
 #[test]
 fn campaign_execs_stay_within_the_allocation_budget() {

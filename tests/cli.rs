@@ -475,6 +475,25 @@ fn committed_fleet_golden_matches_a_fresh_run() {
 }
 
 #[test]
+fn committed_paper_fleet_golden_matches_a_fresh_run() {
+    // Paper scale: 1 200 stock references per boot and a kill-time
+    // collection over ~12 000 retained entries per device.
+    assert_matches_golden(
+        &[
+            "fleet",
+            "--devices",
+            "100",
+            "--threads",
+            "2",
+            "--scale",
+            "paper",
+        ],
+        "fleet_paper_100",
+        "jgre fleet --devices 100 --scale paper --out artifacts/fleet_paper_100.json",
+    );
+}
+
+#[test]
 fn committed_fuzz_golden_matches_a_fresh_run() {
     assert_matches_golden(
         &["fuzz", "--seed", "7", "--iters", "2000"],
