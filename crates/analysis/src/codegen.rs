@@ -32,15 +32,15 @@ pub struct GeneratedTestCase {
 /// # Example
 ///
 /// ```
-/// use jgre_analysis::{generate_test_case, IpcMethodExtractor, JgrEntryExtractor,
-///     VulnerableIpcDetector};
+/// use jgre_analysis::{generate_test_case, DataflowDetector, IpcMethodExtractor,
+///     JgrEntryExtractor};
 /// use jgre_corpus::{spec::AospSpec, CodeModel};
 ///
 /// let spec = AospSpec::android_6_0_1();
 /// let model = CodeModel::synthesize(&spec);
 /// let ipc = IpcMethodExtractor::new(&model).extract();
 /// let entries = JgrEntryExtractor::new(&model).extract();
-/// let out = VulnerableIpcDetector::new(&model, &entries).detect(&ipc);
+/// let out = DataflowDetector::new(&model, &entries).detect(&ipc).detector;
 /// let wifi = out.risky.iter()
 ///     .find(|r| r.ipc.service == "wifi" && r.ipc.method == "acquireWifiLock")
 ///     .unwrap();
@@ -118,7 +118,7 @@ fn lookup_spec_facts(risky: &RiskyInterface, spec: &AospSpec) -> (Vec<Permission
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{IpcMethodExtractor, JgrEntryExtractor, VulnerableIpcDetector};
+    use crate::{DataflowDetector, IpcMethodExtractor, JgrEntryExtractor};
     use jgre_corpus::CodeModel;
 
     fn risky_set() -> (AospSpec, Vec<RiskyInterface>) {
@@ -126,8 +126,8 @@ mod tests {
         let model = CodeModel::synthesize(&spec);
         let ipc = IpcMethodExtractor::new(&model).extract();
         let entries = JgrEntryExtractor::new(&model).extract();
-        let out = VulnerableIpcDetector::new(&model, &entries).detect(&ipc);
-        (spec, out.risky)
+        let out = DataflowDetector::new(&model, &entries).detect(&ipc);
+        (spec, out.detector.risky)
     }
 
     #[test]

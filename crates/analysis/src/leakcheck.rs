@@ -17,10 +17,10 @@
 //! and a release skipped by an early error return surfaces as its own
 //! leak class ([`LeakVerdict::ErrorPathLeak`], SARIF rule `JGRE004`).
 //!
-//! [`DataflowDetector`] adapts the verdicts to the legacy
-//! [`VulnerableIpcDetector`](crate::VulnerableIpcDetector) output shape;
-//! the heuristic detector is kept as a cross-check oracle (see
-//! [`DataflowOutput::cross_check`]).
+//! [`DataflowDetector`] adapts the verdicts to the step-3
+//! [`DetectorOutput`] shape. The legacy heuristic detector lives on only
+//! as a test oracle (`jgre-oracles`), whose output must equal this one
+//! on the pristine corpus.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::path::PathBuf;
@@ -1310,30 +1310,6 @@ pub struct DataflowOutput {
     pub stats: SolverStats,
 }
 
-/// Divergence between the dataflow detector and the legacy oracle.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CrossCheck {
-    /// `(service, method)` risky for the oracle but sifted by dataflow —
-    /// a false release; must be empty.
-    pub legacy_only: Vec<(String, String)>,
-    /// Risky for dataflow but sifted by the oracle — acceptable
-    /// (leak-side) conservatism.
-    pub dataflow_only: Vec<(String, String)>,
-}
-
-impl DataflowOutput {
-    /// Compares the risky sets against the legacy heuristic detector.
-    pub fn cross_check(&self, oracle: &DetectorOutput) -> CrossCheck {
-        let key = |r: &RiskyInterface| (r.ipc.service.clone(), r.ipc.method.clone());
-        let ours: BTreeSet<_> = self.detector.risky.iter().map(key).collect();
-        let theirs: BTreeSet<_> = oracle.risky.iter().map(key).collect();
-        CrossCheck {
-            legacy_only: theirs.difference(&ours).cloned().collect(),
-            dataflow_only: ours.difference(&theirs).cloned().collect(),
-        }
-    }
-}
-
 /// Step-3 detector backed by the dataflow leak-check pass.
 ///
 /// # Example
@@ -1436,7 +1412,7 @@ impl<'m> DataflowDetector<'m> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{IpcMethodExtractor, JgrEntryExtractor, ServiceKind, VulnerableIpcDetector};
+    use crate::{IpcMethodExtractor, JgrEntryExtractor, ServiceKind};
     use jgre_corpus::spec::AospSpec;
 
     fn detect() -> DataflowOutput {
@@ -1483,19 +1459,6 @@ mod tests {
                 "verdict {expected:?} never derived"
             );
         }
-    }
-
-    #[test]
-    fn agrees_exactly_with_the_legacy_oracle() {
-        let model = CodeModel::synthesize(&AospSpec::android_6_0_1());
-        let ipc = IpcMethodExtractor::new(&model).extract();
-        let entries = JgrEntryExtractor::new(&model).extract();
-        let dataflow = DataflowDetector::new(&model, &entries).detect(&ipc);
-        let legacy = VulnerableIpcDetector::new(&model, &entries).detect(&ipc);
-        let diff = dataflow.cross_check(&legacy);
-        assert_eq!(diff, CrossCheck::default(), "detectors diverge");
-        // Stronger: the full risky rows (provenance included) coincide.
-        assert_eq!(dataflow.detector, legacy);
     }
 
     #[test]

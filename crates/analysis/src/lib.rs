@@ -13,12 +13,13 @@
 //!    `IndirectReferenceTable::Add` (147 paths; 67 init-only, filtered),
 //!    then lifts the surviving JNI entry points to Java methods through
 //!    the `registerNativeMethods` data.
-//! 3. [`VulnerableIpcDetector`] — builds per-IPC-method call graphs
-//!    (direct + Handler-indirect edges), marks risky methods (reachable
-//!    JGR entry, or Binder/IInterface parameters — the
-//!    `readStrongBinder` special case), applies the four sift rules, and
-//!    filters by the PScout-style permission map (signature-level
-//!    permissions are unreachable for third-party apps).
+//! 3. [`DataflowDetector`] — tracks every JGR allocation site to its
+//!    release or escape over a CFG IR, interprocedurally and
+//!    path-sensitively, and derives the risky methods (reachable JGR
+//!    entry, or Binder/IInterface parameters — the `readStrongBinder`
+//!    special case), the four sift rules, and the PScout-style
+//!    permission filter (signature-level permissions are unreachable for
+//!    third-party apps) as verdicts.
 //! 4. [`JgreVerifier`] — dynamically tests each risky interface against
 //!    the simulated device: fire IPC requests, trigger GC periodically
 //!    (the DDMS step), and confirm whether the JGR footprint grows without
@@ -58,7 +59,7 @@ pub mod witness;
 pub use cache::{RejectReason, CACHE_FILE, SCHEMA_VERSION};
 pub use codegen::{generate_test_case, GeneratedTestCase};
 pub use dataflow::{condense_call_graph, solve_forward, Condensation, ForwardAnalysis, Solution};
-pub use detect::{DetectorOutput, RiskyInterface, SiftReason, VulnerableIpcDetector};
+pub use detect::{DetectorOutput, RiskyInterface, SiftReason};
 pub use diagnostics::{predicted_leaks, AccuracyReport, Diagnostic, LintReport, RuleId, Severity};
 pub use extract_ipc::{IpcMethod, IpcMethodExtractor, ServiceKind};
 pub use extract_jgr::{JgrEntryExtractor, JgrEntrySets, NativePathAnalysis};
@@ -67,8 +68,8 @@ pub use ir::{
     Cfg, Fingerprint, Stmt, Terminator,
 };
 pub use leakcheck::{
-    intra_solver_cost, AnalysisOptions, CrossCheck, DataflowDetector, DataflowOutput, LeakChecker,
-    LeakVerdict, MethodSummary, PredSet, Retention, SiteSummary, SolverStats, VerdictRow,
+    intra_solver_cost, AnalysisOptions, DataflowDetector, DataflowOutput, LeakChecker, LeakVerdict,
+    MethodSummary, PredSet, Retention, SiteSummary, SolverStats, VerdictRow,
 };
 pub use pipeline::Pipeline;
 pub use report::{AnalysisReport, ConfirmedVulnerability, VerificationStatus};

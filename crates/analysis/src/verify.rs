@@ -226,7 +226,7 @@ fn resolve_service_name(system: &System, risky: &RiskyInterface) -> Option<Strin
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{IpcMethodExtractor, JgrEntryExtractor, VulnerableIpcDetector};
+    use crate::{DataflowDetector, IpcMethodExtractor, JgrEntryExtractor};
     use jgre_corpus::{spec::AospSpec, CodeModel};
 
     #[test]
@@ -235,7 +235,9 @@ mod tests {
         let model = CodeModel::synthesize(&spec);
         let ipc = IpcMethodExtractor::new(&model).extract();
         let entries = JgrEntryExtractor::new(&model).extract();
-        let out = VulnerableIpcDetector::new(&model, &entries).detect(&ipc);
+        let out = DataflowDetector::new(&model, &entries)
+            .detect(&ipc)
+            .detector;
 
         // Pick three interesting interfaces: plainly vulnerable, soundly
         // bounded, flawed-bounded.

@@ -9,10 +9,9 @@
 
 use std::collections::BTreeSet;
 
-use jgre_analysis::{
-    DataflowDetector, IpcMethodExtractor, JgrEntryExtractor, VulnerableIpcDetector,
-};
+use jgre_analysis::{DataflowDetector, IpcMethodExtractor, JgrEntryExtractor};
 use jgre_corpus::{spec::AospSpec, CodeModel, MethodDef, MethodId, ParamUsage};
+use jgre_oracles::VulnerableIpcDetector;
 use proptest::prelude::*;
 
 /// `(service, method)` keys of the risky interfaces a detector reports.
@@ -106,6 +105,21 @@ fn pristine_corpus_agrees_exactly() {
     let model = CodeModel::synthesize(&AospSpec::android_6_0_1());
     let (legacy, flow) = risky_sets(&model);
     assert_eq!(legacy, flow);
+}
+
+#[test]
+fn agrees_exactly_with_the_legacy_oracle() {
+    let model = CodeModel::synthesize(&AospSpec::android_6_0_1());
+    let ipc = IpcMethodExtractor::new(&model).extract();
+    let entries = JgrEntryExtractor::new(&model).extract();
+    let dataflow = DataflowDetector::new(&model, &entries).detect(&ipc);
+    let legacy = VulnerableIpcDetector::new(&model, &entries).detect(&ipc);
+    let key = |r: &jgre_analysis::RiskyInterface| (r.ipc.service.clone(), r.ipc.method.clone());
+    let ours: RiskySet = dataflow.detector.risky.iter().map(key).collect();
+    let theirs: RiskySet = legacy.risky.iter().map(key).collect();
+    assert_eq!(ours, theirs, "detectors diverge");
+    // Stronger: the full risky rows (provenance included) coincide.
+    assert_eq!(dataflow.detector, legacy);
 }
 
 proptest! {

@@ -2,8 +2,9 @@
 //! the vulnerability-relevant structure only — injecting arbitrary
 //! amounts of innocent code into the corpus never changes the risky set.
 
-use jgre_analysis::{IpcMethodExtractor, JgrEntryExtractor, Pipeline, VulnerableIpcDetector};
+use jgre_analysis::{IpcMethodExtractor, JgrEntryExtractor, Pipeline};
 use jgre_corpus::{spec::AospSpec, CodeModel, MethodDef, MethodId, ParamUsage};
+use jgre_oracles::VulnerableIpcDetector;
 use proptest::prelude::*;
 
 fn risky_set(model: &CodeModel) -> Vec<(String, String)> {

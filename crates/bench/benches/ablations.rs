@@ -17,10 +17,9 @@ use criterion::{criterion_group, BenchmarkId, Criterion};
 use jgre_attack::{run_interleaved, Actor, ActorKind, AttackVector};
 use jgre_bench::{artifacts_enabled, write_artifact};
 use jgre_corpus::spec::AospSpec;
-use jgre_defense::{
-    naive_scores, segment_tree_scores, DefenderConfig, JgreDefender, ScoreParams, SegmentTree,
-};
+use jgre_defense::{segment_tree_scores, DefenderConfig, JgreDefender, ScoreParams};
 use jgre_framework::{CallOptions, CallStatus, System, SystemConfig};
+use jgre_oracles::{naive_scores, SegmentTree};
 use jgre_sim::{SimDuration, SimTime, Uid};
 use serde::Serialize;
 

@@ -2,10 +2,11 @@
 //! paper scale, and times the pipeline stages.
 
 use criterion::{criterion_group, Criterion};
-use jgre_analysis::{IpcMethodExtractor, JgrEntryExtractor, Pipeline, VulnerableIpcDetector};
+use jgre_analysis::{IpcMethodExtractor, JgrEntryExtractor, Pipeline};
 use jgre_bench::{artifacts_enabled, write_artifact};
 use jgre_core::{experiments, ExperimentScale};
 use jgre_corpus::{spec::AospSpec, CodeModel};
+use jgre_oracles::VulnerableIpcDetector;
 
 fn generate_artifacts() {
     if !artifacts_enabled() {

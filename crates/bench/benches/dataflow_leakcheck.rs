@@ -6,10 +6,10 @@
 use criterion::{criterion_group, Criterion};
 use jgre_analysis::leakcheck::LeakChecker;
 use jgre_analysis::{
-    Cfg, DataflowDetector, IpcMethodExtractor, JgrEntryExtractor, LintReport,
-    VulnerableIpcDetector, Witness,
+    Cfg, DataflowDetector, IpcMethodExtractor, JgrEntryExtractor, LintReport, Witness,
 };
 use jgre_corpus::{spec::AospSpec, CodeModel};
+use jgre_oracles::VulnerableIpcDetector;
 
 fn bench_dataflow(c: &mut Criterion) {
     let spec = AospSpec::android_6_0_1();

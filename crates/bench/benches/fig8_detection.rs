@@ -4,7 +4,8 @@
 use criterion::{criterion_group, Criterion};
 use jgre_bench::{artifacts_enabled, write_artifact};
 use jgre_core::{experiments, ExperimentScale};
-use jgre_defense::{naive_scores, segment_tree_scores, ScoreParams};
+use jgre_defense::{segment_tree_scores, ScoreParams};
+use jgre_oracles::naive_scores;
 use jgre_sim::{SimTime, Uid};
 
 fn generate_artifacts() {

@@ -7,14 +7,16 @@
 //! global allocator pins that: a re-boot of an arena slot and a
 //! steady-state defended call each stay under a fixed number of heap
 //! allocations, and a kill costs the same number whatever the number of
-//! entries it releases. Counts are per thread, so tests running in
-//! parallel do not see each other's allocations.
+//! entries it releases, with or without a defender watching. Counts are
+//! per thread, so tests running in parallel do not see each other's
+//! allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use jgre_core::fleet::{campaign_catalog, DeviceArena, FleetConfig};
 use jgre_core::ExperimentScale;
+use jgre_defense::JgreDefender;
 use jgre_framework::{CallOptions, KillOutcome};
 
 struct Counting;
@@ -135,12 +137,17 @@ fn steady_state_dispatch_borrows_its_names() {
 
 /// Allocations of `kill_app` on an attacker that retained `entries`
 /// clipboard listeners in `system_server`: the release of the entries
-/// and the collection that returns them. The device runs without a
-/// defender, whose monitor records the Remove events above its record
-/// threshold into a growing buffer.
-fn kill_allocations(entries: usize) -> u64 {
+/// and the collection that returns them. With `defended`, a defender at
+/// the scale's thresholds is installed first, so its monitor observes
+/// every Remove event of the kill (at 675 entries, most of them above
+/// its record threshold).
+fn kill_allocations(entries: usize, defended: bool) -> u64 {
     let scale = ExperimentScale::quick();
     let mut system = jgre_framework::System::boot_with(scale.system_config());
+    let _defender = defended.then(|| {
+        JgreDefender::install(&mut system, scale.defender_config())
+            .expect("the quick scale's thresholds are valid")
+    });
     let mal = system.install_app("com.malware", []);
     for _ in 0..entries {
         system
@@ -166,8 +173,16 @@ const KILL_BUDGET: u64 = 3;
 
 #[test]
 fn a_kill_allocates_the_same_whatever_it_releases() {
-    let few = kill_allocations(100);
-    let many = kill_allocations(675);
-    assert_eq!(few, many, "a kill's allocations grew with its entries");
-    assert!(many <= KILL_BUDGET, "a kill made {many} allocations");
+    for defended in [false, true] {
+        let few = kill_allocations(100, defended);
+        let many = kill_allocations(675, defended);
+        assert_eq!(
+            few, many,
+            "a kill's allocations grew with its entries (defended: {defended})"
+        );
+        assert!(
+            many <= KILL_BUDGET,
+            "a kill made {many} allocations (defended: {defended})"
+        );
+    }
 }

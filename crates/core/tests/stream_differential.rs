@@ -16,10 +16,11 @@ use std::thread;
 use jgre_core::defense::stream::{
     encode_event, stream_header, ServeConfig, ServeReport, StreamDefender, StreamEvent,
 };
-use jgre_core::defense::{naive_scores, segment_tree_scores, ScoreParams};
+use jgre_core::defense::{segment_tree_scores, ScoreParams};
 use jgre_core::sim::{SimTime, Uid};
 use jgre_core::ExperimentScale;
 use jgre_core::{attack::AttackVector, corpus::spec::AospSpec, tap::tap_attack_events};
+use jgre_oracles::naive_scores;
 
 /// Streaming config that scores exactly once, at the stream's last add:
 /// an effectively unbounded ring (no overload drops) and no horizon (no

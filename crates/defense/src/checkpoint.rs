@@ -28,7 +28,7 @@ use crate::DefenderConfig;
 /// Magic prefix of a checkpoint blob.
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"JGRECKP1";
 /// Checkpoint schema version; bump on any layout change.
-pub const CHECKPOINT_SCHEMA_VERSION: u32 = 2;
+pub const CHECKPOINT_SCHEMA_VERSION: u32 = 3;
 
 /// Serialized form of one watch entry.
 ///
@@ -44,8 +44,6 @@ pub struct WatchSnapshot {
     pub recording_since: Option<SimTime>,
     /// Recorded add timestamps.
     pub add_times: Vec<SimTime>,
-    /// Recorded remove timestamps.
-    pub remove_times: Vec<SimTime>,
     /// Whether the trigger threshold was crossed.
     pub alarmed: bool,
 }
@@ -158,7 +156,6 @@ mod tests {
                     current: 4_321,
                     recording_since: Some(SimTime::from_micros(1_000)),
                     add_times: vec![SimTime::from_micros(1_000), SimTime::from_micros(1_010)],
-                    remove_times: vec![],
                     alarmed: false,
                 }],
             },

@@ -15,11 +15,12 @@
 //!    difference array (two writes per vote whatever Δ is, one prefix
 //!    scan per report), and per-type state sits in dense slots reused
 //!    across window resets ([`IncrementalScorer`]). The paper's §V-D.2
-//!    lazy [`SegmentTree`] (range add / global max) and a naive flat
-//!    array ([`naive_scores`]) stay as the ablation bench's other arms
-//!    and as test oracles; the serialized `SegmentTree` labels
-//!    ([`ScoringKind::SegmentTree`], `DetectionStats::segment_tree_scored`)
-//!    are historical names kept so reports stay byte-identical.
+//!    lazy segment tree (range add / global max), a naive flat array and
+//!    the §V-A call-count strawman defense are the ablation arms and
+//!    test oracles; they live in the dev-only `jgre-oracles` crate. The
+//!    serialized `SegmentTree` labels ([`ScoringKind::SegmentTree`],
+//!    `DetectionStats::segment_tree_scored`) are historical names kept
+//!    so reports stay byte-identical.
 //! 3. **Recover** — [`JgreDefender::poll`] kills the top-ranked apps
 //!    (`am force-stop`) until the victim's JGR table returns to a normal
 //!    level, mirroring the LMK contract that any app may be killed to
@@ -67,9 +68,7 @@ mod defender;
 mod error;
 mod journal;
 mod monitor;
-mod naive_defense;
 mod scorer;
-mod segment_tree;
 pub mod stream;
 mod streaming;
 
@@ -87,11 +86,7 @@ pub use journal::{
     JOURNAL_MAGIC, JOURNAL_SCHEMA_VERSION,
 };
 pub use monitor::JgrMonitor;
-pub use naive_defense::{CallCountDefense, CallCountDetection};
-pub use scorer::{
-    naive_scores, segment_tree_scores, IncrementalScorer, ScoreParams, ScoreReport, UidScore,
-};
-pub use segment_tree::SegmentTree;
+pub use scorer::{segment_tree_scores, IncrementalScorer, ScoreParams, ScoreReport, UidScore};
 pub use streaming::DetectionStats;
 
 /// Record threshold: the runtime starts logging JGR event times once a

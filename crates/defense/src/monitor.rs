@@ -17,7 +17,6 @@ struct WatchState {
     current: usize,
     recording_since: Option<SimTime>,
     add_times: Vec<SimTime>,
-    remove_times: Vec<SimTime>,
     alarmed: bool,
 }
 
@@ -93,7 +92,7 @@ impl JgrMonitor {
     ///
     /// [`DefenseError::InvalidThresholds`] unless
     /// `record_threshold < trigger_threshold`.
-    pub(crate) fn install(
+    pub fn install(
         system: &mut System,
         record_threshold: usize,
         trigger_threshold: usize,
@@ -171,7 +170,6 @@ impl JgrMonitor {
             w.alarmed = false;
             w.recording_since = None;
             w.add_times.clear();
-            w.remove_times.clear();
         }
     }
 
@@ -187,7 +185,6 @@ impl JgrMonitor {
                     current: w.current,
                     recording_since: w.recording_since,
                     add_times: w.add_times.clone(),
-                    remove_times: w.remove_times.clone(),
                     alarmed: w.alarmed,
                 })
                 .collect(),
@@ -208,7 +205,6 @@ impl JgrMonitor {
                         current: w.current,
                         recording_since: w.recording_since,
                         add_times: w.add_times.clone(),
-                        remove_times: w.remove_times.clone(),
                         alarmed: w.alarmed,
                     },
                 )
@@ -249,18 +245,14 @@ impl JgrMonitor {
             if watch.recording_since.is_none() {
                 watch.recording_since = Some(at);
             }
-            if let Some(at) = logged_at {
-                match kind {
-                    JgrEventKind::Add => watch.add_times.push(at),
-                    JgrEventKind::Remove => watch.remove_times.push(at),
-                }
+            if let (JgrEventKind::Add, Some(at)) = (kind, logged_at) {
+                watch.add_times.push(at);
             }
         } else if watch.recording_since.is_some() && !watch.alarmed {
             // The table drained on its own (benign churn): stop recording
             // and drop the buffers.
             watch.recording_since = None;
             watch.add_times.clear();
-            watch.remove_times.clear();
         }
         if watch.current >= trigger_threshold {
             watch.alarmed = true;

@@ -73,10 +73,9 @@ impl ScoreReport {
 /// This is a thin wrapper over [`IncrementalScorer`]: the batch call seeds
 /// every IPC call into the correlator, streams the JGR adds through it,
 /// and snapshots the report. Batch and streaming verdicts are therefore
-/// equal *by construction* — they execute the same vote arithmetic —
-/// while [`naive_scores`] stays an independent flat-array implementation
-/// for real differential power, and [`SegmentTree`](crate::SegmentTree)
-/// remains as §V-D.2's structure for the ablation and as a second oracle.
+/// equal *by construction* — they execute the same vote arithmetic. The
+/// independent implementations it is tested against (a flat array, and
+/// §V-D.2's segment tree) live in the dev-only `jgre-oracles` crate.
 /// The name predates the difference array and is kept, like the
 /// serialized `ScoringKind::SegmentTree` label, so reports stay
 /// byte-identical.
@@ -98,74 +97,6 @@ pub fn segment_tree_scores(
         scorer.push_add(add);
     }
     scorer.report()
-}
-
-/// Computes Algorithm 1 with a flat array histogram (the ablation
-/// baseline §V-D.2 compares against).
-pub fn naive_scores(
-    ipc_by_uid: &BTreeMap<Uid, BTreeMap<String, Vec<SimTime>>>,
-    jgr_adds: &[SimTime],
-    params: ScoreParams,
-) -> ScoreReport {
-    assert!(params.bin.as_micros() > 0, "bin width must be positive");
-    let bins = (params.window.as_micros() / params.bin.as_micros()) as usize + 2;
-    let delta_bins = (params.delta.as_micros() / params.bin.as_micros()) as usize;
-    let mut naive = vec![0u64; bins];
-    let mut pairs_processed = 0u64;
-    let mut records_scanned = 0u64;
-    let mut scores: Vec<UidScore> = Vec::new();
-
-    for (&uid, types) in ipc_by_uid {
-        let mut per_type = Vec::new();
-        let mut total = 0u64;
-        for (ipc_type, calls) in types {
-            records_scanned += calls.len() as u64;
-            naive.fill(0);
-            let mut any = false;
-            // Both series are time-ordered; a moving lower bound keeps the
-            // pairing linear in (calls + adds + pairs).
-            let mut start = 0usize;
-            for &add in jgr_adds {
-                let window_floor =
-                    SimTime::from_micros(add.as_micros().saturating_sub(params.window.as_micros()));
-                while start < calls.len() && calls[start] < window_floor {
-                    start += 1;
-                }
-                let mut i = start;
-                while i < calls.len() && calls[i] <= add {
-                    let min_delay = (add - calls[i]).as_micros();
-                    let lo = (min_delay / params.bin.as_micros()) as usize;
-                    let hi = lo + delta_bins;
-                    for slot in naive[lo.min(bins - 1)..=hi.min(bins - 1)].iter_mut() {
-                        *slot += 1;
-                    }
-                    pairs_processed += 1;
-                    any = true;
-                    i += 1;
-                }
-            }
-            let this_type_max = if !any {
-                0
-            } else {
-                *naive.iter().max().expect("bins > 0")
-            };
-            if this_type_max > 0 {
-                per_type.push((ipc_type.clone(), this_type_max));
-            }
-            total += this_type_max;
-        }
-        scores.push(UidScore {
-            uid,
-            score: total,
-            per_type,
-        });
-    }
-    scores.sort_by(|a, b| b.score.cmp(&a.score).then(a.uid.cmp(&b.uid)));
-    ScoreReport {
-        scores,
-        pairs_processed,
-        records_scanned,
-    }
 }
 
 /// Live per-IPC-type correlation state: the delay histogram, the calls
@@ -205,8 +136,8 @@ impl TypeState {
     }
 
     /// Adds `value` to every bin in `lo..=hi`, clamped to the bin range
-    /// exactly as [`SegmentTree::range_add`](crate::SegmentTree::range_add)
-    /// clamps: a range starting past the last bin is dropped. A retraction
+    /// exactly as the oracle segment tree's `range_add` clamps: a range
+    /// starting past the last bin is dropped. A retraction
     /// replays its vote with `value = -1`.
     fn vote(diff: &mut [i64], lo: usize, hi: usize, value: i64) {
         let bins = diff.len() - 1;
@@ -515,21 +446,6 @@ mod tests {
             benign.score,
             top.score
         );
-    }
-
-    #[test]
-    fn naive_and_segment_tree_agree() {
-        let (ipc, adds) = workload();
-        for delta_us in [79u64, 1_900, 3_583] {
-            let params = ScoreParams {
-                delta: SimDuration::from_micros(delta_us),
-                ..ScoreParams::default()
-            };
-            let a = segment_tree_scores(&ipc, &adds, params);
-            let b = naive_scores(&ipc, &adds, params);
-            assert_eq!(a.scores, b.scores, "delta={delta_us}");
-            assert_eq!(a.pairs_processed, b.pairs_processed);
-        }
     }
 
     #[test]

@@ -2,10 +2,8 @@
 
 use std::collections::BTreeMap;
 
-use jgre_defense::{
-    naive_scores, segment_tree_scores, IncrementalScorer, ScoreParams, ScoreReport, SegmentTree,
-    UidScore,
-};
+use jgre_defense::{segment_tree_scores, IncrementalScorer, ScoreParams, ScoreReport, UidScore};
+use jgre_oracles::{naive_scores, SegmentTree};
 use jgre_sim::{SimDuration, SimTime, Uid};
 use proptest::prelude::*;
 

@@ -1496,16 +1496,16 @@ impl System {
 
         let mut jgr_created = 0usize;
         let mut host_aborted = false;
-        match mspec.jgr {
-            JgrBehavior::RetainPerCall { grefs_per_call } => {
+        match (mspec.jgr, callback_node) {
+            (JgrBehavior::RetainPerCall { .. } | JgrBehavior::ReplaceSingle, None) => {
                 // The unmarshal step rejected any parcel without a live
-                // binder, so the node is present here; the `else` is a
-                // typed fail-stop backstop (it replaces an `expect`), so
-                // no dispatch path can panic the simulator.
-                let Some(node) = callback_node else {
-                    self.exit_handler_frame(host, handler_frame);
-                    return Ok(self.reject_call(host, sent_at, CallReject::MissingBinder));
-                };
+                // binder, so a retaining method always has its node here;
+                // this arm is a typed fail-stop backstop (it replaces an
+                // `expect`), so no dispatch path can panic the simulator.
+                self.exit_handler_frame(host, handler_frame);
+                return Ok(self.reject_call(host, sent_at, CallReject::MissingBinder));
+            }
+            (JgrBehavior::RetainPerCall { grefs_per_call }, Some(node)) => {
                 for _ in 0..grefs_per_call.max(1) {
                     match self.materialize_and_retain(index, position, caller_pid, host, node) {
                         Ok(()) => jgr_created += 1,
@@ -1521,15 +1521,15 @@ impl System {
                     }
                 }
             }
-            JgrBehavior::Transient => match self.materialize_transient(host) {
+            (JgrBehavior::Transient, _) => match self.materialize_transient(host) {
                 Ok(()) => jgr_created += 1,
                 Err(ArtError::TableOverflow { .. }) | Err(ArtError::RuntimeAborted) => {
                     host_aborted = true;
                 }
                 Err(e) => return Err(FrameworkError::Art(e)),
             },
-            JgrBehavior::ReplaceSingle => {
-                match self.materialize_replace_single(index, position, caller_pid, host) {
+            (JgrBehavior::ReplaceSingle, Some(node)) => {
+                match self.materialize_replace_single(index, position, caller_pid, host, node) {
                     Ok(()) => jgr_created += 1,
                     Err(ArtError::TableOverflow { .. }) | Err(ArtError::RuntimeAborted) => {
                         host_aborted = true;
@@ -1537,7 +1537,7 @@ impl System {
                     Err(e) => return Err(FrameworkError::Art(e)),
                 }
             }
-            JgrBehavior::ThreadCreateOnly => {
+            (JgrBehavior::ThreadCreateOnly, _) => {
                 // Thread::CreateNativeThread adds and immediately releases.
                 if let Some(p) = self.processes.get_mut(host) {
                     let obj = p.runtime.alloc("java.lang.Thread");
@@ -1558,7 +1558,7 @@ impl System {
                     }
                 }
             }
-            JgrBehavior::NoJgr => {}
+            (JgrBehavior::NoJgr, _) => {}
         }
 
         // Remainder of the handler's execution time.
@@ -1657,21 +1657,21 @@ impl System {
         materialize_strong_binder(&mut p.runtime, node).map(|_| ())
     }
 
-    /// Materialises a binder and makes it the caller's single member of
-    /// the method at `position` of the service at `index`, releasing the
-    /// member it replaces.
+    /// Materialises the call's binder and makes it the caller's single
+    /// member of the method at `position` of the service at `index`,
+    /// releasing the member it replaces.
     fn materialize_replace_single(
         &mut self,
         index: usize,
         position: usize,
         caller_pid: Pid,
         host: Pid,
+        node: jgre_binder::NodeId,
     ) -> Result<(), ArtError> {
         let p = self
             .processes
             .get_mut(host)
             .ok_or(ArtError::RuntimeAborted)?;
-        let node = jgre_binder::NodeId::new(0);
         let rb = materialize_strong_binder(&mut p.runtime, node)?;
         p.runtime.retain(rb.proxy)?;
         let state = &mut self.services[index].per_method[position];
@@ -2397,6 +2397,26 @@ mod tests {
             system.fire_service_callbacks("clipboard", "noSuchMethod"),
             Err(FrameworkError::UnknownMethod { .. })
         ));
+    }
+
+    #[test]
+    fn callbacks_reach_a_replaced_single_member() {
+        // setConfig1 keeps one member per caller: the second call
+        // replaces the first, and the callback reaches the survivor.
+        let mut system = System::boot(0);
+        let a = system.install_app("com.a", []);
+        for _ in 0..2 {
+            let outcome = system
+                .call_service(a, "notification", "setConfig1", CallOptions::default())
+                .unwrap();
+            assert!(outcome.status.is_completed());
+        }
+        assert_eq!(
+            system
+                .fire_service_callbacks("notification", "setConfig1")
+                .unwrap(),
+            1
+        );
     }
 
     #[test]

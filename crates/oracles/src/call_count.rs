@@ -6,17 +6,16 @@
 //! [`CallCountDefense`] is that strawman, implemented faithfully: same
 //! monitor, same alarm thresholds, same kill mechanism — but it ranks
 //! apps by raw IPC call volume toward the victim instead of by
-//! Algorithm 1's correlation score. The ablation bench and the
-//! comparison test show where it goes wrong: a chatty-but-innocent app
-//! out-calls a patient attacker and gets killed in its place.
+//! Algorithm 1's correlation score. The comparison tests show where it
+//! goes wrong: a chatty-but-innocent app out-calls a patient attacker
+//! and gets killed in its place.
 
 use std::rc::Rc;
 
+use jgre_defense::{DefenseError, JgrMonitor};
 use jgre_framework::System;
 use jgre_sim::{Pid, SimDuration, SimTime, Uid};
 use serde::{Deserialize, Serialize};
-
-use crate::{DefenseError, JgrMonitor};
 
 /// Outcome of one call-count detection pass.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]

@@ -1,7 +1,7 @@
 //! A lazily-propagated segment tree over delay bins: range add, global /
 //! range max. This is the data structure §V-D.2 adopts to keep Algorithm
 //! 1's interval bookkeeping cheap. The deployed scorer uses a difference
-//! array instead (see [`IncrementalScorer`](crate::IncrementalScorer));
+//! array instead (see [`IncrementalScorer`](jgre_defense::IncrementalScorer));
 //! the tree stays as the ablation bench's §V-D.2 arm and as a test oracle.
 
 /// Range-add / range-max segment tree over `n` fixed bins.
@@ -9,7 +9,7 @@
 /// # Example
 ///
 /// ```
-/// use jgre_defense::SegmentTree;
+/// use jgre_oracles::SegmentTree;
 ///
 /// let mut tree = SegmentTree::new(10);
 /// tree.range_add(2, 5, 1);

@@ -3,7 +3,8 @@
 //! strawman kills the innocent app; the JGRE Defender's correlation score
 //! kills the leaker.
 
-use jgre_repro::core::defense::{CallCountDefense, DefenderConfig, JgreDefender};
+use jgre_oracles::CallCountDefense;
+use jgre_repro::core::defense::{DefenderConfig, JgreDefender};
 use jgre_repro::core::framework::{CallOptions, System, SystemConfig};
 use jgre_repro::core::sim::Uid;
 
