@@ -56,6 +56,61 @@ impl StreamEvent {
             StreamEvent::Ipc { at, .. } | StreamEvent::JgrAdd { at } => *at,
         }
     }
+
+    /// The event as a view borrowing its label.
+    pub(crate) fn view(&self) -> EventView<'_> {
+        match self {
+            StreamEvent::Ipc { at, uid, ipc_type } => EventView::Ipc {
+                at: *at,
+                uid: *uid,
+                ipc_type,
+            },
+            StreamEvent::JgrAdd { at } => EventView::JgrAdd { at: *at },
+        }
+    }
+}
+
+/// A [`StreamEvent`] whose label borrows from the bytes it was decoded
+/// from (or from the event it views), so decoding allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum EventView<'a> {
+    /// A Binder-log record.
+    Ipc {
+        at: SimTime,
+        uid: Uid,
+        ipc_type: &'a str,
+    },
+    /// A JGR add.
+    JgrAdd { at: SimTime },
+}
+
+impl EventView<'_> {
+    /// The event's virtual time.
+    pub(crate) fn at(self) -> SimTime {
+        match self {
+            EventView::Ipc { at, .. } | EventView::JgrAdd { at } => at,
+        }
+    }
+
+    /// The owned event.
+    pub(crate) fn to_event(self) -> StreamEvent {
+        match self {
+            EventView::Ipc { at, uid, ipc_type } => StreamEvent::Ipc {
+                at,
+                uid,
+                ipc_type: ipc_type.to_owned(),
+            },
+            EventView::JgrAdd { at } => StreamEvent::JgrAdd { at },
+        }
+    }
+}
+
+/// One decoded frame: its event, borrowed, and the frame's bytes exactly
+/// as received (`len | payload | checksum`).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Frame<'a> {
+    pub(crate) event: EventView<'a>,
+    pub(crate) bytes: &'a [u8],
 }
 
 /// Why a stream (or one frame of it) was rejected.
@@ -115,6 +170,9 @@ impl std::error::Error for FrameReject {}
 
 const TAG_IPC: u8 = 1;
 const TAG_ADD: u8 = 2;
+/// Payload bytes of an IPC record before its label: tag, time, uid and
+/// label length.
+const IPC_FIXED_LEN: usize = 1 + 8 + 4 + 2;
 
 /// The 12-byte stream header.
 pub fn stream_header() -> Vec<u8> {
@@ -123,10 +181,9 @@ pub fn stream_header() -> Vec<u8> {
     out
 }
 
-/// Appends one framed event to `out`.
+/// Appends one framed event to `out`, writing the payload in place.
 pub fn encode_event(event: &StreamEvent, out: &mut Vec<u8>) {
-    let mut payload = Vec::with_capacity(24);
-    match event {
+    record::write_frame_with(out, |payload| match event {
         StreamEvent::Ipc { at, uid, ipc_type } => {
             payload.push(TAG_IPC);
             payload.put_u64(at.as_micros());
@@ -143,8 +200,25 @@ pub fn encode_event(event: &StreamEvent, out: &mut Vec<u8>) {
             payload.push(TAG_ADD);
             payload.put_u64(at.as_micros());
         }
+    });
+}
+
+/// Frames `event` into `out` (cleared first) unless the decoder would
+/// refuse its frame: a label that pushes the payload past
+/// [`MAX_FRAME_LEN`] is the same [`FrameReject::OversizedFrame`] here
+/// as on the wire, so nothing is ever journaled that recovery refuses.
+pub(crate) fn encode_checked(event: &StreamEvent, out: &mut Vec<u8>) -> Result<(), FrameReject> {
+    if let StreamEvent::Ipc { ipc_type, .. } = event {
+        let len = IPC_FIXED_LEN + ipc_type.len();
+        if len > MAX_FRAME_LEN as usize {
+            return Err(FrameReject::OversizedFrame {
+                len: u32::try_from(len).unwrap_or(u32::MAX),
+            });
+        }
     }
-    record::write_frame(out, &payload);
+    out.clear();
+    encode_event(event, out);
+    Ok(())
 }
 
 /// Encodes a whole stream: header plus one frame per event.
@@ -215,6 +289,16 @@ impl FrameDecoder {
     /// needed, a typed [`FrameReject`] on corruption (the decoder stays
     /// at the rejected frame; a rejected stream is fail-stop).
     pub fn next_event(&mut self) -> Result<Option<StreamEvent>, FrameReject> {
+        Ok(self.next_frame()?.map(|frame| frame.event.to_event()))
+    }
+
+    /// [`next_event`](Self::next_event) without the copy: the event
+    /// borrows its label from the decoder's buffer, and the frame's
+    /// bytes come along as received. The decoder is canonical (one tag
+    /// per layout, every payload byte consumed, a UTF-8 label, a length
+    /// the checksum covers), so those bytes are exactly what
+    /// [`encode_event`] writes for the event.
+    pub(crate) fn next_frame(&mut self) -> Result<Option<Frame<'_>>, FrameReject> {
         if !self.header_seen {
             let rest = &self.buf[self.pos..];
             match record::read_header(rest, &STREAM_MAGIC, STREAM_SCHEMA_VERSION, 0) {
@@ -228,7 +312,8 @@ impl FrameDecoder {
             self.pos += record::HEADER_LEN;
             self.header_seen = true;
         }
-        let mut cur = Cursor::new(&self.buf[self.pos..]);
+        let rest = &self.buf[self.pos..];
+        let mut cur = Cursor::new(rest);
         let payload = match cur.frame(1..=MAX_FRAME_LEN) {
             Ok(Some(payload)) => payload,
             Ok(None) => return Ok(None),
@@ -239,18 +324,21 @@ impl FrameDecoder {
         };
         let event = decode_payload(payload)?;
         self.pos += cur.pos();
-        Ok(Some(event))
+        Ok(Some(Frame {
+            event,
+            bytes: &rest[..cur.pos()],
+        }))
     }
 }
 
-fn decode_payload(payload: &[u8]) -> Result<StreamEvent, FrameReject> {
+fn decode_payload(payload: &[u8]) -> Result<EventView<'_>, FrameReject> {
     let mut cur = Cursor::new(payload);
     let (Some(tag), Some(at)) = (cur.u8(), cur.u64()) else {
         return Err(FrameReject::BadPayload);
     };
     let at = SimTime::from_micros(at);
     let event = match tag {
-        TAG_ADD => StreamEvent::JgrAdd { at },
+        TAG_ADD => EventView::JgrAdd { at },
         TAG_IPC => {
             let (Some(uid), Some(len)) = (cur.u32(), cur.u16()) else {
                 return Err(FrameReject::BadPayload);
@@ -258,9 +346,8 @@ fn decode_payload(payload: &[u8]) -> Result<StreamEvent, FrameReject> {
             let ipc_type = cur
                 .take(usize::from(len))
                 .and_then(|b| std::str::from_utf8(b).ok())
-                .ok_or(FrameReject::BadPayload)?
-                .to_owned();
-            StreamEvent::Ipc {
+                .ok_or(FrameReject::BadPayload)?;
+            EventView::Ipc {
                 at,
                 uid: Uid::new(uid),
                 ipc_type,
@@ -319,6 +406,23 @@ mod tests {
         assert_eq!(torn, 0);
     }
 
+    /// [`decode_stream`] through the borrowing step. Each frame's bytes
+    /// must be what [`encode_event`] writes for its event.
+    fn decode_borrowed(bytes: &[u8]) -> Result<(Vec<StreamEvent>, usize), FrameReject> {
+        let mut decoder = FrameDecoder::new();
+        decoder.feed(bytes);
+        let mut events = Vec::new();
+        while let Some(frame) = decoder.next_frame()? {
+            let event = frame.event.to_event();
+            let mut encoded = Vec::new();
+            encode_event(&event, &mut encoded);
+            assert_eq!(frame.bytes, &encoded[..], "frame bytes are not canonical");
+            assert_eq!(event.view(), frame.event);
+            events.push(event);
+        }
+        Ok((events, decoder.pending_bytes()))
+    }
+
     #[test]
     fn bit_flip_anywhere_is_rejected_or_torn_never_panics() {
         let events = sample_events();
@@ -326,6 +430,12 @@ mod tests {
         for i in 0..clean.len() {
             let mut corrupt = clean.clone();
             corrupt[i] ^= 0x40;
+            // The borrowed and owned decoders agree on every outcome.
+            assert_eq!(
+                decode_borrowed(&corrupt),
+                decode_stream(&corrupt),
+                "byte {i}"
+            );
             // A flip in a length field can shift framing; whatever
             // happens must be a typed outcome, not a panic, and must not
             // silently yield *different* events than some prefix of the
@@ -346,6 +456,7 @@ mod tests {
         for cut in record::HEADER_LEN..clean.len() {
             let (decoded, torn) =
                 decode_stream(&clean[..cut]).expect("truncation is not corruption");
+            assert_eq!(decode_borrowed(&clean[..cut]), Ok((decoded.clone(), torn)));
             assert_eq!(
                 torn,
                 cut - record::HEADER_LEN - consumed_len(&events, &decoded)
@@ -361,6 +472,38 @@ mod tests {
             encode_event(event, &mut buf);
         }
         buf.len()
+    }
+
+    #[test]
+    fn encode_checked_refuses_what_the_decoder_refuses() {
+        let fits = "x".repeat(MAX_FRAME_LEN as usize - IPC_FIXED_LEN);
+        let ipc = |ipc_type: &str| StreamEvent::Ipc {
+            at: SimTime::from_micros(1),
+            uid: Uid::new(10_061),
+            ipc_type: ipc_type.to_owned(),
+        };
+        let mut out = vec![0xaa];
+        encode_checked(&ipc(&fits), &mut out).unwrap();
+        let mut stream = stream_header();
+        stream.extend_from_slice(&out);
+        assert_eq!(decode_stream(&stream), Ok((vec![ipc(&fits)], 0)));
+
+        let over = format!("{fits}x");
+        assert_eq!(
+            encode_checked(&ipc(&over), &mut out),
+            Err(FrameReject::OversizedFrame {
+                len: MAX_FRAME_LEN + 1
+            })
+        );
+        // The decoder refuses the same frame for the same reason.
+        let mut stream = stream_header();
+        encode_event(&ipc(&over), &mut stream);
+        assert_eq!(
+            decode_stream(&stream),
+            Err(FrameReject::OversizedFrame {
+                len: MAX_FRAME_LEN + 1
+            })
+        );
     }
 
     #[test]

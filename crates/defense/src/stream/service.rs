@@ -9,10 +9,12 @@
 //! producer thread ships encoded frames over a bounded channel, but the
 //! channel is lossless; loss is modeled only by the ring).
 //!
-//! Durability mirrors the PR-5 WAL story: accepted frames append to a
-//! [`StateStore`] journal in the stream's own wire format, the log
-//! compacts at each verdict (a verdict is a window reset — older events
-//! can never influence a future score), and recovery replays the journal
+//! Durability mirrors the on-device defender's journal: accepted frames
+//! append to a [`StateStore`] journal verbatim, in the stream's own wire
+//! format (the decoder is canonical, so a received frame is byte for
+//! byte what re-encoding its event would write); the log compacts at
+//! each verdict (a verdict is a window reset — older events can never
+//! influence a future score), and recovery replays the journal
 //! through the torn-tail-tolerant decoder.
 
 use std::io;
@@ -23,7 +25,9 @@ use jgre_sim::source::{EventSource, SourceConfig, SourceEventKind};
 use jgre_sim::{Histogram, SimDuration, SimTime, Uid};
 use serde::{Deserialize, Serialize};
 
-use super::frame::{encode_event, stream_header, FrameDecoder, FrameReject, StreamEvent};
+use super::frame::{
+    encode_checked, encode_event, stream_header, EventView, FrameDecoder, FrameReject, StreamEvent,
+};
 use super::ring::{BoundedRing, IngestStats};
 use crate::{DetectionStats, IncrementalScorer, PersistError, ScoreParams, StateStore};
 
@@ -241,7 +245,10 @@ pub struct StreamDefender<'s> {
     pairs_attributed: u64,
     records_attributed: u64,
     store: Option<&'s dyn StateStore>,
+    /// Accepted frames not yet written to the store, verbatim.
     pending_log: Vec<u8>,
+    /// Reused encoding buffer of [`ingest`](Self::ingest).
+    frame_buf: Vec<u8>,
     compact_requested: bool,
     io_error: Option<io::Error>,
     poisoned: bool,
@@ -269,6 +276,7 @@ impl<'s> StreamDefender<'s> {
             records_attributed: 0,
             store: None,
             pending_log: Vec::new(),
+            frame_buf: Vec::new(),
             compact_requested: false,
             io_error: None,
             poisoned: false,
@@ -300,28 +308,54 @@ impl<'s> StreamDefender<'s> {
     /// stream is fail-stopped: the rejection is counted and every later
     /// byte ignored — corruption never panics and never desynchronizes
     /// scoring.
+    ///
+    /// Each event is scored with its label borrowed from the decoder's
+    /// buffer, and an accepted frame goes to the journal as received.
     pub fn ingest_bytes(&mut self, bytes: &[u8]) {
         if self.poisoned {
             return;
         }
-        self.decoder.feed(bytes);
+        // Moved out for the loop, so each event can borrow the decoder's
+        // buffer while the accept path updates the rest of the defender.
+        let mut decoder = std::mem::take(&mut self.decoder);
+        decoder.feed(bytes);
         loop {
-            match self.decoder.next_event() {
-                Ok(Some(event)) => self.ingest(event),
+            match decoder.next_frame() {
+                Ok(Some(frame)) => self.accept(frame.event, frame.bytes),
                 Ok(None) => break,
                 Err(reject) => {
-                    self.ingest.offered += 1;
-                    self.ingest.record_reject(&reject);
+                    self.reject(&reject);
                     self.poisoned = true;
                     break;
                 }
             }
         }
+        self.decoder = decoder;
         self.flush_log();
     }
 
-    /// Feeds one already-decoded event.
+    /// Feeds one already-decoded event: it is framed once, then takes
+    /// the same path as a frame off the wire. An event the decoder would
+    /// refuse (a label past [`MAX_FRAME_LEN`](super::MAX_FRAME_LEN)) is
+    /// counted as malformed and dropped; its boundary is known, so the
+    /// stream is not fail-stopped.
     pub fn ingest(&mut self, event: StreamEvent) {
+        let mut frame = std::mem::take(&mut self.frame_buf);
+        match encode_checked(&event, &mut frame) {
+            Ok(()) => self.accept(event.view(), &frame),
+            Err(reject) => self.reject(&reject),
+        }
+        self.frame_buf = frame;
+    }
+
+    fn reject(&mut self, reject: &FrameReject) {
+        self.ingest.offered += 1;
+        self.ingest.record_reject(reject);
+    }
+
+    /// The accept path: ring offer, journal, scorer. `frame` is the
+    /// event's encoding, appended to the journal verbatim.
+    fn accept(&mut self, event: EventView<'_>, frame: &[u8]) {
         self.ingest.offered += 1;
         let at = event.at();
         let Some(completion_us) = self.ring.offer(at.as_micros()) else {
@@ -330,14 +364,14 @@ impl<'s> StreamDefender<'s> {
         };
         self.ingest.accepted += 1;
         if self.store.is_some() {
-            encode_event(&event, &mut self.pending_log);
+            self.pending_log.extend_from_slice(frame);
         }
         match event {
-            StreamEvent::Ipc { at, uid, ipc_type } => {
+            EventView::Ipc { at, uid, ipc_type } => {
                 self.calls += 1;
-                self.scorer.push_ipc(uid, &ipc_type, at);
+                self.scorer.push_ipc(uid, ipc_type, at);
             }
-            StreamEvent::JgrAdd { at } => {
+            EventView::JgrAdd { at } => {
                 self.adds += 1;
                 self.scorer.push_add(at);
                 let lag_us = completion_us.saturating_sub(at.as_micros());
@@ -695,6 +729,37 @@ mod tests {
         // Either the flipped byte lands in a length field (framing shifts,
         // later frames look torn) or a checksum catches it.
         assert!(recovered.reject.is_some() || recovered.torn_bytes > 0);
+    }
+
+    #[test]
+    fn an_oversized_label_is_refused_not_journaled() {
+        // Recovery refuses a frame past MAX_FRAME_LEN and stops there, so
+        // journaling one would also lose every event after it.
+        let store = MemoryStore::new();
+        let mut defender = StreamDefender::with_store(ServeConfig::default(), &store);
+        let ipc = |at: u64, ipc_type: String| StreamEvent::Ipc {
+            at: SimTime::from_micros(at),
+            uid: Uid::new(10_061),
+            ipc_type,
+        };
+        let accepted = vec![
+            ipc(100, "IClipboard.listen".to_owned()),
+            StreamEvent::JgrAdd {
+                at: SimTime::from_micros(300),
+            },
+        ];
+        defender.ingest(accepted[0].clone());
+        defender.ingest(ipc(200, "x".repeat(5_000)));
+        defender.ingest(accepted[1].clone());
+        assert!(!defender.is_poisoned());
+        let report = defender.finish().unwrap();
+        assert_eq!(report.ingest.offered, 3);
+        assert_eq!(report.ingest.accepted, 2);
+        assert_eq!(report.ingest.rejected_malformed, 1);
+        assert_eq!((report.calls, report.adds), (1, 1));
+        let recovered = recover_events(&store).unwrap();
+        assert_eq!(recovered.reject, None);
+        assert_eq!(recovered.events, accepted);
     }
 
     #[test]

@@ -216,14 +216,25 @@ pub fn read_header<'a>(
 
 /// Appends one frame: `len | payload | checksum`. Panics past
 /// `u32::MAX` payload bytes, a writer bug.
-///
-/// The checksum is taken over `payload` itself, not over its copy in
-/// `out`: re-reading bytes just written, at another alignment, stalls on
-/// store forwarding.
 pub fn write_frame(out: &mut Vec<u8>, payload: &[u8]) {
-    out.put_u32(frame_len(payload));
-    out.extend_from_slice(payload);
-    out.put_u64(checksum(payload));
+    write_frame_with(out, |out| out.extend_from_slice(payload));
+}
+
+/// Appends one frame whose payload `write` appends to `out` in place:
+/// the length field is reserved, `write` appends the payload after it,
+/// then the length is patched and the checksum of the written bytes
+/// appended. The bytes equal [`write_frame`] of the same payload, with
+/// no payload buffer of its own. `write` must only append. Panics past
+/// `u32::MAX` payload bytes, a writer bug.
+#[inline]
+pub fn write_frame_with(out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.put_u32(0);
+    write(out);
+    let payload = &out[start + 4..];
+    let (len, sum) = (frame_len(payload), checksum(payload));
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    out.put_u64(sum);
 }
 
 /// [`write_frame`] to any writer, streaming `payload` instead of

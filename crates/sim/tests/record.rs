@@ -91,6 +91,30 @@ proptest! {
     }
 
     #[test]
+    fn in_place_writer_equals_write_frame(
+        prefix in proptest::collection::vec(any::<u8>(), 0..16),
+        pieces in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..24), 0..5),
+    ) {
+        // The payload arrives in pieces, as a field-by-field encoder
+        // writes it, after whatever `out` already holds.
+        let payload = pieces.concat();
+        let mut expected = prefix.clone();
+        expected.put_u32(payload.len() as u32);
+        expected.extend_from_slice(&payload);
+        expected.put_u64(checksum(&payload));
+        let mut buffered = prefix.clone();
+        record::write_frame(&mut buffered, &payload);
+        prop_assert_eq!(&buffered, &expected);
+        let mut in_place = prefix;
+        record::write_frame_with(&mut in_place, |out| {
+            for piece in &pieces {
+                out.extend_from_slice(piece);
+            }
+        });
+        prop_assert_eq!(in_place, expected);
+    }
+
+    #[test]
     fn read_inverts_write(frames in frames_strategy()) {
         prop_assert_eq!(read(&write(&frames)), Ok(frames));
     }

@@ -535,6 +535,26 @@ fn committed_serve_golden_matches_a_fresh_run() {
 }
 
 #[test]
+fn committed_tapped_serve_golden_matches_a_fresh_run() {
+    // The tapped attack stream runs the device simulator, the encoder,
+    // the wire decoder and the journal; the report pins all four.
+    assert_matches_golden(
+        &[
+            "serve",
+            "--seed",
+            "11",
+            "--duration",
+            "0.25",
+            "--attack",
+            "0",
+        ],
+        "serve_attack0_seed11",
+        "jgre serve --seed 11 --duration 0.25 --attack 0 \
+         --out artifacts/serve_attack0_seed11.json",
+    );
+}
+
+#[test]
 fn committed_chaos_golden_matches_a_fresh_run() {
     let out = jgre()
         .args(["chaos", "--seed", "0", "--json"])
