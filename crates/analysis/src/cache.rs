@@ -223,6 +223,11 @@ pub fn decode_tier_a(
             }
             sites.push(dec_site(&mut d, MethodId(method as u32))?);
         }
+        // The fold merges callee site lists as sorted runs: a table that
+        // breaks the writer's strict `(method, site)` order is refused.
+        if !sites.is_sorted_by(|a, b| (a.method, a.site) < (b.method, b.site)) {
+            return None;
+        }
         table.push(MethodSummary { sites, saw_handler });
     }
     if d.u32()? as usize != n {
@@ -268,7 +273,8 @@ pub fn encode_record(model: &CodeModel, members: &[(MethodId, &MethodSummary)]) 
 /// allocating intermediate strings (a renumbered corpus remaps every
 /// record, so this is hot). Returns `None` when the record does
 /// not map cleanly onto `scc`: wrong member count, a name the index
-/// cannot resolve, or a member outside the SCC.
+/// cannot resolve, a member outside the SCC, or two sites of one member
+/// under the same `(method, site)`.
 ///
 /// Beside the members, reports whether the stored bytes are already in
 /// the order [`encode_record`] gives them under the current numbering
@@ -310,6 +316,14 @@ pub fn remap_record(
         if !sites.is_sorted_by_key(|a| (a.method, a.site)) {
             sites.sort_by_key(|a| (a.method, a.site));
             canonical = false;
+        }
+        // Two sites under one `(method, site)` key are no summary this
+        // engine writes, and the fold cannot merge them as a sorted run.
+        if sites
+            .windows(2)
+            .any(|w| (w[0].method, w[0].site) == (w[1].method, w[1].site))
+        {
+            return None;
         }
         out.push((id, MethodSummary { sites, saw_handler }));
     }
@@ -503,16 +517,10 @@ impl LoadedCache {
         self.reject.get_or_insert(reason);
     }
 
-    /// Parses the header and Tier A into `self` and walks the Tier B
-    /// framing; returns every Tier B frame as `(key, frame range, stored
-    /// checksum)`, unverified.
-    fn parse(
-        &mut self,
-        bytes: &[u8],
-        expected_fp: u64,
-        method_count: usize,
-    ) -> Vec<(u64, Range<usize>, u64)> {
-        let mut frames = Vec::new();
+    /// Parses the header and Tier A into `self`; returns where the Tier B
+    /// framing starts, or `None` when the header or the Tier A frame was
+    /// rejected and no framing after it can be trusted.
+    fn parse(&mut self, bytes: &[u8], expected_fp: u64, method_count: usize) -> Option<usize> {
         // The Tier A frame's length field counts as fixed header: a file
         // without it is truncated, not corrupt.
         let mut d = match record::read_header(bytes, MAGIC, SCHEMA_VERSION, FIXED_LEN + 4) {
@@ -523,12 +531,12 @@ impl LoadedCache {
                     HeaderError::BadMagic => RejectReason::BadMagic,
                     HeaderError::StaleVersion { found } => RejectReason::StaleSchema { found },
                 });
-                return frames;
+                return None;
             }
         };
         let (Some(corpus_fp), Some(scc_count)) = (d.u64(), d.u32()) else {
             self.rejected(RejectReason::TruncatedHeader);
-            return frames;
+            return None;
         };
         self.exact = corpus_fp == expected_fp;
         self.scc_count = scc_count;
@@ -536,7 +544,7 @@ impl LoadedCache {
         // so any Tier B framing after it, untrustworthy: stop here.
         let Ok(Some(tier_a_payload)) = d.frame(LENS) else {
             self.rejected(RejectReason::Corrupt);
-            return frames;
+            return None;
         };
         // A table of another length is another corpus, not corruption —
         // unless the corpus fingerprint says it is this one.
@@ -549,22 +557,35 @@ impl LoadedCache {
                 None => self.rejected(RejectReason::MalformedPayload),
             }
         }
-        // Walk the Tier B framing (cheap pointer arithmetic) so truncation
-        // is always detected; checksums are left to the caller.
-        while !d.done() {
-            let Some(key) = d.u64() else {
-                self.rejected(RejectReason::Corrupt);
-                break;
-            };
-            let start = d.pos();
-            let Ok(Some((_, stored))) = d.raw_frame(LENS) else {
-                self.rejected(RejectReason::Corrupt);
-                break;
-            };
-            frames.push((key, start..d.pos(), stored));
-        }
-        frames
+        Some(d.pos())
     }
+}
+
+/// Walks the Tier B framing from `start` to the end of `bytes` (cheap
+/// pointer arithmetic, no checksum verified), handing each record to
+/// `on_record` as `(key, frame range, stored checksum)`. Returns false
+/// when a record runs off the end: the file was truncated or a length
+/// field is corrupt.
+fn walk_tier_b(
+    bytes: &[u8],
+    start: usize,
+    mut on_record: impl FnMut(u64, Range<usize>, u64),
+) -> bool {
+    let mut d = Cursor::new(bytes);
+    if d.take(start).is_none() {
+        return false;
+    }
+    while !d.done() {
+        let Some(key) = d.u64() else {
+            return false;
+        };
+        let start = d.pos();
+        let Ok(Some((_, stored))) = d.raw_frame(LENS) else {
+            return false;
+        };
+        on_record(key, start..d.pos(), stored);
+    }
+    true
 }
 
 /// Loads and validates `path`. A missing file is an empty cache, not
@@ -575,12 +596,29 @@ pub fn load(path: &Path, expected_fp: u64, method_count: usize) -> LoadedCache {
     let Ok(bytes) = fs::read(path) else {
         return out;
     };
-    let frames = out.parse(&bytes, expected_fp, method_count);
-    // On a clean exact hit the records are never consulted, and
-    // verifying megabytes of payload would dominate the warm path.
-    // Checksums run only when the records may be used or written back.
-    if out.exact && out.tier_a.is_some() && out.invalidated == 0 {
-        return out;
+    let mut frames = Vec::new();
+    if let Some(tier_b_at) = out.parse(&bytes, expected_fp, method_count) {
+        // On a clean exact hit the records are never consulted, and
+        // verifying megabytes of payload would dominate the warm path:
+        // only the framing is walked, so truncation is still detected,
+        // and nothing is indexed. Checksums run only when the records
+        // may be used or written back.
+        if out.exact
+            && out.tier_a.is_some()
+            && out.invalidated == 0
+            && walk_tier_b(&bytes, tier_b_at, |_, _, _| {})
+        {
+            return out;
+        }
+        // One record per SCC, each at least a key and an empty frame:
+        // the header's count, bounded by the file, sizes the list.
+        frames.reserve((out.scc_count as usize).min(bytes.len() / (8 + 4 + 8)));
+        let intact = walk_tier_b(&bytes, tier_b_at, |key, frame, stored| {
+            frames.push((key, frame, stored));
+        });
+        if !intact {
+            out.rejected(RejectReason::Corrupt);
+        }
     }
     let mut verified = Vec::with_capacity(frames.len());
     for (key, frame, stored) in frames {
@@ -684,11 +722,7 @@ mod tests {
     fn tier_a_roundtrips() {
         let model = CodeModel::synthesize(&AospSpec::android_6_0_1());
         let analysis = crate::leakcheck::LeakChecker::new(&model).analyze();
-        let ordered: Vec<MethodSummary> = model
-            .methods
-            .iter()
-            .map(|def| analysis.summaries[&def.id].clone())
-            .collect();
+        let ordered = analysis.summaries.clone();
         let bytes = tier_a_payload(&ordered);
         let (table, index) = decode_tier_a(&bytes, model.methods.len()).expect("clean roundtrip");
         assert_eq!(table, ordered);
@@ -707,7 +741,7 @@ mod tests {
         let rcl = model
             .find_method("android.os.RemoteCallbackList", "register")
             .unwrap();
-        let summary = &analysis.summaries[&rcl];
+        let summary = analysis.summary(rcl);
         let bytes = encode_record(&model, &[(rcl, summary)]);
         let name_index: HashMap<(&str, &str), MethodId> = model
             .methods
@@ -789,11 +823,7 @@ mod tests {
         let model = CodeModel::synthesize(&AospSpec::android_6_0_1());
         let n = model.methods.len();
         let analysis = crate::leakcheck::LeakChecker::new(&model).analyze();
-        let ordered: Vec<MethodSummary> = model
-            .methods
-            .iter()
-            .map(|def| analysis.summaries[&def.id].clone())
-            .collect();
+        let ordered = analysis.summaries.clone();
         let mut tier_a = encode_tier_a(&ordered);
         // Poison the final byte of the table — the last encoded site's
         // predicate byte — then append the index.
@@ -810,6 +840,35 @@ mod tests {
         let loaded = load(&path, 7, n);
         assert_eq!(loaded.reject, Some(RejectReason::MalformedPayload));
         fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn site_lists_out_of_order_are_refused() {
+        // The fold merges callee site lists as sorted runs, so a table
+        // whose sites are out of `(method, site)` order is malformed, and
+        // a record with two sites under one key does not map.
+        let model = CodeModel::synthesize(&AospSpec::android_6_0_1());
+        let n = model.methods.len();
+        let analysis = crate::leakcheck::LeakChecker::new(&model).analyze();
+        let mut table = analysis.summaries.clone();
+        let (m, summary) = table
+            .iter_mut()
+            .enumerate()
+            .find(|(_, s)| s.sites.len() >= 2)
+            .expect("some summary has two sites");
+        let id = MethodId(m as u32);
+        summary.sites.swap(0, 1);
+        assert!(decode_tier_a(&tier_a_payload(&table), n).is_none());
+
+        let mut doubled = analysis.summary(id).clone();
+        doubled.sites.insert(1, doubled.sites[0]);
+        let bytes = encode_record(&model, &[(id, &doubled)]);
+        let name_index: HashMap<(&str, &str), MethodId> = model
+            .methods
+            .iter()
+            .map(|d| ((d.class.as_str(), d.name.as_str()), d.id))
+            .collect();
+        assert!(remap_record(&bytes, &[id], &name_index).is_none());
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! condensation that orders interprocedural bottom-up summary
 //! computation (recursive cliques are iterated to their own fixpoint).
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
-use jgre_corpus::{CodeModel, MethodId};
+use jgre_corpus::{CodeModel, MethodDef, MethodId};
 
 use crate::ir::{BlockId, Cfg, Stmt, Terminator};
 
@@ -46,80 +46,175 @@ pub struct Solution<S> {
     pub iterations: u64,
 }
 
-/// Runs the worklist algorithm to a fixpoint.
-///
-/// Blocks are seeded in reverse postorder so acyclic CFGs converge in a
-/// single pass; back edges re-enqueue their targets until states
-/// stabilize. Termination follows from the finite lattice height and the
-/// monotone `join`.
+/// Runs the worklist algorithm to a fixpoint: [`Solver::solve`] on a
+/// fresh solver, its states moved out into a [`Solution`].
 pub fn solve_forward<A: ForwardAnalysis>(cfg: &Cfg, analysis: &A) -> Solution<A::State> {
+    let mut solver = Solver::default();
+    let iterations = solver.solve(cfg, analysis);
     let n = cfg.blocks.len();
-    let mut entry: Vec<Option<A::State>> = vec![None; n];
-    let mut exit: Vec<Option<A::State>> = vec![None; n];
-    entry[Cfg::ENTRY.0 as usize] = Some(analysis.boundary());
-
-    let mut worklist: VecDeque<BlockId> = cfg.reverse_postorder().into();
-    let mut queued = vec![false; n];
-    for b in &worklist {
-        queued[b.0 as usize] = true;
-    }
-
-    let mut iterations = 0u64;
-    while let Some(b) = worklist.pop_front() {
-        queued[b.0 as usize] = false;
-        let Some(state_in) = entry[b.0 as usize].clone() else {
-            continue; // not yet reached
-        };
-        iterations += 1;
-        let mut state = state_in;
-        for stmt in &cfg.blocks[b.0 as usize].stmts {
-            analysis.transfer(stmt, &mut state);
-        }
-        let changed = match &mut exit[b.0 as usize] {
-            Some(old) if *old == state => false,
-            slot => {
-                *slot = Some(state.clone());
-                true
-            }
-        };
-        if !changed {
-            continue;
-        }
-        let term = cfg.blocks[b.0 as usize].term;
-        for (succ_index, succ) in cfg.successors(b).into_iter().enumerate() {
-            let s = succ.0 as usize;
-            // Each out-edge gets its own copy of the exit state so the
-            // edge transfer (branch predicates) refines one successor
-            // without contaminating its sibling.
-            let mut edge_state = state.clone();
-            analysis.transfer_edge(&term, succ_index, &mut edge_state);
-            let succ_changed = match &mut entry[s] {
-                None => {
-                    entry[s] = Some(edge_state);
-                    true
-                }
-                Some(old) => old.join(&edge_state),
-            };
-            if succ_changed && !queued[s] {
-                queued[s] = true;
-                worklist.push_back(succ);
-            }
-        }
-    }
+    let keep = |states: Vec<A::State>, present: &[bool]| -> Vec<Option<A::State>> {
+        states
+            .into_iter()
+            .zip(present)
+            .take(n)
+            .map(|(s, here)| here.then_some(s))
+            .collect()
+    };
     Solution {
-        entry,
-        exit,
+        entry: keep(solver.entry, &solver.reached),
+        exit: keep(solver.exit, &solver.solved),
         iterations,
+    }
+}
+
+/// The forward worklist solver with its buffers: per-block states,
+/// reverse postorder and worklist, grown to the largest CFG solved. One
+/// solver serves any number of CFGs; every buffer is cleared, not
+/// dropped, between them, and states are copied with `clone_from`, so a
+/// state type whose `clone_from` reuses its storage solves method after
+/// method without allocating.
+#[derive(Debug)]
+pub struct Solver<S> {
+    /// Entry state per block, valid where `reached`.
+    entry: Vec<S>,
+    /// Exit state per block, valid where `solved`.
+    exit: Vec<S>,
+    reached: Vec<bool>,
+    solved: Vec<bool>,
+    queued: Vec<bool>,
+    worklist: VecDeque<BlockId>,
+    order: Vec<BlockId>,
+    marks: Vec<u8>,
+    stack: Vec<BlockId>,
+    /// The block being transferred, then the edge being taken.
+    state: Option<S>,
+    edge: Option<S>,
+}
+
+impl<S> Default for Solver<S> {
+    fn default() -> Self {
+        Self {
+            entry: Vec::new(),
+            exit: Vec::new(),
+            reached: Vec::new(),
+            solved: Vec::new(),
+            queued: Vec::new(),
+            worklist: VecDeque::new(),
+            order: Vec::new(),
+            marks: Vec::new(),
+            stack: Vec::new(),
+            state: None,
+            edge: None,
+        }
+    }
+}
+
+impl<S: JoinSemiLattice> Solver<S> {
+    /// Solves `cfg` to a fixpoint and returns the number of block
+    /// transfers executed.
+    ///
+    /// Blocks are seeded in reverse postorder so acyclic CFGs converge in
+    /// a single pass; back edges re-enqueue their targets until states
+    /// stabilize. Termination follows from the finite lattice height and
+    /// the monotone `join`.
+    pub fn solve<A: ForwardAnalysis<State = S>>(&mut self, cfg: &Cfg, analysis: &A) -> u64 {
+        let n = cfg.blocks.len();
+        let Self {
+            entry,
+            exit,
+            reached,
+            solved,
+            queued,
+            worklist,
+            order,
+            marks,
+            stack,
+            state,
+            edge,
+        } = self;
+        while entry.len() < n {
+            entry.push(analysis.boundary());
+            exit.push(analysis.boundary());
+        }
+        for flags in [&mut *reached, &mut *solved, &mut *queued] {
+            flags.clear();
+            flags.resize(n, false);
+        }
+        entry[Cfg::ENTRY.0 as usize].clone_from(&analysis.boundary());
+        reached[Cfg::ENTRY.0 as usize] = true;
+
+        cfg.reverse_postorder_into(marks, stack, order);
+        worklist.clear();
+        worklist.extend(order.iter().copied());
+        for b in order.iter() {
+            queued[b.0 as usize] = true;
+        }
+        let state = state.get_or_insert_with(|| analysis.boundary());
+        let edge = edge.get_or_insert_with(|| analysis.boundary());
+
+        let mut iterations = 0u64;
+        while let Some(b) = worklist.pop_front() {
+            let bi = b.0 as usize;
+            queued[bi] = false;
+            if !reached[bi] {
+                continue; // not yet reached
+            }
+            iterations += 1;
+            state.clone_from(&entry[bi]);
+            for stmt in cfg.block_stmts(b) {
+                analysis.transfer(stmt, state);
+            }
+            if solved[bi] && exit[bi] == *state {
+                continue;
+            }
+            exit[bi].clone_from(state);
+            solved[bi] = true;
+            let term = cfg.blocks[bi].term;
+            for (succ_index, succ) in term.successors().enumerate() {
+                let s = succ.0 as usize;
+                // Each out-edge gets its own copy of the exit state so the
+                // edge transfer (branch predicates) refines one successor
+                // without contaminating its sibling.
+                edge.clone_from(state);
+                analysis.transfer_edge(&term, succ_index, edge);
+                let succ_changed = if reached[s] {
+                    entry[s].join(edge)
+                } else {
+                    entry[s].clone_from(edge);
+                    reached[s] = true;
+                    true
+                };
+                if succ_changed && !queued[s] {
+                    queued[s] = true;
+                    worklist.push_back(succ);
+                }
+            }
+        }
+        iterations
+    }
+
+    /// The last solve's state at block `b`'s exit; `None` when `b` was
+    /// unreachable.
+    pub fn exit(&self, b: BlockId) -> Option<&S> {
+        let b = b.0 as usize;
+        self.solved
+            .get(b)
+            .copied()
+            .unwrap_or(false)
+            .then(|| &self.exit[b])
     }
 }
 
 /// Strongly connected components of the Java call graph (direct calls
 /// plus Handler posts), in callee-before-caller order — the order a
 /// bottom-up summary computation consumes.
+///
+/// The SCCs share one buffer: SCC `i` is `members[bounds[i]..bounds[i +
+/// 1]]`, sorted by id.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Condensation {
-    /// SCCs in reverse-topological (callee-first) order.
-    pub sccs: Vec<Vec<MethodId>>,
+    members: Vec<MethodId>,
+    bounds: Vec<u32>,
 }
 
 /// Tarjan's algorithm (iterative), emitting SCCs callee-first.
@@ -127,100 +222,120 @@ pub fn condense_call_graph(model: &CodeModel) -> Condensation {
     condense_within(model, &vec![true; model.methods.len()])
 }
 
+/// The `k`-th out-edge of `def` in the call graph: its direct calls,
+/// then its Handler posts.
+fn edge(def: &MethodDef, k: usize) -> Option<MethodId> {
+    match def.calls.get(k) {
+        Some(callee) => Some(*callee),
+        None => def.handler_posts.get(k - def.calls.len()).copied(),
+    }
+}
+
 /// [`condense_call_graph`] over only the methods `member` marks; edges
 /// to other methods are ignored. When the marked set is closed under
 /// callers, its SCCs are exactly the whole graph's SCCs that touch it.
 pub(crate) fn condense_within(model: &CodeModel, member: &[bool]) -> Condensation {
-    if !member.contains(&true) {
-        return Condensation { sccs: Vec::new() };
+    let marked = member.iter().filter(|m| **m).count();
+    let mut cond = Condensation {
+        members: Vec::with_capacity(marked),
+        bounds: Vec::with_capacity(marked + 1),
+    };
+    cond.bounds.push(0);
+    if marked == 0 {
+        return cond;
     }
+    const UNVISITED: u32 = u32::MAX;
     let n = model.methods.len();
-    let mut index: Vec<Option<u32>> = vec![None; n];
+    let mut index = vec![UNVISITED; n];
     let mut lowlink = vec![0u32; n];
     let mut on_stack = vec![false; n];
-    let mut stack: Vec<usize> = Vec::new();
+    let mut stack: Vec<u32> = Vec::new();
+    // Explicit DFS frames: (node, cursor over its out-edges).
+    let mut frames: Vec<(u32, u32)> = Vec::new();
     let mut next_index = 0u32;
-    let mut sccs = Vec::new();
-
-    // Explicit DFS frames: (node, edge cursor).
-    let edges = |v: usize| -> Vec<usize> {
-        let def = &model.methods[v];
-        def.calls
-            .iter()
-            .chain(def.handler_posts.iter())
-            .map(|m| m.0 as usize)
-            .filter(|&w| member[w])
-            .collect()
-    };
 
     for root in 0..n {
-        if !member[root] || index[root].is_some() {
+        if !member[root] || index[root] != UNVISITED {
             continue;
         }
-        let mut frames: Vec<(usize, Vec<usize>, usize)> = vec![(root, edges(root), 0)];
-        index[root] = Some(next_index);
-        lowlink[root] = next_index;
-        next_index += 1;
-        stack.push(root);
-        on_stack[root] = true;
-
-        while let Some((v, succs, cursor)) = frames.last_mut() {
-            if let Some(&w) = succs.get(*cursor) {
+        let mut visit = Some(root);
+        loop {
+            if let Some(v) = visit.take() {
+                index[v] = next_index;
+                lowlink[v] = next_index;
+                next_index += 1;
+                stack.push(v as u32);
+                on_stack[v] = true;
+                frames.push((v as u32, 0));
+            }
+            let Some((v, cursor)) = frames.last_mut() else {
+                break;
+            };
+            let v = *v as usize;
+            if let Some(w) = edge(&model.methods[v], *cursor as usize) {
                 *cursor += 1;
-                if index[w].is_none() {
-                    index[w] = Some(next_index);
-                    lowlink[w] = next_index;
-                    next_index += 1;
-                    stack.push(w);
-                    on_stack[w] = true;
-                    frames.push((w, edges(w), 0));
+                let w = w.0 as usize;
+                if !member[w] {
+                    continue;
+                }
+                if index[w] == UNVISITED {
+                    visit = Some(w);
                 } else if on_stack[w] {
-                    let v = *v;
-                    lowlink[v] = lowlink[v].min(index[w].expect("indexed"));
+                    lowlink[v] = lowlink[v].min(index[w]);
                 }
             } else {
-                let v = *v;
-                if lowlink[v] == index[v].expect("indexed") {
-                    let mut scc = Vec::new();
+                if lowlink[v] == index[v] {
+                    let start = cond.members.len();
                     loop {
                         let w = stack.pop().expect("stack holds the SCC");
-                        on_stack[w] = false;
-                        scc.push(MethodId(w as u32));
-                        if w == v {
+                        on_stack[w as usize] = false;
+                        cond.members.push(MethodId(w));
+                        if w as usize == v {
                             break;
                         }
                     }
-                    scc.sort();
-                    sccs.push(scc);
+                    cond.members[start..].sort_unstable();
+                    cond.bounds.push(cond.members.len() as u32);
                 }
                 frames.pop();
-                if let Some((parent, _, _)) = frames.last() {
-                    let parent = *parent;
+                if let Some((parent, _)) = frames.last() {
+                    let parent = *parent as usize;
                     lowlink[parent] = lowlink[parent].min(lowlink[v]);
                 }
             }
         }
     }
-    Condensation { sccs }
+    cond
 }
 
 impl Condensation {
-    /// Map from method to the index of its SCC in [`Condensation::sccs`].
-    pub fn scc_of(&self) -> BTreeMap<MethodId, usize> {
-        let mut map = BTreeMap::new();
-        for (i, scc) in self.sccs.iter().enumerate() {
-            for m in scc {
-                map.insert(*m, i);
-            }
-        }
-        map
+    /// Number of SCCs.
+    pub fn len(&self) -> usize {
+        self.bounds.len() - 1
     }
 
-    /// Dense method-indexed variant of [`Condensation::scc_of`];
-    /// `usize::MAX` for methods outside the condensation.
+    /// Whether there are no SCCs.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The members of SCC `i`, sorted by id.
+    pub fn scc(&self, i: usize) -> &[MethodId] {
+        &self.members[self.bounds[i] as usize..self.bounds[i + 1] as usize]
+    }
+
+    /// Every SCC, callee-first.
+    pub fn sccs(&self) -> impl Iterator<Item = &[MethodId]> {
+        self.bounds
+            .windows(2)
+            .map(|w| &self.members[w[0] as usize..w[1] as usize])
+    }
+
+    /// Map from method to the index of its SCC; `usize::MAX` for methods
+    /// outside the condensation.
     pub fn scc_index(&self, method_count: usize) -> Vec<usize> {
         let mut index = vec![usize::MAX; method_count];
-        for (i, scc) in self.sccs.iter().enumerate() {
+        for (i, scc) in self.sccs().enumerate() {
             for m in scc {
                 index[m.0 as usize] = i;
             }
@@ -234,12 +349,11 @@ impl Condensation {
     /// mutually independent, so a bottom-up summary computation can
     /// process each wave in parallel with one barrier per level. Callees
     /// outside the condensation (the finished callees of a cone) do not
-    /// count.
-    pub fn levels(&self, model: &CodeModel) -> Vec<Vec<usize>> {
-        let scc_index = self.scc_index(model.methods.len());
-        let mut level = vec![0usize; self.sccs.len()];
+    /// count. `scc_index` is [`Condensation::scc_index`].
+    pub fn levels(&self, model: &CodeModel, scc_index: &[usize]) -> Vec<Vec<usize>> {
+        let mut level = vec![0usize; self.len()];
         let mut max_level = 0;
-        for (i, scc) in self.sccs.iter().enumerate() {
+        for (i, scc) in self.sccs().enumerate() {
             let mut l = 0;
             for m in scc {
                 let def = model.method(*m);
@@ -271,7 +385,7 @@ mod tests {
     fn condensation_is_callee_first() {
         let model = CodeModel::synthesize(&AospSpec::android_6_0_1());
         let cond = condense_call_graph(&model);
-        let total: usize = cond.sccs.iter().map(Vec::len).sum();
+        let total: usize = cond.sccs().map(<[MethodId]>::len).sum();
         assert_eq!(
             total,
             model.methods.len(),
@@ -279,11 +393,11 @@ mod tests {
         );
         // Callee-first: every call edge goes from a later SCC to an
         // earlier (or the same) one.
-        let scc_of = cond.scc_of();
+        let scc_of = cond.scc_index(model.methods.len());
         for def in &model.methods {
             for callee in def.calls.iter().chain(def.handler_posts.iter()) {
                 assert!(
-                    scc_of[callee] <= scc_of[&def.id],
+                    scc_of[callee.0 as usize] <= scc_of[def.id.0 as usize],
                     "{}.{} calls ahead of its SCC",
                     def.class,
                     def.name
@@ -326,7 +440,7 @@ mod tests {
             jni_registrations: Vec::new(),
         };
         let cond = condense_call_graph(&model);
-        assert_eq!(cond.sccs.len(), 1);
-        assert_eq!(cond.sccs[0], vec![MethodId(0), MethodId(1)]);
+        assert_eq!(cond.len(), 1);
+        assert_eq!(cond.scc(0), [MethodId(0), MethodId(1)]);
     }
 }

@@ -97,7 +97,7 @@ pub fn corpus_fingerprint(fingerprints: &[u64]) -> Fingerprint {
 pub struct BlockId(pub u32);
 
 /// One flat IR statement (branches live in the [`Terminator`]).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Stmt {
     /// A JGR is created and bound to `dst`.
     AllocJgr {
@@ -116,7 +116,7 @@ pub enum Stmt {
         /// Register being stored.
         src: Var,
         /// Field name.
-        field: String,
+        field: &'static str,
         /// Storage kind.
         kind: FieldKind,
     },
@@ -154,20 +154,41 @@ pub enum Terminator {
     Return,
 }
 
-/// One basic block.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+impl Terminator {
+    /// Successor blocks, the then-edge first (the order edge transfers
+    /// number them in).
+    pub fn successors(self) -> impl Iterator<Item = BlockId> {
+        let (first, second) = match self {
+            Terminator::Goto(t) => (Some(t), None),
+            Terminator::Branch { then_, else_, .. } => (Some(then_), Some(else_)),
+            Terminator::Return => (None, None),
+        };
+        first.into_iter().chain(second)
+    }
+}
+
+/// One basic block: a run of [`Cfg::stmts`] and its terminator.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct BasicBlock {
-    /// Straight-line statements.
-    pub stmts: Vec<Stmt>,
+    /// Index of the block's first statement in [`Cfg::stmts`].
+    pub start: u32,
+    /// Number of straight-line statements.
+    pub len: u32,
     /// Block terminator.
     pub term: Terminator,
 }
 
 /// A per-method control-flow graph. Block 0 is the entry.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// The statements of all blocks share one buffer, each block's run
+/// contiguous, so [`Cfg::lower_from`] can re-lower into the same
+/// allocations method after method.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct Cfg {
     /// All blocks; [`Cfg::ENTRY`] is the function entry.
     pub blocks: Vec<BasicBlock>,
+    /// Every block's statements, block runs back to back.
+    pub stmts: Vec<Stmt>,
 }
 
 impl Cfg {
@@ -189,30 +210,31 @@ impl Cfg {
     /// assert_eq!(cfg.blocks[0].term, Terminator::Return);
     /// ```
     pub fn lower(body: &MethodBody) -> Cfg {
-        let mut lowerer = Lowerer { blocks: Vec::new() };
-        let entry = lowerer.new_block();
-        if let Some(open) = lowerer.lower_seq(&body.stmts, entry) {
-            lowerer.blocks[open.0 as usize].1 = Some(Terminator::Return);
-        }
-        Cfg {
-            blocks: lowerer
-                .blocks
-                .into_iter()
-                .map(|(stmts, term)| BasicBlock {
-                    stmts,
-                    term: term.unwrap_or(Terminator::Return),
-                })
-                .collect(),
+        let mut cfg = Cfg::default();
+        cfg.lower_from(body);
+        cfg
+    }
+
+    /// [`Cfg::lower`] into `self`, replacing its contents and reusing its
+    /// buffers.
+    pub fn lower_from(&mut self, body: &MethodBody) {
+        self.blocks.clear();
+        self.stmts.clear();
+        let entry = self.new_block();
+        if let Some(open) = self.lower_seq(&body.stmts, entry) {
+            self.blocks[open.0 as usize].term = Terminator::Return;
         }
     }
 
-    /// Successor blocks of `b`.
-    pub fn successors(&self, b: BlockId) -> Vec<BlockId> {
-        match self.blocks[b.0 as usize].term {
-            Terminator::Goto(t) => vec![t],
-            Terminator::Branch { then_, else_, .. } => vec![then_, else_],
-            Terminator::Return => Vec::new(),
-        }
+    /// The straight-line statements of block `b`.
+    pub fn block_stmts(&self, b: BlockId) -> &[Stmt] {
+        let block = &self.blocks[b.0 as usize];
+        &self.stmts[block.start as usize..(block.start + block.len) as usize]
+    }
+
+    /// Successor blocks of `b`, the then-edge first.
+    pub fn successors(&self, b: BlockId) -> impl Iterator<Item = BlockId> {
+        self.blocks[b.0 as usize].term.successors()
     }
 
     /// Stable content hash of the lowered IR, with call edges identified
@@ -228,9 +250,9 @@ impl Cfg {
         let mut h = StableHasher::new();
         h.write_u64(0x4a47_5245_4346_4731); // "JGRECFG1": IR-recipe tag
         h.write_u32(self.blocks.len() as u32);
-        for block in &self.blocks {
-            h.write_u32(block.stmts.len() as u32);
-            for stmt in &block.stmts {
+        for (i, block) in self.blocks.iter().enumerate() {
+            h.write_u32(block.len);
+            for stmt in self.block_stmts(BlockId(i as u32)) {
                 match stmt {
                     Stmt::AllocJgr { dst, site } => {
                         h.write_u8(0);
@@ -309,22 +331,37 @@ impl Cfg {
     /// Blocks in reverse postorder from the entry — the iteration order
     /// that lets a forward worklist converge in few passes.
     pub fn reverse_postorder(&self) -> Vec<BlockId> {
-        let mut state = vec![0u8; self.blocks.len()]; // 0 new, 1 open, 2 done
-        let mut postorder = Vec::with_capacity(self.blocks.len());
-        let mut stack = vec![Self::ENTRY];
+        let mut order = Vec::with_capacity(self.blocks.len());
+        self.reverse_postorder_into(&mut Vec::new(), &mut Vec::new(), &mut order);
+        order
+    }
+
+    /// [`Cfg::reverse_postorder`] into `order`, with `marks` and `stack`
+    /// as the walk's scratch; all three are cleared first.
+    pub fn reverse_postorder_into(
+        &self,
+        marks: &mut Vec<u8>,
+        stack: &mut Vec<BlockId>,
+        order: &mut Vec<BlockId>,
+    ) {
+        marks.clear();
+        marks.resize(self.blocks.len(), 0); // 0 new, 1 open, 2 done
+        stack.clear();
+        stack.push(Self::ENTRY);
+        order.clear();
         while let Some(&b) = stack.last() {
-            match state[b.0 as usize] {
+            match marks[b.0 as usize] {
                 0 => {
-                    state[b.0 as usize] = 1;
+                    marks[b.0 as usize] = 1;
                     for succ in self.successors(b) {
-                        if state[succ.0 as usize] == 0 {
+                        if marks[succ.0 as usize] == 0 {
                             stack.push(succ);
                         }
                     }
                 }
                 1 => {
-                    state[b.0 as usize] = 2;
-                    postorder.push(b);
+                    marks[b.0 as usize] = 2;
+                    order.push(b);
                     stack.pop();
                 }
                 _ => {
@@ -332,24 +369,24 @@ impl Cfg {
                 }
             }
         }
-        postorder.reverse();
-        postorder
+        order.reverse();
     }
-}
 
-struct Lowerer {
-    blocks: Vec<(Vec<Stmt>, Option<Terminator>)>,
-}
-
-impl Lowerer {
     fn new_block(&mut self) -> BlockId {
-        self.blocks.push((Vec::new(), None));
+        self.blocks.push(BasicBlock {
+            start: self.stmts.len() as u32,
+            len: 0,
+            term: Terminator::Return,
+        });
         BlockId((self.blocks.len() - 1) as u32)
     }
 
     /// Lowers a statement sequence starting in `cur`; returns the block
-    /// left open at the end, or `None` when the sequence returned.
+    /// left open at the end, or `None` when the sequence returned. A
+    /// block takes statements only while it is `cur`, which keeps its
+    /// run in [`Cfg::stmts`] contiguous.
     fn lower_seq(&mut self, stmts: &[BodyStmt], mut cur: BlockId) -> Option<BlockId> {
+        self.blocks[cur.0 as usize].start = self.stmts.len() as u32;
         for stmt in stmts {
             match stmt {
                 BodyStmt::AllocJgr { dst, site } => self.push(
@@ -359,15 +396,13 @@ impl Lowerer {
                         site: *site,
                     },
                 ),
-                BodyStmt::ReleaseJgr { src } => {
-                    self.push(cur, Stmt::ReleaseJgr { src: src.clone() });
-                }
+                BodyStmt::ReleaseJgr { src } => self.push(cur, Stmt::ReleaseJgr { src: *src }),
                 BodyStmt::StoreField { src, field, kind } => self.push(
                     cur,
                     Stmt::StoreField {
                         src: *src,
-                        field: field.clone(),
-                        kind: kind.clone(),
+                        field,
+                        kind: *kind,
                     },
                 ),
                 BodyStmt::StoreLocal { src } => self.push(cur, Stmt::StoreLocal { src: *src }),
@@ -388,11 +423,11 @@ impl Lowerer {
                 } => {
                     let then_ = self.new_block();
                     let else_ = self.new_block();
-                    self.blocks[cur.0 as usize].1 = Some(Terminator::Branch {
+                    self.blocks[cur.0 as usize].term = Terminator::Branch {
                         kind: *kind,
                         then_,
                         else_,
-                    });
+                    };
                     let t_end = self.lower_seq(then_branch, then_);
                     let e_end = self.lower_seq(else_branch, else_);
                     match (t_end, e_end) {
@@ -400,14 +435,14 @@ impl Lowerer {
                         (t, e) => {
                             let join = self.new_block();
                             for open in [t, e].into_iter().flatten() {
-                                self.blocks[open.0 as usize].1 = Some(Terminator::Goto(join));
+                                self.blocks[open.0 as usize].term = Terminator::Goto(join);
                             }
                             cur = join;
                         }
                     }
                 }
                 BodyStmt::Return => {
-                    self.blocks[cur.0 as usize].1 = Some(Terminator::Return);
+                    self.blocks[cur.0 as usize].term = Terminator::Return;
                     return None;
                 }
             }
@@ -416,7 +451,14 @@ impl Lowerer {
     }
 
     fn push(&mut self, block: BlockId, stmt: Stmt) {
-        self.blocks[block.0 as usize].0.push(stmt);
+        let block = &mut self.blocks[block.0 as usize];
+        debug_assert_eq!(
+            (block.start + block.len) as usize,
+            self.stmts.len(),
+            "a block's statements stay contiguous"
+        );
+        block.len += 1;
+        self.stmts.push(stmt);
     }
 }
 

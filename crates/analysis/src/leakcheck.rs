@@ -26,15 +26,15 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
-use jgre_corpus::body::{AllocSite, BranchKind, FieldKind, Place, Var};
+use jgre_corpus::body::{AllocSite, BranchKind, FieldKind, MethodBody, Place, Var};
 use jgre_corpus::spec::ProtectionLevel;
 use jgre_corpus::{CodeModel, MethodDef, MethodId};
 use jgre_sim::record::StableHasher;
 use serde::{Deserialize, Serialize};
 
 use crate::cache;
-use crate::dataflow::{condense_within, solve_forward, ForwardAnalysis, JoinSemiLattice};
-use crate::ir::{corpus_fingerprint, method_fact_fingerprints, Cfg, Stmt, Terminator};
+use crate::dataflow::{condense_within, ForwardAnalysis, JoinSemiLattice, Solver};
+use crate::ir::{corpus_fingerprint, method_fact_fingerprints, BlockId, Cfg, Stmt, Terminator};
 use crate::{DetectorOutput, IpcMethod, JgrEntrySets, RiskyInterface, SiftReason};
 
 /// A small set of branch predicates, as *must*-information: a bit is set
@@ -140,7 +140,7 @@ pub enum EscapeKind {
 }
 
 /// The fate of one allocation site, with provenance.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SiteSummary {
     /// Method whose body contains the allocation.
     pub method: MethodId,
@@ -329,42 +329,116 @@ enum VarState {
 /// predicates that guarded the call. Joining two paths intersects each
 /// of those *independently*, so losing a predicate on one path no longer
 /// strips it from sites and calls that were individually guarded.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// Storage is dense and small: the sets are sorted vectors, `vars` is
+/// indexed by register and never ends in an unset slot, so the derived
+/// equality is set equality, and `clone_from` reuses every buffer.
+#[derive(Debug, Default, PartialEq, Eq)]
 struct LeakState {
     /// Lattice value per register, with the must-predicates under which
     /// the register reached that value.
-    vars: BTreeMap<Var, (VarState, PredSet)>,
+    vars: Vec<Option<(VarState, PredSet)>>,
     /// Fields whose previous value was released and not yet overwritten
-    /// (must-information: intersected at joins).
-    cleared: BTreeSet<String>,
-    /// Registers used as read-only map keys.
-    key_use: BTreeSet<Var>,
+    /// (must-information: intersected at joins). Sorted.
+    cleared: Vec<&'static str>,
+    /// Registers used as read-only map keys. Sorted.
+    key_use: Vec<Var>,
     /// Callees invoked on some path, with the must-predicates that
     /// guarded every call — a callee only reached under `BOUND_CHECKED`
-    /// has its retention capped by that same bound.
-    called: BTreeMap<MethodId, PredSet>,
+    /// has its retention capped by that same bound. Sorted by callee.
+    called: Vec<(MethodId, PredSet)>,
     /// Must-predicates of the current path (intersected at joins).
     path: PredSet,
     /// Whether a Handler-post edge was taken.
     handler: bool,
 }
 
+impl Clone for LeakState {
+    fn clone(&self) -> Self {
+        let mut out = LeakState::default();
+        out.clone_from(self);
+        out
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.vars.clone_from(&source.vars);
+        self.cleared.clone_from(&source.cleared);
+        self.key_use.clone_from(&source.key_use);
+        self.called.clone_from(&source.called);
+        self.path = source.path;
+        self.handler = source.handler;
+    }
+}
+
+/// Inserts `x` into the sorted set `set`; true when it was new.
+fn insert_sorted<T: Ord>(set: &mut Vec<T>, x: T) -> bool {
+    match set.binary_search(&x) {
+        Ok(_) => false,
+        Err(i) => {
+            set.insert(i, x);
+            true
+        }
+    }
+}
+
+impl LeakState {
+    /// The lattice value of `v`, when it has one.
+    fn var(&self, v: Var) -> Option<(VarState, PredSet)> {
+        self.vars.get(v as usize).copied().flatten()
+    }
+
+    /// The slot of `v`, grown into existence. The caller sets it, which
+    /// keeps the last slot set.
+    fn var_slot(&mut self, v: Var) -> &mut Option<(VarState, PredSet)> {
+        let i = v as usize;
+        if self.vars.len() <= i {
+            self.vars.resize(i + 1, None);
+        }
+        &mut self.vars[i]
+    }
+
+    /// Records a call to `callee` under `preds`, keeping only the
+    /// predicates every call to it agrees on; true when that changed
+    /// anything.
+    fn call(&mut self, callee: MethodId, preds: PredSet) -> bool {
+        match self.called.binary_search_by_key(&callee, |(c, _)| *c) {
+            Ok(i) => {
+                let cur = &mut self.called[i].1;
+                let met = cur.meet(preds);
+                let changed = met != *cur;
+                *cur = met;
+                changed
+            }
+            Err(i) => {
+                self.called.insert(i, (callee, preds));
+                true
+            }
+        }
+    }
+}
+
 impl JoinSemiLattice for LeakState {
     fn join(&mut self, other: &Self) -> bool {
         let mut changed = false;
-        for (v, (s, p)) in &other.vars {
-            match self.vars.get_mut(v) {
+        if self.vars.len() < other.vars.len() {
+            self.vars.resize(other.vars.len(), None);
+        }
+        for (slot, theirs) in self.vars.iter_mut().zip(&other.vars) {
+            let Some((s, p)) = *theirs else {
+                continue;
+            };
+            match slot {
                 None => {
-                    self.vars.insert(*v, (*s, *p));
+                    *slot = Some((s, p));
                     changed = true;
                 }
                 Some((cur, cp)) => {
-                    if *cur < *s {
-                        *cur = *s;
-                        *cp = *p;
+                    if *cur < s {
+                        *cur = s;
+                        *cp = p;
                         changed = true;
-                    } else if *cur == *s {
-                        let met = cp.meet(*p);
+                    } else if *cur == s {
+                        let met = cp.meet(p);
                         if met != *cp {
                             *cp = met;
                             changed = true;
@@ -374,25 +448,14 @@ impl JoinSemiLattice for LeakState {
             }
         }
         let before = self.cleared.len();
-        self.cleared.retain(|f| other.cleared.contains(f));
+        self.cleared
+            .retain(|f| other.cleared.binary_search(f).is_ok());
         changed |= self.cleared.len() != before;
         for k in &other.key_use {
-            changed |= self.key_use.insert(*k);
+            changed |= insert_sorted(&mut self.key_use, *k);
         }
         for (c, p) in &other.called {
-            match self.called.get_mut(c) {
-                None => {
-                    self.called.insert(*c, *p);
-                    changed = true;
-                }
-                Some(cur) => {
-                    let met = cur.meet(*p);
-                    if met != *cur {
-                        *cur = met;
-                        changed = true;
-                    }
-                }
-            }
+            changed |= self.call(*c, *p);
         }
         let met = self.path.meet(other.path);
         if met != self.path {
@@ -419,15 +482,17 @@ impl ForwardAnalysis for LeakBodyAnalysis {
     fn transfer(&self, stmt: &Stmt, state: &mut LeakState) {
         match stmt {
             Stmt::AllocJgr { dst, .. } => {
-                state.vars.insert(*dst, (VarState::Live, state.path));
+                let path = state.path;
+                *state.var_slot(*dst) = Some((VarState::Live, path));
             }
             Stmt::ReleaseJgr { src: Place::Var(v) } => {
-                state.vars.insert(*v, (VarState::Released, state.path));
+                let path = state.path;
+                *state.var_slot(*v) = Some((VarState::Released, path));
             }
             Stmt::ReleaseJgr {
                 src: Place::Field(f),
             } => {
-                state.cleared.insert(f.clone());
+                insert_sorted(&mut state.cleared, *f);
             }
             Stmt::StoreField { src, field, kind } => {
                 // Escalation stamps the *current* path predicates onto the
@@ -435,7 +500,7 @@ impl ForwardAnalysis for LeakBodyAnalysis {
                 // the predicates both occurrences agree on.
                 let escalate = |state: &mut LeakState, v: Var, to: VarState| {
                     let path = state.path;
-                    let entry = state.vars.entry(v).or_insert((VarState::Live, path));
+                    let entry = state.var_slot(v).get_or_insert((VarState::Live, path));
                     if to > entry.0 {
                         *entry = (to, path);
                     } else if to == entry.0 {
@@ -454,12 +519,18 @@ impl ForwardAnalysis for LeakBodyAnalysis {
                     }
                     FieldKind::MapKeyReadOnly => {
                         // A key lookup does not retain the reference.
-                        state.key_use.insert(*src);
+                        insert_sorted(&mut state.key_use, *src);
                     }
                     FieldKind::Scalar => {
                         // Bounded only when the previous value was
                         // provably released before this store.
-                        let replaced = state.cleared.remove(field);
+                        let replaced = match state.cleared.binary_search(field) {
+                            Ok(i) => {
+                                state.cleared.remove(i);
+                                true
+                            }
+                            Err(_) => false,
+                        };
                         let to = if replaced {
                             VarState::EscapedScalar
                         } else {
@@ -475,12 +546,7 @@ impl ForwardAnalysis for LeakBodyAnalysis {
                 via_handler,
             } => {
                 let path = state.path;
-                match state.called.get_mut(callee) {
-                    None => {
-                        state.called.insert(*callee, path);
-                    }
-                    Some(cur) => *cur = cur.meet(path),
-                }
+                state.call(*callee, path);
                 state.handler |= *via_handler;
             }
         }
@@ -510,11 +576,36 @@ impl ForwardAnalysis for LeakBodyAnalysis {
 // ------------------------------------------------------------------
 
 /// One method's solved intraprocedural result.
+#[derive(Debug, Clone, Default)]
 struct IntraResult {
     /// Join of the exit states of all return blocks.
     final_state: LeakState,
-    /// Allocation sites in this body, by register.
-    var_sites: BTreeMap<Var, AllocSite>,
+    /// Allocation site per register (the last allocation into it).
+    var_sites: Vec<Option<AllocSite>>,
+}
+
+/// One wave worker's buffers, reused method after method: the body and
+/// its CFG, the solver, the solved result, the fold's site runs and the
+/// finished summaries. A method solved and folded through a warm scratch
+/// allocates only its summary's site list.
+#[derive(Debug, Default)]
+struct Scratch {
+    body: MethodBody,
+    cfg: Cfg,
+    solver: Solver<LeakState>,
+    /// A return block's exit state, stamped before it is joined.
+    exit: LeakState,
+    intra: IntraResult,
+    fold: FoldBuffers,
+    /// The worker's finished summaries, SCC after SCC.
+    members: Vec<(MethodId, MethodSummary)>,
+}
+
+/// The two site runs [`fold_summary`] merges between.
+#[derive(Debug, Default)]
+struct FoldBuffers {
+    sites: Vec<SiteSummary>,
+    merged: Vec<SiteSummary>,
 }
 
 /// Runs the leak-check pass over a whole code model.
@@ -533,8 +624,9 @@ struct SccOutcome {
     key: u64,
     /// Where the SCC's Tier B record comes from on store.
     record: RecordSource,
-    /// Final summaries of the SCC's members.
-    members: Vec<(MethodId, MethodSummary)>,
+    /// How many of the worker's [`Scratch::members`] this SCC's final
+    /// summaries take, after those of the SCCs before it.
+    members: usize,
     /// Served from the cache?
     hit: bool,
     /// Cache entries rejected while trying to serve this SCC.
@@ -583,8 +675,8 @@ struct Seed {
 /// solver statistics.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LeakAnalysis {
-    /// Bottom-up summary per method.
-    pub summaries: BTreeMap<MethodId, MethodSummary>,
+    /// Bottom-up summary per method, indexed by [`MethodId`].
+    pub summaries: Vec<MethodSummary>,
     /// Work statistics.
     pub stats: SolverStats,
 }
@@ -669,6 +761,24 @@ impl<'m> LeakChecker<'m> {
         };
         stats.cache_invalidated = loaded.invalidated;
 
+        // A clean exact hit: Tier B went unverified because the header
+        // matched, and every fact fingerprint matches the index. Tier A
+        // is the answer as loaded; no table is rebuilt and the file
+        // stays as it is.
+        let clean_exact_hit = loaded.tier_a.is_some()
+            && !loaded.tier_b_verified
+            && loaded
+                .index
+                .iter()
+                .zip(&fps)
+                .all(|(row, fp)| row.fact_fp == *fp);
+        if clean_exact_hit {
+            stats.sccs = loaded.scc_count as usize;
+            stats.cache_hits = stats.sccs as u64;
+            let summaries = loaded.tier_a.take().unwrap_or_default();
+            return LeakAnalysis { summaries, stats };
+        }
+
         let Seed {
             mut tables,
             dirty,
@@ -679,12 +789,14 @@ impl<'m> LeakChecker<'m> {
         // Only the SCCs touching the dirty set are processed; the set is
         // closed under callers, so each of them is wholly dirty.
         let cond = condense_within(model, &dirty);
-        stats.sccs = clean_sccs + cond.sccs.len();
+        stats.sccs = clean_sccs + cond.len();
         stats.cache_hits = clean_sccs as u64;
-        let (scc_index, waves) = if cond.sccs.is_empty() {
+        let (scc_index, waves) = if cond.is_empty() {
             (Vec::new(), Vec::new())
         } else {
-            (cond.scc_index(n), cond.levels(model))
+            let scc_index = cond.scc_index(n);
+            let waves = cond.levels(model, &scc_index);
+            (scc_index, waves)
         };
         // Built when a dirty SCC first finds its Tier B record; a cone
         // whose keys all changed never builds it.
@@ -694,46 +806,52 @@ impl<'m> LeakChecker<'m> {
             // Every SCC of a wave depends only on earlier waves and Tier
             // A, so the wave shards freely; the fold below is
             // order-independent.
-            let outcomes = jgre_sim::shard(wave.len(), threads, |positions| {
-                positions
+            let shards = jgre_sim::shard(wave.len(), threads, |positions| {
+                let mut scratch = Scratch::default();
+                let outcomes: Vec<SccOutcome> = positions
                     .map(|pos| {
                         let i = wave[pos];
                         self.process_scc(
                             i,
-                            &cond.sccs[i],
+                            cond.scc(i),
                             caching,
                             &fps,
                             &scc_index,
                             &tables,
                             &loaded.tier_b,
                             &name_index,
+                            &mut scratch,
                         )
                     })
-                    .collect::<Vec<_>>()
+                    .collect();
+                (outcomes, scratch.members)
             });
-            for outcome in outcomes.into_iter().flatten() {
-                stats.cfg_blocks += outcome.cfg_blocks;
-                stats.solver_iterations += outcome.iterations;
-                stats.cache_hits += u64::from(outcome.hit);
-                stats.cache_misses += u64::from(!outcome.hit);
-                stats.cache_invalidated += outcome.invalidated;
-                match outcome.record {
-                    RecordSource::Uncached => {}
-                    RecordSource::Carried(pos) => carried[pos] = true,
-                    RecordSource::Fresh(record) => {
-                        fresh.insert(outcome.key, record);
+            for (outcomes, members) in shards {
+                let mut members = members.into_iter();
+                for outcome in outcomes {
+                    stats.cfg_blocks += outcome.cfg_blocks;
+                    stats.solver_iterations += outcome.iterations;
+                    stats.cache_hits += u64::from(outcome.hit);
+                    stats.cache_misses += u64::from(!outcome.hit);
+                    stats.cache_invalidated += outcome.invalidated;
+                    match outcome.record {
+                        RecordSource::Uncached => {}
+                        RecordSource::Carried(pos) => carried[pos] = true,
+                        RecordSource::Fresh(record) => {
+                            fresh.insert(outcome.key, record);
+                        }
                     }
-                }
-                for (m, s) in outcome.members {
-                    let i = m.0 as usize;
-                    if caching {
-                        tables.index[i] = cache::IndexRow {
-                            fact_fp: fps[i],
-                            scc_key: outcome.key,
-                            summary_fp: cache::summary_fingerprint(model, m, &s),
-                        };
+                    for (m, s) in members.by_ref().take(outcome.members) {
+                        let i = m.0 as usize;
+                        if caching {
+                            tables.index[i] = cache::IndexRow {
+                                fact_fp: fps[i],
+                                scc_key: outcome.key,
+                                summary_fp: cache::summary_fingerprint(model, m, &s),
+                            };
+                        }
+                        tables.summaries[i] = Some(s);
                     }
-                    tables.summaries[i] = Some(s);
                 }
             }
         }
@@ -747,23 +865,19 @@ impl<'m> LeakChecker<'m> {
         // rewrites it whole: Tier A for this corpus, and in Tier B the
         // records of this corpus's SCCs only, so stale keys are
         // garbage-collected.
-        let unchanged = loaded.exact && stats.cache_invalidated == 0 && cond.sccs.is_empty();
+        let unchanged = loaded.exact && stats.cache_invalidated == 0 && cond.is_empty();
         if let Some(path) = cache_path.as_ref().filter(|_| !unchanged) {
             let mut tier_a = cache::encode_tier_a(&summaries);
             cache::encode_index(&mut tier_a, &tables.index);
             let tier_b = loaded.tier_b.carry_over(&carried, fresh);
             let _ = cache::store(path, corpus_fp, stats.sccs as u32, &tier_a, &tier_b);
         }
-        let summaries = summaries
-            .into_iter()
-            .enumerate()
-            .map(|(i, s)| (MethodId(i as u32), s))
-            .collect();
         LeakAnalysis { summaries, stats }
     }
 
-    /// Serves one SCC from Tier B or computes it: intra solve per member
-    /// plus the SCC-local fixpoint over callee summaries.
+    /// Serves one SCC from Tier B or computes it: intra solve per member,
+    /// then one fold against the finished callee summaries — iterated to
+    /// the SCC-local fixpoint when the SCC is recursive.
     #[allow(clippy::too_many_arguments)]
     fn process_scc(
         &self,
@@ -775,6 +889,7 @@ impl<'m> LeakChecker<'m> {
         tables: &MethodTables,
         tier_b: &cache::TierB,
         name_index: &OnceLock<HashMap<(&'m str, &'m str), MethodId>>,
+        scratch: &mut Scratch,
     ) -> SccOutcome {
         let model = self.model;
         let mut invalidated = 0u64;
@@ -802,10 +917,12 @@ impl<'m> LeakChecker<'m> {
                         members.sort_by_key(|(m, _)| *m);
                         RecordSource::Fresh(encode_members(model, &members))
                     };
+                    let count = members.len();
+                    scratch.members.extend(members);
                     return SccOutcome {
                         key,
                         record,
-                        members,
+                        members: count,
                         hit: true,
                         invalidated,
                         cfg_blocks: 0,
@@ -820,41 +937,59 @@ impl<'m> LeakChecker<'m> {
 
         let mut cfg_blocks = 0usize;
         let mut iterations = 0u64;
-        let intras: Vec<IntraResult> = scc
-            .iter()
-            .map(|m| {
-                let (intra, blocks, iters) = solve_intra(model, *m);
-                cfg_blocks += blocks;
-                iterations += iters;
-                intra
-            })
-            .collect();
-        // The SCC-local fixpoint: summaries only grow, so it terminates.
-        let mut local: BTreeMap<MethodId, MethodSummary> =
-            scc.iter().map(|m| (*m, MethodSummary::default())).collect();
-        loop {
-            let mut changed = false;
-            for (i, m) in scc.iter().enumerate() {
-                let folded = fold_summary(*m, &intras[i], &local, &tables.summaries);
-                if local[m] != folded {
-                    local.insert(*m, folded);
-                    changed = true;
-                }
+        let finished = |callee: MethodId| tables.summaries[callee.0 as usize].as_ref();
+        let start = scratch.members.len();
+        match *scc {
+            // An acyclic SCC: every callee is finished, so one fold is
+            // the fixpoint.
+            [m] if !calls_itself(model.method(m)) => {
+                (cfg_blocks, iterations) = scratch.solve_intra(model, m);
+                let Scratch { intra, fold, .. } = scratch;
+                let summary = fold_summary(m, intra, finished, fold);
+                scratch.members.push((m, summary));
             }
-            if !changed {
-                break;
+            _ => {
+                let intras: Vec<IntraResult> = scc
+                    .iter()
+                    .map(|m| {
+                        let (blocks, iters) = scratch.solve_intra(model, *m);
+                        cfg_blocks += blocks;
+                        iterations += iters;
+                        scratch.intra.clone()
+                    })
+                    .collect();
+                // The SCC-local fixpoint: summaries only grow, so it
+                // terminates. Members see each other's latest summaries.
+                let mut local = vec![MethodSummary::default(); scc.len()];
+                loop {
+                    let mut changed = false;
+                    for (i, m) in scc.iter().enumerate() {
+                        let lookup = |callee: MethodId| match scc.binary_search(&callee) {
+                            Ok(k) => Some(&local[k]),
+                            Err(_) => finished(callee),
+                        };
+                        let folded = fold_summary(*m, &intras[i], lookup, &mut scratch.fold);
+                        if local[i] != folded {
+                            local[i] = folded;
+                            changed = true;
+                        }
+                    }
+                    if !changed {
+                        break;
+                    }
+                }
+                scratch.members.extend(scc.iter().copied().zip(local));
             }
         }
-        let members: Vec<(MethodId, MethodSummary)> = local.into_iter().collect();
         let record = if caching {
-            RecordSource::Fresh(encode_members(model, &members))
+            RecordSource::Fresh(encode_members(model, &scratch.members[start..]))
         } else {
             RecordSource::Uncached
         };
         SccOutcome {
             key,
             record,
-            members,
+            members: scc.len(),
             hit: false,
             invalidated,
             cfg_blocks,
@@ -961,11 +1096,6 @@ fn seed(model: &CodeModel, fps: &[u64], loaded: &mut cache::LoadedCache, caching
             carried[pos] = true;
         }
     }
-    // Unverified records mean a clean exact hit: every fact fingerprint
-    // matched, nothing is dirty, and the header counts the SCCs.
-    if !loaded.tier_b_verified {
-        clean_sccs = loaded.scc_count as usize;
-    }
     // Collected in place: `Option<MethodSummary>` has the summary's
     // layout, so the table's buffer is reused.
     let mut summaries: Vec<Option<MethodSummary>> = table.into_iter().map(Some).collect();
@@ -1028,102 +1158,129 @@ fn close_under_callers(model: &CodeModel, dirty: &mut [bool]) {
     }
 }
 
-/// Lowers and solves every method body intraprocedurally and returns the
-/// total number of solver block transfers — a deterministic cost probe
-/// for benchmarking the predicate lattice against simpler baselines on
-/// equal terms (same lowering, same worklist, same corpus).
-pub fn intra_solver_cost(model: &CodeModel) -> u64 {
-    let mut iterations = 0u64;
-    for def in &model.methods {
-        let (_, _, iters) = solve_intra(model, def.id);
-        iterations += iters;
-    }
-    iterations
+/// Whether `def` calls itself (directly or by a Handler post): the one
+/// way a single-method SCC is recursive.
+fn calls_itself(def: &MethodDef) -> bool {
+    def.calls.contains(&def.id) || def.handler_posts.contains(&def.id)
 }
 
-/// Lowers and solves one method's body.
-fn solve_intra(model: &CodeModel, id: MethodId) -> (IntraResult, usize, u64) {
-    let cfg = Cfg::lower(&model.method_body(id));
-    let blocks = cfg.blocks.len();
-    let solution = solve_forward(&cfg, &LeakBodyAnalysis);
-    let mut final_state: Option<LeakState> = None;
-    for (i, block) in cfg.blocks.iter().enumerate() {
-        if !matches!(block.term, Terminator::Return) {
-            continue;
+/// Lowers and solves every method body intraprocedurally and returns the
+/// total number of solver block transfers — a deterministic cost probe
+/// for benchmarking the predicate lattice against simpler baselines. One
+/// body, CFG and [`Solver`] are reused from method to method; a baseline
+/// on equal terms does the same with `CodeModel::method_body_into`,
+/// [`Cfg::lower_from`] and its own [`Solver`].
+pub fn intra_solver_cost(model: &CodeModel) -> u64 {
+    let mut scratch = Scratch::default();
+    model
+        .methods
+        .iter()
+        .map(|def| scratch.solve_intra(model, def.id).1)
+        .sum()
+}
+
+impl Scratch {
+    /// Synthesizes, lowers and solves one method's body into
+    /// `self.intra`; returns the CFG's block count and the solver's
+    /// block transfers.
+    fn solve_intra(&mut self, model: &CodeModel, id: MethodId) -> (usize, u64) {
+        model.method_body_into(id, &mut self.body);
+        self.cfg.lower_from(&self.body);
+        let iterations = self.solver.solve(&self.cfg, &LeakBodyAnalysis);
+        let Self {
+            cfg,
+            solver,
+            exit,
+            intra,
+            ..
+        } = self;
+        let mut joined = false;
+        for (i, block) in cfg.blocks.iter().enumerate() {
+            if !matches!(block.term, Terminator::Return) {
+                continue;
+            }
+            let Some(solved) = solver.exit(BlockId(i as u32)) else {
+                continue;
+            };
+            let target = if joined {
+                &mut *exit
+            } else {
+                &mut intra.final_state
+            };
+            target.clone_from(solved);
+            // A var still Live at this return leaks *at this exit*: stamp
+            // the exit path's predicates onto it so an early error return
+            // that bypasses the release is distinguishable from the normal
+            // exit. Escaped vars keep their store-time predicates — the
+            // exit path may have acquired predicates after the store that
+            // never guarded it.
+            let exit_path = target.path;
+            for (st, preds) in target.vars.iter_mut().flatten() {
+                if *st == VarState::Live {
+                    *preds = preds.with(exit_path);
+                }
+            }
+            if joined {
+                intra.final_state.join(exit);
+            }
+            joined = true;
         }
-        let Some(exit) = &solution.exit[i] else {
-            continue;
-        };
-        let mut exit = exit.clone();
-        // A var still Live at this return leaks *at this exit*: stamp the
-        // exit path's predicates onto it so an early error return that
-        // bypasses the release is distinguishable from the normal exit.
-        // Escaped vars keep their store-time predicates — the exit path
-        // may have acquired predicates after the store that never guarded
-        // it.
-        let exit_path = exit.path;
-        for (st, preds) in exit.vars.values_mut() {
-            if *st == VarState::Live {
-                *preds = preds.with(exit_path);
+        if !joined {
+            intra.final_state.clone_from(&LeakState::default());
+        }
+        intra.var_sites.clear();
+        for b in 0..cfg.blocks.len() {
+            for stmt in cfg.block_stmts(BlockId(b as u32)) {
+                if let Stmt::AllocJgr { dst, site } = *stmt {
+                    let v = dst as usize;
+                    if intra.var_sites.len() <= v {
+                        intra.var_sites.resize(v + 1, None);
+                    }
+                    intra.var_sites[v] = Some(site);
+                }
             }
         }
-        match &mut final_state {
-            None => final_state = Some(exit),
-            Some(acc) => {
-                acc.join(&exit);
-            }
-        }
+        (cfg.blocks.len(), iterations)
     }
-    let mut var_sites = BTreeMap::new();
-    for block in &cfg.blocks {
-        for stmt in &block.stmts {
-            if let Stmt::AllocJgr { dst, site } = stmt {
-                var_sites.insert(*dst, *site);
-            }
-        }
+}
+
+/// The sort key of a summary's sites.
+fn site_key(s: &SiteSummary) -> (MethodId, AllocSite) {
+    (s.method, s.site)
+}
+
+/// Merges `s` into `old`, an entry for the same site: the worse fate
+/// wins, and an equal fate reached along two routes keeps only the
+/// predicates every route agrees on.
+fn merge_site(old: &mut SiteSummary, s: SiteSummary) {
+    let key = old.read_only_key || s.read_only_key;
+    if s.fate > old.fate {
+        *old = s;
+    } else if s.fate == old.fate {
+        old.preds = old.preds.meet(s.preds);
     }
-    (
-        IntraResult {
-            final_state: final_state.unwrap_or_default(),
-            var_sites,
-        },
-        blocks,
-        solution.iterations,
-    )
+    old.read_only_key = key;
 }
 
 /// Folds a method's intraprocedural result with its callees' summaries,
-/// read from the SCC-local fixpoint map first, then the global table of
-/// already-finished SCCs.
-fn fold_summary(
+/// as `callee` serves them (`None`: nothing known, skipped).
+///
+/// Sites stay sorted by `(method, site)` throughout: the own sites go in
+/// by binary search, then each callee's site list, already in that
+/// order, is merged in linearly, callees in id order.
+fn fold_summary<'a>(
     own: MethodId,
     intra: &IntraResult,
-    local: &BTreeMap<MethodId, MethodSummary>,
-    global: &[Option<MethodSummary>],
+    callee: impl Fn(MethodId) -> Option<&'a MethodSummary>,
+    buf: &mut FoldBuffers,
 ) -> MethodSummary {
-    let mut sites: BTreeMap<(MethodId, AllocSite), SiteSummary> = BTreeMap::new();
-    let mut merge = |s: SiteSummary| match sites.get_mut(&(s.method, s.site)) {
-        None => {
-            sites.insert((s.method, s.site), s);
-        }
-        Some(old) => {
-            let key = old.read_only_key || s.read_only_key;
-            if s.fate > old.fate {
-                *old = s;
-            } else if s.fate == old.fate {
-                // Same worst fate reached along two routes: keep only the
-                // predicates every route agrees on.
-                old.preds = old.preds.meet(s.preds);
-            }
-            old.read_only_key = key;
-        }
-    };
-    for (var, site) in &intra.var_sites {
+    let FoldBuffers { sites, merged } = buf;
+    sites.clear();
+    let own_sites = intra.var_sites.iter().enumerate();
+    for (var, site) in own_sites.filter_map(|(v, s)| Some((v as Var, (*s)?))) {
         let (state, preds) = intra
             .final_state
-            .vars
-            .get(var)
-            .copied()
+            .var(var)
             .unwrap_or((VarState::Live, PredSet::NONE));
         let (fate, escape) = match state {
             VarState::Released => (Retention::Released, None),
@@ -1136,39 +1293,53 @@ fn fold_summary(
                 (Retention::Unbounded, Some(EscapeKind::UnboundedCollection))
             }
         };
-        merge(SiteSummary {
+        let s = SiteSummary {
             method: own,
-            site: *site,
+            site,
             fate,
             escape,
-            read_only_key: intra.final_state.key_use.contains(var),
+            read_only_key: intra.final_state.key_use.binary_search(&var).is_ok(),
             preds,
-        });
+        };
+        match sites.binary_search_by_key(&site_key(&s), site_key) {
+            Ok(i) => merge_site(&mut sites[i], s),
+            Err(i) => sites.insert(i, s),
+        }
     }
     let mut saw_handler = intra.final_state.handler;
-    for (callee, call_preds) in &intra.final_state.called {
-        let Some(cs) = local
-            .get(callee)
-            .or_else(|| global[callee.0 as usize].as_ref())
-        else {
+    for &(id, call_preds) in &intra.final_state.called {
+        let Some(cs) = callee(id) else {
             continue;
         };
         saw_handler |= cs.saw_handler;
+        merged.clear();
+        let mut acc = sites.iter().copied().peekable();
         for s in &cs.sites {
-            let mut s = s.clone();
+            let mut s = *s;
             // The caller's call-site predicates guard everything the
             // callee does: a callee only ever reached through a bound
             // admission inherits the bound — its retention cannot exceed
             // the per-process limit.
-            s.preds = s.preds.with(*call_preds);
+            s.preds = s.preds.with(call_preds);
             if s.preds.contains(PredSet::BOUND_CHECKED) && s.fate == Retention::Unbounded {
                 s.fate = Retention::Bounded;
             }
-            merge(s);
+            while let Some(a) = acc.next_if(|a| site_key(a) < site_key(&s)) {
+                merged.push(a);
+            }
+            match acc.next_if(|a| site_key(a) == site_key(&s)) {
+                Some(mut a) => {
+                    merge_site(&mut a, s);
+                    merged.push(a);
+                }
+                None => merged.push(s),
+            }
         }
+        merged.extend(acc);
+        std::mem::swap(sites, merged);
     }
     MethodSummary {
-        sites: sites.into_values().collect(),
+        sites: sites.to_vec(),
         saw_handler,
     }
 }
@@ -1180,7 +1351,7 @@ impl LeakAnalysis {
     ///
     /// Panics when `id` was not part of the analysed model.
     pub fn summary(&self, id: MethodId) -> &MethodSummary {
-        &self.summaries[&id]
+        &self.summaries[id.0 as usize]
     }
 
     /// Derives the sift verdict for an IPC root from reference fates,
@@ -1198,7 +1369,7 @@ impl LeakAnalysis {
     /// pre-predicate behaviour, kept as the soundness baseline the
     /// path-sensitive findings must be a subset of.
     pub fn verdict_for_with(&self, root: MethodId, path_sensitive: bool) -> LeakVerdict {
-        let Some(summary) = self.summaries.get(&root) else {
+        let Some(summary) = self.summaries.get(root.0 as usize) else {
             return LeakVerdict::NoJgr;
         };
         let sites = &summary.sites;
@@ -1414,6 +1585,7 @@ mod tests {
     use super::*;
     use crate::{IpcMethodExtractor, JgrEntryExtractor, ServiceKind};
     use jgre_corpus::spec::AospSpec;
+    use jgre_corpus::ParamUsage;
 
     fn detect() -> DataflowOutput {
         let model = CodeModel::synthesize(&AospSpec::android_6_0_1());
@@ -1522,6 +1694,106 @@ mod tests {
         );
     }
 
+    /// A model of bare methods: `(binder_params, calls)` per method, ids
+    /// in order.
+    fn tiny_model(methods: Vec<(Vec<ParamUsage>, Vec<u32>)>) -> CodeModel {
+        CodeModel {
+            classes: Vec::new(),
+            methods: methods
+                .into_iter()
+                .enumerate()
+                .map(|(i, (binder_params, calls))| MethodDef {
+                    id: MethodId(i as u32),
+                    class: "com.example.Cycle".to_owned(),
+                    name: format!("m{i}"),
+                    overrides_aidl: None,
+                    calls: calls.into_iter().map(MethodId).collect(),
+                    handler_posts: Vec::new(),
+                    registers_service: None,
+                    binder_params,
+                    permission_checks: Vec::new(),
+                })
+                .collect(),
+            native_functions: Vec::new(),
+            jni_registrations: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn self_recursive_store_is_an_unbounded_leak() {
+        let model = tiny_model(vec![(vec![ParamUsage::StoredInCollection], vec![0])]);
+        let analysis = LeakChecker::new(&model).analyze();
+        let m = MethodId(0);
+        assert_eq!(analysis.verdict_for(m), LeakVerdict::UnboundedLeak);
+        let sites = &analysis.summary(m).sites;
+        assert_eq!(sites.len(), 1, "the recursion adds no second copy");
+        assert_eq!(sites[0].site, AllocSite::BinderParam(0));
+        assert_eq!(sites[0].escape, Some(EscapeKind::UnboundedCollection));
+        assert_eq!(analysis.stats.sccs, 1);
+    }
+
+    #[test]
+    fn mutual_recursion_carries_the_allocating_sides_site() {
+        // A (0) <-> B (1); only B allocates. A's first fold sees B's empty
+        // summary: only the SCC-local fixpoint brings B's site to A.
+        let model = tiny_model(vec![
+            (Vec::new(), vec![1]),
+            (vec![ParamUsage::StoredInCollection], vec![0]),
+        ]);
+        let analysis = LeakChecker::new(&model).analyze();
+        let (a, b) = (MethodId(0), MethodId(1));
+        let site = |m: MethodId| {
+            analysis
+                .summary(m)
+                .sites
+                .iter()
+                .map(|s| (s.method, s.site, s.fate))
+                .collect::<Vec<_>>()
+        };
+        let expected = vec![(b, AllocSite::BinderParam(0), Retention::Unbounded)];
+        assert_eq!(site(a), expected);
+        assert_eq!(site(b), expected);
+        assert_eq!(analysis.verdict_for(a), LeakVerdict::UnboundedLeak);
+        assert_eq!(analysis.stats.sccs, 1);
+    }
+
+    #[test]
+    fn cycle_entered_behind_a_bound_check_is_capped() {
+        // E (0) admits a callback under a per-process bound and, on the
+        // under-limit path, calls into the 3-cycle X (1) -> Y (2) -> Z (3)
+        // -> X, where Z stores its own argument without bound.
+        let model = tiny_model(vec![
+            (vec![ParamUsage::StoredInCollectionBounded], vec![1]),
+            (Vec::new(), vec![2]),
+            (Vec::new(), vec![3]),
+            (vec![ParamUsage::StoredInCollection], vec![1]),
+        ]);
+        let analysis = LeakChecker::new(&model).analyze();
+        let z_site = |m: u32| {
+            analysis
+                .summary(MethodId(m))
+                .sites
+                .iter()
+                .find(|s| s.method == MethodId(3))
+                .cloned()
+                .unwrap_or_else(|| panic!("m{m} reaches Z's site"))
+        };
+        // Inside the cycle the site is plain unbounded...
+        for m in 1..=3 {
+            assert_eq!(z_site(m).fate, Retention::Unbounded, "m{m}");
+        }
+        // ...and the bound-checked entry caps it.
+        let capped = z_site(0);
+        assert_eq!(capped.fate, Retention::Bounded);
+        assert_eq!(capped.escape, Some(EscapeKind::UnboundedCollection));
+        assert!(capped.preds.contains(PredSet::BOUND_CHECKED));
+        assert_eq!(
+            analysis.verdict_for(MethodId(0)),
+            LeakVerdict::BoundedRetention
+        );
+        assert_eq!(analysis.stats.sccs, 2);
+    }
+
     #[test]
     fn predset_is_a_meet_semilattice_on_bits() {
         let a = PredSet::BOUND_CHECKED.with(PredSet::NULL_CHECKED);
@@ -1544,13 +1816,11 @@ mod tests {
             path: PredSet::BOUND_CHECKED,
             ..LeakState::default()
         };
-        guarded
-            .vars
-            .insert(0, (VarState::EscapedBounded, PredSet::BOUND_CHECKED));
-        guarded.called.insert(MethodId(7), PredSet::BOUND_CHECKED);
+        *guarded.var_slot(0) = Some((VarState::EscapedBounded, PredSet::BOUND_CHECKED));
+        guarded.call(MethodId(7), PredSet::BOUND_CHECKED);
 
         let mut plain = LeakState::default();
-        plain.vars.insert(1, (VarState::Live, PredSet::NONE));
+        *plain.var_slot(1) = Some((VarState::Live, PredSet::NONE));
 
         let changed = guarded.join(&plain);
         assert!(changed);
@@ -1559,10 +1829,10 @@ mod tests {
         // ...but the per-site and per-callee predicates survive: the
         // unguarded path never reached them.
         assert_eq!(
-            guarded.vars[&0],
-            (VarState::EscapedBounded, PredSet::BOUND_CHECKED)
+            guarded.var(0),
+            Some((VarState::EscapedBounded, PredSet::BOUND_CHECKED))
         );
-        assert_eq!(guarded.called[&MethodId(7)], PredSet::BOUND_CHECKED);
+        assert_eq!(guarded.called, [(MethodId(7), PredSet::BOUND_CHECKED)]);
     }
 
     #[test]
@@ -1599,8 +1869,7 @@ mod tests {
             .sites
             .iter()
             .position(|s| s.fate == Retention::Unbounded)
-            .unwrap()]
-        .clone();
+            .unwrap()];
         assert!(site.preds.contains(PredSet::NULL_CHECKED));
         // ...and the bounded registration stays BoundedRetention.
         let bounded = model

@@ -261,7 +261,7 @@ fn renumbering_rewrites_the_records_it_reorders() {
     // what a fresh run encodes.
     let (a, b) = analysis
         .summaries
-        .values()
+        .iter()
         .find_map(|s| {
             let first = s.sites.first()?.method;
             let last = s.sites.last()?.method;

@@ -1,18 +1,18 @@
 //! T-PATHSENSE: the cost of the per-branch predicate lattice. The
 //! intraprocedural solver is timed against a bench-local boolean-guard
 //! baseline — the pre-predicate era's state shape — over the amplified
-//! corpus (same lowering, same worklist). The acceptance bar from
+//! corpus (same body synthesis, lowering, solver and state storage, each
+//! reused from method to method on both sides). The acceptance bar from
 //! DESIGN.md §10 is predicate lattice < 2x the boolean solver.
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::hint::black_box;
 use std::time::Instant;
 
 use criterion::{criterion_group, Criterion};
 use jgre_analysis::dataflow::JoinSemiLattice;
-use jgre_analysis::{intra_solver_cost, solve_forward, Cfg, ForwardAnalysis, Stmt};
+use jgre_analysis::{intra_solver_cost, BlockId, Cfg, ForwardAnalysis, Solver, Stmt};
 use jgre_bench::{artifacts_enabled, write_artifact};
-use jgre_corpus::body::{FieldKind, Place, Var};
+use jgre_corpus::body::{FieldKind, MethodBody, Place, Var};
 use jgre_corpus::{spec::AospSpec, CodeModel, MethodId};
 use serde::Serialize;
 
@@ -38,47 +38,120 @@ fn amplify(base: &CodeModel, copies: usize) -> CodeModel {
 
 /// The boolean-era abstract state: one `guard` bit where the production
 /// lattice tracks a `PredSet` per path and per site. Var states are the
-/// production ordering collapsed to a rank byte.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// production ordering collapsed to a rank byte. The storage is the
+/// production state's (registers indexed densely, sorted small sets, a
+/// buffer-reusing `clone_from`), so the two solvers differ only in the
+/// lattice they carry.
+#[derive(Debug, Default, PartialEq, Eq)]
 struct BoolState {
-    vars: BTreeMap<Var, (u8, bool)>,
-    cleared: BTreeSet<String>,
-    key_use: BTreeSet<Var>,
-    called: BTreeMap<MethodId, bool>,
+    vars: Vec<Option<(u8, bool)>>,
+    cleared: Vec<&'static str>,
+    key_use: Vec<Var>,
+    called: Vec<(MethodId, bool)>,
     guard: bool,
     handler: bool,
 }
 
+impl Clone for BoolState {
+    fn clone(&self) -> Self {
+        let mut out = BoolState::default();
+        out.clone_from(self);
+        out
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.vars.clone_from(&source.vars);
+        self.cleared.clone_from(&source.cleared);
+        self.key_use.clone_from(&source.key_use);
+        self.called.clone_from(&source.called);
+        self.guard = source.guard;
+        self.handler = source.handler;
+    }
+}
+
+impl BoolState {
+    fn var_slot(&mut self, v: Var) -> &mut Option<(u8, bool)> {
+        let i = v as usize;
+        if self.vars.len() <= i {
+            self.vars.resize(i + 1, None);
+        }
+        &mut self.vars[i]
+    }
+
+    /// Records a call to `callee` under `guard`; true when that changed
+    /// anything.
+    fn call(&mut self, callee: MethodId, guard: bool) -> bool {
+        match self.called.binary_search_by_key(&callee, |(c, _)| *c) {
+            Ok(i) => {
+                let cur = &mut self.called[i].1;
+                let changed = *cur && !guard;
+                *cur &= guard;
+                changed
+            }
+            Err(i) => {
+                self.called.insert(i, (callee, guard));
+                true
+            }
+        }
+    }
+}
+
+/// Inserts `x` into the sorted set `set`; true when it was new.
+fn insert_sorted<T: Ord>(set: &mut Vec<T>, x: T) -> bool {
+    match set.binary_search(&x) {
+        Ok(_) => false,
+        Err(i) => {
+            set.insert(i, x);
+            true
+        }
+    }
+}
+
 impl JoinSemiLattice for BoolState {
     fn join(&mut self, other: &Self) -> bool {
-        let before = self.clone();
-        for (v, (state, guard)) in &other.vars {
-            match self.vars.get_mut(v) {
+        let mut changed = false;
+        if self.vars.len() < other.vars.len() {
+            self.vars.resize(other.vars.len(), None);
+        }
+        for (slot, theirs) in self.vars.iter_mut().zip(&other.vars) {
+            let Some((state, guard)) = *theirs else {
+                continue;
+            };
+            match slot {
                 None => {
-                    self.vars.insert(*v, (*state, *guard));
+                    *slot = Some((state, guard));
+                    changed = true;
                 }
                 Some(cur) => {
-                    if *state > cur.0 {
-                        *cur = (*state, *guard);
-                    } else if *state == cur.0 {
-                        cur.1 &= *guard;
+                    if state > cur.0 {
+                        *cur = (state, guard);
+                        changed = true;
+                    } else if state == cur.0 && cur.1 && !guard {
+                        cur.1 = false;
+                        changed = true;
                     }
                 }
             }
         }
-        self.cleared = self.cleared.intersection(&other.cleared).cloned().collect();
-        self.key_use.extend(other.key_use.iter().copied());
-        for (callee, guard) in &other.called {
-            match self.called.get_mut(callee) {
-                None => {
-                    self.called.insert(*callee, *guard);
-                }
-                Some(cur) => *cur &= *guard,
-            }
+        let before = self.cleared.len();
+        self.cleared
+            .retain(|f| other.cleared.binary_search(f).is_ok());
+        changed |= self.cleared.len() != before;
+        for k in &other.key_use {
+            changed |= insert_sorted(&mut self.key_use, *k);
         }
-        self.guard &= other.guard;
-        self.handler |= other.handler;
-        *self != before
+        for (callee, guard) in &other.called {
+            changed |= self.call(*callee, *guard);
+        }
+        if self.guard && !other.guard {
+            self.guard = false;
+            changed = true;
+        }
+        if other.handler && !self.handler {
+            self.handler = true;
+            changed = true;
+        }
+        changed
     }
 }
 
@@ -101,7 +174,7 @@ impl ForwardAnalysis for BoolAnalysis {
     fn transfer(&self, stmt: &Stmt, state: &mut BoolState) {
         let escalate = |state: &mut BoolState, v: Var, to: u8| {
             let guard = state.guard;
-            let entry = state.vars.entry(v).or_insert((LIVE, guard));
+            let entry = state.var_slot(v).get_or_insert((LIVE, guard));
             if to > entry.0 {
                 *entry = (to, guard);
             } else if to == entry.0 {
@@ -110,15 +183,17 @@ impl ForwardAnalysis for BoolAnalysis {
         };
         match stmt {
             Stmt::AllocJgr { dst, .. } => {
-                state.vars.insert(*dst, (LIVE, state.guard));
+                let guard = state.guard;
+                *state.var_slot(*dst) = Some((LIVE, guard));
             }
             Stmt::ReleaseJgr { src: Place::Var(v) } => {
-                state.vars.insert(*v, (RELEASED, state.guard));
+                let guard = state.guard;
+                *state.var_slot(*v) = Some((RELEASED, guard));
             }
             Stmt::ReleaseJgr {
                 src: Place::Field(f),
             } => {
-                state.cleared.insert(f.clone());
+                insert_sorted(&mut state.cleared, *f);
             }
             Stmt::StoreField { src, field, kind } => match kind {
                 FieldKind::Collection { bounded: false } => {
@@ -129,10 +204,16 @@ impl ForwardAnalysis for BoolAnalysis {
                     state.guard = true;
                 }
                 FieldKind::MapKeyReadOnly => {
-                    state.key_use.insert(*src);
+                    insert_sorted(&mut state.key_use, *src);
                 }
                 FieldKind::Scalar => {
-                    let replaced = state.cleared.remove(field);
+                    let replaced = match state.cleared.binary_search(field) {
+                        Ok(i) => {
+                            state.cleared.remove(i);
+                            true
+                        }
+                        Err(_) => false,
+                    };
                     let to = if replaced {
                         ESCAPED_SCALAR
                     } else {
@@ -147,12 +228,7 @@ impl ForwardAnalysis for BoolAnalysis {
                 via_handler,
             } => {
                 let guard = state.guard;
-                match state.called.get_mut(callee) {
-                    None => {
-                        state.called.insert(*callee, guard);
-                    }
-                    Some(cur) => *cur &= guard,
-                }
+                state.call(*callee, guard);
                 state.handler |= *via_handler;
             }
         }
@@ -160,14 +236,22 @@ impl ForwardAnalysis for BoolAnalysis {
     // No transfer_edge: the boolean era was edge-insensitive.
 }
 
-/// Lowers and solves every body with the boolean baseline; returns the
-/// total reachable-block count as a cheap checksum to defeat DCE.
+/// Lowers and solves every body with the boolean baseline through one
+/// reused body, CFG and solver, as [`intra_solver_cost`] does with the
+/// production lattice; returns the total reachable-block count as a
+/// cheap checksum to defeat DCE.
 fn bool_solver_cost(model: &CodeModel) -> u64 {
+    let mut body = MethodBody::default();
+    let mut cfg = Cfg::default();
+    let mut solver = Solver::default();
     let mut reached = 0u64;
     for def in &model.methods {
-        let cfg = Cfg::lower(&model.method_body(def.id));
-        let solution = solve_forward(&cfg, &BoolAnalysis);
-        reached += solution.exit.iter().flatten().count() as u64;
+        model.method_body_into(def.id, &mut body);
+        cfg.lower_from(&body);
+        solver.solve(&cfg, &BoolAnalysis);
+        reached += (0..cfg.blocks.len() as u32)
+            .filter(|&b| solver.exit(BlockId(b)).is_some())
+            .count() as u64;
     }
     reached
 }

@@ -64,7 +64,7 @@ pub enum AllocSite {
 }
 
 /// What kind of member storage a reference is stored into.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum FieldKind {
     /// A member collection (listener list). `bounded` is true when the
     /// store is guarded by a visible per-process bound check.
@@ -98,16 +98,16 @@ pub enum BranchKind {
 }
 
 /// Operand of a release: a register or the current value of a field.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize)]
 pub enum Place {
     /// A virtual register.
     Var(Var),
     /// The reference currently stored in a named member field.
-    Field(String),
+    Field(&'static str),
 }
 
 /// One statement of the structured body AST.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub enum BodyStmt {
     /// A JGR is created and bound to `dst`.
     AllocJgr {
@@ -126,7 +126,7 @@ pub enum BodyStmt {
         /// Register being stored.
         src: Var,
         /// Field name (for witness rendering).
-        field: String,
+        field: &'static str,
         /// Storage kind — decides whether the store retains.
         kind: FieldKind,
     },
@@ -156,7 +156,7 @@ pub enum BodyStmt {
 }
 
 /// A synthesized method body.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct MethodBody {
     /// Top-level statement sequence, ending in [`BodyStmt::Return`].
     pub stmts: Vec<BodyStmt>,
@@ -183,15 +183,31 @@ impl CodeModel {
     pub fn method_body(&self, id: MethodId) -> MethodBody {
         synthesize_body(self.method(id))
     }
+
+    /// [`CodeModel::method_body`] into a caller-owned buffer, which is
+    /// cleared first: a pass over every method reuses one body.
+    pub fn method_body_into(&self, id: MethodId, body: &mut MethodBody) {
+        synthesize_body_into(self.method(id), body);
+    }
 }
 
 /// Synthesizes the body of one method definition. Exposed separately so
 /// analyses can derive bodies for methods not yet inserted into a model.
 pub fn synthesize_body(def: &MethodDef) -> MethodBody {
-    if let Some(body) = jni_wrapper_body(def) {
-        return body;
+    let mut body = MethodBody::default();
+    synthesize_body_into(def, &mut body);
+    body
+}
+
+/// [`synthesize_body`] into a caller-owned buffer, which is cleared
+/// first. Only branch arms allocate; a straight-line body reuses the
+/// buffer's capacity.
+fn synthesize_body_into(def: &MethodDef, body: &mut MethodBody) {
+    let stmts = &mut body.stmts;
+    stmts.clear();
+    if jni_wrapper_body(def, stmts) {
+        return;
     }
-    let mut stmts = Vec::new();
     // Every binder-typed argument is unmarshalled through
     // `Parcel.readStrongBinder` before the body runs.
     for i in 0..def.binder_params.len() {
@@ -200,9 +216,6 @@ pub fn synthesize_body(def: &MethodDef) -> MethodBody {
             site: AllocSite::BinderParam(i),
         });
     }
-    // Transient references (rules 2-3) are revoked by GC after the call;
-    // the explicit releases are emitted just before the return.
-    let mut transient: Vec<Var> = Vec::new();
     // Index (into `stmts`) of the first bound-check branch: when the
     // method admits callbacks under a per-process limit, the whole
     // registration path — including the downstream helper calls — runs
@@ -213,7 +226,7 @@ pub fn synthesize_body(def: &MethodDef) -> MethodBody {
         match usage {
             ParamUsage::StoredInCollection => stmts.push(BodyStmt::StoreField {
                 src: v,
-                field: "mCallbacks".to_owned(),
+                field: "mCallbacks",
                 kind: FieldKind::Collection { bounded: false },
             }),
             ParamUsage::StoredInCollectionBounded => {
@@ -222,33 +235,27 @@ pub fn synthesize_body(def: &MethodDef) -> MethodBody {
                     kind: BranchKind::BoundCheck,
                     then_branch: vec![BodyStmt::StoreField {
                         src: v,
-                        field: "mCallbacks".to_owned(),
+                        field: "mCallbacks",
                         kind: FieldKind::Collection { bounded: true },
                     }],
                     else_branch: vec![BodyStmt::ReleaseJgr { src: Place::Var(v) }],
                 });
             }
-            ParamUsage::LocalOnly => {
-                stmts.push(BodyStmt::StoreLocal { src: v });
-                transient.push(v);
-            }
-            ParamUsage::ReadOnlyMapKey => {
-                stmts.push(BodyStmt::StoreField {
-                    src: v,
-                    field: "mClientMap".to_owned(),
-                    kind: FieldKind::MapKeyReadOnly,
-                });
-                transient.push(v);
-            }
+            ParamUsage::LocalOnly => stmts.push(BodyStmt::StoreLocal { src: v }),
+            ParamUsage::ReadOnlyMapKey => stmts.push(BodyStmt::StoreField {
+                src: v,
+                field: "mClientMap",
+                kind: FieldKind::MapKeyReadOnly,
+            }),
             ParamUsage::AssignedToMemberField => {
                 // Replacement: the previous field value is released before
                 // the store, so the field never pins more than one JGR.
                 stmts.push(BodyStmt::ReleaseJgr {
-                    src: Place::Field("mListener".to_owned()),
+                    src: Place::Field("mListener"),
                 });
                 stmts.push(BodyStmt::StoreField {
                     src: v,
-                    field: "mListener".to_owned(),
+                    field: "mListener",
                     kind: FieldKind::Scalar,
                 });
             }
@@ -262,7 +269,6 @@ pub fn synthesize_body(def: &MethodDef) -> MethodBody {
                     else_branch: vec![BodyStmt::Return],
                 });
                 stmts.push(BodyStmt::StoreLocal { src: v });
-                transient.push(v);
             }
             ParamUsage::PermissionGatedRelease => {
                 // The release only runs once the permission check passes;
@@ -285,7 +291,7 @@ pub fn synthesize_body(def: &MethodDef) -> MethodBody {
                     kind: BranchKind::NullCheck,
                     then_branch: vec![BodyStmt::StoreField {
                         src: v,
-                        field: "mObservers".to_owned(),
+                        field: "mObservers",
                         kind: FieldKind::Collection { bounded: false },
                     }],
                     else_branch: vec![BodyStmt::ReleaseJgr { src: Place::Var(v) }],
@@ -313,54 +319,65 @@ pub fn synthesize_body(def: &MethodDef) -> MethodBody {
         }
         None => stmts.extend(calls),
     }
-    for v in transient {
-        stmts.push(BodyStmt::ReleaseJgr { src: Place::Var(v) });
+    // Transient references (rules 2-3) are revoked by GC after the call:
+    // explicit releases just before the return, in parameter order.
+    for (i, usage) in def.binder_params.iter().enumerate() {
+        if matches!(
+            usage,
+            ParamUsage::LocalOnly | ParamUsage::ReadOnlyMapKey | ParamUsage::ReleaseSkippedOnError
+        ) {
+            stmts.push(BodyStmt::ReleaseJgr {
+                src: Place::Var(i as Var),
+            });
+        }
     }
     stmts.push(BodyStmt::Return);
-    MethodBody { stmts }
 }
 
 /// Hand-written bodies for the four Java JNI wrappers whose native
-/// targets reach `IndirectReferenceTable::Add` (§III-B.2). Everything
-/// else is synthesized generically from the fact base.
-fn jni_wrapper_body(def: &MethodDef) -> Option<MethodBody> {
-    let stmts = match (def.class.as_str(), def.name.as_str()) {
+/// targets reach `IndirectReferenceTable::Add` (§III-B.2), appended to
+/// `stmts`; false for every other method, whose body is synthesized
+/// generically from the fact base.
+fn jni_wrapper_body(def: &MethodDef, stmts: &mut Vec<BodyStmt>) -> bool {
+    match (def.class.as_str(), def.name.as_str()) {
         // The parcel wrappers hand the fresh JGR to their caller: still
         // live at return, so the reference survives the call.
-        ("android.os.Parcel", "nativeReadStrongBinder" | "nativeWriteStrongBinder") => vec![
-            BodyStmt::AllocJgr {
-                dst: 0,
-                site: AllocSite::ParcelStrongBinder,
-            },
-            BodyStmt::Return,
-        ],
+        ("android.os.Parcel", "nativeReadStrongBinder" | "nativeWriteStrongBinder") => {
+            stmts.extend([
+                BodyStmt::AllocJgr {
+                    dst: 0,
+                    site: AllocSite::ParcelStrongBinder,
+                },
+                BodyStmt::Return,
+            ]);
+        }
         // linkToDeathNative pins a JavaDeathRecipient until unlinkToDeath
         // or the remote's death — an unbounded native-side retention.
-        ("android.os.Binder", "linkToDeathNative") => vec![
+        ("android.os.Binder", "linkToDeathNative") => stmts.extend([
             BodyStmt::AllocJgr {
                 dst: 0,
                 site: AllocSite::DeathRecipient,
             },
             BodyStmt::StoreField {
                 src: 0,
-                field: "gDeathRecipients".to_owned(),
+                field: "gDeathRecipients",
                 kind: FieldKind::Collection { bounded: false },
             },
             BodyStmt::Return,
-        ],
+        ]),
         // Thread::CreateNativeThread releases the peer reference when the
         // thread exits — released on every path (sift rule 1).
-        ("java.lang.Thread", "nativeCreate") => vec![
+        ("java.lang.Thread", "nativeCreate") => stmts.extend([
             BodyStmt::AllocJgr {
                 dst: 0,
                 site: AllocSite::ThreadPeer,
             },
             BodyStmt::ReleaseJgr { src: Place::Var(0) },
             BodyStmt::Return,
-        ],
-        _ => return None,
-    };
-    Some(MethodBody { stmts })
+        ]),
+        _ => return false,
+    }
+    true
 }
 
 #[cfg(test)]

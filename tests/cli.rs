@@ -555,6 +555,40 @@ fn committed_tapped_serve_golden_matches_a_fresh_run() {
 }
 
 #[test]
+fn committed_lint_goldens_match_fresh_runs() {
+    // `lint` writes SARIF, and `lint --json` the raw report with its
+    // solver statistics, to stdout; both are identical for every
+    // --threads value.
+    let artifacts = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("artifacts");
+    for (flags, file) in [
+        (&[][..], "lint_sarif.json"),
+        (&["--json"][..], "lint_report.json"),
+    ] {
+        let golden = std::fs::read(artifacts.join(file)).expect("golden artifact committed");
+        for threads in ["1", "4"] {
+            let out = jgre()
+                .arg("lint")
+                .args(flags)
+                .args(["--threads", threads])
+                .output()
+                .expect("binary runs");
+            assert!(
+                out.status.success(),
+                "stderr: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            assert!(
+                out.stdout == golden,
+                "artifacts/{file} differs from `jgre lint {} --threads {threads}`; \
+                 regenerate with `jgre lint {} > artifacts/{file}`",
+                flags.join(" "),
+                flags.join(" "),
+            );
+        }
+    }
+}
+
+#[test]
 fn committed_chaos_golden_matches_a_fresh_run() {
     let out = jgre()
         .args(["chaos", "--seed", "0", "--json"])
