@@ -1,59 +1,68 @@
 //! On-disk summary cache for the incremental leak-check engine.
 //!
-//! One file (`summaries.bin`) holds two tiers:
+//! One file (`summaries.bin`) holds two tiers, both storing summaries in
+//! one encoding (`enc_summary`): sites name their origin by raw
+//! `MethodId`, in the fold's `(method, site)` order.
 //!
-//! * **Tier A** — the whole-corpus summary table in `MethodId` order
-//!   (raw ids, no string remapping), followed by a per-method index
-//!   [`IndexRow`]: fact fingerprint, SCC key, summary fingerprint. The
-//!   engine compares the index's fact fingerprints with the corpus's:
-//!   every method outside the changed methods' caller cone takes its
-//!   summary straight from the table. An unchanged tree is the empty
-//!   cone — the warm path the ≥10x target rests on.
-//! * **Tier B** — one record per call-graph SCC, keyed by the SCC key
-//!   (member fact fingerprints + external callee summary fingerprints).
-//!   Records reference methods by `(class, name)` so they survive
-//!   `MethodId` renumbering; SCCs inside the cone, and every SCC when
-//!   the index cannot be used, look their key up here.
+//! * **Tier A** — the whole-corpus summary table in `MethodId` order,
+//!   followed by a per-method index [`IndexRow`]: fact fingerprint, SCC
+//!   key, summary fingerprint. The engine compares the index's fact
+//!   fingerprints with the corpus's: every method outside the changed
+//!   methods' caller cone takes its summary straight from the table. An
+//!   unchanged tree is the empty cone — the warm path the ≥10x target
+//!   rests on.
+//! * **Tier B** — one record per call-graph SCC: its members in
+//!   `MethodId` order, each as its id and its Tier A row. A record is
+//!   keyed by the SCC key, which hashes each member's id and fact
+//!   fingerprint and its external callees' summary fingerprints, all
+//!   numbering-aware: an equal key means equal inputs to the fold, so a
+//!   record found under it is used and written back exactly as stored.
+//!   SCCs inside the cone, and every SCC when the index cannot be used,
+//!   look their key up here; a renumbered or grown corpus recomputes the
+//!   SCCs whose ids moved.
 //!
 //! The file is a [`jgre_sim::record`] header with magic `JGRESUMC` and
 //! two fixed fields, `corpus_fp u64` (the exact-match key) and
-//! `scc_count u32` (SCCs behind Tier A), followed by the Tier A frame
-//! and then, until EOF, one `key u64 | frame` per Tier B record in key
-//! order. A loaded Tier B keeps the file buffer and indexes its
-//! verified frames in place; [`store`] writes each kept frame back
-//! verbatim, merged in key order with the records the run encoded.
+//! `scc_count u32` (SCCs behind Tier A, one Tier B record each),
+//! followed by the Tier A frame and then, until EOF, one `key u64 |
+//! frame` per Tier B record in key order. A loaded Tier B keeps the file
+//! buffer and indexes its verified frames in place; [`store`] writes each
+//! kept frame back verbatim, merged in key order with the records the
+//! run encoded.
 //!
 //! Every reader treats the file as untrusted input: a bad magic or
 //! version rejects the whole file, a bad Tier A checksum stops parsing
 //! (the framing can no longer be trusted), a truncated or corrupt Tier B
-//! record is skipped — each rejection increments the `invalidated`
-//! counter, records a typed [`RejectReason`], and the engine recomputes,
-//! never panics.
+//! record is skipped, and a Tier B short of `scc_count` records (a file
+//! cut between two records) is corrupt — each rejection increments the
+//! `invalidated` counter, records a typed [`RejectReason`], and the
+//! engine recomputes, never panics.
 //!
 //! **Schema-version bump rule:** any change to the payload encodings,
 //! the fingerprint recipes they key on, or the summary semantics they
 //! capture must bump [`SCHEMA_VERSION`] so stale files self-invalidate.
 //! Version 3 added the per-site predicate byte ([`PredSet`]) to every
-//! fate encoding; version 4 added the Tier A index. Files of an earlier
-//! version are rejected whole as [`RejectReason::StaleSchema`].
+//! fate encoding; version 4 added the Tier A index; version 5 stores
+//! Tier B records by `MethodId` instead of `(class, name)`. Files of an
+//! earlier version are rejected whole as [`RejectReason::StaleSchema`].
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fs::{self, File};
 use std::io::{self, BufWriter, Write};
 use std::ops::Range;
 use std::path::Path;
 
 use jgre_corpus::body::AllocSite;
-use jgre_corpus::{CodeModel, MethodId};
+use jgre_corpus::MethodId;
 use jgre_sim::record::{self, Cursor, HeaderError, Put, StableHasher};
 
 use crate::leakcheck::{EscapeKind, MethodSummary, PredSet, Retention, SiteSummary};
 
 /// Bumped whenever the cache encoding or the fingerprints it keys on
 /// change shape; readers reject any other version.
-pub const SCHEMA_VERSION: u32 = 4;
+pub const SCHEMA_VERSION: u32 = 5;
 
 /// File name of the summary cache inside `--cache-dir`.
 pub const CACHE_FILE: &str = "summaries.bin";
@@ -100,51 +109,81 @@ fn fate_bytes(site: &SiteSummary) -> [u8; 4] {
     ]
 }
 
-fn enc_site(e: &mut Vec<u8>, site: &SiteSummary) {
-    let (tag, idx) = site_shape(site.site);
-    e.push(tag);
-    e.put_u32(idx);
-    e.extend_from_slice(&fate_bytes(site));
+/// One method's summary, the one encoding both tiers store:
+/// `saw_handler u8 | site count u32`, then per site its origin's raw
+/// `MethodId` (`u32`), shape tag and binder-param index (`u8 | u32`) and
+/// [`fate_bytes`]. Sites stay in the fold's `(method, site)` order.
+fn enc_summary(e: &mut Vec<u8>, summary: &MethodSummary) {
+    e.push(u8::from(summary.saw_handler));
+    e.put_u32(summary.sites.len() as u32);
+    for site in &summary.sites {
+        let (tag, idx) = site_shape(site.site);
+        e.put_u32(site.method.0);
+        e.push(tag);
+        e.put_u32(idx);
+        e.extend_from_slice(&fate_bytes(site));
+    }
 }
 
-fn dec_site(d: &mut Cursor, method: MethodId) -> Option<SiteSummary> {
-    let (tag, idx) = (d.u8()?, d.u32()?);
-    let site = match tag {
-        0 => AllocSite::BinderParam(idx as usize),
-        1 => AllocSite::DeathRecipient,
-        2 => AllocSite::ThreadPeer,
-        3 => AllocSite::ParcelStrongBinder,
-        _ => return None,
-    };
-    let fate = match d.u8()? {
-        0 => Retention::Released,
-        1 => Retention::Bounded,
-        2 => Retention::Unbounded,
-        _ => return None,
-    };
-    let escape = match d.u8()? {
-        0 => None,
-        1 => Some(EscapeKind::ScalarReplace),
-        2 => Some(EscapeKind::BoundedCollection),
-        3 => Some(EscapeKind::UnboundedCollection),
-        _ => return None,
-    };
-    let read_only_key = match d.u8()? {
-        0 => false,
-        1 => true,
-        _ => return None,
-    };
-    // Unknown predicate bits mean a future lattice wrote the file: a
-    // typed rejection, not a best-effort decode.
-    let preds = PredSet::from_bits(d.u8()?)?;
-    Some(SiteSummary {
-        method,
-        site,
-        fate,
-        escape,
-        read_only_key,
-        preds,
-    })
+/// Decodes one [`enc_summary`]. `method_count` bounds every site's
+/// origin, and the fold merges callee site lists as sorted runs, so a
+/// list out of strict `(method, site)` order — two sites under one key
+/// included — is refused like an unknown tag.
+fn dec_summary(d: &mut Cursor, method_count: usize) -> Option<MethodSummary> {
+    let saw_handler = d.u8()? != 0;
+    let nsites = d.u32()? as usize;
+    let mut sites: Vec<SiteSummary> = Vec::with_capacity(nsites.min(1024));
+    for _ in 0..nsites {
+        let method = d.u32()?;
+        if method as usize >= method_count {
+            return None;
+        }
+        let (tag, idx) = (d.u8()?, d.u32()?);
+        let site = match tag {
+            0 => AllocSite::BinderParam(idx as usize),
+            1 => AllocSite::DeathRecipient,
+            2 => AllocSite::ThreadPeer,
+            3 => AllocSite::ParcelStrongBinder,
+            _ => return None,
+        };
+        let fate = match d.u8()? {
+            0 => Retention::Released,
+            1 => Retention::Bounded,
+            2 => Retention::Unbounded,
+            _ => return None,
+        };
+        let escape = match d.u8()? {
+            0 => None,
+            1 => Some(EscapeKind::ScalarReplace),
+            2 => Some(EscapeKind::BoundedCollection),
+            3 => Some(EscapeKind::UnboundedCollection),
+            _ => return None,
+        };
+        let read_only_key = match d.u8()? {
+            0 => false,
+            1 => true,
+            _ => return None,
+        };
+        // Unknown predicate bits mean a future lattice wrote the file: a
+        // typed rejection, not a best-effort decode.
+        let preds = PredSet::from_bits(d.u8()?)?;
+        let method = MethodId(method);
+        if sites
+            .last()
+            .is_some_and(|prev| (prev.method, prev.site) >= (method, site))
+        {
+            return None;
+        }
+        sites.push(SiteSummary {
+            method,
+            site,
+            fate,
+            escape,
+            read_only_key,
+            preds,
+        });
+    }
+    Some(MethodSummary { sites, saw_handler })
 }
 
 /// One method's row of the Tier A index, in `MethodId` order after the
@@ -164,19 +203,14 @@ pub struct IndexRow {
 /// Bytes of one encoded [`IndexRow`].
 const INDEX_ROW_LEN: usize = 3 * 8;
 
-/// Encodes the whole-corpus summary table: summaries in `MethodId`
-/// order with raw ids. A Tier A payload is this table followed by
-/// [`encode_index`].
+/// Encodes the whole-corpus summary table: the method count, then every
+/// summary in `MethodId` order. A Tier A payload is this table followed
+/// by [`encode_index`].
 pub fn encode_tier_a(summaries: &[MethodSummary]) -> Vec<u8> {
     let mut e = Vec::new();
     e.put_u32(summaries.len() as u32);
     for s in summaries {
-        e.push(u8::from(s.saw_handler));
-        e.put_u32(s.sites.len() as u32);
-        for site in &s.sites {
-            e.put_u32(site.method.0);
-            enc_site(&mut e, site);
-        }
+        enc_summary(&mut e, s);
     }
     e
 }
@@ -213,22 +247,7 @@ pub fn decode_tier_a(
     }
     let mut table = Vec::with_capacity(n);
     for _ in 0..n {
-        let saw_handler = d.u8()? != 0;
-        let nsites = d.u32()? as usize;
-        let mut sites = Vec::with_capacity(nsites.min(1024));
-        for _ in 0..nsites {
-            let method = d.u32()? as usize;
-            if method >= method_count {
-                return None;
-            }
-            sites.push(dec_site(&mut d, MethodId(method as u32))?);
-        }
-        // The fold merges callee site lists as sorted runs: a table that
-        // breaks the writer's strict `(method, site)` order is refused.
-        if !sites.is_sorted_by(|a, b| (a.method, a.site) < (b.method, b.site)) {
-            return None;
-        }
-        table.push(MethodSummary { sites, saw_handler });
+        table.push(dec_summary(&mut d, method_count)?);
     }
     if d.u32()? as usize != n {
         return None;
@@ -244,108 +263,55 @@ pub fn decode_tier_a(
     d.done().then_some((table, index))
 }
 
-fn enc_member(e: &mut Vec<u8>, model: &CodeModel, id: MethodId, summary: &MethodSummary) {
-    let def = model.method(id);
-    e.put_str(&def.class);
-    e.put_str(&def.name);
-    e.push(u8::from(summary.saw_handler));
-    e.put_u32(summary.sites.len() as u32);
-    for site in &summary.sites {
-        let origin = model.method(site.method);
-        e.put_str(&origin.class);
-        e.put_str(&origin.name);
-        enc_site(e, site);
-    }
-}
-
-/// Encodes one SCC's summaries as a portable Tier B record.
-pub fn encode_record(model: &CodeModel, members: &[(MethodId, &MethodSummary)]) -> Vec<u8> {
+/// Encodes one SCC's summaries as a Tier B record: the member count,
+/// then per member its `MethodId` (`u32`) and its summary encoded as a
+/// Tier A row. `members` come in `MethodId` order.
+pub fn encode_record(members: &[(MethodId, MethodSummary)]) -> Vec<u8> {
     let mut e = Vec::new();
     e.put_u32(members.len() as u32);
     for (id, summary) in members {
-        enc_member(&mut e, model, *id, summary);
+        e.put_u32(id.0);
+        enc_summary(&mut e, summary);
     }
     e
 }
 
-/// Decodes a Tier B record and remaps its `(class, name)` references
-/// onto the current corpus, in one pass over the bytes without
-/// allocating intermediate strings (a renumbered corpus remaps every
-/// record, so this is hot). Returns `None` when the record does
-/// not map cleanly onto `scc`: wrong member count, a name the index
-/// cannot resolve, a member outside the SCC, or two sites of one member
-/// under the same `(method, site)`.
-///
-/// Beside the members, reports whether the stored bytes are already in
-/// the order [`encode_record`] gives them under the current numbering
-/// (members by `MethodId`, sites by `(method, site)`). A record written
-/// under another numbering may not be; it must then be re-encoded for
-/// the next file to equal a fresh run's.
-pub fn remap_record(
+/// Decodes a Tier B record for `scc` (its members in `MethodId` order).
+/// Returns `None` when the record is not exactly that SCC's — another
+/// member count or member id — or a summary does not decode for
+/// `method_count` methods.
+pub fn decode_record(
     bytes: &[u8],
     scc: &[MethodId],
-    name_index: &HashMap<(&str, &str), MethodId>,
-) -> Option<(Vec<(MethodId, MethodSummary)>, bool)> {
+    method_count: usize,
+) -> Option<Vec<(MethodId, MethodSummary)>> {
     let mut d = Cursor::new(bytes);
-    let n = d.u32()? as usize;
-    if n != scc.len() {
+    if d.u32()? as usize != scc.len() {
         return None;
     }
-    let mut out: Vec<(MethodId, MethodSummary)> = Vec::with_capacity(n);
-    let mut canonical = true;
-    for _ in 0..n {
-        let class = d.str()?;
-        let name = d.str()?;
-        let id = *name_index.get(&(class, name))?;
-        if scc.binary_search(&id).is_err() {
+    let mut members = Vec::with_capacity(scc.len());
+    for &id in scc {
+        if d.u32()? != id.0 {
             return None;
         }
-        canonical &= out.last().is_none_or(|(prev, _)| *prev < id);
-        let saw_handler = d.u8()? != 0;
-        let nsites = d.u32()? as usize;
-        let mut sites = Vec::with_capacity(nsites.min(1024));
-        for _ in 0..nsites {
-            let site_class = d.str()?;
-            let site_name = d.str()?;
-            let method = *name_index.get(&(site_class, site_name))?;
-            sites.push(dec_site(&mut d, method)?);
-        }
-        // Recomputed summaries come out of a BTreeMap keyed on
-        // (method, site); restore that canonical order in case the
-        // stored corpus numbered its methods differently.
-        if !sites.is_sorted_by_key(|a| (a.method, a.site)) {
-            sites.sort_by_key(|a| (a.method, a.site));
-            canonical = false;
-        }
-        // Two sites under one `(method, site)` key are no summary this
-        // engine writes, and the fold cannot merge them as a sorted run.
-        if sites
-            .windows(2)
-            .any(|w| (w[0].method, w[0].site) == (w[1].method, w[1].site))
-        {
-            return None;
-        }
-        out.push((id, MethodSummary { sites, saw_handler }));
+        members.push((id, dec_summary(&mut d, method_count)?));
     }
-    d.done().then_some((out, canonical))
+    d.done().then_some(members)
 }
 
 /// Stable fingerprint of one method's *summary* — the "callee summary
-/// fingerprint" half of an SCC key. Mirrors the portable member fields
-/// (names, not `MethodId`s), streamed straight into the hasher: it runs
-/// once per method on every caching run, so no intermediate buffer.
-pub fn summary_fingerprint(model: &CodeModel, id: MethodId, summary: &MethodSummary) -> u64 {
+/// fingerprint" half of an SCC key: the method's id and its summary's
+/// fields as a Tier A row holds them, streamed straight into the hasher
+/// (it runs once per method on every caching run, so no intermediate
+/// buffer).
+pub fn summary_fingerprint(id: MethodId, summary: &MethodSummary) -> u64 {
     let mut h = StableHasher::new();
-    h.write_u64(0x4a47_5245_534d_4631); // "JGRESMF1": summary-recipe tag
-    let def = model.method(id);
-    h.write_str(&def.class);
-    h.write_str(&def.name);
+    h.write_u64(0x4a47_5245_534d_4632); // "JGRESMF2": summary-recipe tag
+    h.write_u32(id.0);
     h.write_u8(u8::from(summary.saw_handler));
     h.write_u32(summary.sites.len() as u32);
     for site in &summary.sites {
-        let origin = model.method(site.method);
-        h.write_str(&origin.class);
-        h.write_str(&origin.name);
+        h.write_u32(site.method.0);
         let (tag, idx) = site_shape(site.site);
         h.write_u8(tag);
         h.write_u32(idx);
@@ -563,18 +529,21 @@ impl LoadedCache {
 
 /// Walks the Tier B framing from `start` to the end of `bytes` (cheap
 /// pointer arithmetic, no checksum verified), handing each record to
-/// `on_record` as `(key, frame range, stored checksum)`. Returns false
-/// when a record runs off the end: the file was truncated or a length
-/// field is corrupt.
+/// `on_record` as `(key, frame range, stored checksum)`. Returns whether
+/// the framing is whole: every record ends inside the file, and there
+/// are `scc_count` of them — a file cut between two records frames
+/// clean but is short of the header's count.
 fn walk_tier_b(
     bytes: &[u8],
     start: usize,
+    scc_count: u32,
     mut on_record: impl FnMut(u64, Range<usize>, u64),
 ) -> bool {
     let mut d = Cursor::new(bytes);
     if d.take(start).is_none() {
         return false;
     }
+    let mut records = 0u64;
     while !d.done() {
         let Some(key) = d.u64() else {
             return false;
@@ -584,8 +553,9 @@ fn walk_tier_b(
             return false;
         };
         on_record(key, start..d.pos(), stored);
+        records += 1;
     }
-    true
+    records == u64::from(scc_count)
 }
 
 /// Loads and validates `path`. A missing file is an empty cache, not
@@ -600,20 +570,20 @@ pub fn load(path: &Path, expected_fp: u64, method_count: usize) -> LoadedCache {
     if let Some(tier_b_at) = out.parse(&bytes, expected_fp, method_count) {
         // On a clean exact hit the records are never consulted, and
         // verifying megabytes of payload would dominate the warm path:
-        // only the framing is walked, so truncation is still detected,
-        // and nothing is indexed. Checksums run only when the records
-        // may be used or written back.
+        // only the framing is walked and counted, so truncation is still
+        // detected, and nothing is indexed. Checksums run only when the
+        // records may be used or written back.
         if out.exact
             && out.tier_a.is_some()
             && out.invalidated == 0
-            && walk_tier_b(&bytes, tier_b_at, |_, _, _| {})
+            && walk_tier_b(&bytes, tier_b_at, out.scc_count, |_, _, _| {})
         {
             return out;
         }
         // One record per SCC, each at least a key and an empty frame:
         // the header's count, bounded by the file, sizes the list.
         frames.reserve((out.scc_count as usize).min(bytes.len() / (8 + 4 + 8)));
-        let intact = walk_tier_b(&bytes, tier_b_at, |key, frame, stored| {
+        let intact = walk_tier_b(&bytes, tier_b_at, out.scc_count, |key, frame, stored| {
             frames.push((key, frame, stored));
         });
         if !intact {
@@ -697,7 +667,7 @@ pub fn store(
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use jgre_corpus::spec::AospSpec;
+    use jgre_corpus::{spec::AospSpec, CodeModel};
     use std::path::PathBuf;
 
     fn temp_path(tag: &str) -> PathBuf {
@@ -735,27 +705,28 @@ mod tests {
     }
 
     #[test]
-    fn record_roundtrips_by_name() {
+    fn record_roundtrips_by_id() {
         let model = CodeModel::synthesize(&AospSpec::android_6_0_1());
+        let n = model.methods.len();
         let analysis = crate::leakcheck::LeakChecker::new(&model).analyze();
         let rcl = model
             .find_method("android.os.RemoteCallbackList", "register")
             .unwrap();
-        let summary = analysis.summary(rcl);
-        let bytes = encode_record(&model, &[(rcl, summary)]);
-        let name_index: HashMap<(&str, &str), MethodId> = model
-            .methods
-            .iter()
-            .map(|d| ((d.class.as_str(), d.name.as_str()), d.id))
-            .collect();
-        let (members, canonical) =
-            remap_record(&bytes, &[rcl], &name_index).expect("clean roundtrip");
-        assert_eq!(members, vec![(rcl, summary.clone())]);
-        assert!(canonical);
+        let members = vec![(rcl, analysis.summary(rcl).clone())];
+        let bytes = encode_record(&members);
+        assert_eq!(decode_record(&bytes, &[rcl], n), Some(members.clone()));
+        // A member's bytes are its Tier A row, behind its id.
+        let row = encode_tier_a(std::slice::from_ref(&members[0].1));
+        assert_eq!(bytes[8..], row[4..]);
         // Truncated record bytes must be rejected, not mis-decoded.
-        assert!(remap_record(&bytes[..bytes.len() - 1], &[rcl], &name_index).is_none());
-        // A record that does not map onto the SCC must be refused.
-        assert!(remap_record(&bytes, &[MethodId(0)], &name_index).is_none());
+        assert!(decode_record(&bytes[..bytes.len() - 1], &[rcl], n).is_none());
+        // A record of another SCC, or naming a site origin outside the
+        // corpus, must be refused.
+        assert!(decode_record(&bytes, &[MethodId(0)], n).is_none());
+        assert!(decode_record(&bytes, &[rcl, MethodId(rcl.0 + 1)], n).is_none());
+        let last_origin = members[0].1.sites.iter().map(|s| s.method.0).max();
+        let last_origin = last_origin.expect("register retains a site") as usize;
+        assert!(decode_record(&bytes, &[rcl], last_origin).is_none());
     }
 
     #[test]
@@ -765,7 +736,7 @@ mod tests {
         let path = temp_path("hdr");
         let defaults = vec![MethodSummary::default(); n];
         let tier_a = tier_a_payload(&defaults);
-        store(&path, 7, 1, &tier_a, &TierB::default()).unwrap();
+        store(&path, 7, 0, &tier_a, &TierB::default()).unwrap();
 
         let clean = load(&path, 7, n);
         assert_eq!(clean.invalidated, 0);
@@ -836,7 +807,7 @@ mod tests {
         );
 
         let path = temp_path("predbits");
-        store(&path, 7, 1, &tier_a, &TierB::default()).unwrap();
+        store(&path, 7, 0, &tier_a, &TierB::default()).unwrap();
         let loaded = load(&path, 7, n);
         assert_eq!(loaded.reject, Some(RejectReason::MalformedPayload));
         fs::remove_file(&path).ok();
@@ -846,7 +817,7 @@ mod tests {
     fn site_lists_out_of_order_are_refused() {
         // The fold merges callee site lists as sorted runs, so a table
         // whose sites are out of `(method, site)` order is malformed, and
-        // a record with two sites under one key does not map.
+        // so is a record with two sites under one key.
         let model = CodeModel::synthesize(&AospSpec::android_6_0_1());
         let n = model.methods.len();
         let analysis = crate::leakcheck::LeakChecker::new(&model).analyze();
@@ -862,13 +833,7 @@ mod tests {
 
         let mut doubled = analysis.summary(id).clone();
         doubled.sites.insert(1, doubled.sites[0]);
-        let bytes = encode_record(&model, &[(id, &doubled)]);
-        let name_index: HashMap<(&str, &str), MethodId> = model
-            .methods
-            .iter()
-            .map(|d| ((d.class.as_str(), d.name.as_str()), d.id))
-            .collect();
-        assert!(remap_record(&bytes, &[id], &name_index).is_none());
+        assert!(decode_record(&encode_record(&[(id, doubled)]), &[id], n).is_none());
     }
 
     #[test]
@@ -899,12 +864,19 @@ mod tests {
         ]));
         store(&path, 9, 2, &tier_a_payload(&[]), &tier_b).unwrap();
         let full = fs::read(&path).unwrap();
-        // Cut inside the second record: the first must survive.
-        fs::write(&path, &full[..full.len() - 4]).unwrap();
-        let loaded = load(&path, 9, 0);
-        assert_eq!(loaded.invalidated, 1);
-        assert_eq!(loaded.tier_b.len(), 1);
-        assert!(loaded.tier_b.find(1).is_some());
+        // Cut inside the second record, or between the two — where the
+        // file frames clean and only the header's SCC count tells it
+        // from a whole one: the first record must survive.
+        let second = 8 + 4 + 16 + 8;
+        for cut in [full.len() - 4, full.len() - second] {
+            fs::write(&path, &full[..cut]).unwrap();
+            let loaded = load(&path, 9, 0);
+            assert_eq!(loaded.invalidated, 1);
+            assert_eq!(loaded.reject, Some(RejectReason::Corrupt));
+            assert!(loaded.tier_b_verified, "a short file is no clean hit");
+            assert_eq!(loaded.tier_b.len(), 1);
+            assert!(loaded.tier_b.find(1).is_some());
+        }
         fs::remove_file(&path).ok();
     }
 
@@ -944,7 +916,7 @@ mod tests {
         let mut bytes = Vec::new();
         record::write_header(&mut bytes, MAGIC, SCHEMA_VERSION);
         bytes.put_u64(1);
-        bytes.put_u32(2);
+        bytes.put_u32(3);
         record::write_frame(&mut bytes, &tier_a_payload(&[]));
         for (key, payload) in [(7u64, [1u8]), (3, [2]), (7, [3])] {
             bytes.put_u64(key);

@@ -24,16 +24,16 @@ pub struct Fingerprint(pub u64);
 /// Hashes the facts that determine one method's synthesized body and
 /// call edges: class + name (the JNI-wrapper special cases key on them),
 /// binder-parameter usages, direct and Handler call edges (callees by
-/// *name*, so renumbering [`MethodId`]s does not shift fingerprints),
+/// [`MethodId`]: two methods may share a `(class, name)`, an id never),
 /// and whether the method is a lifted JGR entry point.
 ///
 /// Bodies are derived on demand from exactly these facts
 /// (`jgre_corpus::body`), so two methods with equal fact fingerprints
 /// lower to identical CFG IR — [`Cfg::fingerprint`] asserts that
 /// correspondence in the test suite.
-pub fn method_fact_fingerprint(model: &CodeModel, def: &MethodDef, jgr_entry: bool) -> Fingerprint {
+pub fn method_fact_fingerprint(def: &MethodDef, jgr_entry: bool) -> Fingerprint {
     let mut h = StableHasher::new();
-    h.write_u64(0x4a47_5245_4d46_5031); // "JGREMFP1": fact-recipe tag
+    h.write_u64(0x4a47_5245_4d46_5032); // "JGREMFP2": fact-recipe tag
     h.write_str(&def.class);
     h.write_str(&def.name);
     h.write_u8(u8::from(jgr_entry));
@@ -54,9 +54,7 @@ pub fn method_fact_fingerprint(model: &CodeModel, def: &MethodDef, jgr_entry: bo
     for (edges, tag) in [(&def.calls, 0u8), (&def.handler_posts, 1u8)] {
         h.write_u32(edges.len() as u32);
         for callee in edges {
-            let callee = model.method(*callee);
-            h.write_str(&callee.class);
-            h.write_str(&callee.name);
+            h.write_u32(callee.0);
             h.write_u8(tag);
         }
     }
@@ -74,7 +72,7 @@ pub fn method_fact_fingerprints(model: &CodeModel, is_jgr_entry: &[bool]) -> Vec
                 .get(def.id.0 as usize)
                 .copied()
                 .unwrap_or(false);
-            method_fact_fingerprint(model, def, jgr).0
+            method_fact_fingerprint(def, jgr).0
         })
         .collect()
 }
@@ -238,17 +236,16 @@ impl Cfg {
     }
 
     /// Stable content hash of the lowered IR, with call edges identified
-    /// by callee *name* (resolved through `model`) so the hash survives
-    /// [`MethodId`] renumbering.
+    /// by callee [`MethodId`] as in [`method_fact_fingerprint`].
     ///
     /// [`method_fact_fingerprint`] hashes the fact base this CFG is
     /// derived from; the two agree on "did anything change" because
     /// bodies are synthesized deterministically from facts. The cheaper
     /// fact hash is what the incremental engine uses per run; this one
     /// exists to cross-check that equivalence in tests.
-    pub fn fingerprint(&self, model: &CodeModel) -> Fingerprint {
+    pub fn fingerprint(&self) -> Fingerprint {
         let mut h = StableHasher::new();
-        h.write_u64(0x4a47_5245_4346_4731); // "JGRECFG1": IR-recipe tag
+        h.write_u64(0x4a47_5245_4346_4732); // "JGRECFG2": IR-recipe tag
         h.write_u32(self.blocks.len() as u32);
         for (i, block) in self.blocks.iter().enumerate() {
             h.write_u32(block.len);
@@ -299,9 +296,7 @@ impl Cfg {
                         via_handler,
                     } => {
                         h.write_u8(4);
-                        let callee = model.method(*callee);
-                        h.write_str(&callee.class);
-                        h.write_str(&callee.name);
+                        h.write_u32(callee.0);
                         h.write_u8(u8::from(*via_handler));
                     }
                 }
@@ -491,12 +486,12 @@ mod tests {
         let b = CodeModel::synthesize(&AospSpec::android_6_0_1());
         for (da, db) in a.methods.iter().zip(&b.methods) {
             assert_eq!(
-                method_fact_fingerprint(&a, da, false),
-                method_fact_fingerprint(&b, db, false),
+                method_fact_fingerprint(da, false),
+                method_fact_fingerprint(db, false),
             );
             assert_eq!(
-                Cfg::lower(&a.method_body(da.id)).fingerprint(&a),
-                Cfg::lower(&b.method_body(db.id)).fingerprint(&b),
+                Cfg::lower(&a.method_body(da.id)).fingerprint(),
+                Cfg::lower(&b.method_body(db.id)).fingerprint(),
             );
         }
     }
@@ -518,10 +513,10 @@ mod tests {
             .binder_params
             .push(jgre_corpus::ParamUsage::LocalOnly);
         for (old, new) in model.methods.iter().zip(&mutated.methods) {
-            let facts_equal = method_fact_fingerprint(&model, old, false)
-                == method_fact_fingerprint(&mutated, new, false);
-            let ir_equal = Cfg::lower(&model.method_body(old.id)).fingerprint(&model)
-                == Cfg::lower(&mutated.method_body(new.id)).fingerprint(&mutated);
+            let facts_equal =
+                method_fact_fingerprint(old, false) == method_fact_fingerprint(new, false);
+            let ir_equal = Cfg::lower(&model.method_body(old.id)).fingerprint()
+                == Cfg::lower(&mutated.method_body(new.id)).fingerprint();
             assert_eq!(
                 facts_equal, ir_equal,
                 "fact hash and IR hash disagree for {}.{}",
@@ -536,8 +531,8 @@ mod tests {
         let model = CodeModel::synthesize(&AospSpec::android_6_0_1());
         let def = &model.methods[0];
         assert_ne!(
-            method_fact_fingerprint(&model, def, false),
-            method_fact_fingerprint(&model, def, true),
+            method_fact_fingerprint(def, false),
+            method_fact_fingerprint(def, true),
         );
     }
 
@@ -550,7 +545,7 @@ mod tests {
         for def in &model.methods {
             assert_eq!(
                 batch[def.id.0 as usize],
-                method_fact_fingerprint(&model, def, def.id.0 == 7).0,
+                method_fact_fingerprint(def, def.id.0 == 7).0,
                 "batch diverged for {}.{}",
                 def.class,
                 def.name
@@ -590,7 +585,6 @@ mod tests {
 
     #[test]
     fn branch_kind_is_part_of_the_cfg_fingerprint() {
-        let model = CodeModel::synthesize(&AospSpec::android_6_0_1());
         let body = MethodBody {
             stmts: vec![
                 BodyStmt::If {
@@ -607,8 +601,8 @@ mod tests {
         };
         *kind = BranchKind::ErrorCheck;
         assert_ne!(
-            Cfg::lower(&body).fingerprint(&model),
-            Cfg::lower(&relabeled).fingerprint(&model),
+            Cfg::lower(&body).fingerprint(),
+            Cfg::lower(&relabeled).fingerprint(),
         );
     }
 

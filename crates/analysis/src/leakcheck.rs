@@ -22,9 +22,8 @@
 //! as a test oracle (`jgre-oracles`), whose output must equal this one
 //! on the pristine corpus.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
-use std::sync::OnceLock;
 
 use jgre_corpus::body::{AllocSite, BranchKind, FieldKind, MethodBody, Place, Var};
 use jgre_corpus::spec::ProtectionLevel;
@@ -737,27 +736,30 @@ impl<'m> LeakChecker<'m> {
             ..SolverStats::default()
         };
 
-        // Fact fingerprints are cheap (no body synthesis, no lowering):
-        // on an unchanged corpus they are all the run compares.
-        let mut is_jgr_entry = vec![false; n];
-        if let Some(entries) = self.entries {
-            for id in &entries.java_entries {
-                if let Some(slot) = is_jgr_entry.get_mut(id.0 as usize) {
-                    *slot = true;
-                }
-            }
-        }
-        let fps = method_fact_fingerprints(model, &is_jgr_entry);
-        let corpus_fp = corpus_fingerprint(&fps).0;
-
         let cache_path = options
             .cache_dir
             .as_ref()
             .map(|dir| dir.join(cache::CACHE_FILE));
         let caching = cache_path.is_some();
-        let mut loaded = match &cache_path {
-            Some(path) => cache::load(path, corpus_fp, n),
-            None => cache::LoadedCache::default(),
+        // Fact fingerprints key the cache and are cheap (no body
+        // synthesis, no lowering): on an unchanged corpus they are all
+        // the run compares. An uncached run never reads them.
+        let (fps, corpus_fp, mut loaded) = match &cache_path {
+            Some(path) => {
+                let mut is_jgr_entry = vec![false; n];
+                if let Some(entries) = self.entries {
+                    for id in &entries.java_entries {
+                        if let Some(slot) = is_jgr_entry.get_mut(id.0 as usize) {
+                            *slot = true;
+                        }
+                    }
+                }
+                let fps = method_fact_fingerprints(model, &is_jgr_entry);
+                let corpus_fp = corpus_fingerprint(&fps).0;
+                let loaded = cache::load(path, corpus_fp, n);
+                (fps, corpus_fp, loaded)
+            }
+            None => (Vec::new(), 0, cache::LoadedCache::default()),
         };
         stats.cache_invalidated = loaded.invalidated;
 
@@ -798,9 +800,6 @@ impl<'m> LeakChecker<'m> {
             let waves = cond.levels(model, &scc_index);
             (scc_index, waves)
         };
-        // Built when a dirty SCC first finds its Tier B record; a cone
-        // whose keys all changed never builds it.
-        let name_index = OnceLock::new();
         let mut fresh: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
         for wave in &waves {
             // Every SCC of a wave depends only on earlier waves and Tier
@@ -819,7 +818,6 @@ impl<'m> LeakChecker<'m> {
                             &scc_index,
                             &tables,
                             &loaded.tier_b,
-                            &name_index,
                             &mut scratch,
                         )
                     })
@@ -847,7 +845,7 @@ impl<'m> LeakChecker<'m> {
                             tables.index[i] = cache::IndexRow {
                                 fact_fp: fps[i],
                                 scc_key: outcome.key,
-                                summary_fp: cache::summary_fingerprint(model, m, &s),
+                                summary_fp: cache::summary_fingerprint(m, &s),
                             };
                         }
                         tables.summaries[i] = Some(s);
@@ -888,7 +886,6 @@ impl<'m> LeakChecker<'m> {
         scc_index: &[usize],
         tables: &MethodTables,
         tier_b: &cache::TierB,
-        name_index: &OnceLock<HashMap<(&'m str, &'m str), MethodId>>,
         scratch: &mut Scratch,
     ) -> SccOutcome {
         let model = self.model;
@@ -898,31 +895,17 @@ impl<'m> LeakChecker<'m> {
         } else {
             0
         };
-        // Tier B is empty when caching is off.
+        // Tier B is empty when caching is off. An equal key means equal
+        // inputs to the fold, so a record that decodes for this SCC is
+        // what a fresh run would encode, and is carried as stored.
         if let Some((pos, bytes)) = tier_b.find(key) {
-            let names = name_index.get_or_init(|| {
-                model
-                    .methods
-                    .iter()
-                    .map(|d| ((d.class.as_str(), d.name.as_str()), d.id))
-                    .collect()
-            });
-            match cache::remap_record(bytes, scc, names) {
-                Some((mut members, canonical)) => {
-                    // A record stored under another numbering is encoded
-                    // again, so the next file matches a fresh run's.
-                    let record = if canonical {
-                        RecordSource::Carried(pos)
-                    } else {
-                        members.sort_by_key(|(m, _)| *m);
-                        RecordSource::Fresh(encode_members(model, &members))
-                    };
-                    let count = members.len();
+            match cache::decode_record(bytes, scc, model.methods.len()) {
+                Some(members) => {
                     scratch.members.extend(members);
                     return SccOutcome {
                         key,
-                        record,
-                        members: count,
+                        record: RecordSource::Carried(pos),
+                        members: scc.len(),
                         hit: true,
                         invalidated,
                         cfg_blocks: 0,
@@ -930,7 +913,7 @@ impl<'m> LeakChecker<'m> {
                     };
                 }
                 // A key collision or hand-crafted record that passed
-                // the checksum but does not map onto this SCC.
+                // the checksum but is not this SCC's.
                 None => invalidated += 1,
             }
         }
@@ -982,7 +965,7 @@ impl<'m> LeakChecker<'m> {
             }
         }
         let record = if caching {
-            RecordSource::Fresh(encode_members(model, &scratch.members[start..]))
+            RecordSource::Fresh(cache::encode_record(&scratch.members[start..]))
         } else {
             RecordSource::Uncached
         };
@@ -997,10 +980,13 @@ impl<'m> LeakChecker<'m> {
         }
     }
 
-    /// The SCC cache key: schema version, the members' fact
-    /// fingerprints, and the summary fingerprints of every external
-    /// callee — both sorted numerically so the key survives `MethodId`
-    /// renumbering and is independent of traversal order.
+    /// The SCC cache key: the schema version, each member's id and fact
+    /// fingerprint (`scc` is in `MethodId` order), then the summary
+    /// fingerprint of every external callee, edge by edge in the
+    /// members' call order. Fact fingerprints name callees by id, so
+    /// equal keys mean equal inputs to the fold — the same members,
+    /// facts and callee summaries under the same numbering — and a
+    /// record stored under the key holds exactly this SCC's summaries.
     fn scc_key(
         &self,
         scc_idx: usize,
@@ -1009,12 +995,16 @@ impl<'m> LeakChecker<'m> {
         scc_index: &[usize],
         tables: &MethodTables,
     ) -> u64 {
-        let model = self.model;
-        let mut member_fps: Vec<u64> = scc.iter().map(|m| fps[m.0 as usize]).collect();
-        member_fps.sort_unstable();
-        let mut callee_fps: Vec<u64> = Vec::new();
+        let mut h = StableHasher::new();
+        h.write_u64(0x4a47_5245_534b_5932); // "JGRESKY2": SCC-key tag
+        h.write_u32(cache::SCHEMA_VERSION);
+        h.write_u32(scc.len() as u32);
         for m in scc {
-            let def = model.method(*m);
+            h.write_u32(m.0);
+            h.write_u64(fps[m.0 as usize]);
+        }
+        for m in scc {
+            let def = self.model.method(*m);
             for callee in def.calls.iter().chain(def.handler_posts.iter()) {
                 let callee = callee.0 as usize;
                 if scc_index[callee] == scc_idx {
@@ -1024,30 +1014,11 @@ impl<'m> LeakChecker<'m> {
                     tables.summaries[callee].is_some(),
                     "callee-first wave order"
                 );
-                callee_fps.push(tables.index[callee].summary_fp);
+                h.write_u64(tables.index[callee].summary_fp);
             }
-        }
-        callee_fps.sort_unstable();
-        callee_fps.dedup();
-        let mut h = StableHasher::new();
-        h.write_u64(0x4a47_5245_534b_5931); // "JGRESKY1": SCC-key tag
-        h.write_u32(cache::SCHEMA_VERSION);
-        h.write_u32(member_fps.len() as u32);
-        for fp in member_fps {
-            h.write_u64(fp);
-        }
-        h.write_u32(callee_fps.len() as u32);
-        for fp in callee_fps {
-            h.write_u64(fp);
         }
         h.finish()
     }
-}
-
-/// [`cache::encode_record`] over owned `(member, summary)` pairs.
-fn encode_members(model: &CodeModel, members: &[(MethodId, MethodSummary)]) -> Vec<u8> {
-    let refs: Vec<(MethodId, &MethodSummary)> = members.iter().map(|(m, s)| (*m, s)).collect();
-    cache::encode_record(model, &refs)
 }
 
 /// Splits the corpus at the edit. With a Tier A index for this method
@@ -1058,7 +1029,7 @@ fn encode_members(model: &CodeModel, members: &[(MethodId, MethodSummary)]) -> V
 /// row from Tier A, and its SCC's record is carried over. Without an
 /// index every method is dirty.
 fn seed(model: &CodeModel, fps: &[u64], loaded: &mut cache::LoadedCache, caching: bool) -> Seed {
-    let n = fps.len();
+    let n = model.methods.len();
     let Some(table) = loaded.tier_a.take() else {
         return Seed {
             tables: MethodTables {

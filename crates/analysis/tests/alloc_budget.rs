@@ -1,4 +1,4 @@
-//! Allocation budget of the uncached leak-check pass.
+//! Allocation budgets of the leak-check pass, uncached and cached.
 //!
 //! Each wave worker solves its methods through one reused scratch: the
 //! synthesized body, its CFG, the solver's per-block states, reverse
@@ -6,16 +6,17 @@
 //! buffers from one method to the next. An acyclic SCC is folded once,
 //! and the SCC condensation walks the call edges with a cursor. A
 //! counting global allocator pins that on the 4× corpus (14,928
-//! methods): a whole uncached `analyze_with` and the intra-solve probe
-//! `intra_solver_cost` each stay under a fixed number of heap
-//! allocations per method. Counts are per thread, so tests running in
-//! parallel do not see each other's allocations.
+//! methods): a whole uncached `analyze_with`, the intra-solve probe
+//! `intra_solver_cost`, a cached run that populates the summary cache
+//! and the cached re-lint of a one-method edit each stay under a fixed
+//! number of heap allocations per method. Counts are per thread, so
+//! tests running in parallel do not see each other's allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use jgre_analysis::{intra_solver_cost, AnalysisOptions, LeakChecker};
-use jgre_corpus::{spec::AospSpec, CodeModel, MethodId};
+use jgre_corpus::{spec::AospSpec, CodeModel, MethodId, ParamUsage};
 
 struct Counting;
 
@@ -124,4 +125,66 @@ fn intra_solve_reuses_one_scratch() {
         "{n} allocations over {} methods: {per_method:.4} per method (budget {INTRA_BUDGET})",
         model.methods.len()
     );
+}
+
+/// Allocations allowed per method for a cached `analyze_with` that
+/// populates an empty cache directory: the uncached run's, plus each
+/// SCC's Tier B record and the file written (37,676 allocations, 2.52
+/// per method measured; 83,402, 5.6 per method, with records by
+/// `(class, name)`).
+const POPULATE_BUDGET: f64 = 3.2;
+
+/// Allocations allowed per method for the cached re-lint of a one-method
+/// edit: loading the file, the Tier A table's site lists, the edit's
+/// cone and the file written (2,840 allocations, 0.19 per method
+/// measured).
+const EDIT_BUDGET: f64 = 0.25;
+
+#[test]
+fn cached_analysis_stays_within_the_allocation_budget() {
+    let model = amplify(&CodeModel::synthesize(&AospSpec::android_6_0_1()), 4);
+    let dir = std::env::temp_dir().join(format!("jgre-alloc-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let options = AnalysisOptions::with_cache_dir(&dir);
+    let (populating, populate) = allocations(|| LeakChecker::new(&model).analyze_with(&options));
+    assert_eq!(populating.stats.cache_misses, populating.stats.sccs as u64);
+
+    // Flip the first binder parameter of a replica method nothing calls:
+    // the edit's cone is that one method.
+    let target = model
+        .methods
+        .iter()
+        .find(|d| {
+            d.class.ends_with("__copy1")
+                && !d.binder_params.is_empty()
+                && !model
+                    .methods
+                    .iter()
+                    .any(|c| c.calls.contains(&d.id) || c.handler_posts.contains(&d.id))
+        })
+        .expect("the 4x corpus has an uncalled replica method with binder params")
+        .id;
+    let mut edited = model.clone();
+    let usage = &mut edited.methods[target.0 as usize].binder_params[0];
+    *usage = if *usage == ParamUsage::LocalOnly {
+        ParamUsage::StoredInCollection
+    } else {
+        ParamUsage::LocalOnly
+    };
+    let (relint, edit) = allocations(|| LeakChecker::new(&edited).analyze_with(&options));
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(relint.stats.cache_misses, 1, "{:?}", relint.stats);
+
+    let methods = model.methods.len() as f64;
+    for (what, n, budget) in [
+        ("populating run", populate, POPULATE_BUDGET),
+        ("one-method edit", edit, EDIT_BUDGET),
+    ] {
+        let per_method = n as f64 / methods;
+        eprintln!("{what}: {n} allocations, {per_method:.3} per method");
+        assert!(
+            per_method <= budget,
+            "{what}: {n} allocations over {methods} methods: {per_method:.3} per method (budget {budget})"
+        );
+    }
 }

@@ -127,8 +127,21 @@ fn corrupt_tier_a_byte_is_detected_and_recomputed() {
 #[test]
 fn truncated_file_is_detected_and_recomputed() {
     let f = Fixture::new("trunc");
-    let out = f.run_with_bytes(&f.pristine[..f.pristine.len() / 2]);
+    let half = f.pristine.len() / 2;
+    let out = f.run_with_bytes(&f.pristine[..half]);
     f.assert_recovered(&out, "truncated file");
+    // Cut between two Tier B records, the file still frames clean: only
+    // the header's SCC count tells it from a whole file. Walk the
+    // `key u64 | len u32 | payload | checksum u64` records to the first
+    // boundary past the middle.
+    let mut boundary = HEADER_LEN + f.tier_a_len() + 8;
+    while boundary <= half {
+        let len = &f.pristine[boundary + 8..boundary + 12];
+        boundary += 8 + 4 + u32::from_le_bytes(len.try_into().unwrap()) as usize + 8;
+    }
+    assert!(boundary < f.pristine.len(), "the cut drops whole records");
+    let out = f.run_with_bytes(&f.pristine[..boundary]);
+    f.assert_recovered(&out, "file cut at a record boundary");
 }
 
 #[test]
@@ -256,14 +269,17 @@ fn index_length_disagreeing_with_the_method_count_is_refused() {
 #[test]
 fn schema_3_file_is_rejected_as_stale() {
     let f = Fixture::new("schema3");
-    let mut bytes = f.pristine.clone();
-    // A file from before the Tier A index.
-    bytes[VERSION_OFFSET..VERSION_OFFSET + 4].copy_from_slice(&3u32.to_le_bytes());
-    assert_eq!(
-        f.reject_of(&bytes),
-        Some(RejectReason::StaleSchema { found: 3 })
-    );
-    let out = f.run_with_bytes(&bytes);
-    assert_eq!(out.stats.cache_misses, out.stats.sccs as u64);
-    f.assert_recovered(&out, "schema-3 file");
+    // Schema 3 came before the Tier A index; schema 4 keyed Tier B
+    // records by `(class, name)`.
+    for version in [3u32, 4] {
+        let mut bytes = f.pristine.clone();
+        bytes[VERSION_OFFSET..VERSION_OFFSET + 4].copy_from_slice(&version.to_le_bytes());
+        assert_eq!(
+            f.reject_of(&bytes),
+            Some(RejectReason::StaleSchema { found: version })
+        );
+        let out = f.run_with_bytes(&bytes);
+        assert_eq!(out.stats.cache_misses, out.stats.sccs as u64);
+        f.assert_recovered(&out, &format!("schema-{version} file"));
+    }
 }

@@ -3,7 +3,9 @@
 //! dirty cone is processed, the work counters equal the cone's alone,
 //! every `SolverStats` field equals what the full Tier B path reports,
 //! and the rewritten cache file is byte-identical to the one a cold
-//! cached run of the edited corpus writes.
+//! cached run of the edited corpus writes. A grown corpus, which takes
+//! the full Tier B path, keeps apart the summaries of overloads that
+//! share a `(class, name)`.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -14,7 +16,7 @@ use jgre_analysis::{
     cache, intra_solver_cost, AnalysisOptions, Cfg, LeakChecker, RejectReason, SolverStats,
     CACHE_FILE,
 };
-use jgre_corpus::{spec::AospSpec, CodeModel, MethodId, ParamUsage};
+use jgre_corpus::{spec::AospSpec, CodeModel, MethodDef, MethodId, ParamUsage};
 
 /// Replicates every method `copies` times with suffixed class names and
 /// offset call ids (the benchmark's corpus).
@@ -257,8 +259,9 @@ fn renumbering_rewrites_the_records_it_reorders() {
     let base = CodeModel::synthesize(&AospSpec::android_6_0_1());
     let analysis = LeakChecker::new(&base).analyze();
     // A summary with sites from two origins: swapping their ids reverses
-    // the sites' canonical order, so its stored record no longer matches
-    // what a fresh run encodes.
+    // the sites' order, so no record stored under the old numbering may
+    // serve it. Keys name members and callees by id, so every SCC whose
+    // ids moved misses and is computed again.
     let (a, b) = analysis
         .summaries
         .iter()
@@ -269,4 +272,80 @@ fn renumbering_rewrites_the_records_it_reorders() {
         })
         .expect("some summary has sites from two methods");
     relint(&base, &swap_ids(&base, a, b), "renumber");
+}
+
+/// A bare method: no body beyond its binder parameters and call edges.
+fn bare(
+    id: u32,
+    class: &str,
+    name: &str,
+    binder_params: Vec<ParamUsage>,
+    calls: &[u32],
+) -> MethodDef {
+    MethodDef {
+        id: MethodId(id),
+        class: class.to_owned(),
+        name: name.to_owned(),
+        overrides_aidl: None,
+        calls: calls.iter().copied().map(MethodId).collect(),
+        handler_posts: Vec::new(),
+        registers_service: None,
+        binder_params,
+        permission_checks: Vec::new(),
+    }
+}
+
+#[test]
+fn overloads_keep_their_own_summaries_when_the_corpus_grows() {
+    // Two overloads share `com.example.Over.over` (ids 1 and 2); only id
+    // 1 retains its binder, and id 3 calls it. A grown corpus has no
+    // usable Tier A index, so every SCC goes through Tier B — where a
+    // record must name the allocating overload by id, not by name.
+    let over = "com.example.Over";
+    let mut model = CodeModel {
+        classes: Vec::new(),
+        methods: vec![
+            bare(0, "com.example.Other", "leaf", Vec::new(), &[]),
+            bare(1, over, "over", vec![ParamUsage::StoredInCollection], &[]),
+            bare(2, over, "over", vec![ParamUsage::LocalOnly], &[]),
+            bare(3, "com.example.Caller", "call", Vec::new(), &[1]),
+        ],
+        native_functions: Vec::new(),
+        jni_registrations: Vec::new(),
+    };
+    let dir = temp_cache_dir("overloads");
+    cached_run(&model, &dir);
+    model
+        .methods
+        .push(bare(4, "com.example.Extra", "extra", Vec::new(), &[]));
+    let relint = cached_run(&model, &dir);
+
+    let uncached = LeakChecker::new(&model).analyze();
+    let origins = |a: &LeakAnalysis| -> Vec<MethodId> {
+        a.summaries[3].sites.iter().map(|s| s.method).collect()
+    };
+    assert_eq!(origins(&uncached), vec![MethodId(1)]);
+    assert_eq!(origins(&relint), vec![MethodId(1)], "cached caller summary");
+    assert_eq!(relint.summaries, uncached.summaries);
+    // Every SCC of the old corpus kept its key; only the appended method
+    // is computed.
+    let stats = relint.stats;
+    assert_eq!(
+        (
+            stats.cache_hits,
+            stats.cache_misses,
+            stats.cache_invalidated
+        ),
+        (4, 1, 0),
+        "{stats:?}"
+    );
+    let cold_dir = temp_cache_dir("overloads-cold");
+    cached_run(&model, &cold_dir);
+    assert!(
+        fs::read(dir.join(CACHE_FILE)).unwrap() == fs::read(cold_dir.join(CACHE_FILE)).unwrap(),
+        "the grown corpus's file differs from a cold cached run's"
+    );
+    for dir in [dir, cold_dir] {
+        fs::remove_dir_all(dir).ok();
+    }
 }

@@ -21,13 +21,15 @@ use proptest::prelude::*;
 /// whatever they select. Kinds: 0 add call edge, 1 remove last call
 /// edge, 2 retarget first call edge, 3 toggle the first binder param
 /// between released and retained, 4 rename the method, 5 cycle the first
-/// binder param through the path-sensitive error-path usages.
+/// binder param through the path-sensitive error-path usages, 6 append
+/// an overload of a method (same class and name) and let another method
+/// call it.
 type EditOp = (u8, usize, usize);
 
 fn apply(model: &mut CodeModel, op: &EditOp, step: usize) {
     let n = model.methods.len();
     let (kind, a, b) = *op;
-    match kind % 6 {
+    match kind % 7 {
         0 => {
             let callee = MethodId((b % n) as u32);
             let def = &mut model.methods[a % n];
@@ -58,10 +60,21 @@ fn apply(model: &mut CodeModel, op: &EditOp, step: usize) {
             }
         }
         4 => {
-            let def = &mut model.methods[a % n];
-            // The step index keeps mutated names unique, so the cache's
-            // (class, name) remapping never sees an ambiguous pair.
-            def.name = format!("mut{step}_{}", def.name);
+            // Take the name of another method of the same class when
+            // there is one: overloads share a `(class, name)`, so the
+            // cache must not key on it.
+            let def = &model.methods[a % n];
+            let peers: Vec<&str> = model
+                .methods
+                .iter()
+                .filter(|d| d.class == def.class && d.name != def.name)
+                .map(|d| d.name.as_str())
+                .collect();
+            let name = match peers.get(b % peers.len().max(1)) {
+                Some(peer) => (*peer).to_owned(),
+                None => format!("mut{step}_{}", def.name),
+            };
+            model.methods[a % n].name = name;
         }
         5 => {
             // Exercise the predicate lattice in the cache: branch-labeled
@@ -77,6 +90,19 @@ fn apply(model: &mut CodeModel, op: &EditOp, step: usize) {
                 Some(slot) => *slot = usage,
                 None => def.binder_params.push(usage),
             }
+        }
+        6 => {
+            // A new method id: the Tier A index no longer fits, and every
+            // SCC goes through its Tier B record.
+            let mut overload = model.methods[a % n].clone();
+            overload.id = MethodId(n as u32);
+            overload.overrides_aidl = None;
+            overload.registers_service = None;
+            if let Some(class) = model.classes.iter_mut().find(|c| c.name == overload.class) {
+                class.methods.push(overload.id);
+            }
+            model.methods.push(overload);
+            model.methods[b % n].calls.push(MethodId(n as u32));
         }
         _ => unreachable!(),
     }
@@ -161,7 +187,7 @@ proptest! {
     /// Incremental ≡ from-scratch under arbitrary mutation sequences.
     #[test]
     fn cached_replay_agrees_with_cold_at_every_step(
-        ops in proptest::collection::vec((0u8..6, 0usize..4096, 0usize..4096), 1..8)
+        ops in proptest::collection::vec((0u8..7, 0usize..4096, 0usize..4096), 1..8)
     ) {
         if let Some(step) = first_divergence(&ops) {
             let minimal = minimize(&ops, step);
@@ -174,7 +200,7 @@ proptest! {
     }
 }
 
-/// A hand-picked sequence covering all six edit kinds, replayed with
+/// A hand-picked sequence covering all seven edit kinds, replayed with
 /// warm-hit verification: after an edit, re-running unchanged must be a
 /// pure Tier A hit again.
 #[test]
@@ -187,6 +213,8 @@ fn scripted_edits_agree_and_rewarm() {
         (5, 120, 1),   // permission-gated shape
         (2, 17, 11),   // retarget
         (1, 17, 0),    // remove edge
+        (6, 901, 17),  // append an overload, called from method 17
+        (4, 902, 0),   // rename onto a sibling's name
     ];
     let spec = AospSpec::android_6_0_1();
     let mut model = CodeModel::synthesize(&spec);

@@ -187,9 +187,10 @@ fn lint_prints_the_summary_footer_on_stderr() {
 fn lint_cache_dir_roundtrips_with_identical_findings() {
     let dir = std::env::temp_dir().join(format!("jgre-cli-cache-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
-    let run = || {
+    let run = |threads: &str| {
         let out = jgre()
             .args(["lint", "--cache-dir", dir.to_str().unwrap()])
+            .args(["--threads", threads])
             .output()
             .expect("binary runs");
         assert!(
@@ -198,13 +199,21 @@ fn lint_cache_dir_roundtrips_with_identical_findings() {
             String::from_utf8_lossy(&out.stderr)
         );
         (
-            serde_json::from_slice::<serde_json::Value>(&out.stdout).expect("valid JSON"),
+            out.stdout,
             String::from_utf8_lossy(&out.stderr).into_owned(),
         )
     };
-    let (cold, cold_err) = run();
-    let (warm, warm_err) = run();
+    let (cold_out, cold_err) = run("1");
+    let (warm_out, warm_err) = run("4");
     std::fs::remove_dir_all(&dir).ok();
+    // The populating run prints exactly what an uncached lint does.
+    let golden = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("artifacts/lint_sarif.json");
+    assert!(
+        cold_out == std::fs::read(golden).expect("golden artifact committed"),
+        "`jgre lint --cache-dir` differs from artifacts/lint_sarif.json"
+    );
+    let json = |out: &[u8]| serde_json::from_slice::<serde_json::Value>(out).expect("valid JSON");
+    let (cold, warm) = (json(&cold_out), json(&warm_out));
     assert!(cold_err.contains("misses 3732"), "{cold_err}");
     assert!(warm_err.contains("(hits 3732, misses 0)"), "{warm_err}");
     // Findings are structurally identical; only the invocation's cache
