@@ -35,38 +35,6 @@ pub trait ForwardAnalysis {
     fn transfer_edge(&self, _term: &Terminator, _succ_index: usize, _state: &mut Self::State) {}
 }
 
-/// Fixpoint solution: per-block entry/exit states (`None` = unreachable).
-#[derive(Debug, Clone)]
-pub struct Solution<S> {
-    /// State at each block's entry.
-    pub entry: Vec<Option<S>>,
-    /// State at each block's exit.
-    pub exit: Vec<Option<S>>,
-    /// Number of block transfers executed before convergence.
-    pub iterations: u64,
-}
-
-/// Runs the worklist algorithm to a fixpoint: [`Solver::solve`] on a
-/// fresh solver, its states moved out into a [`Solution`].
-pub fn solve_forward<A: ForwardAnalysis>(cfg: &Cfg, analysis: &A) -> Solution<A::State> {
-    let mut solver = Solver::default();
-    let iterations = solver.solve(cfg, analysis);
-    let n = cfg.blocks.len();
-    let keep = |states: Vec<A::State>, present: &[bool]| -> Vec<Option<A::State>> {
-        states
-            .into_iter()
-            .zip(present)
-            .take(n)
-            .map(|(s, here)| here.then_some(s))
-            .collect()
-    };
-    Solution {
-        entry: keep(solver.entry, &solver.reached),
-        exit: keep(solver.exit, &solver.solved),
-        iterations,
-    }
-}
-
 /// The forward worklist solver with its buffers: per-block states,
 /// reverse postorder and worklist, grown to the largest CFG solved. One
 /// solver serves any number of CFGs; every buffer is cleared, not
@@ -341,38 +309,6 @@ impl Condensation {
             }
         }
         index
-    }
-
-    /// Groups SCCs into reverse-topological *waves*: level 0 holds SCCs
-    /// with no external callees, level `k` holds SCCs whose deepest
-    /// external callee sits at level `k-1`. All SCCs within one wave are
-    /// mutually independent, so a bottom-up summary computation can
-    /// process each wave in parallel with one barrier per level. Callees
-    /// outside the condensation (the finished callees of a cone) do not
-    /// count. `scc_index` is [`Condensation::scc_index`].
-    pub fn levels(&self, model: &CodeModel, scc_index: &[usize]) -> Vec<Vec<usize>> {
-        let mut level = vec![0usize; self.len()];
-        let mut max_level = 0;
-        for (i, scc) in self.sccs().enumerate() {
-            let mut l = 0;
-            for m in scc {
-                let def = model.method(*m);
-                for callee in def.calls.iter().chain(def.handler_posts.iter()) {
-                    let j = scc_index[callee.0 as usize];
-                    // Callee-first order guarantees j's level is final.
-                    if j != i && j != usize::MAX {
-                        l = l.max(level[j] + 1);
-                    }
-                }
-            }
-            level[i] = l;
-            max_level = max_level.max(l);
-        }
-        let mut waves = vec![Vec::new(); max_level + 1];
-        for (i, l) in level.iter().enumerate() {
-            waves[*l].push(i);
-        }
-        waves
     }
 }
 

@@ -194,9 +194,9 @@ impl LintReport {
         Self::generate_with(model, spec, &AnalysisOptions::default())
     }
 
-    /// [`LintReport::generate`] with summary caching and parallelism
-    /// knobs; findings are identical in every mode, only
-    /// [`LintReport::stats`] reflects the cache traffic.
+    /// [`LintReport::generate`] with [`AnalysisOptions`]; findings are
+    /// identical cached and uncached, only [`LintReport::stats`]
+    /// reflects the cache traffic.
     pub fn generate_with(
         model: &CodeModel,
         spec: &AospSpec,

@@ -198,16 +198,13 @@ pub struct SolverStats {
     pub cache_invalidated: u64,
 }
 
-/// Knobs for one analysis run; the default is serial, uncached, and
-/// path-sensitive.
+/// Knobs for one analysis run; the default is uncached and
+/// path-sensitive. The bottom-up pass always runs on the calling thread.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AnalysisOptions {
     /// Directory holding the persistent summary cache
     /// ([`cache::CACHE_FILE`] inside it). `None` disables caching.
     pub cache_dir: Option<PathBuf>,
-    /// Worker threads for the per-wave SCC fan-out; `None` or `Some(1)`
-    /// runs serial. Results are identical for every thread count.
-    pub threads: Option<usize>,
     /// Derive predicate-aware verdicts: error-path leaks get their own
     /// class (`JGRE004`) and bound-checked sites count as proven. `false`
     /// reproduces the boolean-era derivation — summaries (and therefore
@@ -220,7 +217,6 @@ impl Default for AnalysisOptions {
     fn default() -> Self {
         Self {
             cache_dir: None,
-            threads: None,
             path_sensitive: true,
         }
     }
@@ -233,12 +229,6 @@ impl AnalysisOptions {
             cache_dir: Some(dir.into()),
             ..Self::default()
         }
-    }
-
-    /// Sets the wave worker-thread count.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
-        self
     }
 
     /// Turns off predicate-aware verdict derivation (the boolean-era
@@ -583,10 +573,10 @@ struct IntraResult {
     var_sites: Vec<Option<AllocSite>>,
 }
 
-/// One wave worker's buffers, reused method after method: the body and
-/// its CFG, the solver, the solved result, the fold's site runs and the
-/// finished summaries. A method solved and folded through a warm scratch
-/// allocates only its summary's site list.
+/// The pass's buffers, reused method after method: the body and its
+/// CFG, the solver, the solved result and the fold's site runs. A method
+/// solved and folded through a warm scratch allocates only its summary's
+/// site list.
 #[derive(Debug, Default)]
 struct Scratch {
     body: MethodBody,
@@ -596,8 +586,6 @@ struct Scratch {
     exit: LeakState,
     intra: IntraResult,
     fold: FoldBuffers,
-    /// The worker's finished summaries, SCC after SCC.
-    members: Vec<(MethodId, MethodSummary)>,
 }
 
 /// The two site runs [`fold_summary`] merges between.
@@ -615,35 +603,6 @@ pub struct LeakChecker<'m> {
     /// each method's fact fingerprint (the native side is not otherwise
     /// visible in Java facts).
     entries: Option<&'m JgrEntrySets>,
-}
-
-/// What one wave worker produced for one SCC.
-struct SccOutcome {
-    /// The SCC cache key (0 when caching is disabled).
-    key: u64,
-    /// Where the SCC's Tier B record comes from on store.
-    record: RecordSource,
-    /// How many of the worker's [`Scratch::members`] this SCC's final
-    /// summaries take, after those of the SCCs before it.
-    members: usize,
-    /// Served from the cache?
-    hit: bool,
-    /// Cache entries rejected while trying to serve this SCC.
-    invalidated: u64,
-    /// Basic blocks lowered (0 on a hit).
-    cfg_blocks: usize,
-    /// Solver block transfers (0 on a hit).
-    iterations: u64,
-}
-
-/// An SCC's Tier B record for the next cache file.
-enum RecordSource {
-    /// Caching is off.
-    Uncached,
-    /// The loaded record at this [`cache::TierB`] position, carried over.
-    Carried(usize),
-    /// A record encoded by this run.
-    Fresh(Vec<u8>),
 }
 
 /// Per-method state of one run, seeded from Tier A outside the edit's
@@ -715,7 +674,7 @@ impl<'m> LeakChecker<'m> {
         self.analyze_with(&AnalysisOptions::default())
     }
 
-    /// [`LeakChecker::analyze`] with caching and parallelism knobs.
+    /// [`LeakChecker::analyze`] with a cache directory.
     ///
     /// With a cache directory the run is incremental: the Tier A index
     /// names the methods whose facts changed, and only the SCCs of their
@@ -730,7 +689,6 @@ impl<'m> LeakChecker<'m> {
     pub fn analyze_with(&self, options: &AnalysisOptions) -> LeakAnalysis {
         let model = self.model;
         let n = model.methods.len();
-        let threads = options.threads.unwrap_or(1);
         let mut stats = SolverStats {
             methods: n,
             ..SolverStats::default()
@@ -782,10 +740,10 @@ impl<'m> LeakChecker<'m> {
         }
 
         let Seed {
-            mut tables,
+            tables,
             dirty,
             clean_sccs,
-            mut carried,
+            carried,
         } = seed(model, &fps, &mut loaded, caching);
 
         // Only the SCCs touching the dirty set are processed; the set is
@@ -793,66 +751,28 @@ impl<'m> LeakChecker<'m> {
         let cond = condense_within(model, &dirty);
         stats.sccs = clean_sccs + cond.len();
         stats.cache_hits = clean_sccs as u64;
-        let (scc_index, waves) = if cond.is_empty() {
-            (Vec::new(), Vec::new())
-        } else {
-            let scc_index = cond.scc_index(n);
-            let waves = cond.levels(model, &scc_index);
-            (scc_index, waves)
+        let mut pass = Pass {
+            model,
+            caching,
+            fps: &fps,
+            scc_index: cond.scc_index(n),
+            tier_b: &loaded.tier_b,
+            tables,
+            stats,
+            carried,
+            fresh: BTreeMap::new(),
+            scratch: Scratch::default(),
         };
-        let mut fresh: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
-        for wave in &waves {
-            // Every SCC of a wave depends only on earlier waves and Tier
-            // A, so the wave shards freely; the fold below is
-            // order-independent.
-            let shards = jgre_sim::shard(wave.len(), threads, |positions| {
-                let mut scratch = Scratch::default();
-                let outcomes: Vec<SccOutcome> = positions
-                    .map(|pos| {
-                        let i = wave[pos];
-                        self.process_scc(
-                            i,
-                            cond.scc(i),
-                            caching,
-                            &fps,
-                            &scc_index,
-                            &tables,
-                            &loaded.tier_b,
-                            &mut scratch,
-                        )
-                    })
-                    .collect();
-                (outcomes, scratch.members)
-            });
-            for (outcomes, members) in shards {
-                let mut members = members.into_iter();
-                for outcome in outcomes {
-                    stats.cfg_blocks += outcome.cfg_blocks;
-                    stats.solver_iterations += outcome.iterations;
-                    stats.cache_hits += u64::from(outcome.hit);
-                    stats.cache_misses += u64::from(!outcome.hit);
-                    stats.cache_invalidated += outcome.invalidated;
-                    match outcome.record {
-                        RecordSource::Uncached => {}
-                        RecordSource::Carried(pos) => carried[pos] = true,
-                        RecordSource::Fresh(record) => {
-                            fresh.insert(outcome.key, record);
-                        }
-                    }
-                    for (m, s) in members.by_ref().take(outcome.members) {
-                        let i = m.0 as usize;
-                        if caching {
-                            tables.index[i] = cache::IndexRow {
-                                fact_fp: fps[i],
-                                scc_key: outcome.key,
-                                summary_fp: cache::summary_fingerprint(m, &s),
-                            };
-                        }
-                        tables.summaries[i] = Some(s);
-                    }
-                }
-            }
+        for (i, scc) in cond.sccs().enumerate() {
+            pass.process_scc(i, scc);
         }
+        let Pass {
+            tables,
+            stats,
+            carried,
+            fresh,
+            ..
+        } = pass;
         let summaries: Vec<MethodSummary> = tables
             .summaries
             .into_iter()
@@ -872,72 +792,98 @@ impl<'m> LeakChecker<'m> {
         }
         LeakAnalysis { summaries, stats }
     }
+}
 
-    /// Serves one SCC from Tier B or computes it: intra solve per member,
-    /// then one fold against the finished callee summaries — iterated to
-    /// the SCC-local fixpoint when the SCC is recursive.
-    #[allow(clippy::too_many_arguments)]
-    fn process_scc(
-        &self,
-        scc_idx: usize,
-        scc: &[MethodId],
-        caching: bool,
-        fps: &[u64],
-        scc_index: &[usize],
-        tables: &MethodTables,
-        tier_b: &cache::TierB,
-        scratch: &mut Scratch,
-    ) -> SccOutcome {
+/// One run's serial pass over the condensation's SCCs in the callee-first
+/// order Tarjan emits them: what it reads, and the tables, statistics and
+/// Tier B records it writes as each SCC completes.
+struct Pass<'a> {
+    model: &'a CodeModel,
+    caching: bool,
+    /// Fact fingerprints (caching runs only).
+    fps: &'a [u64],
+    /// [`Condensation::scc_index`](crate::dataflow::Condensation::scc_index)
+    /// of the processed SCCs.
+    scc_index: Vec<usize>,
+    tier_b: &'a cache::TierB,
+    tables: MethodTables,
+    stats: SolverStats,
+    /// Loaded Tier B records still in use, by position.
+    carried: Vec<bool>,
+    /// Records encoded by this run, by SCC key.
+    fresh: BTreeMap<u64, Vec<u8>>,
+    scratch: Scratch,
+}
+
+impl Pass<'_> {
+    /// Serves one SCC from Tier B or computes it — intra solve per member,
+    /// then one fold against the finished callee summaries, iterated to
+    /// the SCC-local fixpoint when the SCC is recursive — and writes its
+    /// summaries, index rows, statistics and record.
+    fn process_scc(&mut self, scc_idx: usize, scc: &[MethodId]) {
         let model = self.model;
-        let mut invalidated = 0u64;
-        let key = if caching {
-            self.scc_key(scc_idx, scc, fps, scc_index, tables)
+        // One pass suffices only because every external callee finished
+        // before this SCC; the fold skips a callee without a summary, so
+        // an order regression would silently drop its sites.
+        for m in scc {
+            let def = model.method(*m);
+            for callee in def.calls.iter().chain(def.handler_posts.iter()) {
+                let callee = callee.0 as usize;
+                assert!(
+                    self.scc_index[callee] == scc_idx || self.tables.summaries[callee].is_some(),
+                    "callee-first SCC order"
+                );
+            }
+        }
+        let key = if self.caching {
+            self.scc_key(scc_idx, scc)
         } else {
             0
         };
         // Tier B is empty when caching is off. An equal key means equal
         // inputs to the fold, so a record that decodes for this SCC is
         // what a fresh run would encode, and is carried as stored.
-        if let Some((pos, bytes)) = tier_b.find(key) {
+        if let Some((pos, bytes)) = self.tier_b.find(key) {
             match cache::decode_record(bytes, scc, model.methods.len()) {
                 Some(members) => {
-                    scratch.members.extend(members);
-                    return SccOutcome {
-                        key,
-                        record: RecordSource::Carried(pos),
-                        members: scc.len(),
-                        hit: true,
-                        invalidated,
-                        cfg_blocks: 0,
-                        iterations: 0,
-                    };
+                    self.stats.cache_hits += 1;
+                    self.carried[pos] = true;
+                    for (m, summary) in members {
+                        self.write(key, m, summary);
+                    }
+                    return;
                 }
                 // A key collision or hand-crafted record that passed
                 // the checksum but is not this SCC's.
-                None => invalidated += 1,
+                None => self.stats.cache_invalidated += 1,
             }
         }
 
-        let mut cfg_blocks = 0usize;
-        let mut iterations = 0u64;
+        self.stats.cache_misses += 1;
+        let Self {
+            tables,
+            stats,
+            scratch,
+            ..
+        } = self;
         let finished = |callee: MethodId| tables.summaries[callee.0 as usize].as_ref();
-        let start = scratch.members.len();
         match *scc {
             // An acyclic SCC: every callee is finished, so one fold is
             // the fixpoint.
             [m] if !calls_itself(model.method(m)) => {
-                (cfg_blocks, iterations) = scratch.solve_intra(model, m);
-                let Scratch { intra, fold, .. } = scratch;
-                let summary = fold_summary(m, intra, finished, fold);
-                scratch.members.push((m, summary));
+                let (blocks, iterations) = scratch.solve_intra(model, m);
+                stats.cfg_blocks += blocks;
+                stats.solver_iterations += iterations;
+                let summary = fold_summary(m, &scratch.intra, finished, &mut scratch.fold);
+                self.computed(key, &mut [(m, summary)]);
             }
             _ => {
                 let intras: Vec<IntraResult> = scc
                     .iter()
                     .map(|m| {
-                        let (blocks, iters) = scratch.solve_intra(model, *m);
-                        cfg_blocks += blocks;
-                        iterations += iters;
+                        let (blocks, iterations) = scratch.solve_intra(model, *m);
+                        stats.cfg_blocks += blocks;
+                        stats.solver_iterations += iterations;
                         scratch.intra.clone()
                     })
                     .collect();
@@ -961,23 +907,35 @@ impl<'m> LeakChecker<'m> {
                         break;
                     }
                 }
-                scratch.members.extend(scc.iter().copied().zip(local));
+                let mut members: Vec<_> = scc.iter().copied().zip(local).collect();
+                self.computed(key, &mut members);
             }
         }
-        let record = if caching {
-            RecordSource::Fresh(cache::encode_record(&scratch.members[start..]))
-        } else {
-            RecordSource::Uncached
-        };
-        SccOutcome {
-            key,
-            record,
-            members: scc.len(),
-            hit: false,
-            invalidated,
-            cfg_blocks,
-            iterations,
+    }
+
+    /// Writes a computed SCC: its Tier B record (caching runs), then each
+    /// member's summary.
+    fn computed(&mut self, key: u64, members: &mut [(MethodId, MethodSummary)]) {
+        if self.caching {
+            self.fresh.insert(key, cache::encode_record(members));
         }
+        for (m, summary) in members {
+            self.write(key, *m, std::mem::take(summary));
+        }
+    }
+
+    /// Writes one finished summary where callers' folds and keys read it:
+    /// its table slot and, on caching runs, its index row.
+    fn write(&mut self, key: u64, m: MethodId, summary: MethodSummary) {
+        let i = m.0 as usize;
+        if self.caching {
+            self.tables.index[i] = cache::IndexRow {
+                fact_fp: self.fps[i],
+                scc_key: key,
+                summary_fp: cache::summary_fingerprint(m, &summary),
+            };
+        }
+        self.tables.summaries[i] = Some(summary);
     }
 
     /// The SCC cache key: the schema version, each member's id and fact
@@ -987,34 +945,22 @@ impl<'m> LeakChecker<'m> {
     /// equal keys mean equal inputs to the fold — the same members,
     /// facts and callee summaries under the same numbering — and a
     /// record stored under the key holds exactly this SCC's summaries.
-    fn scc_key(
-        &self,
-        scc_idx: usize,
-        scc: &[MethodId],
-        fps: &[u64],
-        scc_index: &[usize],
-        tables: &MethodTables,
-    ) -> u64 {
+    fn scc_key(&self, scc_idx: usize, scc: &[MethodId]) -> u64 {
         let mut h = StableHasher::new();
         h.write_u64(0x4a47_5245_534b_5932); // "JGRESKY2": SCC-key tag
         h.write_u32(cache::SCHEMA_VERSION);
         h.write_u32(scc.len() as u32);
         for m in scc {
             h.write_u32(m.0);
-            h.write_u64(fps[m.0 as usize]);
+            h.write_u64(self.fps[m.0 as usize]);
         }
         for m in scc {
             let def = self.model.method(*m);
             for callee in def.calls.iter().chain(def.handler_posts.iter()) {
                 let callee = callee.0 as usize;
-                if scc_index[callee] == scc_idx {
-                    continue;
+                if self.scc_index[callee] != scc_idx {
+                    h.write_u64(self.tables.index[callee].summary_fp);
                 }
-                assert!(
-                    tables.summaries[callee].is_some(),
-                    "callee-first wave order"
-                );
-                h.write_u64(tables.index[callee].summary_fp);
             }
         }
         h.finish()
@@ -1483,8 +1429,8 @@ impl<'m> DataflowDetector<'m> {
         self.detect_with(ipc_methods, &AnalysisOptions::default())
     }
 
-    /// [`DataflowDetector::detect`] with caching and parallelism knobs;
-    /// verdicts are structurally identical in every mode.
+    /// [`DataflowDetector::detect`] with [`AnalysisOptions`]; verdicts
+    /// are structurally identical cached and uncached.
     pub fn detect_with(
         &self,
         ipc_methods: &[IpcMethod],

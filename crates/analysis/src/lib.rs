@@ -58,9 +58,7 @@ pub mod witness;
 
 pub use cache::{RejectReason, CACHE_FILE, SCHEMA_VERSION};
 pub use codegen::{generate_test_case, GeneratedTestCase};
-pub use dataflow::{
-    condense_call_graph, solve_forward, Condensation, ForwardAnalysis, Solution, Solver,
-};
+pub use dataflow::{condense_call_graph, Condensation, ForwardAnalysis, Solver};
 pub use detect::{DetectorOutput, RiskyInterface, SiftReason};
 pub use diagnostics::{predicted_leaks, AccuracyReport, Diagnostic, LintReport, RuleId, Severity};
 pub use extract_ipc::{IpcMethod, IpcMethodExtractor, ServiceKind};

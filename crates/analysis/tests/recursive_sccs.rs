@@ -6,7 +6,7 @@
 //! SCC-local fixpoint runs, and checks each method's summary against a
 //! breadth-first search over the synthesized bodies' call statements: a
 //! method's `(method, site)` set is exactly the allocation sites of every
-//! method it reaches, itself included. Serial, 4-thread and cached runs
+//! method it reaches, itself included. Uncached and cached runs
 //! (populating, then warm) must all produce the same summaries.
 
 use std::collections::{BTreeSet, VecDeque};
@@ -111,22 +111,19 @@ fn fresh_cache_dir(tag: &str) -> PathBuf {
 }
 
 /// The summaries of `model` under every run mode, checked equal; returns
-/// the serial analysis.
+/// the uncached analysis.
 fn analyse_every_way(model: &CodeModel) -> Result<LeakAnalysis, TestCaseError> {
     let checker = LeakChecker::new(model);
-    let serial = checker.analyze_with(&AnalysisOptions::default().threads(1));
-    let parallel = checker.analyze_with(&AnalysisOptions::default().threads(4));
-    prop_assert_eq!(&parallel.summaries, &serial.summaries);
-    prop_assert_eq!(&parallel.stats, &serial.stats);
+    let uncached = checker.analyze();
     let dir = fresh_cache_dir("modes");
     let cached = AnalysisOptions::with_cache_dir(&dir);
     let populating = checker.analyze_with(&cached);
     let warm = checker.analyze_with(&cached);
     std::fs::remove_dir_all(&dir).ok();
-    prop_assert_eq!(&populating.summaries, &serial.summaries);
-    prop_assert_eq!(&warm.summaries, &serial.summaries);
+    prop_assert_eq!(&populating.summaries, &uncached.summaries);
+    prop_assert_eq!(&warm.summaries, &uncached.summaries);
     prop_assert_eq!(warm.stats.cache_misses, 0);
-    Ok(serial)
+    Ok(uncached)
 }
 
 proptest! {

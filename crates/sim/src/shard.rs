@@ -1,6 +1,6 @@
 //! The deterministic shard-and-merge primitive behind every thread
-//! fan-out in the workspace: the lint's per-wave SCC solve, the fleet's
-//! device campaign and the fuzzer's per-service shards.
+//! fan-out in the workspace: the fleet's device campaign and the
+//! fuzzer's per-service shards.
 
 use std::iter::StepBy;
 use std::ops::Range;

@@ -69,9 +69,11 @@ OPTIONS:
                (lint) persist per-SCC summaries under DIR; an unchanged
                corpus re-lints from the cache, an edit recomputes only
                the affected call-graph cone
-  --threads N  (lint, fleet) worker threads — the lint's per-wave SCC
-               fan-out, the fleet's device shards
-               (default 1; results are identical for every N)
+  --threads N  (fleet, fuzz, serve) worker threads — the fleet's device
+               shards, the fuzzer's per-service shards; serve at N >= 2
+               runs the stream producer on its own thread
+               (default 1; results are identical for every N; other
+               commands accept and ignore it)
   --devices N  (fleet) devices to simulate (default 1000)
   --attack SEL (fleet) catalog selector: a zero-based index, a
                service.method label, or 'all' to sweep the 57-vector
@@ -464,10 +466,10 @@ fn main() -> ExitCode {
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--paper" => scale = ExperimentScale::paper(),
+            // with_seed keeps an earlier --seed override in force
+            // regardless of flag order.
+            "--paper" => scale = ExperimentScale::paper().with_seed(scale.seed),
             "--scale" => match iter.next().map(String::as_str) {
-                // with_seed keeps an earlier --seed override in force
-                // regardless of flag order.
                 Some("quick") => scale = ExperimentScale::quick().with_seed(scale.seed),
                 Some("paper") => scale = ExperimentScale::paper().with_seed(scale.seed),
                 _ => {
@@ -497,7 +499,10 @@ fn main() -> ExitCode {
                 }
             },
             "--duration" => match iter.next().map(|s| s.parse::<f64>()) {
-                Some(Ok(s)) if s > 0.0 => duration_secs = s,
+                // The stream runs for this many virtual microseconds: a
+                // non-finite value, or one past u64 microseconds, would
+                // saturate and never end.
+                Some(Ok(s)) if s > 0.0 && s * 1e6 < u64::MAX as f64 => duration_secs = s,
                 _ => {
                     eprintln!("--duration needs a positive number of seconds\n\n{USAGE}");
                     return ExitCode::FAILURE;
@@ -536,10 +541,7 @@ fn main() -> ExitCode {
             },
             "--path-insensitive" => analysis.path_sensitive = false,
             "--threads" => match iter.next().map(|s| s.parse::<usize>()) {
-                Some(Ok(n)) if n > 0 => {
-                    analysis.threads = Some(n);
-                    threads = Some(n);
-                }
+                Some(Ok(n)) if n > 0 => threads = Some(n),
                 _ => {
                     eprintln!("--threads needs a positive number\n\n{USAGE}");
                     return ExitCode::FAILURE;

@@ -249,6 +249,62 @@ fn seed_flag_is_parsed() {
 }
 
 #[test]
+fn paper_flag_keeps_an_earlier_seed() {
+    let orders: [&[&str]; 3] = [
+        &["--seed", "5", "--paper"],
+        &["--paper", "--seed", "5"],
+        &["--seed", "5", "--scale", "paper"],
+    ];
+    for args in orders {
+        let out = jgre()
+            .args(args)
+            .args(["fleet", "--devices", "1", "--json"])
+            .output()
+            .expect("binary runs");
+        assert!(
+            out.status.success(),
+            "stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let report: serde_json::Value = serde_json::from_slice(&out.stdout).expect("valid JSON");
+        assert_eq!(report["campaign_seed"], 5, "{args:?}");
+    }
+}
+
+#[test]
+fn serve_rejects_a_duration_that_never_ends() {
+    for duration in ["inf", "1e300", "NaN", "0"] {
+        let mut child = jgre()
+            .args(["serve", "--duration", duration])
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("binary runs");
+        // A saturated duration would stream forever: give up after 30 s.
+        let started = std::time::Instant::now();
+        let status = loop {
+            if let Some(status) = child.try_wait().expect("child status") {
+                break status;
+            }
+            if started.elapsed() > std::time::Duration::from_secs(30) {
+                child.kill().ok();
+                child.wait().ok();
+                panic!("serve --duration {duration} was still running after 30 s");
+            }
+            std::thread::sleep(std::time::Duration::from_millis(50));
+        };
+        let mut stderr = String::new();
+        std::io::Read::read_to_string(&mut child.stderr.take().expect("piped"), &mut stderr)
+            .expect("stderr readable");
+        assert!(!status.success(), "--duration {duration} was accepted");
+        assert!(
+            stderr.contains("--duration needs a positive number of seconds"),
+            "{stderr}"
+        );
+    }
+}
+
+#[test]
 fn chaos_matrix_runs_clean_and_is_seed_deterministic() {
     let run = |extra: &[&str]| {
         let mut cmd = jgre();
