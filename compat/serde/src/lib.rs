@@ -10,6 +10,7 @@
 //! serde + serde_json (externally tagged enums, `null` for `None`,
 //! arrays for tuples and sequences, objects for maps and named structs).
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
 
@@ -209,6 +210,13 @@ impl std::error::Error for Error {}
 pub trait Serialize {
     /// Convert `self` into the intermediate value tree.
     fn to_value(&self) -> Value;
+
+    /// The value tree to render: borrowed when `self` already is a
+    /// [`Value`], so a renderer writes it in place instead of deep-copying
+    /// it; [`Serialize::to_value`] otherwise.
+    fn as_value(&self) -> Cow<'_, Value> {
+        Cow::Owned(self.to_value())
+    }
 }
 
 /// A type that can be reconstructed from a [`Value`] tree.
@@ -220,6 +228,10 @@ pub trait Deserialize: Sized {
 impl Serialize for Value {
     fn to_value(&self) -> Value {
         self.clone()
+    }
+
+    fn as_value(&self) -> Cow<'_, Value> {
+        Cow::Borrowed(self)
     }
 }
 
@@ -409,11 +421,19 @@ impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
         (**self).to_value()
     }
+
+    fn as_value(&self) -> Cow<'_, Value> {
+        (**self).as_value()
+    }
 }
 
 impl<T: Serialize> Serialize for Box<T> {
     fn to_value(&self) -> Value {
         (**self).to_value()
+    }
+
+    fn as_value(&self) -> Cow<'_, Value> {
+        (**self).as_value()
     }
 }
 
@@ -429,6 +449,10 @@ impl<T: Deserialize> Deserialize for Box<T> {
 impl<T: Serialize + ?Sized> Serialize for std::rc::Rc<T> {
     fn to_value(&self) -> Value {
         (**self).to_value()
+    }
+
+    fn as_value(&self) -> Cow<'_, Value> {
+        (**self).as_value()
     }
 }
 

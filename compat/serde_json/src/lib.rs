@@ -9,7 +9,7 @@
 pub use serde::Value;
 
 use serde::{Deserialize, Serialize};
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Error produced while parsing or converting JSON.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,17 +42,19 @@ impl From<serde::Error> for Error {
 /// Alias matching `serde_json::Result`.
 pub type Result<T> = std::result::Result<T, Error>;
 
-/// Serialize a value to a compact JSON string.
+/// Serialize a value to a compact JSON string. A [`Value`] is rendered
+/// in place, without a copy.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String> {
     let mut out = String::new();
-    write_value(&value.to_value(), &mut out, None, 0);
+    write_value(&value.as_value(), &mut out, None, 0);
     Ok(out)
 }
 
 /// Serialize a value to a pretty-printed JSON string (two-space indent).
+/// A [`Value`] is rendered in place, without a copy.
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String> {
     let mut out = String::new();
-    write_value(&value.to_value(), &mut out, Some(2), 0);
+    write_value(&value.as_value(), &mut out, Some(2), 0);
     Ok(out)
 }
 
@@ -92,11 +94,12 @@ fn write_value(value: &Value, out: &mut String, indent: Option<usize>, depth: us
         Value::Null => out.push_str("null"),
         Value::Bool(true) => out.push_str("true"),
         Value::Bool(false) => out.push_str("false"),
+        // Writing into a `String` cannot fail.
         Value::UInt(n) => {
-            out.push_str(&n.to_string());
+            let _ = write!(out, "{n}");
         }
         Value::Int(n) => {
-            out.push_str(&n.to_string());
+            let _ = write!(out, "{n}");
         }
         Value::Float(f) => write_float(*f, out),
         Value::Str(s) => write_string(s, out),
@@ -141,10 +144,14 @@ fn write_value(value: &Value, out: &mut String, indent: Option<usize>, depth: us
 }
 
 fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
+    const SPACES: &str = "                                                                ";
     if let Some(width) = indent {
         out.push('\n');
-        for _ in 0..width * depth {
-            out.push(' ');
+        let mut left = width * depth;
+        while left > 0 {
+            let run = left.min(SPACES.len());
+            out.push_str(&SPACES[..run]);
+            left -= run;
         }
     }
 }
@@ -165,23 +172,36 @@ fn write_float(f: f64, out: &mut String) {
     }
 }
 
+/// Writes `s` as a JSON string literal. Runs of bytes that need no
+/// escape are pushed whole. Only `"`, `\` and control bytes below 0x20
+/// are escaped; each of them is ASCII, so every run ends on a `char`
+/// boundary.
 fn write_string(s: &str, out: &mut String) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
         }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            0x08 => out.push_str("\\b"),
+            0x0c => out.push_str("\\f"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
+            }
+        }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 

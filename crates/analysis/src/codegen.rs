@@ -118,26 +118,34 @@ fn lookup_spec_facts(risky: &RiskyInterface, spec: &AospSpec) -> (Vec<Permission
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DataflowDetector, IpcMethodExtractor, JgrEntryExtractor};
+    use crate::{DataflowDetector, IpcMethod, IpcMethodExtractor, JgrEntryExtractor};
     use jgre_corpus::CodeModel;
 
-    fn risky_set() -> (AospSpec, Vec<RiskyInterface>) {
+    /// Every risky interface of the corpus with its generated case.
+    fn cases() -> Vec<(IpcMethod, GeneratedTestCase)> {
         let spec = AospSpec::android_6_0_1();
         let model = CodeModel::synthesize(&spec);
         let ipc = IpcMethodExtractor::new(&model).extract();
         let entries = JgrEntryExtractor::new(&model).extract();
         let out = DataflowDetector::new(&model, &entries).detect(&ipc);
-        (spec, out.detector.risky)
+        out.detector
+            .risky
+            .iter()
+            .map(|r| (r.ipc.clone(), generate_test_case(r, &spec)))
+            .collect()
+    }
+
+    fn case_for(service: &str, method: &str) -> GeneratedTestCase {
+        cases()
+            .into_iter()
+            .find(|(ipc, _)| ipc.service == service && ipc.method == method)
+            .unwrap_or_else(|| panic!("{service}.{method} is not risky"))
+            .1
     }
 
     #[test]
     fn toast_case_uses_the_spoof() {
-        let (spec, risky) = risky_set();
-        let toast = risky
-            .iter()
-            .find(|r| r.ipc.method == "enqueueToast")
-            .expect("toast is risky");
-        let case = generate_test_case(toast, &spec);
+        let case = case_for("notification", "enqueueToast");
         assert!(
             case.java_source.contains("\"android\""),
             "{}",
@@ -151,14 +159,7 @@ mod tests {
 
     #[test]
     fn telephony_case_declares_dangerous_permission() {
-        let (spec, risky) = risky_set();
-        let listen = risky
-            .iter()
-            .find(|r| {
-                r.ipc.service == "telephony.registry" && r.ipc.method == "listenForSubscriber"
-            })
-            .expect("listenForSubscriber is risky");
-        let case = generate_test_case(listen, &spec);
+        let case = case_for("telephony.registry", "listenForSubscriber");
         assert_eq!(
             case.permissions,
             vec!["android.permission.READ_PHONE_STATE"]
@@ -175,11 +176,9 @@ mod tests {
 
     #[test]
     fn every_risky_interface_generates_compilable_shape() {
-        let (spec, risky) = risky_set();
-        for r in &risky {
-            let case = generate_test_case(r, &spec);
+        for (ipc, case) in cases() {
             assert!(case.java_source.contains("for (int i = 0; i < 60000; i++)"));
-            assert!(case.java_source.contains(&r.ipc.method));
+            assert!(case.java_source.contains(&ipc.method));
             assert!(!case.target.is_empty());
         }
     }

@@ -1,6 +1,8 @@
 //! Step 3's output shape (§III-C): the risky interfaces that survive the
 //! four sift rules and the permission filter, and the sifted candidates
 //! with the rule that cleared each. [`DataflowDetector`] produces it.
+//! Rows borrow their [`IpcMethod`] from the extractor's output instead
+//! of copying its strings.
 //!
 //! [`DataflowDetector`]: crate::DataflowDetector
 
@@ -29,10 +31,10 @@ pub enum SiftReason {
 }
 
 /// A risky interface that survived the sift.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RiskyInterface {
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RiskyInterface<'a> {
     /// The IPC method.
-    pub ipc: IpcMethod,
+    pub ipc: &'a IpcMethod,
     /// JGR entries reachable in its call graph.
     pub reached_entries: Vec<MethodId>,
     /// Whether the risk came (at least in part) from binder-typed
@@ -44,10 +46,10 @@ pub struct RiskyInterface {
 }
 
 /// Full detector output.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DetectorOutput {
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DetectorOutput<'a> {
     /// Candidates that survived all sift rules and the permission filter.
-    pub risky: Vec<RiskyInterface>,
+    pub risky: Vec<RiskyInterface<'a>>,
     /// Sifted candidates with the rule that cleared them.
-    pub sifted: Vec<(IpcMethod, SiftReason)>,
+    pub sifted: Vec<(&'a IpcMethod, SiftReason)>,
 }

@@ -5,6 +5,8 @@ use std::collections::BTreeMap;
 use jgre_corpus::{CodeModel, MethodId, Origin};
 use serde::{Deserialize, Serialize};
 
+use crate::NameIndex;
+
 /// Who exposes an IPC method.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum ServiceKind {
@@ -58,12 +60,14 @@ impl<'m> IpcMethodExtractor<'m> {
         Self { model }
     }
 
-    /// Runs the extraction.
+    /// Runs the extraction. Each method's strings are allocated here,
+    /// once; the detector's rows borrow them.
     pub fn extract(&self) -> Vec<IpcMethod> {
+        let names = NameIndex::new(self.model);
         let mut out = Vec::new();
-        self.extract_registered_java_services(&mut out);
+        self.extract_registered_java_services(&names, &mut out);
         self.extract_native_services(&mut out);
-        self.extract_app_services(&mut out);
+        self.extract_app_services(&names, &mut out);
         out
     }
 
@@ -71,7 +75,7 @@ impl<'m> IpcMethodExtractor<'m> {
     /// `publishBinderService`: collect the (service name → class) map from
     /// the registration call sites, then take every method of the class
     /// that overrides its AIDL interface.
-    fn extract_registered_java_services(&self, out: &mut Vec<IpcMethod>) {
+    fn extract_registered_java_services(&self, names: &NameIndex<'_>, out: &mut Vec<IpcMethod>) {
         let mut registrations: BTreeMap<&str, &str> = BTreeMap::new();
         for m in &self.model.methods {
             if let Some((service, class)) = &m.registers_service {
@@ -79,7 +83,7 @@ impl<'m> IpcMethodExtractor<'m> {
             }
         }
         for (service, class_name) in registrations {
-            let Some(class) = self.model.find_class(class_name) else {
+            let Some(class) = names.find_class(class_name) else {
                 continue;
             };
             for &mid in &class.methods {
@@ -118,7 +122,7 @@ impl<'m> IpcMethodExtractor<'m> {
     /// class such as `TextToSpeechService`). For a subclass of a base
     /// class, the base's default IPC implementations are exported by the
     /// *app* (PicoTts inherits the vulnerable `setCallback`).
-    fn extract_app_services(&self, out: &mut Vec<IpcMethod>) {
+    fn extract_app_services(&self, names: &NameIndex<'_>, out: &mut Vec<IpcMethod>) {
         for class in &self.model.classes {
             let kind = match &class.origin {
                 Origin::Framework => continue,
@@ -133,7 +137,7 @@ impl<'m> IpcMethodExtractor<'m> {
             while iface.is_none() {
                 match &provider.superclass {
                     Some(s) => {
-                        let Some(sup) = self.model.find_class(s) else {
+                        let Some(sup) = names.find_class(s) else {
                             break;
                         };
                         provider = sup;

@@ -5,6 +5,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use jgre_corpus::{CodeModel, MethodId, NativeFunctionId};
 use serde::{Deserialize, Serialize};
 
+use crate::NameIndex;
+
 /// Result of the native call-graph walk.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct NativePathAnalysis {
@@ -67,6 +69,7 @@ impl<'m> JgrEntryExtractor<'m> {
     /// Runs the extraction.
     pub fn extract(&self) -> JgrEntrySets {
         let native = self.analyze_native_paths();
+        let names = NameIndex::new(self.model);
         let mut java_entries = BTreeSet::new();
         let mut named_mappings = Vec::new();
         let mut thread_native_create = None;
@@ -75,7 +78,7 @@ impl<'m> JgrEntryExtractor<'m> {
             if !native.jgr_jni_natives.contains(&reg.native) {
                 continue;
             }
-            let Some(mid) = self.model.find_method(&reg.java_class, &reg.java_method) else {
+            let Some(mid) = names.find_method(&reg.java_class, &reg.java_method) else {
                 // Generated JNI libraries have no Java-side MethodDef; they
                 // are JGR entries no framework code calls.
                 continue;

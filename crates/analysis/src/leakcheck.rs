@@ -1351,10 +1351,10 @@ impl LeakAnalysis {
 // ------------------------------------------------------------------
 
 /// One IPC method's dataflow verdict with provenance.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct VerdictRow {
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct VerdictRow<'a> {
     /// The IPC method.
-    pub ipc: IpcMethod,
+    pub ipc: &'a IpcMethod,
     /// Derived verdict.
     pub verdict: LeakVerdict,
     /// Allocation sites backing the verdict.
@@ -1364,7 +1364,7 @@ pub struct VerdictRow {
     pub signature_gated: bool,
 }
 
-impl VerdictRow {
+impl VerdictRow<'_> {
     /// Whether every retained site of a [`LeakVerdict::BoundedRetention`]
     /// verdict was *proven* bounded by a branch predicate — each
     /// retaining site sits behind a `BOUND_CHECKED` admission. Such rows
@@ -1387,13 +1387,14 @@ impl VerdictRow {
     }
 }
 
-/// Output of the dataflow-backed detector.
+/// Output of the dataflow-backed detector. Every row borrows its
+/// [`IpcMethod`] from the slice the detector was given.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DataflowOutput {
+pub struct DataflowOutput<'a> {
     /// Legacy-shaped risky/sifted split, for the pipeline.
-    pub detector: DetectorOutput,
+    pub detector: DetectorOutput<'a>,
     /// Per-IPC-method verdict rows (diagnostics input).
-    pub verdicts: Vec<VerdictRow>,
+    pub verdicts: Vec<VerdictRow<'a>>,
     /// Solver statistics.
     pub stats: SolverStats,
 }
@@ -1425,30 +1426,30 @@ impl<'m> DataflowDetector<'m> {
     }
 
     /// Classifies every IPC method from dataflow verdicts.
-    pub fn detect(&self, ipc_methods: &[IpcMethod]) -> DataflowOutput {
+    pub fn detect<'a>(&self, ipc_methods: &'a [IpcMethod]) -> DataflowOutput<'a> {
         self.detect_with(ipc_methods, &AnalysisOptions::default())
     }
 
     /// [`DataflowDetector::detect`] with [`AnalysisOptions`]; verdicts
     /// are structurally identical cached and uncached.
-    pub fn detect_with(
+    pub fn detect_with<'a>(
         &self,
-        ipc_methods: &[IpcMethod],
+        ipc_methods: &'a [IpcMethod],
         options: &AnalysisOptions,
-    ) -> DataflowOutput {
+    ) -> DataflowOutput<'a> {
         let analysis = LeakChecker::new(self.model)
             .with_entries(self.entries)
             .analyze_with(options);
         let mut risky = Vec::new();
         let mut sifted = Vec::new();
-        let mut verdicts = Vec::new();
+        let mut verdicts = Vec::with_capacity(ipc_methods.len());
         for ipc in ipc_methods {
             let Some(root) = ipc.java else {
                 // Native-service entry points: bodies live in the native
                 // world; none of the exploitable JNI paths start there.
-                sifted.push((ipc.clone(), SiftReason::NoJgrReach));
+                sifted.push((ipc, SiftReason::NoJgrReach));
                 verdicts.push(VerdictRow {
-                    ipc: ipc.clone(),
+                    ipc,
                     verdict: LeakVerdict::NoJgr,
                     sites: Vec::new(),
                     signature_gated: false,
@@ -1463,9 +1464,9 @@ impl<'m> DataflowDetector<'m> {
                 .iter()
                 .any(|p| p.level() == ProtectionLevel::Signature);
             if signature_gated {
-                sifted.push((ipc.clone(), SiftReason::SignaturePermission));
+                sifted.push((ipc, SiftReason::SignaturePermission));
             } else if let Some(reason) = verdict.sift_reason() {
-                sifted.push((ipc.clone(), reason));
+                sifted.push((ipc, reason));
             } else {
                 let reached_entries: Vec<MethodId> = summary
                     .sites
@@ -1476,14 +1477,14 @@ impl<'m> DataflowDetector<'m> {
                     .into_iter()
                     .collect();
                 risky.push(RiskyInterface {
-                    ipc: ipc.clone(),
+                    ipc,
                     reached_entries,
                     via_binder_params: !def.binder_params.is_empty(),
                     via_handler_edge: summary.saw_handler,
                 });
             }
             verdicts.push(VerdictRow {
-                ipc: ipc.clone(),
+                ipc,
                 verdict,
                 sites: summary.sites.clone(),
                 signature_gated,
@@ -1504,16 +1505,19 @@ mod tests {
     use jgre_corpus::spec::AospSpec;
     use jgre_corpus::ParamUsage;
 
-    fn detect() -> DataflowOutput {
+    /// The corpus and its step-1/step-2 outputs, which verdict rows
+    /// borrow from.
+    fn inputs() -> (CodeModel, Vec<IpcMethod>, JgrEntrySets) {
         let model = CodeModel::synthesize(&AospSpec::android_6_0_1());
         let ipc = IpcMethodExtractor::new(&model).extract();
         let entries = JgrEntryExtractor::new(&model).extract();
-        DataflowDetector::new(&model, &entries).detect(&ipc)
+        (model, ipc, entries)
     }
 
     #[test]
     fn verdicts_reproduce_the_static_counts() {
-        let out = detect();
+        let (model, ipc, entries) = inputs();
+        let out = DataflowDetector::new(&model, &entries).detect(&ipc);
         let system_risky = out
             .detector
             .risky
@@ -1533,7 +1537,8 @@ mod tests {
 
     #[test]
     fn every_sift_rule_is_derived() {
-        let out = detect();
+        let (model, ipc, entries) = inputs();
+        let out = DataflowDetector::new(&model, &entries).detect(&ipc);
         let seen: BTreeSet<LeakVerdict> = out.verdicts.iter().map(|v| v.verdict).collect();
         for expected in [
             LeakVerdict::NoJgr,

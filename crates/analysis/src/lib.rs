@@ -51,6 +51,7 @@ mod extract_ipc;
 mod extract_jgr;
 pub mod ir;
 pub mod leakcheck;
+mod names;
 mod pipeline;
 mod report;
 mod verify;
@@ -71,6 +72,7 @@ pub use leakcheck::{
     intra_solver_cost, AnalysisOptions, DataflowDetector, DataflowOutput, LeakChecker, LeakVerdict,
     MethodSummary, PredSet, Retention, SiteSummary, SolverStats, VerdictRow,
 };
+pub use names::NameIndex;
 pub use pipeline::Pipeline;
 pub use report::{AnalysisReport, ConfirmedVulnerability, VerificationStatus};
 pub use verify::{JgreVerifier, VerifierConfig};

@@ -38,10 +38,10 @@ impl Default for VerifierConfig {
 }
 
 /// Outcome of dynamically testing one risky interface.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct VerifiedInterface {
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct VerifiedInterface<'a> {
     /// The interface under test.
-    pub risky: RiskyInterface,
+    pub risky: RiskyInterface<'a>,
     /// JGR entries that survived GC per completed request (×1000; a value
     /// near or above 1000 means every request leaks at least one entry).
     pub leak_per_call_milli: u64,
@@ -69,12 +69,12 @@ impl JgreVerifier {
     /// installed on the image and are reported static-only). The code
     /// model supplies the PScout permission map so each generated test
     /// case requests the right permissions in its manifest.
-    pub fn verify(
+    pub fn verify<'a>(
         &self,
         system: &mut System,
         model: &CodeModel,
-        risky: &[RiskyInterface],
-    ) -> Vec<VerifiedInterface> {
+        risky: &[RiskyInterface<'a>],
+    ) -> Vec<VerifiedInterface<'a>> {
         let mut out = Vec::new();
         for (i, r) in risky.iter().enumerate() {
             let Some(service_name) = resolve_service_name(system, r) else {
@@ -86,15 +86,15 @@ impl JgreVerifier {
         out
     }
 
-    fn verify_one(
+    fn verify_one<'a>(
         &self,
         system: &mut System,
         model: &CodeModel,
-        risky: &RiskyInterface,
+        risky: &RiskyInterface<'a>,
         service: &str,
         method: &str,
         index: usize,
-    ) -> VerifiedInterface {
+    ) -> VerifiedInterface<'a> {
         // Honest attempt first.
         let honest = self.drive(system, model, risky, service, method, index, false);
         if honest.leaked_per_call_milli() >= 500 {

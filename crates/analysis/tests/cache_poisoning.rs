@@ -26,7 +26,6 @@ struct Fixture {
     entries: JgrEntrySets,
     dir: PathBuf,
     pristine: Vec<u8>,
-    cold: DataflowOutput,
 }
 
 impl Fixture {
@@ -36,9 +35,8 @@ impl Fixture {
         let entries = JgrEntryExtractor::new(&model).extract();
         let dir = std::env::temp_dir().join(format!("jgre-poison-{}-{tag}", std::process::id()));
         fs::remove_dir_all(&dir).ok();
-        let detector = DataflowDetector::new(&model, &entries);
-        let cold = detector.detect(&ipc);
-        detector.detect_with(&ipc, &AnalysisOptions::with_cache_dir(&dir));
+        DataflowDetector::new(&model, &entries)
+            .detect_with(&ipc, &AnalysisOptions::with_cache_dir(&dir));
         let pristine = fs::read(dir.join(CACHE_FILE)).expect("cache file written");
         Fixture {
             model,
@@ -46,7 +44,6 @@ impl Fixture {
             entries,
             dir,
             pristine,
-            cold,
         }
     }
 
@@ -73,19 +70,22 @@ impl Fixture {
         reason
     }
 
-    fn run_with_bytes(&self, bytes: &[u8]) -> DataflowOutput {
+    /// An uncached detection: what every recovered run must equal.
+    fn cold(&self) -> DataflowOutput<'_> {
+        DataflowDetector::new(&self.model, &self.entries).detect(&self.ipc)
+    }
+
+    fn run_with_bytes(&self, bytes: &[u8]) -> DataflowOutput<'_> {
         fs::write(self.dir.join(CACHE_FILE), bytes).unwrap();
         DataflowDetector::new(&self.model, &self.entries)
             .detect_with(&self.ipc, &AnalysisOptions::with_cache_dir(&self.dir))
     }
 
     fn assert_recovered(&self, out: &DataflowOutput, scenario: &str) {
+        let cold = self.cold();
+        assert_eq!(out.detector, cold.detector, "{scenario}: wrong verdicts");
         assert_eq!(
-            out.detector, self.cold.detector,
-            "{scenario}: wrong verdicts"
-        );
-        assert_eq!(
-            out.verdicts, self.cold.verdicts,
+            out.verdicts, cold.verdicts,
             "{scenario}: wrong verdicts"
         );
         assert!(
@@ -216,7 +216,8 @@ fn corrupt_tier_b_record_invalidates_only_that_record() {
     bytes[12..20].copy_from_slice(&[0u8; 8]);
     let out = f.run_with_bytes(&bytes);
     assert_eq!(
-        out.detector, f.cold.detector,
+        out.detector,
+        f.cold().detector,
         "tier B poison: wrong verdicts"
     );
     assert!(out.stats.cache_invalidated >= 1, "stats: {:?}", out.stats);

@@ -11,8 +11,8 @@
 use std::path::{Path, PathBuf};
 
 use jgre_analysis::{
-    AnalysisOptions, DataflowDetector, DataflowOutput, IpcMethodExtractor, JgrEntryExtractor,
-    CACHE_FILE,
+    AnalysisOptions, DataflowDetector, DataflowOutput, IpcMethod, IpcMethodExtractor,
+    JgrEntryExtractor, CACHE_FILE,
 };
 use jgre_corpus::{spec::AospSpec, CodeModel, MethodId, ParamUsage};
 use proptest::prelude::*;
@@ -108,10 +108,13 @@ fn apply(model: &mut CodeModel, op: &EditOp, step: usize) {
     }
 }
 
-fn detect(model: &CodeModel, options: &AnalysisOptions) -> DataflowOutput {
-    let ipc = IpcMethodExtractor::new(model).extract();
+fn detect<'a>(
+    model: &CodeModel,
+    ipc: &'a [IpcMethod],
+    options: &AnalysisOptions,
+) -> DataflowOutput<'a> {
     let entries = JgrEntryExtractor::new(model).extract();
-    DataflowDetector::new(model, &entries).detect_with(&ipc, options)
+    DataflowDetector::new(model, &entries).detect_with(ipc, options)
 }
 
 /// Cache runs skip lowering for hit SCCs, so work counters legitimately
@@ -130,7 +133,8 @@ fn fresh_cache_dir(tag: &str) -> PathBuf {
 /// `model` writes into a fresh directory.
 fn cache_file_matches_cold(model: &CodeModel, dir: &Path, tag: &str) -> bool {
     let fresh = fresh_cache_dir(tag);
-    detect(model, &AnalysisOptions::with_cache_dir(&fresh));
+    let ipc = IpcMethodExtractor::new(model).extract();
+    detect(model, &ipc, &AnalysisOptions::with_cache_dir(&fresh));
     let equal =
         std::fs::read(dir.join(CACHE_FILE)).ok() == std::fs::read(fresh.join(CACHE_FILE)).ok();
     std::fs::remove_dir_all(&fresh).ok();
@@ -148,8 +152,9 @@ fn first_divergence(ops: &[EditOp]) -> Option<usize> {
     let mut divergent = None;
     for (step, op) in ops.iter().enumerate() {
         apply(&mut model, op, step);
-        let cached = detect(&model, &cached_options);
-        let cold = detect(&model, &cold_options);
+        let ipc = IpcMethodExtractor::new(&model).extract();
+        let cached = detect(&model, &ipc, &cached_options);
+        let cold = detect(&model, &ipc, &cold_options);
         if !verdicts_equal(&cached, &cold) || !cache_file_matches_cold(&model, &dir, "replay-cold")
         {
             divergent = Some(step);
@@ -222,11 +227,16 @@ fn scripted_edits_agree_and_rewarm() {
     let cached_options = AnalysisOptions::with_cache_dir(&dir);
     // Prime the cache with the unmutated corpus so every step exercises
     // the Tier A delta path rather than a cold start.
-    detect(&model, &cached_options);
+    detect(
+        &model,
+        &IpcMethodExtractor::new(&model).extract(),
+        &cached_options,
+    );
     for (step, op) in ops.iter().enumerate() {
         apply(&mut model, op, step);
-        let cached = detect(&model, &cached_options);
-        let cold = detect(&model, &AnalysisOptions::default());
+        let ipc = IpcMethodExtractor::new(&model).extract();
+        let cached = detect(&model, &ipc, &cached_options);
+        let cold = detect(&model, &ipc, &AnalysisOptions::default());
         assert!(
             verdicts_equal(&cached, &cold),
             "verdicts diverged after step {step} ({op:?})"
@@ -244,7 +254,7 @@ fn scripted_edits_agree_and_rewarm() {
             cached.stats.cache_misses,
         );
         // Unchanged re-run: pure Tier A hit.
-        let warm = detect(&model, &cached_options);
+        let warm = detect(&model, &ipc, &cached_options);
         assert_eq!(warm.stats.cache_misses, 0, "step {step} did not rewarm");
         assert!(verdicts_equal(&warm, &cold));
     }

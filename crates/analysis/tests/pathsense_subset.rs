@@ -9,8 +9,8 @@
 use std::collections::BTreeSet;
 
 use jgre_analysis::{
-    AnalysisOptions, DataflowDetector, DataflowOutput, IpcMethodExtractor, JgrEntryExtractor,
-    LeakVerdict, LintReport,
+    AnalysisOptions, DataflowDetector, DataflowOutput, IpcMethod, IpcMethodExtractor,
+    JgrEntryExtractor, LeakVerdict, LintReport,
 };
 use jgre_corpus::{spec::AospSpec, CodeModel, MethodId, ParamUsage};
 use proptest::prelude::*;
@@ -73,10 +73,13 @@ fn apply(model: &mut CodeModel, op: &EditOp, step: usize) {
     }
 }
 
-fn detect(model: &CodeModel, options: &AnalysisOptions) -> DataflowOutput {
-    let ipc = IpcMethodExtractor::new(model).extract();
+fn detect<'a>(
+    model: &CodeModel,
+    ipc: &'a [IpcMethod],
+    options: &AnalysisOptions,
+) -> DataflowOutput<'a> {
     let entries = JgrEntryExtractor::new(model).extract();
-    DataflowDetector::new(model, &entries).detect_with(&ipc, options)
+    DataflowDetector::new(model, &entries).detect_with(ipc, options)
 }
 
 fn risky_set(out: &DataflowOutput) -> BTreeSet<(String, String)> {
@@ -90,8 +93,9 @@ fn risky_set(out: &DataflowOutput) -> BTreeSet<(String, String)> {
 /// Checks the refinement relation on one corpus; returns a description
 /// of the first violation.
 fn check_refinement(model: &CodeModel) -> Result<(), String> {
-    let sensitive = detect(model, &AnalysisOptions::default());
-    let insensitive = detect(model, &AnalysisOptions::default().path_insensitive());
+    let ipc = IpcMethodExtractor::new(model).extract();
+    let sensitive = detect(model, &ipc, &AnalysisOptions::default());
+    let insensitive = detect(model, &ipc, &AnalysisOptions::default().path_insensitive());
     let s_risky = risky_set(&sensitive);
     let i_risky = risky_set(&insensitive);
     if let Some(extra) = s_risky.difference(&i_risky).next() {

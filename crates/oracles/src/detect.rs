@@ -40,19 +40,19 @@ impl<'m> VulnerableIpcDetector<'m> {
     }
 
     /// Classifies every IPC method.
-    pub fn detect(&self, ipc_methods: &[IpcMethod]) -> DetectorOutput {
+    pub fn detect<'a>(&self, ipc_methods: &'a [IpcMethod]) -> DetectorOutput<'a> {
         let mut risky = Vec::new();
         let mut sifted = Vec::new();
         for ipc in ipc_methods {
             match self.classify(ipc) {
                 Classification::Risky(r) => risky.push(r),
-                Classification::Sifted(reason) => sifted.push((ipc.clone(), reason)),
+                Classification::Sifted(reason) => sifted.push((ipc, reason)),
             }
         }
         DetectorOutput { risky, sifted }
     }
 
-    fn classify(&self, ipc: &IpcMethod) -> Classification {
+    fn classify<'a>(&self, ipc: &'a IpcMethod) -> Classification<'a> {
         let Some(root) = ipc.java else {
             // Native-service IPC entry points: their bodies live in the
             // native world; none of the exploitable JNI paths originate
@@ -119,7 +119,7 @@ impl<'m> VulnerableIpcDetector<'m> {
         }
 
         Classification::Risky(RiskyInterface {
-            ipc: ipc.clone(),
+            ipc,
             reached_entries,
             via_binder_params: has_binder_params,
             via_handler_edge: via_handler,
@@ -148,8 +148,8 @@ impl<'m> VulnerableIpcDetector<'m> {
     }
 }
 
-enum Classification {
-    Risky(RiskyInterface),
+enum Classification<'a> {
+    Risky(RiskyInterface<'a>),
     Sifted(SiftReason),
 }
 
@@ -159,16 +159,35 @@ mod tests {
     use jgre_analysis::{IpcMethodExtractor, JgrEntryExtractor, ServiceKind};
     use jgre_corpus::spec::AospSpec;
 
-    fn detect() -> DetectorOutput {
-        let model = CodeModel::synthesize(&AospSpec::android_6_0_1());
-        let ipc = IpcMethodExtractor::new(&model).extract();
-        let entries = JgrEntryExtractor::new(&model).extract();
-        VulnerableIpcDetector::new(&model, &entries).detect(&ipc)
+    /// The corpus and its step-1/step-2 outputs, which detector rows
+    /// borrow from.
+    struct Fixture {
+        model: CodeModel,
+        ipc: Vec<IpcMethod>,
+        entries: JgrEntrySets,
+    }
+
+    impl Fixture {
+        fn new() -> Self {
+            let model = CodeModel::synthesize(&AospSpec::android_6_0_1());
+            let ipc = IpcMethodExtractor::new(&model).extract();
+            let entries = JgrEntryExtractor::new(&model).extract();
+            Self {
+                model,
+                ipc,
+                entries,
+            }
+        }
+
+        fn detect(&self) -> DetectorOutput<'_> {
+            VulnerableIpcDetector::new(&self.model, &self.entries).detect(&self.ipc)
+        }
     }
 
     #[test]
     fn risky_counts_match_static_expectations() {
-        let out = detect();
+        let fixture = Fixture::new();
+        let out = fixture.detect();
         // System services: 54 truly vulnerable + 3 soundly-bounded
         // (dynamic verification clears those) = 57.
         let system_risky = out
@@ -195,7 +214,8 @@ mod tests {
 
     #[test]
     fn sift_rules_fire() {
-        let out = detect();
+        let fixture = Fixture::new();
+        let out = fixture.detect();
         let reasons: std::collections::BTreeSet<_> = out.sifted.iter().map(|(_, r)| *r).collect();
         assert!(reasons.contains(&SiftReason::ThreadCreateOnly), "rule 1");
         assert!(reasons.contains(&SiftReason::TransientUsage), "rules 2-3");
@@ -214,7 +234,8 @@ mod tests {
 
     #[test]
     fn handler_indirection_is_exercised() {
-        let out = detect();
+        let fixture = Fixture::new();
+        let out = fixture.detect();
         assert!(
             out.risky.iter().any(|r| r.via_handler_edge),
             "some retention chains must go through Handler posts"
@@ -227,7 +248,8 @@ mod tests {
 
     #[test]
     fn named_vulnerables_survive() {
-        let out = detect();
+        let fixture = Fixture::new();
+        let out = fixture.detect();
         for (svc, m) in [
             ("wifi", "acquireWifiLock"),
             ("notification", "enqueueToast"),
