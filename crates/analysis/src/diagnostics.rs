@@ -275,13 +275,13 @@ impl LintReport {
         let rules = RuleId::all()
             .into_iter()
             .map(|r| {
-                obj(vec![
+                obj([
                     ("id", s(r.as_str())),
                     ("name", s(r.name())),
-                    ("shortDescription", obj(vec![("text", s(r.description()))])),
+                    ("shortDescription", obj([("text", s(r.description()))])),
                     (
                         "defaultConfiguration",
-                        obj(vec![("level", s(r.severity().sarif_level()))]),
+                        obj([("level", s(r.severity().sarif_level()))]),
                     ),
                 ])
             })
@@ -291,9 +291,9 @@ impl LintReport {
             .diagnostics
             .iter()
             .map(|d| {
-                let location = obj(vec![(
+                let location = obj([(
                     "logicalLocations",
-                    Value::Array(vec![obj(vec![
+                    Value::Array(vec![obj([
                         (
                             "fullyQualifiedName",
                             s(format!("{}.{}", d.service, d.method)),
@@ -308,10 +308,7 @@ impl LintReport {
                 // nothing is lost.
                 let minimised = MinimisedFlows::minimise(&d.witnesses);
                 let step_line = |line: String| {
-                    obj(vec![(
-                        "location",
-                        obj(vec![("message", obj(vec![("text", s(line))]))]),
-                    )])
+                    obj([("location", obj([("message", obj([("text", s(line))]))]))])
                 };
                 let code_flows = minimised
                     .suffixes
@@ -320,48 +317,33 @@ impl LintReport {
                     .map(|(i, suffix)| {
                         let mut lines: Vec<String> = Vec::new();
                         if i == 0 || minimised.prefix.is_empty() {
-                            lines.extend(
-                                Witness {
-                                    steps: minimised
-                                        .prefix
-                                        .iter()
-                                        .chain(suffix.iter())
-                                        .cloned()
-                                        .collect(),
-                                }
-                                .render(model),
-                            );
+                            lines.extend(minimised.prefix.iter().map(|step| step.render(model)));
                         } else {
                             lines.push(format!(
                                 "(shared prefix: {} step{} elided, see the first code flow)",
                                 minimised.prefix.len(),
                                 if minimised.prefix.len() == 1 { "" } else { "s" },
                             ));
-                            lines.extend(
-                                Witness {
-                                    steps: suffix.clone(),
-                                }
-                                .render(model),
-                            );
                         }
+                        lines.extend(suffix.iter().map(|step| step.render(model)));
                         let locations = lines.into_iter().map(step_line).collect();
-                        obj(vec![(
+                        obj([(
                             "threadFlows",
-                            Value::Array(vec![obj(vec![("locations", Value::Array(locations))])]),
+                            Value::Array(vec![obj([("locations", Value::Array(locations))])]),
                         )])
                     })
                     .collect();
-                obj(vec![
+                obj([
                     ("ruleId", s(d.rule.as_str())),
                     ("level", s(d.rule.severity().sarif_level())),
-                    ("message", obj(vec![("text", s(d.message.clone()))])),
+                    ("message", obj([("text", s(d.message.clone()))])),
                     ("locations", Value::Array(vec![location])),
                     ("codeFlows", Value::Array(code_flows)),
                 ])
             })
             .collect();
 
-        obj(vec![
+        obj([
             (
                 "$schema",
                 s("https://json.schemastore.org/sarif-2.1.0.json"),
@@ -369,12 +351,12 @@ impl LintReport {
             ("version", s("2.1.0")),
             (
                 "runs",
-                Value::Array(vec![obj(vec![
+                Value::Array(vec![obj([
                     (
                         "tool",
-                        obj(vec![(
+                        obj([(
                             "driver",
-                            obj(vec![
+                            obj([
                                 ("name", s("jgre-lint")),
                                 ("informationUri", s("https://example.org/jgre")),
                                 ("rules", Value::Array(rules)),
@@ -383,11 +365,11 @@ impl LintReport {
                     ),
                     (
                         "invocations",
-                        Value::Array(vec![obj(vec![
+                        Value::Array(vec![obj([
                             ("executionSuccessful", Value::Bool(true)),
                             (
                                 "properties",
-                                obj(vec![
+                                obj([
                                     ("summaries", Value::UInt(self.stats.methods as u64)),
                                     ("sccs", Value::UInt(self.stats.sccs as u64)),
                                     (
@@ -459,13 +441,10 @@ fn accuracy(diagnostics: &[Diagnostic], spec: &AospSpec) -> AccuracyReport {
     }
 }
 
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Object(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
+/// A SARIF object from its fields: an array, so the field list is
+/// allocated once, at its final size.
+fn obj<const N: usize>(fields: [(&str, Value); N]) -> Value {
+    Value::Object(fields.map(|(k, v)| (k.to_owned(), v)).into())
 }
 
 fn s(text: impl Into<String>) -> Value {

@@ -8,6 +8,8 @@
 //! parameters, JNI registrations, native call edges), so a witness cannot
 //! silently outlive a model change.
 
+use std::collections::{HashMap, VecDeque};
+
 use jgre_corpus::body::AllocSite;
 use jgre_corpus::{CodeModel, MethodId, NativeFunctionId};
 use serde::{Deserialize, Serialize};
@@ -238,44 +240,48 @@ impl Witness {
     /// Human-readable rendering, one line per step — the SARIF
     /// thread-flow text.
     pub fn render(&self, model: &CodeModel) -> Vec<String> {
-        self.steps
-            .iter()
-            .map(|step| match step {
-                WitnessStep::IpcEntry { class, method } => {
-                    format!("IPC entry {class}.{method}")
-                }
-                WitnessStep::Call {
-                    from,
-                    to,
-                    via_handler,
-                } => {
-                    let f = model.method(*from);
-                    let t = model.method(*to);
-                    let how = if *via_handler { "posts to" } else { "calls" };
-                    format!("{}.{} {} {}.{}", f.class, f.name, how, t.class, t.name)
-                }
-                WitnessStep::BinderParamUnmarshal { method, index } => {
-                    let m = model.method(*method);
-                    format!("{}.{} unmarshals binder argument #{index}", m.class, m.name)
-                }
-                WitnessStep::JniBridge {
-                    java_class,
-                    java_method,
-                    native,
-                } => format!(
-                    "JNI bridge {java_class}.{java_method} -> {}",
-                    model.native(*native).name
-                ),
-                WitnessStep::NativeCall { from, to } => format!(
-                    "{} calls {}",
-                    model.native(*from).name,
-                    model.native(*to).name
-                ),
-                WitnessStep::IrtAdd { native } => {
-                    format!("{} inserts the JGR", model.native(*native).name)
-                }
-            })
-            .collect()
+        self.steps.iter().map(|step| step.render(model)).collect()
+    }
+}
+
+impl WitnessStep {
+    /// The step as one line of text.
+    pub fn render(&self, model: &CodeModel) -> String {
+        match self {
+            WitnessStep::IpcEntry { class, method } => {
+                format!("IPC entry {class}.{method}")
+            }
+            WitnessStep::Call {
+                from,
+                to,
+                via_handler,
+            } => {
+                let f = model.method(*from);
+                let t = model.method(*to);
+                let how = if *via_handler { "posts to" } else { "calls" };
+                format!("{}.{} {} {}.{}", f.class, f.name, how, t.class, t.name)
+            }
+            WitnessStep::BinderParamUnmarshal { method, index } => {
+                let m = model.method(*method);
+                format!("{}.{} unmarshals binder argument #{index}", m.class, m.name)
+            }
+            WitnessStep::JniBridge {
+                java_class,
+                java_method,
+                native,
+            } => format!(
+                "JNI bridge {java_class}.{java_method} -> {}",
+                model.native(*native).name
+            ),
+            WitnessStep::NativeCall { from, to } => format!(
+                "{} calls {}",
+                model.native(*from).name,
+                model.native(*to).name
+            ),
+            WitnessStep::IrtAdd { native } => {
+                format!("{} inserts the JGR", model.native(*native).name)
+            }
+        }
     }
 }
 
@@ -358,9 +364,8 @@ fn java_path(model: &CodeModel, root: MethodId, target: MethodId) -> Option<Vec<
     if root == target {
         return Some(Vec::new());
     }
-    let mut parent: std::collections::BTreeMap<MethodId, (MethodId, bool)> =
-        std::collections::BTreeMap::new();
-    let mut queue = std::collections::VecDeque::from([root]);
+    let mut parent: HashMap<MethodId, (MethodId, bool)> = HashMap::new();
+    let mut queue = VecDeque::from([root]);
     while let Some(m) = queue.pop_front() {
         let def = model.method(m);
         let edges = def
@@ -402,9 +407,8 @@ fn native_path(
     if model.native(from).is_irt_add {
         return Some((Vec::new(), from));
     }
-    let mut parent: std::collections::BTreeMap<NativeFunctionId, NativeFunctionId> =
-        std::collections::BTreeMap::new();
-    let mut queue = std::collections::VecDeque::from([from]);
+    let mut parent: HashMap<NativeFunctionId, NativeFunctionId> = HashMap::new();
+    let mut queue = VecDeque::from([from]);
     while let Some(f) = queue.pop_front() {
         for next in &model.native(f).calls {
             if *next == from || parent.contains_key(next) {

@@ -1,4 +1,5 @@
-//! Allocation budgets of the leak-check pass, uncached and cached.
+//! Allocation budgets of the leak-check pass, uncached and cached, and
+//! of the whole lint around it.
 //!
 //! Each wave worker solves its methods through one reused scratch: the
 //! synthesized body, its CFG, the solver's per-block states, reverse
@@ -9,13 +10,17 @@
 //! methods): a whole uncached `analyze_with`, the intra-solve probe
 //! `intra_solver_cost`, a cached run that populates the summary cache
 //! and the cached re-lint of a one-method edit each stay under a fixed
-//! number of heap allocations per method. Counts are per thread, so
-//! tests running in parallel do not see each other's allocations.
+//! number of heap allocations per method, and a whole uncached lint
+//! (report, SARIF tree and render) under a fixed number per IPC method.
+//! Counts are per thread, so tests running in parallel do not see each
+//! other's allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use jgre_analysis::{intra_solver_cost, AnalysisOptions, LeakChecker};
+use jgre_analysis::{
+    intra_solver_cost, AnalysisOptions, IpcMethodExtractor, LeakChecker, LintReport,
+};
 use jgre_corpus::{spec::AospSpec, CodeModel, MethodId, ParamUsage};
 
 struct Counting;
@@ -187,4 +192,36 @@ fn cached_analysis_stays_within_the_allocation_budget() {
             "{what}: {n} allocations over {methods} methods: {per_method:.3} per method (budget {budget})"
         );
     }
+}
+
+/// Allocations allowed per IPC method for one whole uncached lint, as
+/// `jgre lint` runs it: `LintReport::generate_with`, `to_sarif` and the
+/// pretty render. Each IPC method's strings are allocated once, by the
+/// extractor; the detector's rows borrow them, and the SARIF document is
+/// rendered in place. What is left is mostly the extractor's strings and
+/// the SARIF tree itself, one key string per object field (27,192
+/// allocations, 11.2 per IPC method measured; 55,062, 22.6 per IPC
+/// method, when rows copied their IPC method).
+const LINT_BUDGET: f64 = 12.5;
+
+#[test]
+fn whole_lint_stays_within_the_allocation_budget() {
+    let spec = AospSpec::android_6_0_1();
+    let model = amplify(&CodeModel::synthesize(&spec), 4);
+    let ipc_methods = IpcMethodExtractor::new(&model).extract().len();
+    let options = AnalysisOptions::default();
+    let (sarif, n) = allocations(|| {
+        let report = LintReport::generate_with(&model, &spec, &options);
+        assert_eq!(report.accuracy.true_positives, 54, "the pinned 4x corpus");
+        serde_json::to_string_pretty(&report.to_sarif(&model)).expect("SARIF serialises")
+    });
+    assert!(sarif.len() > 300_000, "the whole SARIF document");
+    let per_ipc = n as f64 / ipc_methods as f64;
+    eprintln!(
+        "whole lint: {n} allocations, {per_ipc:.2} per IPC method ({ipc_methods} IPC methods)"
+    );
+    assert!(
+        per_ipc <= LINT_BUDGET,
+        "{n} allocations over {ipc_methods} IPC methods: {per_ipc:.2} per IPC method (budget {LINT_BUDGET})"
+    );
 }

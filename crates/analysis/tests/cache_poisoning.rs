@@ -84,10 +84,7 @@ impl Fixture {
     fn assert_recovered(&self, out: &DataflowOutput, scenario: &str) {
         let cold = self.cold();
         assert_eq!(out.detector, cold.detector, "{scenario}: wrong verdicts");
-        assert_eq!(
-            out.verdicts, cold.verdicts,
-            "{scenario}: wrong verdicts"
-        );
+        assert_eq!(out.verdicts, cold.verdicts, "{scenario}: wrong verdicts");
         assert!(
             out.stats.cache_invalidated >= 1,
             "{scenario}: invalidation not counted (stats: {:?})",

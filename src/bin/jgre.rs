@@ -7,6 +7,7 @@
 //! $ jgre all --paper              # every artifact, like `cargo bench`
 //! ```
 
+use std::io::Write as _;
 use std::process::ExitCode;
 
 use jgre_core::{experiments, ExperimentScale};
@@ -121,19 +122,31 @@ struct Options {
     devices: u64,
     attack: Option<String>,
     events_per_sec: u64,
-    duration_secs: f64,
+    duration_us: u64,
     iters: u64,
     attack_surface: jgre_fuzz::AttackSurface,
 }
 
+/// Prints `text` and a newline to stdout. A reader that went away
+/// (`jgre serve | head -1`) leaves nothing to print to, so the process
+/// ends quietly and successfully instead of panicking; any other write
+/// error ends it with a message and a failure.
+fn say(text: &str) {
+    let mut stdout = std::io::stdout().lock();
+    if let Err(e) = writeln!(stdout, "{text}").and_then(|()| stdout.flush()) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("writing to stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
 fn emit<T: serde::Serialize>(options: &Options, data: &T, rendered: String) {
     if options.json {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(data).expect("experiment structs serialise")
-        );
+        say(&serde_json::to_string_pretty(data).expect("experiment structs serialise"));
     } else {
-        println!("{rendered}");
+        say(&rendered);
     }
 }
 
@@ -219,7 +232,7 @@ fn run(command: &str, options: &Options) -> Result<(), String> {
             } else {
                 serde_json::to_string_pretty(&report.to_sarif(&model)).expect("SARIF serialises")
             };
-            println!("{rendered}");
+            say(&rendered);
             // The solver/cache footer goes to stderr so stdout stays
             // pure JSON for downstream SARIF consumers.
             eprintln!(
@@ -237,7 +250,7 @@ fn run(command: &str, options: &Options) -> Result<(), String> {
         "chaos" => {
             if options.list_cells {
                 for id in experiments::chaos_cell_ids(options.fault) {
-                    println!("{id}");
+                    say(&id);
                 }
                 return Ok(());
             }
@@ -369,9 +382,7 @@ fn run(command: &str, options: &Options) -> Result<(), String> {
             let mut source = jgre_core::sim::source::SourceConfig {
                 seed: scale.seed,
                 events_per_sec: options.events_per_sec,
-                duration: jgre_core::sim::SimDuration::from_micros(
-                    (options.duration_secs * 1e6) as u64,
-                ),
+                duration: jgre_core::sim::SimDuration::from_micros(options.duration_us),
                 ..jgre_core::sim::source::SourceConfig::default()
             };
             match options.attack.as_deref() {
@@ -459,7 +470,7 @@ fn main() -> ExitCode {
     let mut devices = 1_000u64;
     let mut attack = None;
     let mut events_per_sec = 10_000u64;
-    let mut duration_secs = 1.0f64;
+    let mut duration_us = 1_000_000u64;
     let mut iters = 320_000u64;
     let mut attack_surface = jgre_fuzz::AttackSurface::All;
     let mut command = None;
@@ -499,10 +510,13 @@ fn main() -> ExitCode {
                 }
             },
             "--duration" => match iter.next().map(|s| s.parse::<f64>()) {
-                // The stream runs for this many virtual microseconds: a
-                // non-finite value, or one past u64 microseconds, would
+                // The stream runs for this many whole virtual microseconds:
+                // a value that truncates to none would stream nothing, and
+                // a non-finite one, or one past u64 microseconds, would
                 // saturate and never end.
-                Some(Ok(s)) if s > 0.0 && s * 1e6 < u64::MAX as f64 => duration_secs = s,
+                Some(Ok(s)) if s * 1e6 >= 1.0 && s * 1e6 < u64::MAX as f64 => {
+                    duration_us = (s * 1e6) as u64;
+                }
                 _ => {
                     eprintln!("--duration needs a positive number of seconds\n\n{USAGE}");
                     return ExitCode::FAILURE;
@@ -570,7 +584,7 @@ fn main() -> ExitCode {
                 }
             },
             "--help" | "-h" => {
-                println!("{USAGE}");
+                say(USAGE);
                 return ExitCode::SUCCESS;
             }
             cmd if command.is_none() && !cmd.starts_with('-') => {
@@ -599,7 +613,7 @@ fn main() -> ExitCode {
             devices,
             attack,
             events_per_sec,
-            duration_secs,
+            duration_us,
             iters,
             attack_surface,
         },

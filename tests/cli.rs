@@ -305,6 +305,75 @@ fn serve_rejects_a_duration_that_never_ends() {
 }
 
 #[test]
+fn serve_rejects_a_duration_under_one_microsecond() {
+    // Each of these is positive but truncates to zero whole virtual
+    // microseconds: the stream would be empty.
+    for duration in ["1e-9", "0.0000009", "5e-324"] {
+        let out = jgre()
+            .args(["serve", "--duration", duration])
+            .output()
+            .expect("binary runs");
+        assert!(
+            !out.status.success(),
+            "--duration {duration} was accepted: {}",
+            String::from_utf8_lossy(&out.stdout)
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("--duration needs a positive number of seconds"),
+            "{stderr}"
+        );
+    }
+    let out = jgre()
+        .args(["serve", "--duration", "0.000002"])
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "two microseconds were rejected: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+#[test]
+fn a_closed_stdout_ends_the_output_quietly() {
+    use std::io::BufRead;
+    use std::process::Stdio;
+
+    let spawn = || {
+        jgre()
+            .args(["serve", "--duration", "0.05"])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("binary runs")
+    };
+    let assert_quiet = |child: std::process::Child, case: &str| {
+        let out = child.wait_with_output().expect("child finishes");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "{case}: {stderr}");
+        assert!(!stderr.contains("Broken pipe"), "{case}: {stderr}");
+        assert!(out.status.success(), "{case}: {:?}", out.status);
+    };
+
+    // The reader takes one line and leaves (`jgre serve | head -1`).
+    let mut child = spawn();
+    let mut line = String::new();
+    std::io::BufReader::new(child.stdout.take().expect("piped"))
+        .read_line(&mut line)
+        .expect("stdout readable");
+    assert!(line.starts_with("jgre serve:"), "{line}");
+    assert_quiet(child, "one line read");
+
+    // Whether the rest of the output is still unwritten when that
+    // reader leaves is a race; a reader gone before the first write is
+    // not.
+    let mut child = spawn();
+    drop(child.stdout.take());
+    assert_quiet(child, "closed before any output");
+}
+
+#[test]
 fn chaos_matrix_runs_clean_and_is_seed_deterministic() {
     let run = |extra: &[&str]| {
         let mut cmd = jgre();
