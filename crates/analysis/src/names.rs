@@ -57,13 +57,13 @@ pub struct NameIndex<'m> {
 #[derive(Debug)]
 struct ByLength {
     /// `starts[len]..starts[len + 1]` spans the positions of `len`.
-    starts: Vec<u32>,
-    positions: Vec<u32>,
+    starts: Vec<usize>,
+    positions: Vec<usize>,
 }
 
 impl ByLength {
     fn new(lens: impl Iterator<Item = usize> + Clone) -> Self {
-        let mut starts = vec![0u32; LONG_NAME + 2];
+        let mut starts = vec![0; LONG_NAME + 2];
         for len in lens.clone() {
             starts[len.min(LONG_NAME) + 1] += 1;
         }
@@ -71,10 +71,10 @@ impl ByLength {
             starts[i] += starts[i - 1];
         }
         let mut next = starts.clone();
-        let mut positions = vec![0u32; starts[LONG_NAME + 1] as usize];
+        let mut positions = vec![0; starts[LONG_NAME + 1]];
         for (pos, len) in lens.enumerate() {
             let slot = &mut next[len.min(LONG_NAME)];
-            positions[*slot as usize] = pos as u32;
+            positions[*slot] = pos;
             *slot += 1;
         }
         Self { starts, positions }
@@ -82,9 +82,9 @@ impl ByLength {
 
     fn of_len(&self, len: usize) -> impl Iterator<Item = usize> + '_ {
         let len = len.min(LONG_NAME);
-        self.positions[self.starts[len] as usize..self.starts[len + 1] as usize]
+        self.positions[self.starts[len]..self.starts[len + 1]]
             .iter()
-            .map(|&pos| pos as usize)
+            .copied()
     }
 }
 
