@@ -1,20 +1,22 @@
-//! Minimal, offline, API-compatible subset of `serde`.
+//! Minimal, offline, API-compatible subset of `serde`: serialization
+//! only.
 //!
 //! The real `serde` crate is unavailable in this build environment (no
 //! registry access), so the workspace vendors a tiny replacement that
-//! supports exactly the surface the jgre crates use: `#[derive(Serialize,
-//! Deserialize)]` on non-generic structs and enums whose fields are built
-//! from std types. Instead of serde's visitor architecture, serialization
-//! goes through an intermediate [`Value`] tree; `serde_json` renders and
-//! parses that tree using the same JSON encoding conventions as real
-//! serde + serde_json (externally tagged enums, `null` for `None`,
-//! arrays for tuples and sequences, objects for maps and named structs).
+//! supports exactly the surface the jgre crates use: `#[derive(Serialize)]`
+//! on non-generic structs and enums whose fields are built from std
+//! types. Instead of serde's visitor architecture, serialization goes
+//! through an intermediate [`Value`] tree, which `serde_json` renders
+//! using the same JSON encoding conventions as real serde + serde_json
+//! (externally tagged enums, `null` for `None`, arrays for tuples and
+//! sequences, objects for maps and named structs). Nothing is decoded
+//! back into typed values: `serde_json` parses JSON text into a
+//! [`Value`] and stops there.
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::fmt;
 
-pub use serde_derive::{Deserialize, Serialize};
+pub use serde_derive::Serialize;
 
 /// Intermediate self-describing data tree used by this serde subset.
 ///
@@ -100,19 +102,6 @@ impl Value {
             _ => None,
         }
     }
-
-    /// Human-readable name of the value's kind, for error messages.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Value::Null => "null",
-            Value::Bool(_) => "boolean",
-            Value::UInt(_) | Value::Int(_) => "integer",
-            Value::Float(_) => "number",
-            Value::Str(_) => "string",
-            Value::Array(_) => "array",
-            Value::Object(_) => "object",
-        }
-    }
 }
 
 /// Indexing an object value by field name; absent fields yield `Null`
@@ -178,34 +167,6 @@ impl PartialEq<bool> for Value {
     }
 }
 
-/// Error produced during serialization or deserialization.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Error {
-    message: String,
-}
-
-impl Error {
-    /// Create an error from a message.
-    pub fn msg(message: impl Into<String>) -> Self {
-        Error {
-            message: message.into(),
-        }
-    }
-
-    /// Create a type-mismatch error.
-    pub fn expected(what: &str, got: &Value) -> Self {
-        Error::msg(format!("expected {what}, found {}", got.kind()))
-    }
-}
-
-impl fmt::Display for Error {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.message)
-    }
-}
-
-impl std::error::Error for Error {}
-
 /// A type that can be converted into a [`Value`] tree.
 pub trait Serialize {
     /// Convert `self` into the intermediate value tree.
@@ -219,12 +180,6 @@ pub trait Serialize {
     }
 }
 
-/// A type that can be reconstructed from a [`Value`] tree.
-pub trait Deserialize: Sized {
-    /// Reconstruct `Self` from the intermediate value tree.
-    fn from_value(value: &Value) -> Result<Self, Error>;
-}
-
 impl Serialize for Value {
     fn to_value(&self) -> Value {
         self.clone()
@@ -235,26 +190,11 @@ impl Serialize for Value {
     }
 }
 
-impl Deserialize for Value {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        Ok(value.clone())
-    }
-}
-
 macro_rules! impl_serde_uint {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
             fn to_value(&self) -> Value {
                 Value::UInt(u64::from(*self))
-            }
-        }
-        impl Deserialize for $t {
-            fn from_value(value: &Value) -> Result<Self, Error> {
-                match value.as_u64() {
-                    Some(n) => <$t>::try_from(n)
-                        .map_err(|_| Error::msg(concat!("integer out of range for ", stringify!($t)))),
-                    None => Err(Error::expected("unsigned integer", value)),
-                }
             }
         }
     )*};
@@ -268,30 +208,12 @@ impl Serialize for usize {
     }
 }
 
-impl Deserialize for usize {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        match value.as_u64() {
-            Some(n) => usize::try_from(n).map_err(|_| Error::msg("integer out of range for usize")),
-            None => Err(Error::expected("unsigned integer", value)),
-        }
-    }
-}
-
 macro_rules! impl_serde_int {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
             fn to_value(&self) -> Value {
                 let v = i64::from(*self);
                 if v >= 0 { Value::UInt(v as u64) } else { Value::Int(v) }
-            }
-        }
-        impl Deserialize for $t {
-            fn from_value(value: &Value) -> Result<Self, Error> {
-                match value.as_i64() {
-                    Some(n) => <$t>::try_from(n)
-                        .map_err(|_| Error::msg(concat!("integer out of range for ", stringify!($t)))),
-                    None => Err(Error::expected("integer", value)),
-                }
             }
         }
     )*};
@@ -310,26 +232,9 @@ impl Serialize for isize {
     }
 }
 
-impl Deserialize for isize {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        match value.as_i64() {
-            Some(n) => isize::try_from(n).map_err(|_| Error::msg("integer out of range for isize")),
-            None => Err(Error::expected("integer", value)),
-        }
-    }
-}
-
 impl Serialize for f64 {
     fn to_value(&self) -> Value {
         Value::Float(*self)
-    }
-}
-
-impl Deserialize for f64 {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        value
-            .as_f64()
-            .ok_or_else(|| Error::expected("number", value))
     }
 }
 
@@ -339,41 +244,15 @@ impl Serialize for f32 {
     }
 }
 
-impl Deserialize for f32 {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        value
-            .as_f64()
-            .map(|f| f as f32)
-            .ok_or_else(|| Error::expected("number", value))
-    }
-}
-
 impl Serialize for bool {
     fn to_value(&self) -> Value {
         Value::Bool(*self)
     }
 }
 
-impl Deserialize for bool {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        value
-            .as_bool()
-            .ok_or_else(|| Error::expected("boolean", value))
-    }
-}
-
 impl Serialize for String {
     fn to_value(&self) -> Value {
         Value::Str(self.clone())
-    }
-}
-
-impl Deserialize for String {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        value
-            .as_str()
-            .map(str::to_owned)
-            .ok_or_else(|| Error::expected("string", value))
     }
 }
 
@@ -389,31 +268,9 @@ impl Serialize for char {
     }
 }
 
-impl Deserialize for char {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        let s = value
-            .as_str()
-            .ok_or_else(|| Error::expected("string", value))?;
-        let mut chars = s.chars();
-        match (chars.next(), chars.next()) {
-            (Some(c), None) => Ok(c),
-            _ => Err(Error::msg("expected a single-character string")),
-        }
-    }
-}
-
 impl Serialize for () {
     fn to_value(&self) -> Value {
         Value::Null
-    }
-}
-
-impl Deserialize for () {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        match value {
-            Value::Null => Ok(()),
-            other => Err(Error::expected("null", other)),
-        }
     }
 }
 
@@ -437,12 +294,6 @@ impl<T: Serialize> Serialize for Box<T> {
     }
 }
 
-impl<T: Deserialize> Deserialize for Box<T> {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        T::from_value(value).map(Box::new)
-    }
-}
-
 /// Serializes the shared value, as serde's `rc` feature does (sharing is
 /// not preserved).
 #[cfg(feature = "rc")]
@@ -456,13 +307,6 @@ impl<T: Serialize + ?Sized> Serialize for std::rc::Rc<T> {
     }
 }
 
-#[cfg(feature = "rc")]
-impl Deserialize for std::rc::Rc<str> {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        String::from_value(value).map(Into::into)
-    }
-}
-
 impl<T: Serialize> Serialize for Option<T> {
     fn to_value(&self) -> Value {
         match self {
@@ -472,27 +316,9 @@ impl<T: Serialize> Serialize for Option<T> {
     }
 }
 
-impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        match value {
-            Value::Null => Ok(None),
-            other => T::from_value(other).map(Some),
-        }
-    }
-}
-
 impl<T: Serialize> Serialize for Vec<T> {
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        match value {
-            Value::Array(items) => items.iter().map(T::from_value).collect(),
-            other => Err(Error::expected("array", other)),
-        }
     }
 }
 
@@ -514,46 +340,22 @@ impl<T: Serialize + Ord> Serialize for BTreeSet<T> {
     }
 }
 
-impl<T: Deserialize + Ord> Deserialize for BTreeSet<T> {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        match value {
-            Value::Array(items) => items.iter().map(T::from_value).collect(),
-            other => Err(Error::expected("array", other)),
-        }
-    }
-}
-
 impl<T: Serialize + Eq + std::hash::Hash> Serialize for HashSet<T> {
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
     }
 }
 
-impl<T: Deserialize + Eq + std::hash::Hash> Deserialize for HashSet<T> {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        match value {
-            Value::Array(items) => items.iter().map(T::from_value).collect(),
-            other => Err(Error::expected("array", other)),
-        }
-    }
-}
-
 /// How map keys are encoded as JSON object keys. Mirrors serde_json: a
 /// string key is used verbatim, an integer key is rendered in decimal.
-pub trait MapKey: Sized {
+pub trait MapKey {
     /// Render the key as a JSON object key.
     fn to_key(&self) -> String;
-    /// Parse the key back from a JSON object key.
-    fn from_key(key: &str) -> Result<Self, Error>;
 }
 
 impl MapKey for String {
     fn to_key(&self) -> String {
         self.clone()
-    }
-
-    fn from_key(key: &str) -> Result<Self, Error> {
-        Ok(key.to_owned())
     }
 }
 
@@ -562,10 +364,6 @@ macro_rules! impl_map_key_num {
         impl MapKey for $t {
             fn to_key(&self) -> String {
                 self.to_string()
-            }
-            fn from_key(key: &str) -> Result<Self, Error> {
-                key.parse::<$t>()
-                    .map_err(|_| Error::msg(concat!("invalid map key for ", stringify!($t))))
             }
         }
     )*};
@@ -583,18 +381,6 @@ impl<K: MapKey + Ord, V: Serialize> Serialize for BTreeMap<K, V> {
     }
 }
 
-impl<K: MapKey + Ord, V: Deserialize> Deserialize for BTreeMap<K, V> {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        match value {
-            Value::Object(fields) => fields
-                .iter()
-                .map(|(k, v)| Ok((K::from_key(k)?, V::from_value(v)?)))
-                .collect(),
-            other => Err(Error::expected("object", other)),
-        }
-    }
-}
-
 impl<K: MapKey + Eq + std::hash::Hash, V: Serialize> Serialize for HashMap<K, V> {
     fn to_value(&self) -> Value {
         Value::Object(
@@ -605,40 +391,11 @@ impl<K: MapKey + Eq + std::hash::Hash, V: Serialize> Serialize for HashMap<K, V>
     }
 }
 
-impl<K: MapKey + Eq + std::hash::Hash, V: Deserialize> Deserialize for HashMap<K, V> {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        match value {
-            Value::Object(fields) => fields
-                .iter()
-                .map(|(k, v)| Ok((K::from_key(k)?, V::from_value(v)?)))
-                .collect(),
-            other => Err(Error::expected("object", other)),
-        }
-    }
-}
-
 macro_rules! impl_serde_tuple {
     ($(($($name:ident : $idx:tt),+))*) => {$(
         impl<$($name: Serialize),+> Serialize for ($($name,)+) {
             fn to_value(&self) -> Value {
                 Value::Array(vec![$(self.$idx.to_value()),+])
-            }
-        }
-        impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {
-            fn from_value(value: &Value) -> Result<Self, Error> {
-                match value {
-                    Value::Array(items) => {
-                        let expected = [$($idx),+].len();
-                        if items.len() != expected {
-                            return Err(Error::msg(format!(
-                                "expected a {expected}-element array, found {}",
-                                items.len()
-                            )));
-                        }
-                        Ok(($($name::from_value(&items[$idx])?,)+))
-                    }
-                    other => Err(Error::expected("array", other)),
-                }
             }
         }
     )*};
@@ -649,49 +406,4 @@ impl_serde_tuple! {
     (A: 0, B: 1)
     (A: 0, B: 1, C: 2)
     (A: 0, B: 1, C: 2, D: 3)
-}
-
-/// Runtime support used by the code generated in `serde_derive`. Not a
-/// stable API; matches real serde's convention of a hidden helper module.
-pub mod __private {
-    use super::{Deserialize, Error, Value};
-
-    /// Extract and deserialize a named struct field. Missing fields fall
-    /// back to deserializing from `Null` so `Option` fields may be absent.
-    pub fn field<T: Deserialize>(value: &Value, name: &str) -> Result<T, Error> {
-        match value {
-            Value::Object(fields) => match fields.iter().find(|(k, _)| k == name) {
-                Some((_, fv)) => {
-                    T::from_value(fv).map_err(|e| Error::msg(format!("field `{name}`: {e}")))
-                }
-                None => T::from_value(&Value::Null)
-                    .map_err(|_| Error::msg(format!("missing field `{name}`"))),
-            },
-            other => Err(Error::expected("object", other)),
-        }
-    }
-
-    /// Extract and deserialize a positional tuple field.
-    pub fn element<T: Deserialize>(value: &Value, idx: usize) -> Result<T, Error> {
-        match value {
-            Value::Array(items) => match items.get(idx) {
-                Some(item) => {
-                    T::from_value(item).map_err(|e| Error::msg(format!("element {idx}: {e}")))
-                }
-                None => Err(Error::msg(format!("missing tuple element {idx}"))),
-            },
-            other => Err(Error::expected("array", other)),
-        }
-    }
-
-    /// Split an externally tagged enum value into `(variant_name, payload)`.
-    /// A bare string is a unit variant; a single-key object carries the
-    /// variant payload.
-    pub fn variant(value: &Value) -> Result<(&str, Option<&Value>), Error> {
-        match value {
-            Value::Str(name) => Ok((name, None)),
-            Value::Object(fields) if fields.len() == 1 => Ok((&fields[0].0, Some(&fields[0].1))),
-            other => Err(Error::expected("enum (string or single-key object)", other)),
-        }
-    }
 }

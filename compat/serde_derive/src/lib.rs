@@ -1,8 +1,8 @@
-//! Derive macros for the vendored `serde` subset.
+//! The derive macro for the vendored `serde` subset.
 //!
 //! Parses `struct` / `enum` definitions directly from the raw token
 //! stream (no `syn` / `quote` available offline) and emits string-built
-//! implementations of the value-tree `Serialize` / `Deserialize` traits.
+//! implementations of the value-tree `Serialize` trait.
 //! Supported shapes: non-generic structs (unit, tuple, named) and enums
 //! whose variants are unit, tuple, or struct-like. `#[serde(...)]`
 //! attributes are not supported and none exist in this workspace.
@@ -16,15 +16,6 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
     gen_serialize(&item)
         .parse()
         .expect("generated Serialize impl parses")
-}
-
-/// Derive the value-tree `Deserialize` trait.
-#[proc_macro_derive(Deserialize)]
-pub fn derive_deserialize(input: TokenStream) -> TokenStream {
-    let item = parse_item(input);
-    gen_deserialize(&item)
-        .parse()
-        .expect("generated Deserialize impl parses")
 }
 
 struct Item {
@@ -85,7 +76,7 @@ fn parse_item(input: TokenStream) -> Item {
             }
             _ => panic!("expected enum body for `{name}`"),
         },
-        other => panic!("cannot derive serde traits for `{other}` items"),
+        other => panic!("cannot derive `Serialize` for `{other}` items"),
     };
     Item { name, kind }
 }
@@ -284,96 +275,6 @@ fn gen_serialize(item: &Item) -> String {
         "#[automatically_derived]\n\
          impl ::serde::Serialize for {name} {{\n\
              fn to_value(&self) -> ::serde::Value {{ {body} }}\n\
-         }}"
-    )
-}
-
-fn gen_deserialize(item: &Item) -> String {
-    let name = &item.name;
-    let body = match &item.kind {
-        Kind::UnitStruct => format!(
-            "match __value {{\n\
-                 ::serde::Value::Null => Ok({name}),\n\
-                 other => Err(::serde::Error::expected(\"null\", other)),\n\
-             }}"
-        ),
-        Kind::TupleStruct(1) => {
-            format!("Ok({name}(::serde::Deserialize::from_value(__value)?))")
-        }
-        Kind::TupleStruct(n) => {
-            let elems: Vec<String> = (0..*n)
-                .map(|i| format!("::serde::__private::element(__value, {i})?"))
-                .collect();
-            format!("Ok({name}({}))", elems.join(", "))
-        }
-        Kind::NamedStruct(fields) => {
-            let inits: Vec<String> = fields
-                .iter()
-                .map(|f| format!("{f}: ::serde::__private::field(__value, {f:?})?"))
-                .collect();
-            format!("Ok({name} {{ {} }})", inits.join(", "))
-        }
-        Kind::Enum(variants) => {
-            let arms: Vec<String> = variants
-                .iter()
-                .map(|v| {
-                    let vname = &v.name;
-                    match &v.shape {
-                        Shape::Unit => format!("{vname:?} => Ok(Self::{vname}),"),
-                        Shape::Tuple(1) => format!(
-                            "{vname:?} => {{\n\
-                                 let __p = __payload.ok_or_else(|| ::serde::Error::msg(\
-                                 format!(\"variant `{{}}` expects a payload\", {vname:?})))?;\n\
-                                 Ok(Self::{vname}(::serde::Deserialize::from_value(__p)?))\n\
-                             }}"
-                        ),
-                        Shape::Tuple(n) => {
-                            let elems: Vec<String> = (0..*n)
-                                .map(|i| format!("::serde::__private::element(__p, {i})?"))
-                                .collect();
-                            format!(
-                                "{vname:?} => {{\n\
-                                     let __p = __payload.ok_or_else(|| ::serde::Error::msg(\
-                                     format!(\"variant `{{}}` expects a payload\", {vname:?})))?;\n\
-                                     Ok(Self::{vname}({}))\n\
-                                 }}",
-                                elems.join(", ")
-                            )
-                        }
-                        Shape::Named(fields) => {
-                            let inits: Vec<String> = fields
-                                .iter()
-                                .map(|f| format!("{f}: ::serde::__private::field(__p, {f:?})?"))
-                                .collect();
-                            format!(
-                                "{vname:?} => {{\n\
-                                     let __p = __payload.ok_or_else(|| ::serde::Error::msg(\
-                                     format!(\"variant `{{}}` expects a payload\", {vname:?})))?;\n\
-                                     Ok(Self::{vname} {{ {} }})\n\
-                                 }}",
-                                inits.join(", ")
-                            )
-                        }
-                    }
-                })
-                .collect();
-            format!(
-                "let (__tag, __payload) = ::serde::__private::variant(__value)?;\n\
-                 match __tag {{\n\
-                     {}\n\
-                     other => Err(::serde::Error::msg(format!(\
-                         \"unknown variant `{{other}}` for `{name}`\"))),\n\
-                 }}",
-                arms.join("\n")
-            )
-        }
-    };
-    format!(
-        "#[automatically_derived]\n\
-         impl ::serde::Deserialize for {name} {{\n\
-             fn from_value(__value: &::serde::Value) -> Result<Self, ::serde::Error> {{\n\
-                 {body}\n\
-             }}\n\
          }}"
     )
 }

@@ -1,17 +1,17 @@
 //! Minimal, offline, API-compatible subset of `serde_json`.
 //!
 //! Works over the vendored `serde` crate's [`Value`] tree: serialization
-//! renders a `Value` to JSON text, deserialization parses JSON text into
-//! a `Value` and then converts with `Deserialize::from_value`. Output
-//! conventions match real serde_json (externally tagged enums, compact
-//! `{"k":v}` / pretty two-space indent, shortest-roundtrip floats).
+//! renders a `Value` to JSON text, and parsing reads JSON text into a
+//! `Value`, never into a typed value. Output conventions match real
+//! serde_json (externally tagged enums, compact `{"k":v}` / pretty
+//! two-space indent, shortest-roundtrip floats).
 
 pub use serde::Value;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt::{self, Write as _};
 
-/// Error produced while parsing or converting JSON.
+/// Error produced while parsing JSON.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Error {
     message: String,
@@ -33,12 +33,6 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-impl From<serde::Error> for Error {
-    fn from(e: serde::Error) -> Self {
-        Error::new(e.to_string())
-    }
-}
-
 /// Alias matching `serde_json::Result`.
 pub type Result<T> = std::result::Result<T, Error>;
 
@@ -58,31 +52,10 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String> {
     Ok(out)
 }
 
-/// Serialize a value to a compact JSON byte vector.
-pub fn to_vec<T: Serialize + ?Sized>(value: &T) -> Result<Vec<u8>> {
-    to_string(value).map(String::into_bytes)
-}
-
-/// Deserialize a value from a JSON string.
-pub fn from_str<T: Deserialize>(input: &str) -> Result<T> {
-    let value = parse(input)?;
-    Ok(T::from_value(&value)?)
-}
-
-/// Deserialize a value from JSON bytes (must be UTF-8).
-pub fn from_slice<T: Deserialize>(input: &[u8]) -> Result<T> {
+/// Parse JSON bytes (must be UTF-8) into a [`Value`].
+pub fn from_slice(input: &[u8]) -> Result<Value> {
     let text = std::str::from_utf8(input).map_err(|e| Error::new(format!("invalid UTF-8: {e}")))?;
     from_str(text)
-}
-
-/// Convert any serializable value into a [`Value`] tree.
-pub fn to_value<T: Serialize + ?Sized>(value: &T) -> Result<Value> {
-    Ok(value.to_value())
-}
-
-/// Convert a [`Value`] tree into a concrete type.
-pub fn from_value<T: Deserialize>(value: Value) -> Result<T> {
-    Ok(T::from_value(&value)?)
 }
 
 // ---------------------------------------------------------------------------
@@ -214,7 +187,8 @@ struct Parser<'a> {
     pos: usize,
 }
 
-fn parse(input: &str) -> Result<Value> {
+/// Parse a JSON string into a [`Value`].
+pub fn from_str(input: &str) -> Result<Value> {
     let mut parser = Parser {
         bytes: input.as_bytes(),
         pos: 0,

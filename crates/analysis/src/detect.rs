@@ -7,12 +7,12 @@
 //! [`DataflowDetector`]: crate::DataflowDetector
 
 use jgre_corpus::MethodId;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::IpcMethod;
 
 /// Why a risky candidate was sifted out.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub enum SiftReason {
     /// Rule 1: only `Thread.nativeCreate` — the native side releases the
     /// reference immediately.

@@ -7,7 +7,7 @@
 //! exportable as SARIF 2.1.0 (built by hand on the vendored
 //! [`Value`] tree — the subset GitHub code scanning and VS Code ingest).
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Serialize, Value};
 
 use jgre_corpus::spec::AospSpec;
 use jgre_corpus::CodeModel;
@@ -17,7 +17,7 @@ use crate::witness::{MinimisedFlows, Witness};
 use crate::{IpcMethodExtractor, JgrEntryExtractor, ServiceKind};
 
 /// Stable rule identifiers for lint findings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub enum RuleId {
     /// JGRE001 — unbounded JGR retention on an attacker-reachable
     /// interface.
@@ -102,7 +102,7 @@ impl RuleId {
 }
 
 /// Finding severity, mirroring SARIF's `level`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub enum Severity {
     /// Exploitable as-is.
     Error,
@@ -124,7 +124,7 @@ impl Severity {
 }
 
 /// One lint finding with witness provenance.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Diagnostic {
     /// Which rule fired.
     pub rule: RuleId,
@@ -150,7 +150,7 @@ pub struct Diagnostic {
 
 /// Precision/recall of the risky set against the spec's ground truth,
 /// restricted to system services (the paper's Table IV population).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct AccuracyReport {
     /// Flagged and truly vulnerable.
     pub true_positives: usize,
@@ -165,7 +165,7 @@ pub struct AccuracyReport {
 }
 
 /// The complete lint run: findings, accuracy, and solver statistics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct LintReport {
     /// All findings, pipeline order.
     pub diagnostics: Vec<Diagnostic>,

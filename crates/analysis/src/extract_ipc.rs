@@ -3,12 +3,12 @@
 use std::collections::BTreeMap;
 
 use jgre_corpus::{CodeModel, MethodId, Origin};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::NameIndex;
 
 /// Who exposes an IPC method.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize)]
 pub enum ServiceKind {
     /// A registered system service (Java, hosted in `system_server`).
     SystemService,
@@ -21,7 +21,7 @@ pub enum ServiceKind {
 }
 
 /// One discovered IPC method.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct IpcMethod {
     /// Service name for registered services; the exporting class's
     /// interface for app services.

@@ -3,12 +3,12 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use jgre_corpus::{CodeModel, MethodId, NativeFunctionId};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::NameIndex;
 
 /// Result of the native call-graph walk.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct NativePathAnalysis {
     /// All simple paths from any root to `IndirectReferenceTable::Add`
     /// (the paper finds 147).
@@ -23,7 +23,7 @@ pub struct NativePathAnalysis {
 }
 
 /// Java-side JGR entries derived from the native analysis.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct JgrEntrySets {
     /// Native analysis summary.
     pub native: NativePathAnalysis,

@@ -9,7 +9,7 @@
 use jgre_corpus::body::{AllocSite, BodyStmt, BranchKind, FieldKind, MethodBody, Place, Var};
 use jgre_corpus::{CodeModel, MethodDef, MethodId};
 use jgre_sim::record::StableHasher;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A stable 64-bit content hash of one method's analysis-relevant facts.
 ///
@@ -18,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// orders, so they are computed with the record codec's explicitly
 /// specified [`StableHasher`] rather than `std::hash` (whose output is
 /// not guaranteed stable between runs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct Fingerprint(pub u64);
 
 /// Hashes the facts that determine one method's synthesized body and
@@ -91,7 +91,7 @@ pub fn corpus_fingerprint(fingerprints: &[u64]) -> Fingerprint {
 }
 
 /// Index of a block in [`Cfg::blocks`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct BlockId(pub u32);
 
 /// One flat IR statement (branches live in the [`Terminator`]).
@@ -133,7 +133,7 @@ pub enum Stmt {
 }
 
 /// How a basic block ends.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Terminator {
     /// Unconditional jump.
     Goto(BlockId),

@@ -29,7 +29,7 @@ use jgre_corpus::body::{AllocSite, BranchKind, FieldKind, MethodBody, Place, Var
 use jgre_corpus::spec::ProtectionLevel;
 use jgre_corpus::{CodeModel, MethodDef, MethodId};
 use jgre_sim::record::StableHasher;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::cache;
 use crate::dataflow::{condense_within, ForwardAnalysis, JoinSemiLattice, Solver};
@@ -40,9 +40,7 @@ use crate::{DetectorOutput, IpcMethod, JgrEntrySets, RiskyInterface, SiftReason}
 /// when every path reaching the program point (or retaining the site)
 /// passed that check. Joins at CFG merges intersect, so a predicate
 /// survives only when it holds on all paths.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
 pub struct PredSet(u8);
 
 impl PredSet {
@@ -114,7 +112,7 @@ impl PredSet {
 }
 
 /// Net effect of one allocation site on the process's JGR footprint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub enum Retention {
     /// Released (or GC-revoked) on every path.
     Released,
@@ -126,7 +124,7 @@ pub enum Retention {
 }
 
 /// How a reference escaped, when it did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub enum EscapeKind {
     /// Stored to a scalar member field after the previous value was
     /// released — net retention of one (the paper's rule 4).
@@ -139,7 +137,7 @@ pub enum EscapeKind {
 }
 
 /// The fate of one allocation site, with provenance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct SiteSummary {
     /// Method whose body contains the allocation.
     pub method: MethodId,
@@ -161,7 +159,7 @@ pub struct SiteSummary {
 
 /// Bottom-up summary of one method: every allocation site reachable from
 /// it (own body plus callees), with fates.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct MethodSummary {
     /// Reachable allocation sites, deduplicated, sorted by provenance.
     pub sites: Vec<SiteSummary>,
@@ -177,7 +175,7 @@ impl MethodSummary {
 }
 
 /// Size and work statistics of one whole-corpus analysis run.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct SolverStats {
     /// Methods analysed (one CFG each).
     pub methods: usize,
@@ -242,7 +240,7 @@ impl AnalysisOptions {
 
 /// The dataflow verdict for one IPC method — the paper's sift rules
 /// derived from reference fates instead of pattern-matched heuristics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub enum LeakVerdict {
     /// No JGR allocation is reachable at all.
     NoJgr,

@@ -3,12 +3,12 @@
 use std::collections::BTreeSet;
 
 use jgre_corpus::spec::Permission;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::{NativePathAnalysis, ServiceKind, SiftReason, SolverStats};
 
 /// How a risky interface fared in step 4.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum VerificationStatus {
     /// Dynamically confirmed exploitable.
     Confirmed,
@@ -20,7 +20,7 @@ pub enum VerificationStatus {
 }
 
 /// One confirmed (or cleared) vulnerability row.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct ConfirmedVulnerability {
     /// Service (or exporting class for app services).
     pub service: String,
@@ -40,7 +40,7 @@ pub struct ConfirmedVulnerability {
 }
 
 /// The full pipeline report.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct AnalysisReport {
     /// Registered system services discovered (104).
     pub services_total: usize,

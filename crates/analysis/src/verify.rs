@@ -14,12 +14,12 @@
 use jgre_corpus::spec::ProtectionLevel;
 use jgre_corpus::CodeModel;
 use jgre_framework::{CallOptions, CallStatus, FrameworkError, System};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::{RiskyInterface, ServiceKind};
 
 /// Verifier tuning.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct VerifierConfig {
     /// IPC requests per interface (the paper uses 60 000; the default is
     /// smaller because the simulated device is deterministic).

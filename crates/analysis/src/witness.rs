@@ -12,7 +12,7 @@ use std::collections::{HashMap, VecDeque};
 
 use jgre_corpus::body::AllocSite;
 use jgre_corpus::{CodeModel, MethodId, NativeFunctionId};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::leakcheck::SiteSummary;
 
@@ -21,7 +21,7 @@ use crate::leakcheck::SiteSummary;
 const UNMARSHAL: (&str, &str) = ("android.os.Parcel", "nativeReadStrongBinder");
 
 /// One hop of a witness path.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub enum WitnessStep {
     /// The attacker-reachable IPC entry point.
     IpcEntry {
@@ -71,7 +71,7 @@ pub enum WitnessStep {
 }
 
 /// A checkable path from an IPC entry to the JGR table insertion.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Witness {
     /// Steps, entry first, sink last.
     pub steps: Vec<WitnessStep>,
@@ -291,7 +291,7 @@ impl WitnessStep {
 /// Java call chain; repeating those steps per flow bloats reports
 /// without adding information. [`MinimisedFlows::expand`] restores the
 /// originals exactly, so minimisation is lossless by construction.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct MinimisedFlows {
     /// Steps shared by every witness, in order (empty when there is no
     /// common prefix or fewer than two witnesses).

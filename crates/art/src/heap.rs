@@ -11,14 +11,14 @@ use std::borrow::Cow;
 use std::fmt;
 use std::rc::Rc;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::{ArtError, IndirectRef};
 
 /// A handle to a heap object. Handles are generation-checked: using a handle
 /// after its object was collected yields [`ArtError::StaleObjRef`] rather
 /// than touching a recycled slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct ObjRef {
     index: u32,
     serial: u32,

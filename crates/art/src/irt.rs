@@ -17,12 +17,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::{ArtError, ObjRef};
 
 /// The three JNI reference kinds (`IndirectRefKind` in ART).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub enum RefKind {
     /// Valid only for the duration of a native call; freed when the frame
     /// pops.
@@ -45,7 +45,7 @@ impl fmt::Display for RefKind {
 }
 
 /// An opaque reference handed across the simulated JNI boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct IndirectRef {
     kind: RefKind,
     index: u32,
@@ -108,7 +108,7 @@ impl fmt::Display for IndirectRef {
 
 /// Snapshot of a table's segment state (ART's `IRTSegmentState` /
 /// the `cookie` argument of `IndirectReferenceTable::Add`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct IrtCookie {
     top_index: u32,
     num_holes: u32,

@@ -11,10 +11,10 @@ use std::fmt;
 use std::rc::Rc;
 
 use jgre_sim::{Pid, SimTime};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Whether a global reference was created or deleted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum JgrEventKind {
     /// `IndirectReferenceTable::Add` on the globals table.
     Add,
@@ -32,7 +32,7 @@ impl fmt::Display for JgrEventKind {
 }
 
 /// One observed global-reference operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct JgrEvent {
     /// Virtual time of the operation.
     pub at: SimTime,

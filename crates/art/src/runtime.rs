@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 
 use jgre_sim::{Pid, SimClock, SimTime, Tid, TraceSink};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::{
     ArtError, ClassName, Finalizer, Heap, IndirectRef, IndirectRefTable, IrtCookie, JgrEvent,
@@ -12,7 +12,7 @@ use crate::{
 };
 
 /// Lifecycle state of a runtime.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum RuntimeState {
     /// Normal operation.
     Running,
@@ -22,7 +22,7 @@ pub enum RuntimeState {
 }
 
 /// Identifier of an attached JNI environment (one per simulated thread).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct EnvId(Tid);
 
 impl EnvId {
@@ -33,7 +33,7 @@ impl EnvId {
 }
 
 /// Result of one garbage collection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub struct GcStats {
     /// Objects reclaimed.
     pub freed_objects: usize,
@@ -46,7 +46,7 @@ pub struct GcStats {
 }
 
 /// Aggregate counters exposed for experiments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub struct RuntimeStats {
     /// Lifetime global-reference adds.
     pub global_adds: u64,

@@ -9,10 +9,10 @@
 use jgre_corpus::spec::{JgrBehavior, Permission, ProtectionLevel};
 use jgre_framework::{CallOptions, FrameworkError, System};
 use jgre_sim::{SimDuration, SimRng, SimTime, Uid};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Configuration of the benign sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct BenignWorkloadConfig {
     /// Apps to install and exercise (the paper: 300, in 3 rounds of 100).
     pub apps: usize,
@@ -39,7 +39,7 @@ impl Default for BenignWorkloadConfig {
 }
 
 /// One Figure 4 sample.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct BenignSample {
     /// Virtual time.
     pub at: SimTime,

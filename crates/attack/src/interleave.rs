@@ -11,7 +11,7 @@
 use jgre_corpus::spec::{JgrBehavior, ProtectionLevel};
 use jgre_framework::{CallOptions, FrameworkError, System};
 use jgre_sim::{EventQueue, SimDuration, SimRng, SimTime, Uid};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::AttackVector;
 
@@ -49,7 +49,7 @@ pub struct Actor {
 }
 
 /// Aggregate stats of an interleaved run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct InterleaveStats {
     /// Calls issued per actor uid, in actor order.
     pub calls_per_actor: Vec<(Uid, u64)>,

@@ -3,10 +3,10 @@
 use jgre_corpus::spec::{AospSpec, Flaw, JgrBehavior, Permission, Protection};
 use jgre_framework::{CallOptions, FrameworkError, System};
 use jgre_sim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Everything a malicious app needs to exploit one interface.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct AttackVector {
     /// Registered service name on the device.
     pub service: String,
@@ -107,7 +107,7 @@ impl AttackVector {
 }
 
 /// One sample point along an attack.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct AttackSample {
     /// Virtual time of the sample.
     pub at: SimTime,
@@ -120,7 +120,7 @@ pub struct AttackSample {
 }
 
 /// Result of driving one vector to exhaustion (or to the call budget).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct ExhaustionResult {
     /// The vector driven.
     pub vector: AttackVector,

@@ -8,7 +8,7 @@ use std::ops::{Deref, Range};
 use std::rc::Rc;
 
 use jgre_sim::{FaultLayer, IpcLogAction, Pid, SimClock, SimTime, TraceSink, Uid};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::{BinderError, LatencyModel, Parcel};
 
@@ -20,7 +20,7 @@ pub const TRANSACTION_BUFFER_LIMIT: usize = 1024 * 1024;
 /// offered across process boundaries). Node ids are global, standing in
 /// for per-process handle tables, which the paper's mechanisms never rely
 /// on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct NodeId(u64);
 
 impl NodeId {
@@ -238,7 +238,7 @@ impl IpcRecord {
 }
 
 /// A registered death link: `watcher` asked to be told when `node` dies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct DeathLink {
     /// The watched node.
     pub node: NodeId,
@@ -250,7 +250,7 @@ pub struct DeathLink {
 }
 
 /// Delivered when a watched node's hosting process dies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct DeathNotification {
     /// The node that died.
     pub node: NodeId,

@@ -9,7 +9,7 @@
 //! * defense: `(base + per_kb × KB) × (1 + overhead)`
 
 use jgre_sim::SimDuration;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Linear cost model for one Binder transaction.
 ///
@@ -26,7 +26,7 @@ use serde::{Deserialize, Serialize};
 /// let ratio = defended.as_micros() as f64 / stock.as_micros() as f64;
 /// assert!((1.4..1.55).contains(&ratio));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct LatencyModel {
     /// Fixed cost per transaction, microseconds.
     pub base_us: u64,

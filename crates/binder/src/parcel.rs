@@ -2,12 +2,12 @@
 
 use std::rc::Rc;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::{BinderError, NodeId};
 
 /// One value inside a [`Parcel`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub enum ParcelValue {
     /// A 32-bit integer (4 bytes on the wire).
     I32(i32),
@@ -66,7 +66,7 @@ impl ParcelValue {
 /// assert_eq!(p.read_i32()?, 7);
 /// # Ok::<(), jgre_binder::BinderError>(())
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct Parcel {
     values: Vec<ParcelValue>,
     cursor: usize,

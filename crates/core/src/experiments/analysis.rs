@@ -5,12 +5,12 @@ use std::fmt::Write as _;
 use jgre_analysis::{Pipeline, ServiceKind, VerificationStatus, VerifierConfig};
 use jgre_corpus::{spec::AospSpec, CodeModel};
 use jgre_framework::System;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::ExperimentScale;
 
 /// §IV headline numbers, re-derived by the pipeline.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct AnalysisHeadline {
     /// System services discovered.
     pub services_total: usize,
@@ -90,7 +90,7 @@ pub fn analysis_headline(scale: ExperimentScale) -> AnalysisHeadline {
 }
 
 /// One Table I row.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Table1Row {
     /// Service name.
     pub service: String,
@@ -101,7 +101,7 @@ pub struct Table1Row {
 }
 
 /// Table I: unprotected vulnerable IPC interfaces.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Table1 {
     /// The rows, service-sorted.
     pub rows: Vec<Table1Row>,
@@ -190,7 +190,7 @@ pub fn table1(scale: ExperimentScale) -> Table1 {
 }
 
 /// One Table IV row.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Table4Row {
     /// App display name.
     pub app: String,
@@ -201,7 +201,7 @@ pub struct Table4Row {
 }
 
 /// Table IV: vulnerable prebuilt core apps.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Table4 {
     /// The rows.
     pub rows: Vec<Table4Row>,
@@ -251,7 +251,7 @@ pub fn table4(scale: ExperimentScale) -> Table4 {
 }
 
 /// One Table V row.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Table5Row {
     /// App name.
     pub app: String,
@@ -264,7 +264,7 @@ pub struct Table5Row {
 }
 
 /// Table V: vulnerable third-party apps.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Table5 {
     /// The rows.
     pub rows: Vec<Table5Row>,

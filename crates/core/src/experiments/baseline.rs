@@ -2,13 +2,13 @@
 
 use jgre_attack::{BenignSample, BenignWorkload, BenignWorkloadConfig};
 use jgre_framework::System;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::ExperimentScale;
 
 /// Figure 4: `system_server` JGR size and process count under the
 /// top-apps benign sweep.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Fig4 {
     /// Sampled series.
     pub samples: Vec<BenignSample>,

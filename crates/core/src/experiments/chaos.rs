@@ -32,7 +32,7 @@ use jgre_corpus::spec::AospSpec;
 use jgre_defense::{DetectionOutcome, DurableConfig, JgreDefender, MemoryStore, ScoringKind};
 use jgre_framework::{CallOptions, System, SystemConfig};
 use jgre_sim::{FaultIntensity, FaultKind, FaultPlan, SimDuration};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::ExperimentScale;
 
@@ -44,7 +44,7 @@ pub const CHAOS_ATTACKS: [(&str, &str); 2] = [
 ];
 
 /// One attack × fault × intensity run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ChaosCell {
     /// `service.method` attacked.
     pub attack: String,
@@ -97,7 +97,7 @@ pub struct ChaosCell {
 }
 
 /// The full fault matrix with its seed and verdict.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ChaosMatrix {
     /// Seed every cell derives its RNG streams from.
     pub seed: u64,

@@ -7,12 +7,12 @@ use jgre_corpus::spec::AospSpec;
 use jgre_defense::{DetectionOutcome, JgreDefender};
 use jgre_framework::{FrameworkError, System};
 use jgre_sim::{SimDuration, Uid};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::ExperimentScale;
 
 /// Result of one defended attack run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DefendedAttack {
     /// The interface attacked.
     pub interface: String,
@@ -70,7 +70,7 @@ pub fn run_defended_attack(
 }
 
 /// §V-C: the defense must stop all 57 identified attacks.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DefenseEffectiveness {
     /// One row per vector.
     pub runs: Vec<DefendedAttack>,
@@ -126,7 +126,7 @@ pub fn defense_effectiveness(scale: ExperimentScale) -> DefenseEffectiveness {
 }
 
 /// One §V-D.1 row.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct ResponseDelayRow {
     /// Interface attacked.
     pub interface: String,
@@ -137,13 +137,30 @@ pub struct ResponseDelayRow {
 }
 
 /// §V-D.1: detection delays across all 57 vulnerable interfaces.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct ResponseDelay {
     /// Per-interface rows, slowest first.
     pub rows: Vec<ResponseDelayRow>,
 }
 
 impl ResponseDelay {
+    /// One row per run that detected, slowest first.
+    pub fn from_runs(runs: &[DefendedAttack]) -> Self {
+        let mut rows: Vec<ResponseDelayRow> = runs
+            .iter()
+            .filter_map(|run| {
+                let d = run.detection.as_ref()?;
+                Some(ResponseDelayRow {
+                    interface: run.interface.clone(),
+                    response_delay_us: d.response_delay.as_micros(),
+                    rounds: d.rounds,
+                })
+            })
+            .collect();
+        rows.sort_by_key(|r| std::cmp::Reverse(r.response_delay_us));
+        Self { rows }
+    }
+
     /// Rows above one second.
     pub fn above_one_second(&self) -> Vec<&ResponseDelayRow> {
         self.rows
@@ -190,35 +207,15 @@ impl ResponseDelay {
     }
 }
 
-/// Measures the detection delay for every vector.
+/// Measures the detection delay for every vector: the rows of the §V-C
+/// sweep, [`defense_effectiveness`].
 pub fn response_delay(scale: ExperimentScale) -> ResponseDelay {
-    let spec = AospSpec::android_6_0_1();
-    let mut rows = Vec::new();
-    for vector in AttackVector::all_vectors(&spec) {
-        let mut system = System::boot_with(scale.system_config());
-        let defender = JgreDefender::install(&mut system, scale.defender_config())
-            .expect("scale presets produce a valid defender config");
-        let run = run_defended_attack(
-            &mut system,
-            &defender,
-            &vector,
-            scale.jgr_capacity as u64 * 4,
-        );
-        if let Some(d) = run.detection {
-            rows.push(ResponseDelayRow {
-                interface: run.interface,
-                response_delay_us: d.response_delay.as_micros(),
-                rounds: d.rounds,
-            });
-        }
-    }
-    rows.sort_by_key(|r| std::cmp::Reverse(r.response_delay_us));
-    ResponseDelay { rows }
+    ResponseDelay::from_runs(&defense_effectiveness(scale).runs)
 }
 
 /// One Figure 8 point: attacker score vs the best benign score while that
 /// attacker was active.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Fig8Row {
     /// Vulnerability index (paper's X axis).
     pub index: usize,
@@ -231,7 +228,7 @@ pub struct Fig8Row {
 }
 
 /// Figure 8.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Fig8 {
     /// One row per known vulnerability.
     pub rows: Vec<Fig8Row>,
@@ -341,7 +338,7 @@ pub fn fig8(scale: ExperimentScale, benign_apps: usize, vectors_limit: usize) ->
 }
 
 /// One Figure 9 row: an app's suspicious-call count at one Δ.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Fig9Row {
     /// Δ in microseconds.
     pub delta_us: u64,
@@ -355,7 +352,7 @@ pub struct Fig9Row {
 
 /// Figure 9: four colluding attackers + one chatty benign app, scored at
 /// three Δ values.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Fig9 {
     /// Top-5 rows per Δ.
     pub rows: Vec<Fig9Row>,

@@ -5,12 +5,12 @@ use std::fmt::Write as _;
 use jgre_attack::{run_exhaustion_attack, AttackSample, AttackVector};
 use jgre_corpus::spec::AospSpec;
 use jgre_framework::System;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::ExperimentScale;
 
 /// One interface's exhaustion curve.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Fig3Series {
     /// `service.method`.
     pub interface: String,
@@ -21,7 +21,7 @@ pub struct Fig3Series {
 }
 
 /// Figure 3: JGR growth of all 54 vulnerable interfaces under attack.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Fig3 {
     /// One curve per interface, fastest first.
     pub series: Vec<Fig3Series>,
@@ -103,7 +103,7 @@ pub fn fig3(scale: ExperimentScale) -> Fig3 {
 
 /// Figure 5: execution time of `telephony.registry.listenForSubscriber`
 /// against the invocation index during an attack.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Fig5 {
     /// `(invocation index, execution µs)` samples.
     pub points: Vec<(u64, u64)>,
@@ -171,7 +171,7 @@ pub fn fig5(scale: ExperimentScale) -> Fig5 {
 }
 
 /// Figure 6: CDF of execution time across all vulnerable interfaces.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Fig6 {
     /// Sorted execution times, µs (the empirical CDF's x values).
     pub sorted_exec_us: Vec<u64>,

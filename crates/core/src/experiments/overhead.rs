@@ -4,12 +4,12 @@ use std::fmt::Write as _;
 
 use jgre_binder::{BinderDriver, Parcel};
 use jgre_sim::{Pid, SimClock, TraceSink, Uid};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::ExperimentScale;
 
 /// One payload point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct Fig10Row {
     /// Payload size in KiB.
     pub payload_kib: usize,
@@ -20,7 +20,7 @@ pub struct Fig10Row {
 }
 
 /// Figure 10: IPC latency vs payload, stock vs defended.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Fig10 {
     /// The sweep (1 KiB increments, as in the paper's 500 rounds).
     pub rows: Vec<Fig10Row>,

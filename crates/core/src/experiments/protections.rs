@@ -4,13 +4,13 @@ use std::fmt::Write as _;
 
 use jgre_corpus::spec::{AospSpec, Flaw, Protection};
 use jgre_framework::{CallOptions, CallStatus, FrameworkError, System};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::ExperimentScale;
 
 /// One Table II row: a helper-class-protected interface and the
 /// demonstration that the protection is client-side only.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Table2Row {
     /// Service name.
     pub service: String,
@@ -27,7 +27,7 @@ pub struct Table2Row {
 }
 
 /// Table II: interfaces protected only by service-helper classes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Table2 {
     /// The 9 rows.
     pub rows: Vec<Table2Row>,
@@ -109,7 +109,7 @@ pub fn table2(scale: ExperimentScale) -> Table2 {
 }
 
 /// One Table III row.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Table3Row {
     /// Service name.
     pub service: String,
@@ -124,7 +124,7 @@ pub struct Table3Row {
 }
 
 /// Table III: per-process server-side limits.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Table3 {
     /// The 4 rows.
     pub rows: Vec<Table3Row>,

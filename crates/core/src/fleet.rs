@@ -46,7 +46,7 @@ use jgre_corpus::spec::AospSpec;
 use jgre_defense::{DetectionOutcome, DetectionStats};
 use jgre_framework::{FrameworkError, SystemImage};
 use jgre_sim::{stream_seed, Histogram};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::{DefendedDevice, ExperimentScale};
 
@@ -105,7 +105,7 @@ impl FleetConfig {
 
 /// Everything one device run produced, handed to campaign observers
 /// before being folded into the summary and dropped.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DeviceRun {
     /// Device id within the campaign.
     pub device: u64,
@@ -131,7 +131,7 @@ pub struct DeviceRun {
 }
 
 /// Per-vector slice of a campaign.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct AttackAggregate {
     /// `service.method` label.
     pub interface: String,
@@ -154,7 +154,7 @@ pub struct AttackAggregate {
 /// depend on how devices were sharded across workers (the shard-count
 /// invariance test serialises summaries from 1/2/7 workers and compares
 /// the bytes).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct FleetSummary {
     /// Campaign seed the device streams derive from.
     pub campaign_seed: u64,

@@ -3,7 +3,7 @@
 use jgre_defense::DefenderConfig;
 use jgre_framework::SystemConfig;
 use jgre_sim::SimDuration;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Resource bounds for one experiment run.
 ///
@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// times, which protections hold, and which apps get killed — only the
 /// absolute magnitudes shrink. `paper()` is used by the benches that
 /// regenerate the published numbers; `quick()` keeps the test suite fast.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct ExperimentScale {
     /// JGR table capacity per runtime.
     pub jgr_capacity: usize,

@@ -42,7 +42,7 @@
 //!   and an unbounded store gated behind a null check
 //!   ([`ParamUsage::NullCheckGatedStore`]).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::model::{CodeModel, MethodDef, MethodId, ParamUsage};
 
@@ -50,7 +50,7 @@ use crate::model::{CodeModel, MethodDef, MethodId, ParamUsage};
 pub type Var = u32;
 
 /// Where a JGR allocation originates (the paper's §III-B entry points).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize)]
 pub enum AllocSite {
     /// Parcel unmarshalling of the binder-typed argument at this index
     /// (the `readStrongBinder` special case of §III-C.2).
@@ -64,7 +64,7 @@ pub enum AllocSite {
 }
 
 /// What kind of member storage a reference is stored into.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize)]
 pub enum FieldKind {
     /// A member collection (listener list). `bounded` is true when the
     /// store is guarded by a visible per-process bound check.
@@ -84,7 +84,7 @@ pub enum FieldKind {
 /// leak analysis turns it into per-branch predicates: the *then* edge of a
 /// bound check proves the store is capped, the *else* edge of a permission
 /// or error check is an error path that may skip a release.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub enum BranchKind {
     /// A visible per-process bound check; the *then* branch is under-limit.
     BoundCheck,

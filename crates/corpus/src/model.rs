@@ -29,22 +29,22 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::fnv;
 use crate::spec::{AospSpec, JgrBehavior, MethodSpec, Permission, Protection};
 
 /// Index of a Java method in [`CodeModel::methods`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct MethodId(pub u32);
 
 /// Index of a native function in [`CodeModel::native_functions`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct NativeFunctionId(pub u32);
 
 /// How a binder-typed parameter is used inside a method body — the fact
 /// base of the paper's sift rules 2–4.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum ParamUsage {
     /// Stored into a member collection (listener list) — retention.
     StoredInCollection,
@@ -74,7 +74,7 @@ pub enum ParamUsage {
 }
 
 /// Where a class comes from, for per-app attribution.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub enum Origin {
     /// Part of the framework / system server.
     Framework,
@@ -85,7 +85,7 @@ pub enum Origin {
 }
 
 /// One Java method.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct MethodDef {
     /// Own id (equals the index in [`CodeModel::methods`]).
     pub id: MethodId,
@@ -111,7 +111,7 @@ pub struct MethodDef {
 }
 
 /// One Java class.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct ClassDef {
     /// Fully qualified name.
     pub name: String,
@@ -127,7 +127,7 @@ pub struct ClassDef {
 }
 
 /// One native (C++) function.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct NativeFunction {
     /// Own id (equals the index in [`CodeModel::native_functions`]).
     pub id: NativeFunctionId,
@@ -151,7 +151,7 @@ pub struct NativeFunction {
 }
 
 /// One `registerNativeMethods` row: Java method ↔ native function.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct JniRegistration {
     /// Java class, e.g. `"android.os.Parcel"`.
     pub java_class: String,
@@ -162,7 +162,7 @@ pub struct JniRegistration {
 }
 
 /// The whole synthesised codebase.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct CodeModel {
     /// All Java classes.
     pub classes: Vec<ClassDef>,

@@ -26,7 +26,7 @@
 
 use std::collections::BTreeSet;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::fnv;
 
@@ -36,7 +36,7 @@ use crate::fnv;
 pub const JGR_CAP: usize = 51_200;
 
 /// Android permission protection levels relevant to the study.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub enum ProtectionLevel {
     /// Granted automatically at install time.
     Normal,
@@ -51,7 +51,7 @@ pub enum ProtectionLevel {
 /// The permissions appearing in the paper's Table I, plus the ones our
 /// catalog assigns to the Table II services (the paper does not list
 /// those; see DESIGN.md §5 for the assignment rationale).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub enum Permission {
     /// `ACCESS_FINE_LOCATION` (dangerous).
     AccessFineLocation,
@@ -117,7 +117,7 @@ impl Permission {
 
 /// How an IPC handler treats the binder objects it receives — the fact the
 /// paper's sift rules (§III-C.3) classify on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum JgrBehavior {
     /// The handler stores received binders in a member collection; the JNI
     /// global references live until the caller's process dies. **This is
@@ -149,7 +149,7 @@ impl JgrBehavior {
 }
 
 /// A flaw in a server-side protection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Flaw {
     /// `NotificationManagerService.enqueueToast` trusts the caller-supplied
     /// package name: passing `"android"` marks the toast as a system toast
@@ -158,7 +158,7 @@ pub enum Flaw {
 }
 
 /// Protection applied to an IPC method against excessive JGR requests.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub enum Protection {
     /// Nothing — Table I's 44 interfaces.
     None,
@@ -202,7 +202,7 @@ impl Protection {
 /// interface) is `base_us + slope_us_per_entry × n ± jitter_us`; the JGR
 /// entry is created `delay_us` after the handler starts (the paper's
 /// `Delay` constant of Observation 2).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct CostParams {
     /// Fixed handler cost, µs.
     pub base_us: u64,
@@ -248,7 +248,7 @@ impl CostParams {
 }
 
 /// One IPC method of a service (or of a prebuilt app's exported service).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct MethodSpec {
     /// Method name as it appears in the AIDL interface.
     pub name: String,
@@ -287,7 +287,7 @@ impl MethodSpec {
 }
 
 /// One system service (or app-exported service).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ServiceSpec {
     /// Registered name, e.g. `"clipboard"`.
     pub name: String,
@@ -326,7 +326,7 @@ impl ServiceSpec {
 }
 
 /// A prebuilt (system image) app; some export IPC services of their own.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct AppSpec {
     /// Display name, e.g. `"Bluetooth"`.
     pub name: String,
@@ -346,7 +346,7 @@ impl AppSpec {
 }
 
 /// A Google Play (third-party) app from the paper's 1000-app sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ThirdPartyAppSpec {
     /// Display name.
     pub name: String,
@@ -359,7 +359,7 @@ pub struct ThirdPartyAppSpec {
 }
 
 /// The complete ground-truth model of the analysed device image.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct AospSpec {
     /// All 104 system services.
     pub services: Vec<ServiceSpec>,

@@ -8,7 +8,7 @@ use std::rc::Rc;
 use jgre_binder::{IpcMethod, IpcRecord, LogNameId};
 use jgre_framework::{KillOutcome, System};
 use jgre_sim::{CrashPoint, Pid, SimDuration, SimTime, Uid};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::{segment_tree_scores, DefenseError, JgrMonitor, ScoreParams, ScoreReport, UidScore};
 
@@ -40,7 +40,7 @@ const COVERAGE_FLOOR: f64 = 0.95;
 
 /// Defender tuning. The defaults are the paper's deployed parameters.
 /// Algorithm 1's Δ and bin width come from [`ScoreParams::default`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DefenderConfig {
     /// Runtime starts recording JGR event times at this table size.
     pub record_threshold: usize,
@@ -84,7 +84,7 @@ impl Default for DefenderConfig {
 }
 
 /// Which ranking produced a detection's scores.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum ScoringKind {
     /// Algorithm 1 timing correlation — full confidence. The name is
     /// historical (the histogram is now a difference array); it is kept
@@ -96,7 +96,7 @@ pub enum ScoringKind {
 }
 
 /// Why a detection's confidence was reduced.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 #[non_exhaustive]
 pub enum DegradationCause {
     /// Sequence-number gaps show the scored horizon is missing too many
@@ -150,7 +150,7 @@ impl fmt::Display for DegradationCause {
 
 /// The facts of one completed detection + recovery pass (shared between
 /// full-confidence and degraded outcomes).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DetectionReport {
     /// The process whose alarm fired.
     pub victim: Pid,
@@ -187,7 +187,7 @@ pub struct DetectionReport {
 /// report plus the explicit reasons confidence was reduced — the defender
 /// states *why* instead of guessing. Both variants [`Deref`](std::ops::Deref)
 /// to [`DetectionReport`], so field access works uniformly.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum DetectionOutcome {
     /// Detection and recovery completed with full confidence.
     Full(DetectionReport),

@@ -29,7 +29,7 @@ use std::rc::Rc;
 
 use jgre_framework::{Supervisor, SupervisorConfig, System};
 use jgre_sim::{CrashPoint, Pid, SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use super::end_pass;
 use crate::checkpoint::{
@@ -62,7 +62,7 @@ impl Default for DurableConfig {
 }
 
 /// Counters describing how rough the defender's life has been.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct RecoveryStats {
     /// Times the defender process died.
     pub crashes: u64,

@@ -9,12 +9,28 @@
 //!
 //! A journal is a [`jgre_sim::record`] header with magic `JGREWAL1` and
 //! one fixed field, the base sequence `u64`, followed by one frame per
-//! record holding the record's `serde_json` encoding. The sequence
-//! number of a frame is implicit: `base + index`. Compaction (after a
-//! checkpoint) rewrites the journal to an empty log whose base is the
-//! checkpoint's sequence, so replay work stays bounded by the checkpoint
-//! interval. Rewrites replace the whole file atomically; corrupt input
-//! degrades to a shorter log, never to a panic.
+//! record. A record's payload is a tag byte, then its fields in
+//! declaration order (little-endian):
+//!
+//! ```text
+//! Event:    0 | pid u32 | kind u8 (0 add, 1 remove) | at u64
+//!             | logged_at opt | table_size u64
+//! Decision: 1 | victim u32 | completed_at u64 | count u32 | uid u32 × count
+//! ```
+//!
+//! Times are microseconds; an `opt` time is a flag byte (0 absent,
+//! 1 present) followed by the time when present. Decoding is canonical:
+//! any other tag or flag byte, a short field or a trailing byte refuses
+//! the payload, and the clean prefix ends before its frame.
+//!
+//! The sequence number of a frame is implicit: `base + index`.
+//! Compaction (after a checkpoint) rewrites the journal to an empty log
+//! whose base is the checkpoint's sequence, so replay work stays bounded
+//! by the checkpoint interval. Rewrites replace the whole file
+//! atomically; corrupt input degrades to a shorter log, never to a
+//! panic.
+
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use std::cell::RefCell;
 use std::fmt;
@@ -24,22 +40,25 @@ use std::path::{Path, PathBuf};
 use std::rc::Rc;
 
 use jgre_art::JgrEventKind;
-use jgre_sim::record::{self, HeaderError, Put};
+use jgre_sim::record::{self, Cursor, HeaderError, Put};
 use jgre_sim::{Pid, SimTime, Uid};
-use serde::{Deserialize, Serialize};
 
 use crate::DefenseError;
 
 /// Magic prefix of a journal file.
 pub const JOURNAL_MAGIC: [u8; 8] = *b"JGREWAL1";
 /// Journal schema version; bump on any layout change.
-pub const JOURNAL_SCHEMA_VERSION: u32 = 2;
-/// Sanity bound on a single frame's payload (a record is ~100 bytes).
+pub const JOURNAL_SCHEMA_VERSION: u32 = 3;
+/// Sanity bound on a single frame's payload (an event is at most 31
+/// bytes; a decision adds 4 per killed app).
 const MAX_FRAME_LEN: u32 = 1 << 20;
+
+const EVENT_TAG: u8 = 0;
+const DECISION_TAG: u8 = 1;
 
 /// One durable record: everything the defender needs to rebuild its
 /// in-memory state after a crash.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JournalRecord {
     /// One observed JGR operation, as the monitor saw it (including the
     /// fault layer's verdict on whether/how the timestamp was logged, so
@@ -67,6 +86,124 @@ pub enum JournalRecord {
         /// Apps killed, in order.
         killed: Vec<Uid>,
     },
+}
+
+impl JournalRecord {
+    /// Appends the record's payload (layout in the module docs).
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            JournalRecord::Event {
+                pid,
+                kind,
+                at,
+                logged_at,
+                table_size,
+            } => {
+                out.push(EVENT_TAG);
+                out.put_u32(pid.raw());
+                out.push(match kind {
+                    JgrEventKind::Add => 0,
+                    JgrEventKind::Remove => 1,
+                });
+                out.put_u64(at.as_micros());
+                put_opt_time(out, *logged_at);
+                out.put_u64(*table_size as u64);
+            }
+            JournalRecord::Decision {
+                victim,
+                completed_at,
+                killed,
+            } => {
+                out.push(DECISION_TAG);
+                out.put_u32(victim.raw());
+                out.put_u64(completed_at.as_micros());
+                put_count(out, killed.len());
+                for uid in killed {
+                    out.put_u32(uid.raw());
+                }
+            }
+        }
+    }
+
+    /// Decodes one payload; `None` unless it is exactly one record.
+    fn read(payload: &[u8]) -> Option<Self> {
+        let mut cur = Cursor::new(payload);
+        // A struct expression evaluates its fields in source order,
+        // which is the layout's order.
+        let record = match cur.u8()? {
+            EVENT_TAG => JournalRecord::Event {
+                pid: Pid::new(cur.u32()?),
+                kind: match cur.u8()? {
+                    0 => JgrEventKind::Add,
+                    1 => JgrEventKind::Remove,
+                    _ => return None,
+                },
+                at: read_time(&mut cur)?,
+                logged_at: read_opt_time(&mut cur)?,
+                table_size: read_size(&mut cur)?,
+            },
+            DECISION_TAG => JournalRecord::Decision {
+                victim: Pid::new(cur.u32()?),
+                completed_at: read_time(&mut cur)?,
+                killed: read_list(&mut cur, |cur| cur.u32().map(Uid::new))?,
+            },
+            _ => return None,
+        };
+        cur.done().then_some(record)
+    }
+}
+
+/// Appends a list's `u32` element count. Panics past `u32::MAX`
+/// elements, a writer bug (no frame could hold them).
+pub(crate) fn put_count(out: &mut Vec<u8>, len: usize) {
+    out.put_u32(u32::try_from(len).unwrap_or_else(|_| panic!("list too long for a record")));
+}
+
+/// Appends an optional time: a flag byte, then the time when present.
+pub(crate) fn put_opt_time(out: &mut Vec<u8>, at: Option<SimTime>) {
+    match at {
+        None => out.push(0),
+        Some(at) => {
+            out.push(1);
+            out.put_u64(at.as_micros());
+        }
+    }
+}
+
+pub(crate) fn read_time(cur: &mut Cursor<'_>) -> Option<SimTime> {
+    cur.u64().map(SimTime::from_micros)
+}
+
+/// Reads a flag byte; any value but 0 or 1 is refused.
+pub(crate) fn read_flag(cur: &mut Cursor<'_>) -> Option<bool> {
+    match cur.u8()? {
+        0 => Some(false),
+        1 => Some(true),
+        _ => None,
+    }
+}
+
+pub(crate) fn read_opt_time(cur: &mut Cursor<'_>) -> Option<Option<SimTime>> {
+    if read_flag(cur)? {
+        read_time(cur).map(Some)
+    } else {
+        Some(None)
+    }
+}
+
+/// Reads a size written as `u64`; refused when it does not fit `usize`.
+pub(crate) fn read_size(cur: &mut Cursor<'_>) -> Option<usize> {
+    usize::try_from(cur.u64()?).ok()
+}
+
+/// Reads a count-prefixed list. A count the bytes cannot back fails at
+/// the first missing element, before any allocation it could drive.
+pub(crate) fn read_list<'a, T>(
+    cur: &mut Cursor<'a>,
+    mut item: impl FnMut(&mut Cursor<'a>) -> Option<T>,
+) -> Option<Vec<T>> {
+    let count = cur.u32()?;
+    (0..count).map(|_| item(cur)).collect()
 }
 
 /// Errors from the persistence layer.
@@ -285,9 +422,8 @@ fn header_bytes(base_seq: u64) -> Vec<u8> {
 }
 
 fn encode_frame(entry: &JournalRecord) -> Vec<u8> {
-    let json = serde_json::to_vec(entry).expect("journal records always serialize");
-    let mut out = Vec::with_capacity(record::FRAME_OVERHEAD + json.len());
-    record::write_frame(&mut out, &json);
+    let mut out = Vec::new();
+    record::write_frame_with(&mut out, |out| entry.put(out));
     out
 }
 
@@ -339,7 +475,7 @@ impl Journal {
         // Every failure — an incomplete frame, a bad length or checksum,
         // an undecodable payload — ends the clean prefix right there.
         while let Ok(Some(payload)) = cur.frame(0..=MAX_FRAME_LEN) {
-            let Ok(entry) = serde_json::from_slice::<JournalRecord>(payload) else {
+            let Some(entry) = JournalRecord::read(payload) else {
                 break;
             };
             records.push((base_seq + records.len() as u64, entry));
@@ -433,6 +569,7 @@ impl Journal {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

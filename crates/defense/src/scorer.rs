@@ -12,10 +12,10 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use jgre_sim::{SimDuration, SimTime, Uid};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Tuning of one scoring pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct ScoreParams {
     /// The Δ uncertainty band (the paper's system-wide average is 1.8 ms;
     /// Figure 9 sweeps 79 µs / 1900 µs / 3583 µs).
@@ -37,7 +37,7 @@ impl Default for ScoreParams {
 }
 
 /// One app's score.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct UidScore {
     /// The app.
     pub uid: Uid,
@@ -49,7 +49,7 @@ pub struct UidScore {
 }
 
 /// Result of one scoring pass.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct ScoreReport {
     /// Scores, highest first.
     pub scores: Vec<UidScore>,

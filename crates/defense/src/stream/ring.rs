@@ -12,7 +12,7 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use super::frame::FrameReject;
 
@@ -93,7 +93,7 @@ impl BoundedRing {
 /// what the protocol refused. Merges by addition, like
 /// [`DetectionStats`](crate::DetectionStats) (which mirrors these totals
 /// at fleet level via `absorb_ingest`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct IngestStats {
     /// Frames offered by the producer.
     pub offered: u64,

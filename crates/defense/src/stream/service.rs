@@ -23,7 +23,7 @@ use std::thread;
 
 use jgre_sim::source::{EventSource, SourceConfig, SourceEventKind};
 use jgre_sim::{Histogram, SimDuration, SimTime, Uid};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use super::frame::{
     encode_checked, encode_event, stream_header, EventView, FrameDecoder, FrameReject, StreamEvent,
@@ -75,7 +75,7 @@ impl Default for ServeConfig {
 }
 
 /// One streaming detection verdict.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct StreamVerdict {
     /// Virtual time of the triggering add.
     pub at_us: u64,
@@ -90,7 +90,7 @@ pub struct StreamVerdict {
 }
 
 /// Detection-latency quantiles over every accepted add.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct LatencySummary {
     /// Adds measured.
     pub samples: u64,
@@ -116,7 +116,7 @@ impl LatencySummary {
 /// Everything one serve run produced. A pure function of the
 /// [`ServeConfig`] (excluding `threads` and `chunk_frames`, which only
 /// choose the transport).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ServeReport {
     /// The stream that was synthesized.
     pub source: SourceConfig,
@@ -503,51 +503,52 @@ pub fn run_serve_with_store(
     store: &dyn StateStore,
 ) -> Result<ServeReport, PersistError> {
     let mut defender = StreamDefender::with_store(*config, store);
-    let chunk_frames = config.chunk_frames.max(1);
+    let (source, chunk_frames) = (config.source, config.chunk_frames.max(1));
     if config.threads >= 2 {
         // The channel bounds producer run-ahead; MemoryStore is !Send, so
         // journaling stays on the consumer side.
-        let source_config = config.source;
         let (tx, rx) = mpsc::sync_channel::<Vec<u8>>(4);
         let producer = thread::spawn(move || {
-            let mut source = EventSource::new(source_config);
-            let mut chunk = stream_header();
-            let mut frames = 0usize;
-            while let Some(event) = source.next() {
-                let event = to_stream_event(&source, event.at, event.kind);
-                encode_event(&event, &mut chunk);
-                frames += 1;
-                if frames >= chunk_frames {
-                    if tx.send(std::mem::take(&mut chunk)).is_err() {
-                        return;
-                    }
-                    frames = 0;
-                }
-            }
-            if !chunk.is_empty() {
-                let _ = tx.send(chunk);
-            }
+            produce_chunks(source, chunk_frames, |chunk| tx.send(chunk).is_ok());
         });
         for chunk in rx {
             defender.ingest_bytes(&chunk);
         }
         producer.join().expect("producer thread panicked");
     } else {
-        let mut source = EventSource::new(config.source);
-        let mut chunk = stream_header();
-        let mut frames = 0usize;
-        while let Some(event) = source.next() {
-            let event = to_stream_event(&source, event.at, event.kind);
-            encode_event(&event, &mut chunk);
-            frames += 1;
-            if frames >= chunk_frames {
-                defender.ingest_bytes(&std::mem::take(&mut chunk));
-                frames = 0;
-            }
-        }
-        defender.ingest_bytes(&chunk);
+        produce_chunks(source, chunk_frames, |chunk| {
+            defender.ingest_bytes(&chunk);
+            true
+        });
     }
     defender.finish()
+}
+
+/// Synthesizes the stream `source` describes and hands it to `sink` in
+/// chunks of `chunk_frames` encoded frames, the first led by the stream
+/// header. Stops early when `sink` returns `false`.
+fn produce_chunks(
+    source: SourceConfig,
+    chunk_frames: usize,
+    mut sink: impl FnMut(Vec<u8>) -> bool,
+) {
+    let mut source = EventSource::new(source);
+    let mut chunk = stream_header();
+    let mut frames = 0usize;
+    while let Some(event) = source.next() {
+        let event = to_stream_event(&source, event.at, event.kind);
+        encode_event(&event, &mut chunk);
+        frames += 1;
+        if frames >= chunk_frames {
+            if !sink(std::mem::take(&mut chunk)) {
+                return;
+            }
+            frames = 0;
+        }
+    }
+    if !chunk.is_empty() {
+        sink(chunk);
+    }
 }
 
 /// What recovery salvaged from a stream journal.

@@ -8,7 +8,7 @@
 //! commutative, associative fold, so shard partials combine into the same
 //! totals no matter how devices were dealt to workers.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::stream::IngestStats;
 use crate::{DegradationCause, DetectionOutcome, ScoringKind};
@@ -24,7 +24,7 @@ use crate::{DegradationCause, DetectionOutcome, ScoringKind};
 /// assert_eq!(stats.outcomes, 0);
 /// assert!(stats.is_empty());
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct DetectionStats {
     /// Outcomes absorbed.
     pub outcomes: u64,

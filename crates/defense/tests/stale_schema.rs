@@ -3,8 +3,9 @@
 //! shared record codec: a journal resets, a checkpoint and a stream
 //! header are typed rejections. A version-2 checkpoint, which still
 //! carried the monitor's remove timestamps, is a typed rejection too, and
-//! recovery over it falls back to replaying the journal. The fixtures are
-//! verbatim outputs of the old writers.
+//! recovery over it falls back to replaying the journal. So are the last
+//! JSON-payload versions, a schema-2 journal and a schema-3 checkpoint.
+//! The fixtures are verbatim outputs of the old writers.
 
 use std::rc::Rc;
 
@@ -40,6 +41,23 @@ const V2_CHECKPOINT: &str = "4a475245434b503102000000dd0000007b226a6f75726e616c5
 2272656d6f76655f74696d6573223a5b31352c31385d2c22616c61726d6564223a66616c73657d5d7d2c226c617374\
 5f70617373223a5b5b34322c32305d5d7d5a12cd4215fdc98e";
 
+/// A version-2 (JSON payload) journal of the same add and decision as
+/// [`V1_JOURNAL`].
+const V2_JOURNAL: &str = "4a47524557414c310200000000000000000000004a0000007b224576656e7422\
+3a7b22706964223a34322c226b696e64223a22416464222c226174223a31302c226c6f676765645f6174223a31302c\
+227461626c655f73697a65223a343030317d7da4c31515f70d5fb53d0000007b224465636973696f6e223a7b227669\
+6374696d223a34322c22636f6d706c657465645f6174223a32302c226b696c6c6564223a5b31303036315d7d7d6a63\
+871a4c76195a";
+
+/// A version-3 (JSON payload) checkpoint: [`V2_CHECKPOINT`]'s state
+/// without the remove timestamps.
+const V3_CHECKPOINT: &str = "4a475245434b503103000000c60000007b226a6f75726e616c5f736571223a32\
+2c2274616b656e5f6174223a32302c22636f6e6669675f66696e6765727072696e74223a3632333033363236373830\
+36313433323236312c226d6f6e69746f72223a7b2277617463686573223a5b7b22706964223a34322c226375727265\
+6e74223a343332312c227265636f7264696e675f73696e6365223a31302c226164645f74696d6573223a5b31305d2c\
+22616c61726d6564223a66616c73657d5d7d2c226c6173745f70617373223a5b5b34322c32305d5d7da55b51f27768\
+ef82";
+
 /// A stream of one JGR add at 7 µs.
 const V1_STREAM: &str = "4a4752455354523101000000090000000207000000000000008237f82cdad7e8af";
 
@@ -50,19 +68,28 @@ fn bytes(hex: &str) -> Vec<u8> {
         .collect()
 }
 
-#[test]
-fn a_v1_journal_reopens_as_a_reset() {
+fn assert_reopens_as_a_reset(stale: &str) {
     let store = MemoryStore::new();
-    let v1 = bytes(V1_JOURNAL);
-    store.set_journal_bytes(v1.clone());
+    let stale = bytes(stale);
+    store.set_journal_bytes(stale.clone());
     let (journal, report) = Journal::reopen(Rc::new(store.clone())).unwrap();
     assert_eq!(report.reset_reason, Some("unknown schema version"));
     assert!(report.records.is_empty());
-    assert_eq!(report.truncated_bytes, v1.len() as u64);
+    assert_eq!(report.truncated_bytes, stale.len() as u64);
     assert_eq!(journal.next_seq(), 0);
     // The reset rewrote a current-version header.
     let (_, report) = Journal::reopen(Rc::new(store)).unwrap();
     assert_eq!(report.reset_reason, None);
+}
+
+#[test]
+fn a_v1_journal_reopens_as_a_reset() {
+    assert_reopens_as_a_reset(V1_JOURNAL);
+}
+
+#[test]
+fn a_v2_journal_reopens_as_a_reset() {
+    assert_reopens_as_a_reset(V2_JOURNAL);
 }
 
 #[test]
@@ -90,7 +117,24 @@ fn a_v2_checkpoint_is_a_bad_version() {
 }
 
 #[test]
+fn a_v3_checkpoint_is_a_bad_version() {
+    assert_eq!(
+        decode_checkpoint(&bytes(V3_CHECKPOINT)),
+        Err(CheckpointReject::BadVersion(3))
+    );
+}
+
+#[test]
 fn resume_over_a_v2_checkpoint_replays_the_journal() {
+    assert_resume_replays_the_journal_only(V2_CHECKPOINT);
+}
+
+#[test]
+fn resume_over_a_v3_checkpoint_replays_the_journal() {
+    assert_resume_replays_the_journal_only(V3_CHECKPOINT);
+}
+
+fn assert_resume_replays_the_journal_only(stale_checkpoint: &str) {
     let store = MemoryStore::new();
     let pid = Pid::new(42);
     let mut journal = Journal::create(Rc::new(store.clone())).unwrap();
@@ -103,7 +147,7 @@ fn resume_over_a_v2_checkpoint_replays_the_journal() {
             table_size,
         });
     }
-    store.set_checkpoint_bytes(Some(bytes(V2_CHECKPOINT)));
+    store.set_checkpoint_bytes(Some(bytes(stale_checkpoint)));
     let mut system = System::boot(0);
     let defender = JgreDefender::resume(
         &mut system,

@@ -12,7 +12,7 @@
 //!   shape with a JGR score instead of a memory score.
 
 use jgre_sim::{Pid, SimTime};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// `oom_score_adj` of the foreground app.
 pub const OOM_SCORE_FOREGROUND: i32 = 0;
@@ -20,7 +20,7 @@ pub const OOM_SCORE_FOREGROUND: i32 = 0;
 pub const OOM_SCORE_BACKGROUND: i32 = 900;
 
 /// LMK configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct LmkConfig {
     /// Maximum concurrently running third-party app processes before the
     /// killer starts evicting. The paper observes at most 39 of the 100
@@ -35,7 +35,7 @@ impl Default for LmkConfig {
 }
 
 /// A candidate process as the killer sees it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct LmkCandidate {
     /// Process id.
     pub pid: Pid,

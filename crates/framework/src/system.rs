@@ -15,7 +15,7 @@ use jgre_corpus::spec::{
 use jgre_sim::{
     FaultLayer, FaultPlan, Pid, SimClock, SimDuration, SimRng, SimTime, Tid, TraceSink, Uid,
 };
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::{
     select_lmk_victim, FrameworkError, LmkCandidate, LmkConfig, ProcessTable, OOM_SCORE_BACKGROUND,
@@ -48,7 +48,7 @@ pub struct SystemConfig {
 
 /// What actually happened when the framework was asked to kill an app —
 /// under fault injection, `am force-stop` is no longer guaranteed to work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum KillOutcome {
     /// The process died and its retained JGR entries were released.
     Killed,
@@ -102,7 +102,7 @@ impl CallOptions {
 /// Binder driver's transaction ledger
 /// ([`reject_counts`](jgre_binder::BinderDriver::reject_counts)), so
 /// malformed traffic is accounted for instead of panicking the simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize)]
 pub enum CallReject {
     /// The transaction code addressed no method in the service's table
     /// (`onTransact` returned `false`).
@@ -150,7 +150,7 @@ impl CallReject {
 }
 
 /// Terminal status of a dispatched call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum CallStatus {
     /// Handler ran to completion.
     Completed,
@@ -184,7 +184,7 @@ impl CallStatus {
 pub const FIRST_CALL_TRANSACTION: u32 = 1;
 
 /// Result of one dispatched IPC call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct CallOutcome {
     /// Completion status.
     pub status: CallStatus,
@@ -202,7 +202,7 @@ pub struct CallOutcome {
 }
 
 /// Public snapshot of a registered service.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct ServiceInfo {
     /// Registered name.
     pub name: String,
@@ -1864,7 +1864,7 @@ impl System {
 /// Restart policy for a supervised system service (`init`-style): how
 /// many times in a row a crashing service may be restarted, and how the
 /// restart backoff grows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct SupervisorConfig {
     /// Consecutive crashes tolerated before the supervisor gives up (a
     /// healthy run of the service resets the count, as Android's init

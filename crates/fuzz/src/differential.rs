@@ -21,13 +21,13 @@ use std::collections::BTreeSet;
 
 use jgre_analysis::{predicted_leaks, Diagnostic};
 use jgre_core::ExperimentScale;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::engine::{replay_probe, LEAK_THRESHOLD};
 use crate::report::{FuzzReport, MinimizedRepro};
 
 /// A leak both analyses agree on.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct AgreedFinding {
     /// Service name.
     pub service: String,
@@ -37,7 +37,7 @@ pub struct AgreedFinding {
 
 /// A dynamically proven leak the static lint missed — a sift-rule
 /// regression fixture.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct FuzzOnlyFinding {
     /// Service name.
     pub service: String,
@@ -53,7 +53,7 @@ pub struct FuzzOnlyFinding {
 }
 
 /// A lint prediction the fuzzer did not report, replayed dynamically.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct LintOnlyFinding {
     /// Service name.
     pub service: String,
@@ -68,7 +68,7 @@ pub struct LintOnlyFinding {
 }
 
 /// The full differential report.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct DifferentialReport {
     /// Leaks both analyses found, sorted by (service, method).
     pub agreed: Vec<AgreedFinding>,
@@ -131,7 +131,7 @@ impl DifferentialReport {
 /// The combined artifact `jgre fuzz --out` writes: the fuzz report plus
 /// its differential cross-check, serialized together so one file pins
 /// both.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FuzzArtifact {
     /// The campaign report.
     pub fuzz: FuzzReport,

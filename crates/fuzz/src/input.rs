@@ -7,7 +7,7 @@
 //! cursor determinism contract).
 
 use jgre_sim::SimRng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One value the client writes into the transaction parcel.
 ///
@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// never read the second slot — unread trailing data is ignored, as in
 /// `android.os.Parcel`). Every other op is a deviation the hardened
 /// dispatch must reject with a typed reason.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum ParcelOp {
     /// The caller's real package name.
     Package,
@@ -54,7 +54,7 @@ impl ParcelOp {
 ///
 /// `clone_from` reuses the target's recipe storage, so a mutation loop
 /// can copy corpus entries into one working input without allocating.
-#[derive(Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Eq, Serialize)]
 pub struct FuzzInput {
     /// Raw transaction code (1-based; out-of-table codes are themselves
     /// a mutation).

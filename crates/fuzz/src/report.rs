@@ -7,10 +7,10 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// How a leaking interface manifested dynamically.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize)]
 pub enum LeakSignature {
     /// Every well-formed call grew the host's JGR table and survived GC:
     /// unbounded per-call retention (Table I / Table II rows).
@@ -32,7 +32,7 @@ impl LeakSignature {
 }
 
 /// The shortest reproducing input a finding was minimized to.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct MinimizedRepro {
     /// Raw transaction code to send.
     pub code: u32,
@@ -45,7 +45,7 @@ pub struct MinimizedRepro {
 
 /// One GC-verified leaking interface, deduplicated by
 /// `(service, method, signature)`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Finding {
     /// Registered service name.
     pub service: String,
@@ -68,7 +68,7 @@ pub struct Finding {
 }
 
 /// Edge-coverage summary over `(service, method, outcome)` triples.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct CoverageSummary {
     /// Distinct `(service, method, outcome)` edges observed.
     pub edges: usize,
@@ -92,7 +92,7 @@ impl CoverageSummary {
 }
 
 /// The full deterministic fuzz report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FuzzReport {
     /// Campaign seed.
     pub seed: u64,

@@ -15,10 +15,10 @@ use std::rc::Rc;
 use jgre_defense::{DefenseError, JgrMonitor};
 use jgre_framework::System;
 use jgre_sim::{Pid, SimDuration, SimTime, Uid};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Outcome of one call-count detection pass.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct CallCountDetection {
     /// The alarmed process.
     pub victim: Pid,

@@ -5,7 +5,7 @@ use std::fmt;
 use std::ops::{Add, AddAssign, Mul, Sub};
 use std::rc::Rc;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// An instant on the simulation timeline, in microseconds since boot.
 ///
@@ -22,9 +22,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(t.as_micros(), 2_000_000);
 /// assert_eq!(t - SimTime::ZERO, SimDuration::from_secs(2));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
 pub struct SimTime(u64);
 
 impl SimTime {
@@ -79,9 +77,7 @@ impl fmt::Display for SimTime {
 /// assert_eq!(SimDuration::from_millis(3).as_micros(), 3_000);
 /// assert_eq!(SimDuration::from_millis(2) * 4, SimDuration::from_millis(8));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
 pub struct SimDuration(u64);
 
 impl SimDuration {

@@ -32,12 +32,12 @@ use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::{SimDuration, SimRng, SimTime};
 
 /// The fault channels the layer can inject, one per defender assumption.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub enum FaultKind {
     /// An IPC transaction is routed but its log record is lost.
     IpcDrop,
@@ -108,7 +108,7 @@ impl fmt::Display for FaultKind {
 }
 
 /// How hard a fault channel is driven.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub enum FaultIntensity {
     /// Channel disabled.
     Off,
@@ -181,7 +181,7 @@ impl fmt::Display for FaultIntensity {
 /// [`crash_point`](FaultPlan::crash_point) can pin the channel to one
 /// boundary so a schedule deterministically kills the defender at, say,
 /// exactly the kill loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub enum CrashPoint {
     /// An alarm was picked up but no work has happened yet.
     PollStart,
@@ -228,7 +228,7 @@ impl fmt::Display for CrashPoint {
 
 /// Declarative fault configuration: one probability (and where needed a
 /// magnitude) per channel. All probabilities are per-opportunity.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct FaultPlan {
     /// Probability an IPC record is dropped from the driver log.
     pub ipc_drop: f64,
@@ -423,7 +423,7 @@ pub enum JgrLogAction {
 }
 
 /// Counters of injected faults, by channel.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct FaultStats {
     /// IPC records dropped.
     pub ipc_dropped: u64,

@@ -16,7 +16,7 @@
 //! always produce the identical sequence — the property the `jgre serve`
 //! byte-reproducibility smoke test rests on.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::{EventQueue, SimDuration, SimRng, SimTime, Uid};
 
@@ -45,7 +45,7 @@ pub struct SourceEvent {
 }
 
 /// Tuning of one synthetic stream.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct SourceConfig {
     /// RNG seed; the stream is a pure function of the whole config.
     pub seed: u64,

@@ -5,10 +5,10 @@
 //! delays). This module centralises that arithmetic so every figure uses
 //! the same definitions.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Summary of a numeric sample set.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Summary {
     /// Sample count.
     pub count: usize,
@@ -44,7 +44,7 @@ pub struct Summary {
 /// assert_eq!(summary.min, 1);
 /// assert!((summary.mean - 50.5).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct Samples {
     values: Vec<u64>,
     sorted: bool,
@@ -171,7 +171,7 @@ pub const HISTOGRAM_BINS: usize = 65;
 /// assert_eq!(merged.min(), Some(3));
 /// assert_eq!(merged.max(), Some(1_000));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Histogram {
     /// Per-bin counts (`bins[0]` = zeros, `bins[k]` = `[2^(k-1), 2^k)`).
     bins: Vec<u64>,

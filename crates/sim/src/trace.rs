@@ -3,12 +3,12 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::{Pid, SimTime, Uid};
 
 /// A single labelled trace record.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct TraceEvent {
     /// When the event happened on the virtual timeline.
     pub at: SimTime,

@@ -1,14 +1,68 @@
 //! Serialization round-trips for the fault-injection plan.
 //!
-//! `FaultPlan` travels: it is embedded in chaos-matrix artifacts, CLI
-//! JSON output, and (via the crash-consistent defender's journal crate)
-//! on-disk state. Any field that fails to round-trip through JSON would
-//! silently re-run a different experiment, so every representable plan —
-//! including the budget sentinels and the optional crash pin — must come
-//! back bit-identical.
+//! `FaultPlan` is embedded in chaos-matrix artifacts and CLI JSON
+//! output. A field whose rendered JSON does not read back as written
+//! would describe a different experiment than the one that ran, so for
+//! every representable plan — including the budget sentinels and the
+//! optional crash pin — the JSON must parse back into the same value
+//! tree, and every probability's number into the same `f64` bits.
 
 use jgre_sim::{CrashPoint, FaultIntensity, FaultKind, FaultPlan, SimDuration};
 use proptest::prelude::*;
+use serde::Serialize;
+
+/// Compact and pretty JSON both parse back into the plan's value tree,
+/// and each `f64` field bit for bit.
+fn check_round_trip(plan: &FaultPlan) -> Result<(), TestCaseError> {
+    // Destructured, so a new probability cannot be left unchecked.
+    let FaultPlan {
+        ipc_drop,
+        ipc_duplicate,
+        ipc_delay,
+        ipc_delay_max: _,
+        ipc_reorder,
+        jgr_truncate,
+        jgr_corrupt,
+        jgr_corrupt_max: _,
+        clock_jitter,
+        clock_jitter_max: _,
+        kill_fail,
+        kill_fail_budget: _,
+        kill_respawn,
+        crash,
+        crash_budget: _,
+        crash_point: _,
+    } = *plan;
+    let floats = [
+        ("ipc_drop", ipc_drop),
+        ("ipc_duplicate", ipc_duplicate),
+        ("ipc_delay", ipc_delay),
+        ("ipc_reorder", ipc_reorder),
+        ("jgr_truncate", jgr_truncate),
+        ("jgr_corrupt", jgr_corrupt),
+        ("clock_jitter", clock_jitter),
+        ("kill_fail", kill_fail),
+        ("kill_respawn", kill_respawn),
+        ("crash", crash),
+    ];
+    let tree = plan.to_value();
+    for json in [
+        serde_json::to_string(plan).expect("plans serialize"),
+        serde_json::to_string_pretty(plan).expect("plans serialize"),
+    ] {
+        let parsed = serde_json::from_str(&json).expect("plan JSON parses");
+        prop_assert_eq!(&parsed, &tree);
+        for (name, value) in floats {
+            prop_assert_eq!(
+                parsed[name].as_f64().map(f64::to_bits),
+                Some(value.to_bits()),
+                "{}",
+                name
+            );
+        }
+    }
+    Ok(())
+}
 
 fn plan_strategy() -> impl Strategy<Value = FaultPlan> {
     let point = prop_oneof![
@@ -54,13 +108,7 @@ proptest! {
     /// `u32::MAX` budget sentinels and the crash-point pin.
     #[test]
     fn fault_plan_round_trips_through_json(plan in plan_strategy()) {
-        let compact = serde_json::to_string(&plan).expect("plans serialize");
-        let back: FaultPlan = serde_json::from_str(&compact).expect("plans deserialize");
-        prop_assert_eq!(back, plan);
-
-        let pretty = serde_json::to_string_pretty(&plan).expect("plans serialize");
-        let back: FaultPlan = serde_json::from_str(&pretty).expect("plans deserialize");
-        prop_assert_eq!(back, plan);
+        check_round_trip(&plan)?;
     }
 }
 
@@ -74,15 +122,9 @@ fn every_intensity_of_every_kind_round_trips() {
             FaultIntensity::Severe,
         ] {
             let plan = FaultPlan::single(kind, intensity);
-            let json = serde_json::to_string(&plan).unwrap();
-            let back: FaultPlan = serde_json::from_str(&json).unwrap();
-            assert_eq!(
-                back,
-                plan,
-                "{}/{} must round-trip",
-                kind.name(),
-                intensity.name()
-            );
+            if let Err(e) = check_round_trip(&plan) {
+                panic!("{}/{} must round-trip: {e}", kind.name(), intensity.name());
+            }
         }
     }
 }

@@ -173,7 +173,7 @@ fn lint_prints_the_summary_footer_on_stderr() {
     let out = jgre().arg("lint").output().expect("binary runs");
     assert!(out.status.success());
     // The footer must not pollute the SARIF stdout stream.
-    serde_json::from_slice::<serde_json::Value>(&out.stdout).expect("stdout is pure JSON");
+    serde_json::from_slice(&out.stdout).expect("stdout is pure JSON");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
         stderr.contains("summaries: 3732 (hits 0, misses 3732)"),
@@ -212,7 +212,7 @@ fn lint_cache_dir_roundtrips_with_identical_findings() {
         cold_out == std::fs::read(golden).expect("golden artifact committed"),
         "`jgre lint --cache-dir` differs from artifacts/lint_sarif.json"
     );
-    let json = |out: &[u8]| serde_json::from_slice::<serde_json::Value>(out).expect("valid JSON");
+    let json = |out: &[u8]| serde_json::from_slice(out).expect("valid JSON");
     let (cold, warm) = (json(&cold_out), json(&warm_out));
     assert!(cold_err.contains("misses 3732"), "{cold_err}");
     assert!(warm_err.contains("(hits 3732, misses 0)"), "{warm_err}");
