@@ -3,7 +3,7 @@
 //! 1. **Histogram structures** for Algorithm 1 across Δ widths and bin
 //!    widths: the deployed difference array (two writes per vote), §V-D.2's
 //!    lazy segment tree (O(log bins) per vote) and the naive flat array
-//!    (one write per bin the vote covers).
+//!    (one write per bin the vote covers). Timed on stdout only.
 //! 2. **Alarm-threshold sensitivity**: how the record/trigger thresholds
 //!    move the detection point (calls survived before the alarm).
 //! 3. **Δ sensitivity** of the attacker/benign score separation (the
@@ -13,9 +13,10 @@
 //! 5. **Multi-path evasion (§VI)**: rotating execution paths dilutes the
 //!    single-bucket correlator's score; path classification restores it.
 
-use criterion::{criterion_group, BenchmarkId, Criterion};
+use std::hint::black_box;
+
 use jgre_attack::{run_interleaved, Actor, ActorKind, AttackVector};
-use jgre_bench::{artifacts_enabled, write_artifact};
+use jgre_bench::{artifacts_enabled, min_time_ms, write_artifact};
 use jgre_corpus::spec::AospSpec;
 use jgre_defense::{segment_tree_scores, DefenderConfig, JgreDefender, ScoreParams};
 use jgre_framework::{CallOptions, CallStatus, System, SystemConfig};
@@ -357,38 +358,47 @@ fn segment_tree_total(ipc: &IpcByUid, jgr: &[SimTime], p: ScoreParams) -> u64 {
     total
 }
 
-fn bench_histograms(c: &mut Criterion) {
+/// Runs per cell and arm of the histogram table; the table reports the
+/// best of them.
+const HISTOGRAM_RUNS: usize = 20;
+
+/// Ablation 1's timings: batch Algorithm 1 over the 8000-add fixture
+/// with each histogram structure, printed on stdout.
+fn time_histograms() {
     let (ipc, jgr) = fixture(8_000);
-    let mut group = c.benchmark_group("algorithm1_histogram");
-    group.sample_size(20);
+    println!(
+        "Algorithm 1 histogram structures, 8000-add fixture \
+         (wall clock, best of {HISTOGRAM_RUNS} runs, ms)"
+    );
+    println!(
+        "{:>6} {:>6} {:>6} {:>9} {:>12} {:>9}",
+        "bin µs", "Δ µs", "Δ/bin", "deployed", "segment tree", "naive"
+    );
     for bin_us in [25u64, 50, 100] {
         for delta_us in [79u64, 1_800, 3_583] {
-            let params = ScoreParams {
+            let p = ScoreParams {
                 delta: SimDuration::from_micros(delta_us),
                 bin: SimDuration::from_micros(bin_us),
                 ..ScoreParams::default()
             };
-            let at = format!("bin{bin_us}us_delta{delta_us}us");
-            group.bench_with_input(BenchmarkId::new("deployed", &at), &params, |b, p| {
-                b.iter(|| segment_tree_scores(std::hint::black_box(&ipc), &jgr, *p));
+            let deployed = min_time_ms(HISTOGRAM_RUNS, || {
+                black_box(segment_tree_scores(black_box(&ipc), &jgr, p));
             });
-            group.bench_with_input(BenchmarkId::new("segment_tree", &at), &params, |b, p| {
-                b.iter(|| segment_tree_total(std::hint::black_box(&ipc), &jgr, *p));
+            let tree = min_time_ms(HISTOGRAM_RUNS, || {
+                black_box(segment_tree_total(black_box(&ipc), &jgr, p));
             });
-            group.bench_with_input(BenchmarkId::new("naive", &at), &params, |b, p| {
-                b.iter(|| naive_scores(std::hint::black_box(&ipc), &jgr, *p));
+            let naive = min_time_ms(HISTOGRAM_RUNS, || {
+                black_box(naive_scores(black_box(&ipc), &jgr, p));
             });
+            println!(
+                "{bin_us:>6} {delta_us:>6} {:>6} {deployed:>9.3} {tree:>12.3} {naive:>9.3}",
+                delta_us / bin_us
+            );
         }
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench_histograms);
 
 fn main() {
     generate_artifacts();
-    benches();
-    criterion::Criterion::default()
-        .configure_from_args()
-        .final_summary();
+    time_histograms();
 }

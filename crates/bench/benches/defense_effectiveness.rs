@@ -1,11 +1,10 @@
 //! §V-C at paper scale: the JGRE Defender must stop all 57 identified
 //! attacks without a single soft reboot.
 
-use criterion::{criterion_group, Criterion};
 use jgre_bench::{artifacts_enabled, write_artifact};
 use jgre_core::{experiments, ExperimentScale};
 
-fn generate_artifacts() {
+fn main() {
     if !artifacts_enabled() {
         return;
     }
@@ -22,23 +21,4 @@ fn generate_artifacts() {
             .map(|r| r.interface.clone())
             .collect::<Vec<_>>()
     );
-}
-
-fn bench_effectiveness_quick(c: &mut Criterion) {
-    let mut group = c.benchmark_group("defense");
-    group.sample_size(10);
-    group.bench_function("all_57_vectors_quick_scale", |b| {
-        b.iter(|| experiments::defense_effectiveness(ExperimentScale::quick()));
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_effectiveness_quick);
-
-fn main() {
-    generate_artifacts();
-    benches();
-    criterion::Criterion::default()
-        .configure_from_args()
-        .final_summary();
 }

@@ -1,14 +1,10 @@
 //! Figure 3: JGR growth curves for all 54 vulnerable interfaces at the
-//! real 51200-entry capacity, plus a single-exhaustion kernel benchmark.
+//! real 51200-entry capacity.
 
-use criterion::{criterion_group, Criterion};
-use jgre_attack::{run_exhaustion_attack, AttackVector};
 use jgre_bench::{artifacts_enabled, write_artifact};
 use jgre_core::{experiments, ExperimentScale};
-use jgre_corpus::spec::AospSpec;
-use jgre_framework::{System, SystemConfig};
 
-fn generate_artifacts() {
+fn main() {
     if !artifacts_enabled() {
         return;
     }
@@ -30,31 +26,4 @@ fn generate_artifacts() {
         "slowest {}s",
         fig3.slowest_secs()
     );
-}
-
-fn bench_exhaustion(c: &mut Criterion) {
-    let spec = AospSpec::android_6_0_1();
-    let vector = AttackVector::service_vectors(&spec)
-        .into_iter()
-        .find(|v| v.service == "clipboard")
-        .expect("clipboard is vulnerable");
-    c.bench_function("exhaust_3200_entry_table", |b| {
-        b.iter(|| {
-            let mut system = System::boot_with(SystemConfig {
-                jgr_capacity: Some(3_200),
-                ..SystemConfig::default()
-            });
-            run_exhaustion_attack(&mut system, &vector, 10_000, 400)
-        });
-    });
-}
-
-criterion_group!(benches, bench_exhaustion);
-
-fn main() {
-    generate_artifacts();
-    benches();
-    criterion::Criterion::default()
-        .configure_from_args()
-        .final_summary();
 }

@@ -1,14 +1,11 @@
 //! Figure 4: the benign top-300-apps baseline at paper scale (Observation
-//! 1), plus a benign-session kernel benchmark.
+//! 1).
 
-use criterion::{criterion_group, Criterion};
-use jgre_attack::{BenignWorkload, BenignWorkloadConfig};
 use jgre_bench::{artifacts_enabled, write_artifact};
 use jgre_core::{experiments, ExperimentScale};
-use jgre_framework::{System, STOCK_PROCESS_COUNT};
-use jgre_sim::SimDuration;
+use jgre_framework::STOCK_PROCESS_COUNT;
 
-fn generate_artifacts() {
+fn main() {
     if !artifacts_enabled() {
         return;
     }
@@ -22,34 +19,4 @@ fn generate_artifacts() {
     );
     assert!(fig4.proc_min >= STOCK_PROCESS_COUNT);
     assert!(fig4.proc_max <= STOCK_PROCESS_COUNT + 39);
-}
-
-fn bench_benign_session(c: &mut Criterion) {
-    c.bench_function("benign_workload_20_apps", |b| {
-        b.iter(|| {
-            let mut system = System::boot(7);
-            system.driver_mut().set_log_enabled(false);
-            let mut workload = BenignWorkload::new(
-                BenignWorkloadConfig {
-                    apps: 20,
-                    apps_per_round: 20,
-                    session: SimDuration::from_secs(15),
-                    calls_per_session: 15,
-                    sample_every: SimDuration::from_secs(30),
-                },
-                7,
-            );
-            workload.run(&mut system)
-        });
-    });
-}
-
-criterion_group!(benches, bench_benign_session);
-
-fn main() {
-    generate_artifacts();
-    benches();
-    criterion::Criterion::default()
-        .configure_from_args()
-        .final_summary();
 }

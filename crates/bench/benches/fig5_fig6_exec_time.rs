@@ -2,12 +2,10 @@
 //! a full attack, and the execution-time CDF of all 54 interfaces over
 //! 1000 calls each — the paper's protocol, at paper scale.
 
-use criterion::{criterion_group, Criterion};
 use jgre_bench::{artifacts_enabled, write_artifact};
 use jgre_core::{experiments, ExperimentScale};
-use jgre_framework::{CallOptions, System};
 
-fn generate_artifacts() {
+fn main() {
     if !artifacts_enabled() {
         return;
     }
@@ -36,42 +34,4 @@ fn generate_artifacts() {
         "p100 {}µs",
         fig6.percentile(100)
     );
-}
-
-fn bench_ipc_call(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ipc_call");
-    group.bench_function("vulnerable_handler", |b| {
-        let mut system = System::boot(3);
-        let app = system.install_app("com.bench", []);
-        b.iter(|| {
-            system
-                .call_service(
-                    app,
-                    "clipboard",
-                    "addPrimaryClipChangedListener",
-                    CallOptions::default(),
-                )
-                .expect("clipboard registered")
-        });
-    });
-    group.bench_function("innocent_handler", |b| {
-        let mut system = System::boot(3);
-        let app = system.install_app("com.bench", []);
-        b.iter(|| {
-            system
-                .call_service(app, "clipboard", "getState", CallOptions::default())
-                .expect("innocent method exists")
-        });
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_ipc_call);
-
-fn main() {
-    generate_artifacts();
-    benches();
-    criterion::Criterion::default()
-        .configure_from_args()
-        .final_summary();
 }

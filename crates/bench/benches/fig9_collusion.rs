@@ -1,11 +1,10 @@
 //! Figure 9: four colluding attackers + one chatty benign app, scored at
 //! Δ ∈ {79, 1900, 3583} µs, at paper scale.
 
-use criterion::{criterion_group, Criterion};
 use jgre_bench::{artifacts_enabled, write_artifact};
 use jgre_core::{experiments, ExperimentScale};
 
-fn generate_artifacts() {
+fn main() {
     if !artifacts_enabled() {
         return;
     }
@@ -18,23 +17,4 @@ fn generate_artifacts() {
             fig9.render()
         );
     }
-}
-
-fn bench_collusion_round(c: &mut Criterion) {
-    let mut group = c.benchmark_group("collusion");
-    group.sample_size(10);
-    group.bench_function("fig9_quick_scale_end_to_end", |b| {
-        b.iter(|| experiments::fig9(ExperimentScale::quick()));
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_collusion_round);
-
-fn main() {
-    generate_artifacts();
-    benches();
-    criterion::Criterion::default()
-        .configure_from_args()
-        .final_summary();
 }

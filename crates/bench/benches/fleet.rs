@@ -14,10 +14,8 @@
 //!    the speedup assert is skipped — sharding cannot beat physics — but
 //!    both configurations still run and must agree.
 
-use std::hint::black_box;
 use std::time::Instant;
 
-use criterion::{criterion_group, Criterion};
 use jgre_bench::{artifacts_enabled, write_artifact};
 use jgre_core::fleet::FleetConfig;
 use jgre_core::{run_campaign, ExperimentScale, FleetSummary};
@@ -47,17 +45,10 @@ struct FleetArtifact {
     exhausted: u64,
 }
 
-fn bench_fleet(c: &mut Criterion) {
-    // Criterion samples on a small campaign so iteration stays cheap; the
-    // 10⁴-device pin below runs each configuration once.
-    let mut group = c.benchmark_group("fleet");
-    group.sample_size(10);
-    group.bench_function("campaign_500_devices_1t", |b| {
-        b.iter(|| campaign(black_box(500), 1));
-    });
-    group.finish();
-
+fn main() {
     let hardware_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    // A short untimed campaign, so the pinned runs time a warm process.
+    campaign(500, 1);
 
     let start = Instant::now();
     let summary_1t = campaign(PIN_DEVICES, 1);
@@ -121,13 +112,4 @@ fn bench_fleet(c: &mut Criterion) {
     if artifacts_enabled() {
         write_artifact("fleet_throughput", &artifact, &rendered);
     }
-}
-
-criterion_group!(benches, bench_fleet);
-
-fn main() {
-    benches();
-    criterion::Criterion::default()
-        .configure_from_args()
-        .final_summary();
 }

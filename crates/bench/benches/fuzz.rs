@@ -13,10 +13,8 @@
 //! 3. **Discovery** — the benchmark-scale budget already rediscovers
 //!    leaking interfaces, so the artifact pins execs-to-first-leak.
 
-use std::hint::black_box;
 use std::time::Instant;
 
-use criterion::{criterion_group, Criterion};
 use jgre_bench::{artifacts_enabled, write_artifact};
 use jgre_core::ExperimentScale;
 use jgre_fuzz::{run_fuzz, FuzzConfig};
@@ -44,19 +42,14 @@ struct FuzzThroughputArtifact {
     execs_to_first_leak: Option<u64>,
 }
 
-fn bench_fuzz(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fuzz");
-    group.sample_size(10);
-    group.bench_function("campaign_2k_execs", |b| {
-        let mut config = FuzzConfig::new(ExperimentScale::quick());
-        config.seed = 7;
-        config.iters = 2_000;
-        b.iter(|| run_fuzz(black_box(&config)));
-    });
-    group.finish();
-
+fn main() {
     // --- sustained throughput + thread-count invariance --------------
     let config = pin_config();
+    // A short untimed campaign, so the pinned runs time a warm process.
+    run_fuzz(&FuzzConfig {
+        iters: 2_000,
+        ..config.clone()
+    });
     let start = Instant::now();
     let report_1t = run_fuzz(&config);
     let fuzz_1t_s = start.elapsed().as_secs_f64();
@@ -128,13 +121,4 @@ fn bench_fuzz(c: &mut Criterion) {
     if artifacts_enabled() {
         write_artifact("fuzz_throughput", &artifact, &rendered);
     }
-}
-
-criterion_group!(benches, bench_fuzz);
-
-fn main() {
-    benches();
-    criterion::Criterion::default()
-        .configure_from_args()
-        .final_summary();
 }

@@ -3,42 +3,16 @@
 //! warm (second run, pure Tier A hit) vs a one-method edit (Tier A
 //! delta), plus the uncached baseline for reference.
 //! The acceptance bar from DESIGN.md §7 is warm ≥ 10x faster than cold
-//! on an unchanged corpus, asserted here on manually timed runs so the
-//! artifact records the actual ratio, not just criterion's per-bench
-//! medians.
+//! on an unchanged corpus, asserted here on best-of-k timed runs so the
+//! artifact records the actual ratio.
 
 use std::hint::black_box;
 use std::path::PathBuf;
-use std::time::Instant;
 
-use criterion::{criterion_group, BatchSize, Criterion};
 use jgre_analysis::{AnalysisOptions, LeakChecker, CACHE_FILE};
-use jgre_bench::{artifacts_enabled, write_artifact};
-use jgre_corpus::{spec::AospSpec, CodeModel, MethodId, ParamUsage};
+use jgre_bench::{amplify, artifacts_enabled, min_time_ms, write_artifact};
+use jgre_corpus::{spec::AospSpec, CodeModel, ParamUsage};
 use serde::Serialize;
-
-/// Replicates every method `copies` times with suffixed class names and
-/// offset call ids, so the summary engine sees a corpus several times
-/// the AOSP seed while every fact fingerprint stays distinct. The
-/// replicas are plain Java methods (the `(class, name)` specials in
-/// body synthesis no longer match), but their binder params still drive
-/// real allocation-site dataflow.
-fn amplify(base: &CodeModel, copies: usize) -> CodeModel {
-    let n = base.methods.len();
-    let mut model = base.clone();
-    for j in 1..copies {
-        for def in &base.methods {
-            let mut copy = def.clone();
-            copy.id = MethodId((def.id.0 as usize + j * n) as u32);
-            copy.class = format!("{}__copy{j}", def.class);
-            for callee in copy.calls.iter_mut().chain(copy.handler_posts.iter_mut()) {
-                *callee = MethodId((callee.0 as usize + j * n) as u32);
-            }
-            model.methods.push(copy);
-        }
-    }
-    model
-}
 
 /// Flip the first binder param of one replica: the smallest edit that
 /// actually changes a fact fingerprint and a summary.
@@ -58,16 +32,6 @@ fn edit_one_method(model: &CodeModel) -> CodeModel {
     edited
 }
 
-fn min_time_ms(runs: usize, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..runs {
-        let start = Instant::now();
-        f();
-        best = best.min(start.elapsed().as_secs_f64() * 1e3);
-    }
-    best
-}
-
 #[derive(Debug, Serialize)]
 struct IncrementalArtifact {
     methods: usize,
@@ -79,7 +43,7 @@ struct IncrementalArtifact {
     edit_speedup: f64,
 }
 
-fn bench_incremental(c: &mut Criterion) {
+fn main() {
     let base = CodeModel::synthesize(&AospSpec::android_6_0_1());
     let model = amplify(&base, 4);
     let edited = edit_one_method(&model);
@@ -100,36 +64,7 @@ fn bench_incremental(c: &mut Criterion) {
     );
     assert_eq!(warm.stats.cache_misses, 0, "second run must be a pure hit");
 
-    let mut group = c.benchmark_group("incremental");
-    group.sample_size(10);
-    // Cold = the first run against an empty cache dir: computes every
-    // summary, derives every SCC key, and writes the file.
-    group.bench_function("cold", |b| {
-        b.iter_batched(
-            || std::fs::remove_file(dir.join(CACHE_FILE)).unwrap(),
-            |()| black_box(&checker).analyze_with(&cached),
-            BatchSize::PerIteration,
-        );
-    });
-    group.bench_function("warm", |b| {
-        b.iter(|| black_box(&checker).analyze_with(&cached));
-    });
-    // Each edited run rewrites the cache file for the edited corpus, so
-    // the pristine bytes are restored outside the timed region.
-    group.bench_function("one_method_edit", |b| {
-        b.iter_batched(
-            || std::fs::write(dir.join(CACHE_FILE), &pristine).unwrap(),
-            |()| LeakChecker::new(black_box(&edited)).analyze_with(&cached),
-            BatchSize::PerIteration,
-        );
-    });
-    group.bench_function("uncached", |b| {
-        b.iter(|| black_box(&checker).analyze_with(&cold_options));
-    });
-    group.finish();
-
-    // The acceptance ratio, measured directly (the vendored criterion
-    // exposes no estimates): best-of-k to shave scheduler noise.
+    // The acceptance ratio: best-of-k to shave scheduler noise.
     let cold_ms = min_time_ms(3, || {
         std::fs::remove_file(dir.join(CACHE_FILE)).unwrap();
         black_box(checker.analyze_with(&cached));
@@ -172,13 +107,4 @@ fn bench_incremental(c: &mut Criterion) {
     if artifacts_enabled() {
         write_artifact("incremental_cache", &artifact, &rendered);
     }
-}
-
-criterion_group!(benches, bench_incremental);
-
-fn main() {
-    benches();
-    criterion::Criterion::default()
-        .configure_from_args()
-        .final_summary();
 }

@@ -6,35 +6,13 @@
 //! DESIGN.md §10 is predicate lattice < 2x the boolean solver.
 
 use std::hint::black_box;
-use std::time::Instant;
 
-use criterion::{criterion_group, Criterion};
 use jgre_analysis::dataflow::JoinSemiLattice;
 use jgre_analysis::{intra_solver_cost, BlockId, Cfg, ForwardAnalysis, Solver, Stmt};
-use jgre_bench::{artifacts_enabled, write_artifact};
+use jgre_bench::{amplify, artifacts_enabled, min_time_ms, write_artifact};
 use jgre_corpus::body::{FieldKind, MethodBody, Place, Var};
 use jgre_corpus::{spec::AospSpec, CodeModel, MethodId};
 use serde::Serialize;
-
-/// Replicates every method `copies` times with suffixed class names and
-/// offset call ids — the same amplification as the incremental bench, so
-/// both solver benchmarks report over the same ~15k-method corpus.
-fn amplify(base: &CodeModel, copies: usize) -> CodeModel {
-    let n = base.methods.len();
-    let mut model = base.clone();
-    for j in 1..copies {
-        for def in &base.methods {
-            let mut copy = def.clone();
-            copy.id = MethodId((def.id.0 as usize + j * n) as u32);
-            copy.class = format!("{}__copy{j}", def.class);
-            for callee in copy.calls.iter_mut().chain(copy.handler_posts.iter_mut()) {
-                *callee = MethodId((callee.0 as usize + j * n) as u32);
-            }
-            model.methods.push(copy);
-        }
-    }
-    model
-}
 
 /// The boolean-era abstract state: one `guard` bit where the production
 /// lattice tracks a `PredSet` per path and per site. Var states are the
@@ -256,16 +234,6 @@ fn bool_solver_cost(model: &CodeModel) -> u64 {
     reached
 }
 
-fn min_time_ms(runs: usize, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..runs {
-        let start = Instant::now();
-        f();
-        best = best.min(start.elapsed().as_secs_f64() * 1e3);
-    }
-    best
-}
-
 #[derive(Debug, Serialize)]
 struct PathsenseArtifact {
     methods: usize,
@@ -274,20 +242,13 @@ struct PathsenseArtifact {
     overhead: f64,
 }
 
-fn bench_pathsense(c: &mut Criterion) {
+fn main() {
     let base = CodeModel::synthesize_with_error_paths(&AospSpec::android_6_0_1());
     let model = amplify(&base, 4);
 
-    let mut group = c.benchmark_group("pathsense");
-    group.sample_size(10);
-    group.bench_function("predicate_lattice", |b| {
-        b.iter(|| intra_solver_cost(black_box(&model)));
-    });
-    group.bench_function("boolean_guard_baseline", |b| {
-        b.iter(|| bool_solver_cost(black_box(&model)));
-    });
-    group.finish();
-
+    // One untimed pass of each solver, so neither arm is timed cold.
+    black_box(intra_solver_cost(&model));
+    black_box(bool_solver_cost(&model));
     let predicate_ms = min_time_ms(3, || {
         black_box(intra_solver_cost(&model));
     });
@@ -316,13 +277,4 @@ fn bench_pathsense(c: &mut Criterion) {
     if artifacts_enabled() {
         write_artifact("pathsense_overhead", &artifact, &rendered);
     }
-}
-
-criterion_group!(benches, bench_pathsense);
-
-fn main() {
-    benches();
-    criterion::Criterion::default()
-        .configure_from_args()
-        .final_summary();
 }

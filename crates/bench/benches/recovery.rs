@@ -4,16 +4,16 @@
 //! and tabulates the recovery bill — crashes, restarts, records replayed,
 //! and the virtual recovery delay (supervisor backoff + replay) — the
 //! numbers the EXPERIMENTS.md recovery table quotes. The timed pass
-//! measures the two real-time kernels of the durable defender:
+//! prints the two real-time kernels of the durable defender on stdout:
 //! writing one checkpoint of a loaded monitor, and a full resume
 //! (reopen + restore + replay) whose replay is bounded by the checkpoint
 //! interval.
 
 use std::fmt::Write as _;
+use std::hint::black_box;
 use std::rc::Rc;
 
-use criterion::{criterion_group, Criterion};
-use jgre_bench::{artifacts_enabled, write_artifact};
+use jgre_bench::{artifacts_enabled, min_time_ms, write_artifact};
 use jgre_core::{experiments, ExperimentScale};
 use jgre_defense::{DefenderConfig, DurableConfig, JgreDefender, MemoryStore};
 use jgre_framework::{CallOptions, System, SystemConfig};
@@ -98,51 +98,73 @@ fn loaded_defender() -> (System, JgreDefender, DefenderConfig, Rc<MemoryStore>) 
     (system, defender, config, store)
 }
 
-fn bench_recovery(c: &mut Criterion) {
-    let mut group = c.benchmark_group("recovery");
-    group.sample_size(20);
+/// Resumes a defender from the bytes a crashed process left behind.
+fn resume(
+    system: &mut System,
+    config: &DefenderConfig,
+    journal: &[u8],
+    checkpoint: Option<&[u8]>,
+) -> JgreDefender {
+    let store = MemoryStore::new();
+    store.set_journal_bytes(journal.to_vec());
+    store.set_checkpoint_bytes(checkpoint.map(<[u8]>::to_vec));
+    system.clear_jgr_observers();
+    JgreDefender::resume(
+        system,
+        config.clone(),
+        DurableConfig::default(),
+        Rc::new(store),
+    )
+    .unwrap()
+}
 
+/// Samples per kernel; each sample times a batch and reports its mean.
+const SAMPLES: usize = 20;
+const WRITES_PER_SAMPLE: usize = 1_000;
+const RESUMES_PER_SAMPLE: usize = 100;
+
+fn time_kernels() {
     let (system, defender, _, _) = loaded_defender();
-    group.bench_function("checkpoint_write", |b| {
-        b.iter(|| defender.checkpoint_now(&system));
-    });
+    let write_us = min_time_ms(SAMPLES, || {
+        for _ in 0..WRITES_PER_SAMPLE {
+            defender.checkpoint_now(black_box(&system));
+        }
+    }) * 1e3
+        / WRITES_PER_SAMPLE as f64;
     drop((system, defender));
 
     // Freeze the store as a crashed process would leave it, then time a
     // full resume from those bytes.
     let (mut system, defender, config, store) = loaded_defender();
     drop(defender);
-    let interval = DurableConfig::default().checkpoint_interval;
-    let journal_bytes = store.journal_bytes();
-    let checkpoint_bytes = store.checkpoint_bytes();
-    group.bench_function("resume_replay_from_checkpoint", |b| {
-        b.iter(|| {
-            let s = MemoryStore::new();
-            s.set_journal_bytes(journal_bytes.clone());
-            s.set_checkpoint_bytes(checkpoint_bytes.clone());
-            system.clear_jgr_observers();
-            let resumed = JgreDefender::resume(
+    let journal = store.journal_bytes();
+    let checkpoint = store.checkpoint_bytes();
+    let resumed = resume(&mut system, &config, &journal, checkpoint.as_deref());
+    assert!(
+        resumed.stats().replayed_records <= DurableConfig::default().checkpoint_interval,
+        "replay must be bounded by the checkpoint interval"
+    );
+    drop(resumed);
+    let resume_us = min_time_ms(SAMPLES, || {
+        for _ in 0..RESUMES_PER_SAMPLE {
+            black_box(resume(
                 &mut system,
-                config.clone(),
-                DurableConfig::default(),
-                Rc::new(s),
-            )
-            .unwrap();
-            assert!(
-                resumed.stats().replayed_records <= interval,
-                "replay must be bounded by the checkpoint interval"
-            );
-        });
-    });
-    group.finish();
-}
+                &config,
+                &journal,
+                checkpoint.as_deref(),
+            ));
+        }
+    }) * 1e3
+        / RESUMES_PER_SAMPLE as f64;
 
-criterion_group!(benches, bench_recovery);
+    println!(
+        "recovery kernels (wall clock; best of {SAMPLES} batches, each batch's mean)\n\
+         checkpoint write:  {write_us:>8.2} µs  ({WRITES_PER_SAMPLE} writes per batch)\n\
+         resume + replay:   {resume_us:>8.2} µs  ({RESUMES_PER_SAMPLE} resumes per batch)"
+    );
+}
 
 fn main() {
     generate_artifacts();
-    benches();
-    criterion::Criterion::default()
-        .configure_from_args()
-        .final_summary();
+    time_kernels();
 }

@@ -2,16 +2,10 @@
 //! at paper scale. The paper reports most below one second, three above,
 //! and `midi.registerDeviceServer` slowest at ≈3.6 s.
 
-use criterion::{criterion_group, Criterion};
-use jgre_attack::AttackVector;
 use jgre_bench::{artifacts_enabled, write_artifact};
-use jgre_core::experiments::run_defended_attack;
 use jgre_core::{experiments, ExperimentScale};
-use jgre_corpus::spec::AospSpec;
-use jgre_defense::JgreDefender;
-use jgre_framework::{System, SystemConfig};
 
-fn generate_artifacts() {
+fn main() {
     if !artifacts_enabled() {
         return;
     }
@@ -39,38 +33,4 @@ fn generate_artifacts() {
     for row in &r.rows {
         assert!(row.response_delay_us < 50_000_000, "{row:?}");
     }
-}
-
-fn bench_defended_attack(c: &mut Criterion) {
-    let spec = AospSpec::android_6_0_1();
-    let vector = AttackVector::service_vectors(&spec)
-        .into_iter()
-        .find(|v| v.service == "clipboard")
-        .expect("clipboard is vulnerable");
-    let mut group = c.benchmark_group("defense");
-    group.sample_size(10);
-    group.bench_function("detect_and_recover_quick_scale", |b| {
-        b.iter(|| {
-            let scale = ExperimentScale::quick();
-            let mut system = System::boot_with(SystemConfig {
-                seed: 5,
-                jgr_capacity: Some(scale.jgr_capacity),
-                ..SystemConfig::default()
-            });
-            let defender = JgreDefender::install(&mut system, scale.defender_config())
-                .expect("bench defender config is valid");
-            run_defended_attack(&mut system, &defender, &vector, 10_000)
-        });
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_defended_attack);
-
-fn main() {
-    generate_artifacts();
-    benches();
-    criterion::Criterion::default()
-        .configure_from_args()
-        .final_summary();
 }

@@ -17,10 +17,8 @@
 //!    ≥ 4096 events, while producing the identical final report.
 
 use std::collections::BTreeMap;
-use std::hint::black_box;
 use std::time::Instant;
 
-use criterion::{criterion_group, Criterion};
 use jgre_bench::{artifacts_enabled, write_artifact};
 use jgre_defense::stream::{run_serve, ServeConfig};
 use jgre_defense::{segment_tree_scores, IncrementalScorer, ScoreParams};
@@ -137,21 +135,7 @@ struct StreamingArtifact {
     incremental_speedup: f64,
 }
 
-fn bench_streaming(c: &mut Criterion) {
-    let mut group = c.benchmark_group("streaming");
-    group.sample_size(10);
-    group.bench_function("serve_100ms_10keps", |b| {
-        let config = ServeConfig {
-            source: SourceConfig {
-                duration: SimDuration::from_millis(100),
-                ..SourceConfig::default()
-            },
-            ..ServeConfig::default()
-        };
-        b.iter(|| run_serve(black_box(&config)).unwrap());
-    });
-    group.finish();
-
+fn main() {
     // --- sustained throughput + latency quantiles --------------------
     let config = pin_config();
     let start = Instant::now();
@@ -262,13 +246,4 @@ fn bench_streaming(c: &mut Criterion) {
     if artifacts_enabled() {
         write_artifact("streaming_throughput", &artifact, &rendered);
     }
-}
-
-criterion_group!(benches, bench_streaming);
-
-fn main() {
-    benches();
-    criterion::Criterion::default()
-        .configure_from_args()
-        .final_summary();
 }

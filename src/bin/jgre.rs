@@ -104,8 +104,8 @@ OPTIONS:
                jgr-corrupt, clock-jitter, kill-fail, kill-respawn,
                defender-crash
                (default: all; fault-free baselines always run)
-  --out PATH   (chaos, fleet, fuzz) write the result as JSON to PATH and
-               the rendered table next to it as PATH with a .txt
+  --out PATH   (chaos, fleet, fuzz, serve) write the result as JSON to
+               PATH and the rendered table next to it as PATH with a .txt
                extension
   --list-cells (chaos) print the cell ids the matrix would run, one per
                line, without running anything (honors --fault)
@@ -148,6 +148,26 @@ fn emit<T: serde::Serialize>(options: &Options, data: &T, rendered: String) {
     } else {
         say(&rendered);
     }
+}
+
+/// Writes `--out PATH`, when given: `data` as pretty JSON to `PATH` and
+/// `rendered` to `PATH` with a `.txt` extension. These are the bytes the
+/// bench harness's `write_artifact` writes, and none of the results
+/// written here carries a wall-clock or thread-count field, so two runs
+/// with the same seed write identical files (CI diffs them against the
+/// committed goldens).
+fn write_out<T: serde::Serialize>(
+    options: &Options,
+    data: &T,
+    rendered: &str,
+) -> Result<(), String> {
+    let Some(path) = &options.out else {
+        return Ok(());
+    };
+    let json = serde_json::to_string_pretty(data).expect("experiment structs serialise");
+    std::fs::write(path, json).map_err(|e| format!("writing {}: {e}", path.display()))?;
+    let txt = path.with_extension("txt");
+    std::fs::write(&txt, rendered).map_err(|e| format!("writing {}: {e}", txt.display()))
 }
 
 fn run(command: &str, options: &Options) -> Result<(), String> {
@@ -255,17 +275,8 @@ fn run(command: &str, options: &Options) -> Result<(), String> {
                 return Ok(());
             }
             let matrix = experiments::chaos_matrix(scale, options.fault);
-            let json = serde_json::to_string_pretty(&matrix).expect("chaos matrix serialises");
             let rendered = matrix.render();
-            if let Some(path) = &options.out {
-                // Same bytes as the bench harness's write_artifact, so the
-                // CLI and the bench regenerate identical golden files.
-                std::fs::write(path, &json)
-                    .map_err(|e| format!("writing {}: {e}", path.display()))?;
-                let txt = path.with_extension("txt");
-                std::fs::write(&txt, &rendered)
-                    .map_err(|e| format!("writing {}: {e}", txt.display()))?;
-            }
+            write_out(options, &matrix, &rendered)?;
             emit(options, &matrix, rendered);
             if matrix.violations > 0 {
                 return Err(format!(
@@ -301,18 +312,8 @@ fn run(command: &str, options: &Options) -> Result<(), String> {
             let started = std::time::Instant::now();
             let summary = jgre_core::run_campaign(&config);
             let elapsed = started.elapsed();
-            let json = serde_json::to_string_pretty(&summary).expect("fleet summary serialises");
             let rendered = summary.render();
-            if let Some(path) = &options.out {
-                // The JSON is fully deterministic (no wall-clock fields),
-                // so two runs with the same seed write identical bytes —
-                // the CI smoke job diffs them.
-                std::fs::write(path, &json)
-                    .map_err(|e| format!("writing {}: {e}", path.display()))?;
-                let txt = path.with_extension("txt");
-                std::fs::write(&txt, &rendered)
-                    .map_err(|e| format!("writing {}: {e}", txt.display()))?;
-            }
+            write_out(options, &summary, &rendered)?;
             emit(options, &summary, rendered);
             // Throughput is wall-clock and thread-dependent, so it goes to
             // stderr only; stdout and --out stay byte-reproducible.
@@ -349,18 +350,8 @@ fn run(command: &str, options: &Options) -> Result<(), String> {
                 fuzz: report,
                 differential: diff,
             };
-            let json = artifact.to_json();
             let rendered = artifact.render();
-            if let Some(path) = &options.out {
-                // The report excludes threads and wall-clock, so two runs
-                // with the same seed write identical bytes — the CI smoke
-                // job diffs them.
-                std::fs::write(path, &json)
-                    .map_err(|e| format!("writing {}: {e}", path.display()))?;
-                let txt = path.with_extension("txt");
-                std::fs::write(&txt, &rendered)
-                    .map_err(|e| format!("writing {}: {e}", txt.display()))?;
-            }
+            write_out(options, &artifact, &rendered)?;
             emit(options, &artifact, rendered);
             // Throughput is wall-clock and machine-dependent: stderr only.
             let secs = fuzz_elapsed.as_secs_f64();
@@ -419,18 +410,8 @@ fn run(command: &str, options: &Options) -> Result<(), String> {
             let report = jgre_core::defense::stream::run_serve(&config)
                 .map_err(|e| format!("serve: {e}"))?;
             let elapsed = started.elapsed();
-            let json = report.to_json();
             let rendered = report.render();
-            if let Some(path) = &options.out {
-                // The report excludes threads/chunking and wall-clock, so
-                // two runs with the same seed write identical bytes — the
-                // CI smoke job diffs them.
-                std::fs::write(path, &json)
-                    .map_err(|e| format!("writing {}: {e}", path.display()))?;
-                let txt = path.with_extension("txt");
-                std::fs::write(&txt, &rendered)
-                    .map_err(|e| format!("writing {}: {e}", txt.display()))?;
-            }
+            write_out(options, &report, &rendered)?;
             emit(options, &report, rendered);
             // Throughput is wall-clock and machine-dependent: stderr only.
             let secs = elapsed.as_secs_f64();
@@ -447,11 +428,19 @@ fn run(command: &str, options: &Options) -> Result<(), String> {
         "all" => {
             for cmd in [
                 "headline", "table1", "table2", "table3", "table4", "table5", "fig3", "fig4",
-                "fig5", "fig6", "fig8", "fig9", "fig10", "response", "defend",
+                "fig5", "fig6", "fig8", "fig9", "fig10",
             ] {
                 eprintln!("== {cmd} ==");
                 run(cmd, options)?;
             }
+            // `response` reads its rows off the §V-C runs that `defend`
+            // renders, so the 57-vector sweep runs once for both.
+            let defended = experiments::defense_effectiveness(scale);
+            eprintln!("== response ==");
+            let r = experiments::ResponseDelay::from_runs(&defended.runs);
+            emit(options, &r, r.render());
+            eprintln!("== defend ==");
+            emit(options, &defended, defended.render());
         }
         other => return Err(format!("unknown command: {other}\n\n{USAGE}")),
     }
