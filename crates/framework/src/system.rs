@@ -287,6 +287,54 @@ impl ServiceState {
     }
 }
 
+/// The target the last by-name entry point resolved: an index into the
+/// service directory and a position in that service's AIDL method table.
+/// It is a guess, never trusted: a lookup takes it only when the names
+/// the shared spec stores there equal the requested ones, so a service
+/// that shifted, left the directory or was registered again just misses,
+/// and nothing that changes the directory has to reset it. An attack
+/// loop calls one method over and over, so nearly every call hits.
+#[derive(Debug, Default, Clone, Copy)]
+struct Hint {
+    index: usize,
+    position: usize,
+}
+
+impl Hint {
+    /// The directory index of the service `name`: the hinted one when
+    /// the service there bears that name, else the binary search's, which
+    /// becomes the hint.
+    fn service(&mut self, services: &[ServiceState], spec: &AospSpec, name: &str) -> Option<usize> {
+        let hit = services
+            .get(self.index)
+            .is_some_and(|s| s.slot.resolve(spec).name == name);
+        if !hit {
+            self.index = find_service(services, spec, name).ok()?;
+        }
+        Some(self.index)
+    }
+
+    /// The position of `method` in `svc`'s method table: the hinted one
+    /// when the method there bears that name, else the scan's, which
+    /// becomes the hint. `svc` is the service [`service`](Self::service)
+    /// just resolved.
+    fn method(&mut self, svc: &ServiceSpec, method: &str) -> Option<usize> {
+        let hit = svc
+            .methods
+            .get(self.position)
+            .is_some_and(|m| m.name == method);
+        if !hit {
+            self.position = svc.position(method)?;
+        }
+        Some(self.position)
+    }
+}
+
+/// Binary search of the name-sorted service table.
+fn find_service(services: &[ServiceState], spec: &AospSpec, name: &str) -> Result<usize, usize> {
+    services.binary_search_by(|s| s.slot.resolve(spec).name.as_str().cmp(name))
+}
+
 /// A bootable Android image: the [`AospSpec`] every device booted from it
 /// reads in place, and the names interned from that spec once — the
 /// Binder-log names and the class names of the framework's stock
@@ -467,6 +515,8 @@ pub struct System {
     /// Registered services, sorted by name: the device's service
     /// directory.
     services: Vec<ServiceState>,
+    /// Where the last by-name call landed; see [`Hint`].
+    hint: Hint,
     apps: BTreeMap<Uid, InstalledApp>,
     next_uid: u32,
     /// Helper-class calls per (caller, service, method position).
@@ -537,6 +587,7 @@ impl System {
             processes: ProcessTable::new(clock, trace),
             system_server: Pid::new(0), // replaced below
             services: Vec::new(),
+            hint: Hint::default(),
             apps: BTreeMap::new(),
             next_uid: Uid::FIRST_APPLICATION.raw(),
             helper_counts: BTreeMap::new(),
@@ -612,9 +663,8 @@ impl System {
     /// table — the device's service directory (`ServiceManager`), which
     /// refuses a second service under a taken name.
     fn register_service(&mut self, host: Pid, slot: SpecSlot) {
-        let spec = Rc::clone(&self.spec);
-        let at = self
-            .find_service(&slot.resolve(&spec).name)
+        let name = &slot.resolve(&self.spec).name;
+        let at = find_service(&self.services, &self.spec, name)
             .expect_err("service names are unique across the image");
         let node = self.driver.create_node(host);
         let state = ServiceState {
@@ -626,14 +676,10 @@ impl System {
         self.services.insert(at, state);
     }
 
-    /// Binary search of the name-sorted service table.
-    fn find_service(&self, name: &str) -> Result<usize, usize> {
-        self.services
-            .binary_search_by(|s| s.slot.resolve(&self.spec).name.as_str().cmp(name))
-    }
-
     fn service(&self, name: &str) -> Option<&ServiceState> {
-        self.find_service(name).ok().map(|i| &self.services[i])
+        find_service(&self.services, &self.spec, name)
+            .ok()
+            .map(|i| &self.services[i])
     }
 
     // -- accessors ---------------------------------------------------------
@@ -806,10 +852,8 @@ impl System {
         &mut self,
         caller: Uid,
     ) -> Result<jgre_binder::NodeId, FrameworkError> {
-        if !self.apps.contains_key(&caller) {
-            return Err(FrameworkError::UnknownApp);
-        }
-        let pid = match self.apps[&caller].pid {
+        let app = self.apps.get(&caller).ok_or(FrameworkError::UnknownApp)?;
+        let pid = match app.pid {
             Some(pid) if self.processes.is_healthy(pid) => pid,
             _ => self.launch_app(caller)?,
         };
@@ -947,7 +991,11 @@ impl System {
                 None => break,
             }
         }
-        let package = Rc::clone(&self.apps[&uid].package);
+        let package = self
+            .apps
+            .get(&uid)
+            .map(|a| Rc::clone(&a.package))
+            .ok_or(FrameworkError::UnknownApp)?;
         let pid = self.spawn_process(uid, &package, OOM_SCORE_FOREGROUND);
         for p in self.processes.iter_mut() {
             if p.uid.is_app() && p.pid != pid {
@@ -1127,13 +1175,17 @@ impl System {
         method: &str,
         options: CallOptions,
     ) -> Result<CallOutcome, FrameworkError> {
-        // 1. Resolve the caller and make sure it has a process.
-        if !self.apps.contains_key(&caller) {
-            return Err(FrameworkError::UnknownApp);
-        }
-        let caller_pid = match self.apps[&caller].pid {
-            Some(pid) if self.processes.is_healthy(pid) => pid,
-            _ => self.launch_app(caller)?,
+        // 1. Resolve the caller and make sure it has a process. The app
+        //    record is read once; launching rewrites it, so a launch
+        //    reads it again.
+        let app = self.apps.get(&caller).ok_or(FrameworkError::UnknownApp)?;
+        let (app, caller_pid) = match app.pid {
+            Some(pid) if self.processes.is_healthy(pid) => (app, pid),
+            _ => {
+                let pid = self.launch_app(caller)?;
+                let app = self.apps.get(&caller).ok_or(FrameworkError::UnknownApp)?;
+                (app, pid)
+            }
         };
 
         // 2. Resolve the service and method once, borrowing both from
@@ -1141,17 +1193,19 @@ impl System {
         //    table index and AIDL position.
         let spec = Rc::clone(&self.spec);
         let index = self
-            .find_service(service)
-            .map_err(|_| FrameworkError::UnknownService(service.to_owned()))?;
+            .hint
+            .service(&self.services, &spec, service)
+            .ok_or_else(|| FrameworkError::UnknownService(service.to_owned()))?;
         let svc = &self.services[index];
         let (slot, node, host) = (svc.slot, svc.node, svc.host);
         let svc_spec = slot.resolve(&spec);
-        let position = svc_spec
-            .position(method)
-            .ok_or_else(|| FrameworkError::UnknownMethod {
-                service: service.to_owned(),
-                method: method.to_owned(),
-            })?;
+        let position =
+            self.hint
+                .method(svc_spec, method)
+                .ok_or_else(|| FrameworkError::UnknownMethod {
+                    service: service.to_owned(),
+                    method: method.to_owned(),
+                })?;
         let mspec = &svc_spec.methods[position];
         if !self.processes.is_healthy(host) {
             return Err(FrameworkError::ServiceDead);
@@ -1161,7 +1215,7 @@ impl System {
         if let Some(p) = mspec.permission {
             let allowed = match p.level() {
                 ProtectionLevel::Signature => !caller.is_app(),
-                _ => self.apps[&caller].granted.contains(&p),
+                _ => app.granted.contains(&p),
             };
             if !allowed {
                 return Err(FrameworkError::PermissionDenied { permission: p });
@@ -1191,8 +1245,13 @@ impl System {
         }
 
         // 5. Marshal into the reused parcel and send the transaction.
+        let package = if options.spoof_system_package {
+            Rc::clone(&self.names.system_package)
+        } else {
+            Rc::clone(&app.package)
+        };
         let mut parcel = std::mem::take(&mut self.marshal);
-        self.marshal_call(&mut parcel, caller, caller_pid, mspec, &options);
+        self.marshal_call(&mut parcel, package, caller_pid, mspec, &options);
         let code = position as u32 + FIRST_CALL_TRANSACTION;
         let (interface, logged_method) = self.names.resolve(slot, code);
         let outcome = match self.driver.record_transaction_on_path(
@@ -1233,17 +1292,12 @@ impl System {
     fn marshal_call(
         &mut self,
         parcel: &mut Parcel,
-        caller: Uid,
+        package: Rc<str>,
         caller_pid: Pid,
         mspec: &MethodSpec,
         options: &CallOptions,
     ) {
         parcel.clear();
-        let package = if options.spoof_system_package {
-            Rc::clone(&self.names.system_package)
-        } else {
-            Rc::clone(&self.apps[&caller].package)
-        };
         parcel.write_string(package);
         if passes_binder(mspec) {
             let cb = self.driver.create_node(caller_pid);
@@ -1284,17 +1338,20 @@ impl System {
         code: u32,
         parcel: &mut Parcel,
     ) -> Result<CallOutcome, FrameworkError> {
-        if !self.apps.contains_key(&caller) {
-            return Err(FrameworkError::UnknownApp);
-        }
-        let caller_pid = match self.apps[&caller].pid {
-            Some(pid) if self.processes.is_healthy(pid) => pid,
-            _ => self.launch_app(caller)?,
+        let app = self.apps.get(&caller).ok_or(FrameworkError::UnknownApp)?;
+        let (app, caller_pid) = match app.pid {
+            Some(pid) if self.processes.is_healthy(pid) => (app, pid),
+            _ => {
+                let pid = self.launch_app(caller)?;
+                let app = self.apps.get(&caller).ok_or(FrameworkError::UnknownApp)?;
+                (app, pid)
+            }
         };
         let spec = Rc::clone(&self.spec);
         let index = self
-            .find_service(service)
-            .map_err(|_| FrameworkError::UnknownService(service.to_owned()))?;
+            .hint
+            .service(&self.services, &spec, service)
+            .ok_or_else(|| FrameworkError::UnknownService(service.to_owned()))?;
         let svc = &self.services[index];
         let (slot, node, host) = (svc.slot, svc.node, svc.host);
         let svc_spec = slot.resolve(&spec);
@@ -1331,7 +1388,7 @@ impl System {
         if let Some(p) = mspec.permission {
             let allowed = match p.level() {
                 ProtectionLevel::Signature => !caller.is_app(),
-                _ => self.apps[&caller].granted.contains(&p),
+                _ => app.granted.contains(&p),
             };
             if !allowed {
                 return Err(FrameworkError::PermissionDenied { permission: p });
@@ -1757,10 +1814,11 @@ impl System {
     ) -> Result<usize, FrameworkError> {
         let spec = Rc::clone(&self.spec);
         let index = self
-            .find_service(service)
-            .map_err(|_| FrameworkError::UnknownService(service.to_owned()))?;
+            .hint
+            .service(&self.services, &spec, service)
+            .ok_or_else(|| FrameworkError::UnknownService(service.to_owned()))?;
         let svc = &self.services[index];
-        let Some(position) = svc.slot.resolve(&spec).position(method) else {
+        let Some(position) = self.hint.method(svc.slot.resolve(&spec), method) else {
             return Err(FrameworkError::UnknownMethod {
                 service: service.to_owned(),
                 method: method.to_owned(),
@@ -1976,6 +2034,7 @@ impl Supervisor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn small_system(cap: usize) -> System {
         System::boot_with(SystemConfig {
@@ -2927,5 +2986,227 @@ mod tests {
                 "  updatePolicy1: 1 calls, 0 retained",
             ]
         );
+    }
+
+    /// The resolver test's service pool: system services on both sides
+    /// of the Bluetooth app's two (an app host whose crash takes services
+    /// out of the directory and shifts the ones after them), PicoTts'
+    /// service, and a name no image registers.
+    const RESOLVER_SERVICES: [&str; 7] = [
+        "audio",
+        "bluetooth_adapter",
+        "bluetooth_gatt",
+        "clipboard",
+        "pico_tts",
+        "window",
+        "no_such_service",
+    ];
+
+    /// One step of the resolver test; `service` and `method` pick from
+    /// the pools (modulo their lengths), so real and bogus names and
+    /// back-to-back repeats, the hint's hits, all occur.
+    #[derive(Debug, Clone)]
+    enum Step {
+        Call {
+            app: usize,
+            service: usize,
+            method: usize,
+        },
+        Raw {
+            app: usize,
+            service: usize,
+            code: u32,
+        },
+        Fire {
+            service: usize,
+            method: usize,
+        },
+        /// The host of a pool service aborts: an app host takes its
+        /// services out of the directory, `system_server` soft-reboots.
+        Crash {
+            service: usize,
+        },
+        /// A soft reboot registers every service again.
+        Reboot,
+    }
+
+    fn step_strategy() -> impl Strategy<Value = Step> {
+        prop_oneof![
+            8 => (0..2usize, 0..RESOLVER_SERVICES.len(), 0..8usize)
+                .prop_map(|(app, service, method)| Step::Call { app, service, method }),
+            4 => (0..2usize, 0..RESOLVER_SERVICES.len(), 0..5u32)
+                .prop_map(|(app, service, code)| Step::Raw { app, service, code }),
+            2 => (0..RESOLVER_SERVICES.len(), 0..8usize)
+                .prop_map(|(service, method)| Step::Fire { service, method }),
+            1 => (0..RESOLVER_SERVICES.len()).prop_map(|service| Step::Crash { service }),
+            1 => Just(Step::Reboot),
+        ]
+    }
+
+    /// Per pool service, the method names a step picks from: the
+    /// service's first four methods, a method of the exported services
+    /// (shared by all three, absent from the rest) and a name no
+    /// service declares.
+    fn resolver_methods(spec: &AospSpec) -> Vec<Vec<String>> {
+        let all = || {
+            spec.services
+                .iter()
+                .chain(spec.prebuilt_apps.iter().flat_map(|a| a.services.iter()))
+        };
+        RESOLVER_SERVICES
+            .iter()
+            .map(|&name| {
+                let own = all().filter(|s| s.name == name).flat_map(|s| &s.methods);
+                own.take(4)
+                    .map(|m| m.name.clone())
+                    .chain(["getVersion".to_owned(), "noSuchMethod".to_owned()])
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Boots the device the resolver test drives, with one app granted
+    /// every grantable permission of the pool and one granted none.
+    fn resolver_device(spec: &Rc<AospSpec>) -> (System, [Uid; 2]) {
+        let mut system = System::boot_with_spec(SystemConfig::default(), Rc::clone(spec));
+        let grantable: BTreeSet<Permission> = spec
+            .services
+            .iter()
+            .filter(|s| RESOLVER_SERVICES.contains(&s.name.as_str()))
+            .flat_map(|s| &s.methods)
+            .filter_map(|m| m.permission)
+            .filter(|p| p.level() != ProtectionLevel::Signature)
+            .collect();
+        let granted = system.install_app("com.granted", grantable);
+        let bare = system.install_app("com.bare", []);
+        (system, [granted, bare])
+    }
+
+    /// The directory index and method position the binary search and the
+    /// method scan give for `service` and `method`.
+    fn resolver_oracle(
+        system: &System,
+        service: &str,
+        method: &str,
+    ) -> (Option<usize>, Option<usize>) {
+        let index = find_service(&system.services, &system.spec, service).ok();
+        let position = index.and_then(|i| {
+            system.services[i]
+                .slot
+                .resolve(&system.spec)
+                .position(method)
+        });
+        (index, position)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The by-name entry points resolve through the hint to exactly
+        /// what the directory search and the method scan find, and every
+        /// outcome, error and logged transaction equals a twin device's
+        /// whose hint is spoiled before each step, so that every lookup
+        /// takes the search, as before the hint existed.
+        #[test]
+        fn the_hint_resolves_what_the_directory_search_does(
+            steps in proptest::collection::vec(step_strategy(), 1..160)
+        ) {
+            let spec = Rc::new(AospSpec::android_6_0_1());
+            let methods = resolver_methods(&spec);
+            let (mut system, apps) = resolver_device(&spec);
+            let (mut twin, _) = resolver_device(&spec);
+            for step in &steps {
+                twin.hint = Hint { index: usize::MAX, position: usize::MAX };
+                match *step {
+                    Step::Call { app, service, method } => {
+                        let name = RESOLVER_SERVICES[service];
+                        let method = methods[service][method % methods[service].len()].as_str();
+                        let (index, position) = resolver_oracle(&system, name, method);
+                        let got = system.call_service(apps[app], name, method, CallOptions::benign());
+                        let want = twin.call_service(apps[app], name, method, CallOptions::benign());
+                        prop_assert_eq!(&got, &want, "call {}.{}", name, method);
+                        match (index, position) {
+                            (None, _) => prop_assert_eq!(
+                                got,
+                                Err(FrameworkError::UnknownService(name.to_owned()))
+                            ),
+                            (Some(_), None) => prop_assert_eq!(
+                                got,
+                                Err(FrameworkError::UnknownMethod {
+                                    service: name.to_owned(),
+                                    method: method.to_owned(),
+                                })
+                            ),
+                            (Some(i), Some(p)) => {
+                                prop_assert_eq!((system.hint.index, system.hint.position), (i, p));
+                            }
+                        }
+                    }
+                    Step::Raw { app, service, code } => {
+                        let name = RESOLVER_SERVICES[service];
+                        let (index, _) = resolver_oracle(&system, name, "");
+                        let mut parcels = [&mut system, &mut twin].map(|device| {
+                            let mut parcel = Parcel::new();
+                            if let Some(package) = device.shared_package_of(apps[app]) {
+                                parcel.write_string(Rc::clone(package));
+                            }
+                            if let Ok(node) = device.create_callback_node(apps[app]) {
+                                parcel.write_strong_binder(node);
+                            }
+                            parcel
+                        });
+                        let [ours, theirs] = &mut parcels;
+                        let got = system.transact_raw(apps[app], name, code, ours);
+                        let want = twin.transact_raw(apps[app], name, code, theirs);
+                        prop_assert_eq!(&got, &want, "transact {} code {}", name, code);
+                        match index {
+                            None => prop_assert_eq!(
+                                got,
+                                Err(FrameworkError::UnknownService(name.to_owned()))
+                            ),
+                            Some(i) => prop_assert_eq!(system.hint.index, i),
+                        }
+                    }
+                    Step::Fire { service, method } => {
+                        let name = RESOLVER_SERVICES[service];
+                        let method = methods[service][method % methods[service].len()].as_str();
+                        let (index, position) = resolver_oracle(&system, name, method);
+                        let got = system.fire_service_callbacks(name, method);
+                        let want = twin.fire_service_callbacks(name, method);
+                        prop_assert_eq!(&got, &want, "fire {}.{}", name, method);
+                        match (index, position) {
+                            (None, _) => prop_assert_eq!(
+                                got,
+                                Err(FrameworkError::UnknownService(name.to_owned()))
+                            ),
+                            (Some(_), None) => prop_assert_eq!(
+                                got,
+                                Err(FrameworkError::UnknownMethod {
+                                    service: name.to_owned(),
+                                    method: method.to_owned(),
+                                })
+                            ),
+                            (Some(i), Some(p)) => {
+                                prop_assert_eq!((system.hint.index, system.hint.position), (i, p));
+                            }
+                        }
+                    }
+                    Step::Crash { service } => {
+                        let name = RESOLVER_SERVICES[service];
+                        if let Some(host) = system.service_host(name) {
+                            system.handle_abort(host);
+                            twin.handle_abort(host);
+                        }
+                    }
+                    Step::Reboot => {
+                        system.soft_reboot();
+                        twin.soft_reboot();
+                    }
+                }
+                prop_assert_eq!(system.services.len(), twin.services.len());
+                prop_assert!(system.driver().log() == twin.driver().log(), "logs differ after {:?}", step);
+                prop_assert_eq!(system.system_server_jgr_count(), twin.system_server_jgr_count());
+            }
+        }
     }
 }
