@@ -54,10 +54,10 @@ use std::io::{self, BufWriter, Write};
 use std::ops::Range;
 use std::path::Path;
 
-use jgre_corpus::body::AllocSite;
 use jgre_corpus::MethodId;
 use jgre_sim::record::{self, Cursor, HeaderError, Put, StableHasher};
 
+use crate::ir::AllocSite;
 use crate::leakcheck::{EscapeKind, MethodSummary, PredSet, Retention, SiteSummary};
 
 /// Bumped whenever the cache encoding or the fingerprints it keys on

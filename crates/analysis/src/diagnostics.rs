@@ -1,11 +1,11 @@
 //! Diagnostics layer: stable rule ids, severities, and a SARIF-shaped
 //! JSON export for the `jgre lint` front-end.
 //!
-//! Verdict rows from the [`DataflowDetector`](crate::DataflowDetector)
-//! become [`Diagnostic`]s with witness provenance; the whole set plus the
-//! accuracy report against the spec ground truth forms a [`LintReport`],
-//! exportable as SARIF 2.1.0 (built by hand on the vendored
-//! [`Value`] tree — the subset GitHub code scanning and VS Code ingest).
+//! Verdict rows from the [`DataflowDetector`] become [`Diagnostic`]s with
+//! witness provenance; the whole set plus the accuracy report against the
+//! spec ground truth forms a [`LintReport`], exportable as SARIF 2.1.0
+//! (built by hand on the vendored [`Value`] tree — the subset GitHub code
+//! scanning and VS Code ingest).
 
 use serde::{Serialize, Value};
 

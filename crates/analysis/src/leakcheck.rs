@@ -25,7 +25,6 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 
-use jgre_corpus::body::{AllocSite, BranchKind, FieldKind, MethodBody, Place, Var};
 use jgre_corpus::spec::ProtectionLevel;
 use jgre_corpus::{CodeModel, MethodDef, MethodId};
 use jgre_sim::record::StableHasher;
@@ -33,7 +32,10 @@ use serde::Serialize;
 
 use crate::cache;
 use crate::dataflow::{condense_within, ForwardAnalysis, JoinSemiLattice, Solver};
-use crate::ir::{corpus_fingerprint, method_fact_fingerprints, BlockId, Cfg, Stmt, Terminator};
+use crate::ir::{
+    corpus_fingerprint, method_fact_fingerprints, AllocSite, BlockId, BranchKind, Cfg, FieldKind,
+    Place, Stmt, Terminator, Var,
+};
 use crate::{DetectorOutput, IpcMethod, JgrEntrySets, RiskyInterface, SiftReason};
 
 /// A small set of branch predicates, as *must*-information: a bit is set
@@ -179,8 +181,8 @@ impl MethodSummary {
 pub struct SolverStats {
     /// Methods analysed (one CFG each).
     pub methods: usize,
-    /// Total basic blocks across all CFGs *lowered this run* — cache
-    /// hits skip lowering entirely, so a warm run reports fewer.
+    /// Total basic blocks across all CFGs *synthesized this run* — cache
+    /// hits skip synthesis entirely, so a warm run reports fewer.
     pub cfg_blocks: usize,
     /// SCCs of the call graph.
     pub sccs: usize,
@@ -543,8 +545,8 @@ impl ForwardAnalysis for LeakBodyAnalysis {
         let Terminator::Branch { kind, .. } = *term else {
             return;
         };
-        // Successor 0 is the then-edge, successor 1 the else-edge (the
-        // lowering order in `Cfg::lower`). Each labeled branch establishes
+        // Successor 0 is the then-edge, successor 1 the else-edge
+        // ([`Terminator::successors`]). Each labeled branch establishes
         // its predicate on exactly one side.
         let pred = match (kind, succ_index) {
             (BranchKind::BoundCheck, 0) => PredSet::BOUND_CHECKED,
@@ -571,13 +573,12 @@ struct IntraResult {
     var_sites: Vec<Option<AllocSite>>,
 }
 
-/// The pass's buffers, reused method after method: the body and its
-/// CFG, the solver, the solved result and the fold's site runs. A method
+/// The pass's buffers, reused method after method: the CFG, the solver,
+/// the solved result and the fold's site runs. A method
 /// solved and folded through a warm scratch allocates only its summary's
 /// site list.
 #[derive(Debug, Default)]
 struct Scratch {
-    body: MethodBody,
     cfg: Cfg,
     solver: Solver<LeakState>,
     /// A return block's exit state, stamped before it is joined.
@@ -654,7 +655,7 @@ impl<'m> LeakChecker<'m> {
         self
     }
 
-    /// Lowers every method, solves each CFG to a fixpoint, and folds
+    /// Synthesizes every method's CFG, solves it to a fixpoint, and folds
     /// callee summaries bottom-up over the SCC condensation.
     ///
     /// # Example
@@ -697,8 +698,8 @@ impl<'m> LeakChecker<'m> {
             .as_ref()
             .map(|dir| dir.join(cache::CACHE_FILE));
         let caching = cache_path.is_some();
-        // Fact fingerprints key the cache and are cheap (no body
-        // synthesis, no lowering): on an unchanged corpus they are all
+        // Fact fingerprints key the cache and are cheap (no CFG
+        // synthesis): on an unchanged corpus they are all
         // the run compares. An uncached run never reads them.
         let (fps, corpus_fp, mut loaded) = match &cache_path {
             Some(path) => {
@@ -869,7 +870,7 @@ impl Pass<'_> {
             // An acyclic SCC: every callee is finished, so one fold is
             // the fixpoint.
             [m] if !calls_itself(model.method(m)) => {
-                let (blocks, iterations) = scratch.solve_intra(model, m);
+                let (blocks, iterations) = scratch.solve_intra(model.method(m));
                 stats.cfg_blocks += blocks;
                 stats.solver_iterations += iterations;
                 let summary = fold_summary(m, &scratch.intra, finished, &mut scratch.fold);
@@ -879,7 +880,7 @@ impl Pass<'_> {
                 let intras: Vec<IntraResult> = scc
                     .iter()
                     .map(|m| {
-                        let (blocks, iterations) = scratch.solve_intra(model, *m);
+                        let (blocks, iterations) = scratch.solve_intra(model.method(*m));
                         stats.cfg_blocks += blocks;
                         stats.solver_iterations += iterations;
                         scratch.intra.clone()
@@ -1079,28 +1080,26 @@ fn calls_itself(def: &MethodDef) -> bool {
     def.calls.contains(&def.id) || def.handler_posts.contains(&def.id)
 }
 
-/// Lowers and solves every method body intraprocedurally and returns the
-/// total number of solver block transfers — a deterministic cost probe
-/// for benchmarking the predicate lattice against simpler baselines. One
-/// body, CFG and [`Solver`] are reused from method to method; a baseline
-/// on equal terms does the same with `CodeModel::method_body_into`,
-/// [`Cfg::lower_from`] and its own [`Solver`].
+/// Synthesizes and solves every method's CFG intraprocedurally and
+/// returns the total number of solver block transfers — a deterministic
+/// cost probe for benchmarking the predicate lattice against simpler
+/// baselines. One CFG and [`Solver`] are reused from method to method; a
+/// baseline on equal terms does the same with [`Cfg::synthesize_from`]
+/// and its own [`Solver`].
 pub fn intra_solver_cost(model: &CodeModel) -> u64 {
     let mut scratch = Scratch::default();
     model
         .methods
         .iter()
-        .map(|def| scratch.solve_intra(model, def.id).1)
+        .map(|def| scratch.solve_intra(def).1)
         .sum()
 }
 
 impl Scratch {
-    /// Synthesizes, lowers and solves one method's body into
-    /// `self.intra`; returns the CFG's block count and the solver's
-    /// block transfers.
-    fn solve_intra(&mut self, model: &CodeModel, id: MethodId) -> (usize, u64) {
-        model.method_body_into(id, &mut self.body);
-        self.cfg.lower_from(&self.body);
+    /// Synthesizes and solves one method's CFG into `self.intra`;
+    /// returns the CFG's block count and the solver's block transfers.
+    fn solve_intra(&mut self, def: &MethodDef) -> (usize, u64) {
+        self.cfg.synthesize_from(def);
         let iterations = self.solver.solve(&self.cfg, &LeakBodyAnalysis);
         let Self {
             cfg,

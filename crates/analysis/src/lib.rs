@@ -14,12 +14,13 @@
 //!    then lifts the surviving JNI entry points to Java methods through
 //!    the `registerNativeMethods` data.
 //! 3. [`DataflowDetector`] — tracks every JGR allocation site to its
-//!    release or escape over a CFG IR, interprocedurally and
-//!    path-sensitively, and derives the risky methods (reachable JGR
-//!    entry, or Binder/IInterface parameters — the `readStrongBinder`
-//!    special case), the four sift rules, and the PScout-style
-//!    permission filter (signature-level permissions are unreachable for
-//!    third-party apps) as verdicts.
+//!    release or escape over a CFG synthesized per method from the
+//!    model's facts ([`ir`]), interprocedurally and path-sensitively,
+//!    and derives the risky methods (reachable JGR entry, or
+//!    Binder/IInterface parameters — the `readStrongBinder` special
+//!    case), the four sift rules, and the PScout-style permission filter
+//!    (signature-level permissions are unreachable for third-party apps)
+//!    as verdicts.
 //! 4. [`JgreVerifier`] — dynamically tests each risky interface against
 //!    the simulated device: fire IPC requests, trigger GC periodically
 //!    (the DDMS step), and confirm whether the JGR footprint grows without

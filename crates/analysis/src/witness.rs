@@ -3,17 +3,17 @@
 //! `art::IndirectReferenceTable::Add`.
 //!
 //! A [`Witness`] is a step list built from an allocation-site summary
-//! ([`SiteSummary`](crate::leakcheck::SiteSummary)); [`Witness::validate`]
-//! re-checks every step against the code model (call edges, binder
-//! parameters, JNI registrations, native call edges), so a witness cannot
-//! silently outlive a model change.
+//! ([`SiteSummary`]); [`Witness::validate`] re-checks every step against
+//! the code model (call edges, binder parameters, JNI registrations,
+//! native call edges), so a witness cannot silently outlive a model
+//! change.
 
 use std::collections::{HashMap, VecDeque};
 
-use jgre_corpus::body::AllocSite;
 use jgre_corpus::{CodeModel, MethodId, NativeFunctionId};
 use serde::Serialize;
 
+use crate::ir::AllocSite;
 use crate::leakcheck::SiteSummary;
 
 /// The Parcel wrapper that unmarshals a binder argument — where a

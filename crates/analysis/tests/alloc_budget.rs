@@ -2,7 +2,7 @@
 //! of the whole lint around it.
 //!
 //! Each wave worker solves its methods through one reused scratch: the
-//! synthesized body, its CFG, the solver's per-block states, reverse
+//! synthesized CFG, the solver's per-block states, reverse
 //! postorder and worklist, and the fold's site runs all keep their
 //! buffers from one method to the next. An acyclic SCC is folded once,
 //! and the SCC condensation walks the call edges with a cursor. A
@@ -89,13 +89,13 @@ fn amplify(base: &CodeModel, copies: usize) -> CodeModel {
 
 /// Allocations allowed per method for one uncached `analyze_with`: the
 /// site lists of the summaries that reach a site, and the per-run
-/// tables (2,989 allocations, 0.20 per method measured; 249,519, 16.7
+/// tables (2,790 allocations, 0.19 per method measured; 249,519, 16.7
 /// per method, before the scratch solver).
 const ANALYZE_BUDGET: f64 = 0.25;
 
 /// Allocations allowed per method for `intra_solver_cost`: only the
-/// branch arms of the few branching bodies and the scratch's growth are
-/// left (74 allocations, 0.005 per method measured; 146,598, 9.8 per
+/// scratch's growth is left (35 allocations, 0.002 per method measured;
+/// 74 while branch arms were nested statement lists; 146,598, 9.8 per
 /// method, before the scratch solver).
 const INTRA_BUDGET: f64 = 0.01;
 

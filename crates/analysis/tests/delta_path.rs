@@ -60,7 +60,7 @@ fn caller_cone(model: &CodeModel, edited: MethodId) -> BTreeSet<MethodId> {
 }
 
 /// `(cfg_blocks, solver_iterations)` of the cone's methods analysed on
-/// their own: bodies depend only on each method's own facts.
+/// their own: a CFG depends only on its method's own facts.
 fn cone_work(model: &CodeModel, cone: &BTreeSet<MethodId>) -> (usize, u64) {
     let mut alone = model.clone();
     alone.methods = cone
@@ -72,10 +72,14 @@ fn cone_work(model: &CodeModel, cone: &BTreeSet<MethodId>) -> (usize, u64) {
             def
         })
         .collect();
+    let mut cfg = Cfg::default();
     let blocks = alone
         .methods
         .iter()
-        .map(|def| Cfg::lower(&alone.method_body(def.id)).blocks.len())
+        .map(|def| {
+            cfg.synthesize_from(def);
+            cfg.blocks.len()
+        })
         .sum();
     (blocks, intra_solver_cost(&alone))
 }

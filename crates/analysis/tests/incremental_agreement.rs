@@ -117,7 +117,7 @@ fn detect<'a>(
     DataflowDetector::new(model, &entries).detect_with(ipc, options)
 }
 
-/// Cache runs skip lowering for hit SCCs, so work counters legitimately
+/// Cache runs skip CFG synthesis for hit SCCs, so work counters legitimately
 /// differ; verdict structure must not.
 fn verdicts_equal(a: &DataflowOutput, b: &DataflowOutput) -> bool {
     a.detector == b.detector && a.verdicts == b.verdicts

@@ -4,7 +4,7 @@
 //! is an acyclic singleton, folded once. This suite injects random
 //! self-loops and back edges (direct calls and Handler posts) so the
 //! SCC-local fixpoint runs, and checks each method's summary against a
-//! breadth-first search over the synthesized bodies' call statements: a
+//! breadth-first search over the synthesized CFGs' call statements: a
 //! method's `(method, site)` set is exactly the allocation sites of every
 //! method it reaches, itself included. Uncached and cached runs
 //! (populating, then warm) must all produce the same summaries.
@@ -12,9 +12,9 @@
 use std::collections::{BTreeSet, VecDeque};
 use std::path::PathBuf;
 
+use jgre_analysis::ir::AllocSite;
 use jgre_analysis::leakcheck::LeakAnalysis;
-use jgre_analysis::{AnalysisOptions, LeakChecker};
-use jgre_corpus::body::{AllocSite, BodyStmt};
+use jgre_analysis::{AnalysisOptions, Cfg, LeakChecker, Stmt};
 use jgre_corpus::{spec::AospSpec, CodeModel, MethodId};
 use proptest::prelude::*;
 
@@ -50,36 +50,20 @@ fn inject(model: &mut CodeModel, (kind, method, walk): Injection) {
     }
 }
 
-/// Every statement of a body, branch arms included.
-fn flatten<'a>(stmts: &'a [BodyStmt], out: &mut Vec<&'a BodyStmt>) {
-    for stmt in stmts {
-        out.push(stmt);
-        if let BodyStmt::If {
-            then_branch,
-            else_branch,
-            ..
-        } = stmt
-        {
-            flatten(then_branch, out);
-            flatten(else_branch, out);
-        }
-    }
-}
-
 /// The oracle: for each method, the `(method, site)` pairs of every
-/// allocation in every body it reaches through call statements.
+/// allocation in every CFG it reaches through call statements.
 fn reachable_sites(model: &CodeModel) -> Vec<BTreeSet<(MethodId, AllocSite)>> {
     let n = model.methods.len();
     let mut callees: Vec<Vec<usize>> = vec![Vec::new(); n];
     let mut own: Vec<Vec<AllocSite>> = vec![Vec::new(); n];
+    let mut cfg = Cfg::default();
     for def in &model.methods {
-        let body = model.method_body(def.id);
-        let mut stmts = Vec::new();
-        flatten(&body.stmts, &mut stmts);
-        for stmt in stmts {
+        cfg.synthesize_from(def);
+        // Every block's statements, branch arms included.
+        for stmt in &cfg.stmts {
             match stmt {
-                BodyStmt::Call { callee, .. } => callees[def.id.0 as usize].push(callee.0 as usize),
-                BodyStmt::AllocJgr { site, .. } => own[def.id.0 as usize].push(*site),
+                Stmt::Call { callee, .. } => callees[def.id.0 as usize].push(callee.0 as usize),
+                Stmt::AllocJgr { site, .. } => own[def.id.0 as usize].push(*site),
                 _ => {}
             }
         }

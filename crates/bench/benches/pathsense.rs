@@ -1,16 +1,16 @@
 //! T-PATHSENSE: the cost of the per-branch predicate lattice. The
 //! intraprocedural solver is timed against a bench-local boolean-guard
 //! baseline — the pre-predicate era's state shape — over the amplified
-//! corpus (same body synthesis, lowering, solver and state storage, each
+//! corpus (same CFG synthesis, solver and state storage, each
 //! reused from method to method on both sides). The acceptance bar from
 //! DESIGN.md §10 is predicate lattice < 2x the boolean solver.
 
 use std::hint::black_box;
 
 use jgre_analysis::dataflow::JoinSemiLattice;
+use jgre_analysis::ir::{FieldKind, Place, Var};
 use jgre_analysis::{intra_solver_cost, BlockId, Cfg, ForwardAnalysis, Solver, Stmt};
 use jgre_bench::{amplify, artifacts_enabled, min_time_ms, write_artifact};
-use jgre_corpus::body::{FieldKind, MethodBody, Place, Var};
 use jgre_corpus::{spec::AospSpec, CodeModel, MethodId};
 use serde::Serialize;
 
@@ -214,18 +214,16 @@ impl ForwardAnalysis for BoolAnalysis {
     // No transfer_edge: the boolean era was edge-insensitive.
 }
 
-/// Lowers and solves every body with the boolean baseline through one
-/// reused body, CFG and solver, as [`intra_solver_cost`] does with the
+/// Synthesizes and solves every method's CFG with the boolean baseline
+/// through one reused CFG and solver, as [`intra_solver_cost`] does with the
 /// production lattice; returns the total reachable-block count as a
 /// cheap checksum to defeat DCE.
 fn bool_solver_cost(model: &CodeModel) -> u64 {
-    let mut body = MethodBody::default();
     let mut cfg = Cfg::default();
     let mut solver = Solver::default();
     let mut reached = 0u64;
     for def in &model.methods {
-        model.method_body_into(def.id, &mut body);
-        cfg.lower_from(&body);
+        cfg.synthesize_from(def);
         solver.solve(&cfg, &BoolAnalysis);
         reached += (0..cfg.blocks.len() as u32)
             .filter(|&b| solver.exit(BlockId(b)).is_some())

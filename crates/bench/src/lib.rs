@@ -67,7 +67,7 @@ pub fn min_time_ms(runs: usize, mut f: impl FnMut()) -> f64 {
 /// Replicates every method `copies` times with suffixed class names and
 /// offset call ids, so the analysis sees a corpus several times the AOSP
 /// seed while every fact fingerprint stays distinct. The replicas are
-/// plain Java methods (the `(class, name)` specials in body synthesis no
+/// plain Java methods (the `(class, name)` specials in CFG synthesis no
 /// longer match), but their binder params still drive real
 /// allocation-site dataflow. The `incremental` and `pathsense` benches
 /// both report over `amplify(base, 4)`.

@@ -1,5 +1,7 @@
 //! Typed transaction payloads.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::rc::Rc;
 
 use serde::Serialize;
@@ -273,6 +275,7 @@ impl Parcel {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

@@ -18,7 +18,9 @@
 //!   crate runs the paper's four-step pipeline against this model and must
 //!   *re-derive* the ground truth (32 services / 54 interfaces, 147 native
 //!   paths with 67 init-only, …) by graph analysis — nothing in the
-//!   analysis reads the spec's vulnerability flags directly.
+//!   analysis reads the spec's vulnerability flags directly. The model
+//!   holds facts only: the analysis synthesizes each method's CFG from
+//!   them.
 //!
 //! # Example
 //!
@@ -31,13 +33,9 @@
 //! assert_eq!(aosp.prebuilt_apps.len(), 88);
 //! ```
 
-pub mod body;
 pub mod model;
 pub mod spec;
 
-pub use body::{
-    synthesize_body, AllocSite, BodyStmt, BranchKind, FieldKind, MethodBody, Place, Var,
-};
 pub use model::{
     error_path_cases, service_class_name, ClassDef, CodeModel, JniRegistration, MethodDef,
     MethodId, NativeFunction, NativeFunctionId, Origin, ParamUsage, ERROR_PATH_CLASS,

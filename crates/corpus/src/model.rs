@@ -21,10 +21,10 @@
 //! structures; the spec's `JgrBehavior` flags are *not* visible to it —
 //! they are compiled away into call edges and parameter-usage facts here.
 //!
-//! [`CodeModel::method_body`] (in [`body`](crate::body)) expands those
-//! facts further into a per-method statement AST — allocations, releases,
-//! stores, calls, branches — which the dataflow leak analysis lowers to a
-//! CFG. Bodies are derived on demand, so they stay consistent with the
+//! The `jgre-analysis` crate expands those facts further, method by
+//! method, into a control-flow graph of allocations, releases, stores,
+//! calls and branches (its `ir` module), which the dataflow leak analysis
+//! solves. The CFG is derived on demand, so it stays consistent with the
 //! fact base by construction.
 
 use std::collections::BTreeMap;
@@ -204,36 +204,6 @@ impl CodeModel {
     /// Finds a class by name.
     pub fn find_class(&self, name: &str) -> Option<&ClassDef> {
         self.classes.iter().find(|c| c.name == name)
-    }
-
-    /// Renders the call graph rooted at one method as Graphviz DOT —
-    /// handy for eyeballing a finding's retention chain (`triage`
-    /// workflows). Direct calls are solid edges; Handler posts are dashed.
-    ///
-    /// Returns `None` when the method does not exist.
-    pub fn call_graph_dot(&self, class: &str, name: &str) -> Option<String> {
-        use std::fmt::Write as _;
-        let root = self.find_method(class, name)?;
-        let mut out = String::from("digraph call_graph {\n  rankdir=LR;\n");
-        let mut seen = std::collections::BTreeSet::new();
-        let mut stack = vec![root];
-        while let Some(id) = stack.pop() {
-            if !seen.insert(id) {
-                continue;
-            }
-            let def = self.method(id);
-            let _ = writeln!(out, "  m{} [label=\"{}.{}\"];", id.0, def.class, def.name);
-            for callee in &def.calls {
-                let _ = writeln!(out, "  m{} -> m{};", id.0, callee.0);
-                stack.push(*callee);
-            }
-            for callee in &def.handler_posts {
-                let _ = writeln!(out, "  m{} -> m{} [style=dashed];", id.0, callee.0);
-                stack.push(*callee);
-            }
-        }
-        out.push_str("}\n");
-        Some(out)
     }
 
     /// Builds the code model from the ground-truth spec.
@@ -833,31 +803,6 @@ mod tests {
         assert_eq!(
             base.asbinder_interface.as_deref(),
             Some("ITextToSpeechService")
-        );
-    }
-
-    #[test]
-    fn dot_export_contains_the_retention_chain() {
-        let m = model();
-        let dot = m
-            .call_graph_dot(
-                &service_class_name("clipboard"),
-                "addPrimaryClipChangedListener",
-            )
-            .expect("clipboard IPC method exists");
-        assert!(dot.starts_with("digraph call_graph {"));
-        assert!(dot.contains("android.os.Binder.linkToDeath"), "{dot}");
-        assert!(dot.contains("android.os.RemoteCallbackList.register"));
-        assert!(m.call_graph_dot("no.Such", "method").is_none());
-        // Handler-indirect chains render dashed edges.
-        let spec = AospSpec::android_6_0_1();
-        let dashed = spec.vulnerable_service_interfaces().find_map(|(s, mm)| {
-            let dot = m.call_graph_dot(&service_class_name(&s.name), &mm.name)?;
-            dot.contains("style=dashed").then_some(dot)
-        });
-        assert!(
-            dashed.is_some(),
-            "at least one vulnerable chain is Handler-routed"
         );
     }
 

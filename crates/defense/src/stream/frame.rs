@@ -14,6 +14,8 @@
 //! which is what lets crash recovery replay a journal truncated
 //! mid-frame.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::fmt;
 
 use jgre_sim::record::{self, Cursor, FrameError, HeaderError, Put};
@@ -376,6 +378,7 @@ pub fn decode_stream(bytes: &[u8]) -> Result<(Vec<StreamEvent>, usize), FrameRej
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

@@ -18,7 +18,7 @@
 //!    land on typed fail-stop rejections, never a panic.
 //! 4. **Minimization** ([`report`]): delta-debugged shortest
 //!    reproducers, deduplicated by `(service, method, signature)`.
-//! 5. **Differential check** ([`differential`]): cross-validation
+//! 5. **Differential check** ([`differential`](mod@differential)): cross-validation
 //!    against the static lint — fuzz-only findings become sift-rule
 //!    regression fixtures, lint-only predictions are replayed
 //!    dynamically.

@@ -13,20 +13,6 @@
 //! from its own [`SimRng`] stream, so a given `(seed, plan)` pair replays
 //! bit-for-bit and an all-zero plan consumes no randomness at all —
 //! faultless runs are byte-identical to runs without the layer installed.
-//!
-//! # Example
-//!
-//! ```
-//! use jgre_sim::{FaultIntensity, FaultKind, FaultLayer, FaultPlan};
-//!
-//! let plan = FaultPlan::single(FaultKind::IpcDrop, FaultIntensity::Moderate);
-//! let layer = FaultLayer::new(plan, 7);
-//! let twin = FaultLayer::new(plan, 7);
-//! for _ in 0..64 {
-//!     assert_eq!(layer.ipc_log_action(), twin.ipc_log_action());
-//! }
-//! assert!(layer.stats().total() > 0, "moderate drop rate must fire in 64 draws");
-//! ```
 
 use std::cell::RefCell;
 use std::fmt;
@@ -485,7 +471,21 @@ impl Injector {
 ///
 /// Clones share one RNG stream and one stats block, mirroring how
 /// [`SimClock`](crate::SimClock) is shared across the driver, framework,
-/// and defense. See the [module docs](self) for an example.
+/// and defense.
+///
+/// # Example
+///
+/// ```
+/// use jgre_sim::{FaultIntensity, FaultKind, FaultLayer, FaultPlan};
+///
+/// let plan = FaultPlan::single(FaultKind::IpcDrop, FaultIntensity::Moderate);
+/// let layer = FaultLayer::new(plan, 7);
+/// let twin = FaultLayer::new(plan, 7);
+/// for _ in 0..64 {
+///     assert_eq!(layer.ipc_log_action(), twin.ipc_log_action());
+/// }
+/// assert!(layer.stats().total() > 0, "moderate drop rate must fire in 64 draws");
+/// ```
 #[derive(Debug, Clone)]
 pub struct FaultLayer {
     inner: Rc<RefCell<Injector>>,
