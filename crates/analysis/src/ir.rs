@@ -795,9 +795,9 @@ mod tests {
 
     #[test]
     fn synthesized_cfgs_are_pinned() {
-        // Computed through the nested-body lowering this synthesis
-        // replaced: every block, statement and terminator, in order, is
-        // what that lowering produced.
+        // The digests of the CFGs the earlier nested-body lowering
+        // produced: the synthesis must reproduce them block for block,
+        // or every summary, cache key and golden would move.
         let spec = AospSpec::android_6_0_1();
         let base = CodeModel::synthesize(&spec);
         assert_eq!(cfg_digest(&base.methods), 0x8d22_74dd_b106_7155);
