@@ -22,7 +22,7 @@
 //! as a test oracle (`jgre-oracles`), whose output must equal this one
 //! on the pristine corpus.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 
 use jgre_corpus::spec::ProtectionLevel;
@@ -619,13 +619,14 @@ struct MethodTables {
 /// What Tier A settled before any SCC is processed.
 struct Seed {
     tables: MethodTables,
-    /// Methods whose summaries this run must compute or look up in Tier
-    /// B — all of them without a usable index.
+    /// Methods in the edit's caller cone, whose SCCs this run processes —
+    /// all of them without a usable index.
     dirty: Vec<bool>,
     /// SCCs served whole from Tier A.
     clean_sccs: usize,
-    /// Loaded Tier B records still in use, by position.
-    carried: Vec<bool>,
+    /// The loaded Tier A summaries of the dirty methods, in `MethodId`
+    /// order: what an early-cutoff SCC reuses.
+    stale: Vec<(MethodId, MethodSummary)>,
 }
 
 /// The completed whole-corpus analysis: per-method summaries plus
@@ -677,14 +678,16 @@ impl<'m> LeakChecker<'m> {
     ///
     /// With a cache directory the run is incremental: the Tier A index
     /// names the methods whose facts changed, and only the SCCs of their
-    /// caller cone are processed — looked up in Tier B, else recomputed.
-    /// Every other method takes its summary from Tier A, so an unchanged
-    /// corpus processes no SCC at all. Without a usable index (no file,
-    /// another method count, a rejected index) every SCC goes through
-    /// Tier B. Verdicts are structurally identical in every mode — hits
-    /// and misses only show up in [`SolverStats`]. Cache writes are
-    /// best-effort: an unwritable directory degrades to a cold run, never
-    /// an error.
+    /// caller cone are processed. Such an SCC whose key equals every
+    /// member's indexed key reuses their Tier A rows (early cutoff);
+    /// the others are recomputed. Every other method takes its summary
+    /// from Tier A, so an unchanged corpus processes no SCC at all. A
+    /// grown or shrunk corpus applies the index to the id prefix both
+    /// share; without a usable index (no file, a rejected file) every
+    /// SCC is recomputed. Verdicts are structurally identical in every
+    /// mode — hits and misses only show up in [`SolverStats`]. Cache
+    /// writes are best-effort: an unwritable directory degrades to a
+    /// cold run, never an error.
     pub fn analyze_with(&self, options: &AnalysisOptions) -> LeakAnalysis {
         let model = self.model;
         let n = model.methods.len();
@@ -720,12 +723,11 @@ impl<'m> LeakChecker<'m> {
         };
         stats.cache_invalidated = loaded.invalidated;
 
-        // A clean exact hit: Tier B went unverified because the header
-        // matched, and every fact fingerprint matches the index. Tier A
-        // is the answer as loaded; no table is rebuilt and the file
-        // stays as it is.
-        let clean_exact_hit = loaded.tier_a.is_some()
-            && !loaded.tier_b_verified
+        // A clean exact hit: the header's corpus fingerprint matched, and
+        // every fact fingerprint matches the index. Tier A is the answer
+        // as loaded; no table is rebuilt and the file stays as it is.
+        let clean_exact_hit = loaded.exact
+            && loaded.tier_a.is_some()
             && loaded
                 .index
                 .iter()
@@ -742,7 +744,7 @@ impl<'m> LeakChecker<'m> {
             tables,
             dirty,
             clean_sccs,
-            carried,
+            stale,
         } = seed(model, &fps, &mut loaded, caching);
 
         // Only the SCCs touching the dirty set are processed; the set is
@@ -755,23 +757,15 @@ impl<'m> LeakChecker<'m> {
             caching,
             fps: &fps,
             scc_index: cond.scc_index(n),
-            tier_b: &loaded.tier_b,
             tables,
             stats,
-            carried,
-            fresh: BTreeMap::new(),
+            stale,
             scratch: Scratch::default(),
         };
         for (i, scc) in cond.sccs().enumerate() {
             pass.process_scc(i, scc);
         }
-        let Pass {
-            tables,
-            stats,
-            carried,
-            fresh,
-            ..
-        } = pass;
+        let Pass { tables, stats, .. } = pass;
         let summaries: Vec<MethodSummary> = tables
             .summaries
             .into_iter()
@@ -779,23 +773,20 @@ impl<'m> LeakChecker<'m> {
             .collect();
 
         // A clean exact hit leaves the file as it is. Anything else
-        // rewrites it whole: Tier A for this corpus, and in Tier B the
-        // records of this corpus's SCCs only, so stale keys are
-        // garbage-collected.
+        // rewrites it whole, as Tier A for this corpus.
         let unchanged = loaded.exact && stats.cache_invalidated == 0 && cond.is_empty();
         if let Some(path) = cache_path.as_ref().filter(|_| !unchanged) {
             let mut tier_a = cache::encode_tier_a(&summaries);
             cache::encode_index(&mut tier_a, &tables.index);
-            let tier_b = loaded.tier_b.carry_over(&carried, fresh);
-            let _ = cache::store(path, corpus_fp, stats.sccs as u32, &tier_a, &tier_b);
+            let _ = cache::store(path, corpus_fp, stats.sccs as u32, &tier_a, &cache::TierB);
         }
         LeakAnalysis { summaries, stats }
     }
 }
 
 /// One run's serial pass over the condensation's SCCs in the callee-first
-/// order Tarjan emits them: what it reads, and the tables, statistics and
-/// Tier B records it writes as each SCC completes.
+/// order Tarjan emits them: what it reads, and the tables and statistics
+/// it writes as each SCC completes.
 struct Pass<'a> {
     model: &'a CodeModel,
     caching: bool,
@@ -804,21 +795,18 @@ struct Pass<'a> {
     /// [`Condensation::scc_index`](crate::dataflow::Condensation::scc_index)
     /// of the processed SCCs.
     scc_index: Vec<usize>,
-    tier_b: &'a cache::TierB,
     tables: MethodTables,
     stats: SolverStats,
-    /// Loaded Tier B records still in use, by position.
-    carried: Vec<bool>,
-    /// Records encoded by this run, by SCC key.
-    fresh: BTreeMap<u64, Vec<u8>>,
+    /// [`Seed::stale`]: each row is taken by an early cutoff at most once.
+    stale: Vec<(MethodId, MethodSummary)>,
     scratch: Scratch,
 }
 
 impl Pass<'_> {
-    /// Serves one SCC from Tier B or computes it — intra solve per member,
-    /// then one fold against the finished callee summaries, iterated to
-    /// the SCC-local fixpoint when the SCC is recursive — and writes its
-    /// summaries, index rows, statistics and record.
+    /// Serves one SCC from its members' Tier A rows or computes it —
+    /// intra solve per member, then one fold against the finished callee
+    /// summaries, iterated to the SCC-local fixpoint when the SCC is
+    /// recursive — and writes its summaries, index rows and statistics.
     fn process_scc(&mut self, scc_idx: usize, scc: &[MethodId]) {
         let model = self.model;
         // One pass suffices only because every external callee finished
@@ -839,23 +827,9 @@ impl Pass<'_> {
         } else {
             0
         };
-        // Tier B is empty when caching is off. An equal key means equal
-        // inputs to the fold, so a record that decodes for this SCC is
-        // what a fresh run would encode, and is carried as stored.
-        if let Some((pos, bytes)) = self.tier_b.find(key) {
-            match cache::decode_record(bytes, scc, model.methods.len()) {
-                Some(members) => {
-                    self.stats.cache_hits += 1;
-                    self.carried[pos] = true;
-                    for (m, summary) in members {
-                        self.write(key, m, summary);
-                    }
-                    return;
-                }
-                // A key collision or hand-crafted record that passed
-                // the checksum but is not this SCC's.
-                None => self.stats.cache_invalidated += 1,
-            }
+        if self.reuse(key, scc) {
+            self.stats.cache_hits += 1;
+            return;
         }
 
         self.stats.cache_misses += 1;
@@ -874,7 +848,7 @@ impl Pass<'_> {
                 stats.cfg_blocks += blocks;
                 stats.solver_iterations += iterations;
                 let summary = fold_summary(m, &scratch.intra, finished, &mut scratch.fold);
-                self.computed(key, &mut [(m, summary)]);
+                self.write(key, m, summary);
             }
             _ => {
                 let intras: Vec<IntraResult> = scc
@@ -906,21 +880,36 @@ impl Pass<'_> {
                         break;
                     }
                 }
-                let mut members: Vec<_> = scc.iter().copied().zip(local).collect();
-                self.computed(key, &mut members);
+                for (m, summary) in scc.iter().zip(local) {
+                    self.write(key, *m, summary);
+                }
             }
         }
     }
 
-    /// Writes a computed SCC: its Tier B record (caching runs), then each
-    /// member's summary.
-    fn computed(&mut self, key: u64, members: &mut [(MethodId, MethodSummary)]) {
-        if self.caching {
-            self.fresh.insert(key, cache::encode_record(members));
+    /// Early cutoff: when every member of `scc` has a loaded Tier A row
+    /// whose SCC key is `key`, the SCC has the members, facts and callee
+    /// summaries it had when the table was written, so those rows —
+    /// summaries and index rows alike — are its answer, and are taken
+    /// as stored. `stale` is empty when caching is off.
+    fn reuse(&mut self, key: u64, scc: &[MethodId]) -> bool {
+        let hit = scc.iter().all(|m| {
+            self.stale_row(*m).is_some() && self.tables.index[m.0 as usize].scc_key == key
+        });
+        if hit {
+            for m in scc {
+                if let Some(at) = self.stale_row(*m) {
+                    let summary = std::mem::take(&mut self.stale[at].1);
+                    self.tables.summaries[m.0 as usize] = Some(summary);
+                }
+            }
         }
-        for (m, summary) in members {
-            self.write(key, *m, std::mem::take(summary));
-        }
+        hit
+    }
+
+    /// The position of `m`'s loaded row in `stale`.
+    fn stale_row(&self, m: MethodId) -> Option<usize> {
+        self.stale.binary_search_by_key(&m, |(id, _)| *id).ok()
     }
 
     /// Writes one finished summary where callers' folds and keys read it:
@@ -966,13 +955,13 @@ impl Pass<'_> {
     }
 }
 
-/// Splits the corpus at the edit. With a Tier A index for this method
-/// count, a method is dirty when its fact fingerprint differs from the
-/// index, or when its SCC's Tier B record is missing from a verified file
-/// (so a repaired file holds every record again); every caller of a dirty
-/// method is dirty too. Every other method keeps its summary and index
-/// row from Tier A, and its SCC's record is carried over. Without an
-/// index every method is dirty.
+/// Splits the corpus at the edit. With a Tier A index, a method is
+/// dirty when it has no row (a grown corpus), when its fact fingerprint
+/// differs from its row's, or — in a shrunk corpus — when its row names
+/// a site origin past the corpus's end; every caller of a dirty method
+/// is dirty too. Every other method keeps its summary and index row
+/// from Tier A, and the dirty methods' loaded summaries are set aside
+/// for early cutoff. Without an index every method is dirty.
 fn seed(model: &CodeModel, fps: &[u64], loaded: &mut cache::LoadedCache, caching: bool) -> Seed {
     let n = model.methods.len();
     let Some(table) = loaded.tier_a.take() else {
@@ -983,48 +972,58 @@ fn seed(model: &CodeModel, fps: &[u64], loaded: &mut cache::LoadedCache, caching
             },
             dirty: vec![true; n],
             clean_sccs: 0,
-            carried: vec![false; loaded.tier_b.len()],
+            stale: Vec::new(),
         };
     };
-    let index = std::mem::take(&mut loaded.index);
-    let record_at: Vec<Option<usize>> = if loaded.tier_b_verified {
-        index
-            .iter()
-            .map(|row| loaded.tier_b.position(row.scc_key))
-            .collect()
-    } else {
-        Vec::new()
-    };
-    let mut dirty: Vec<bool> = index
+    let mut index = std::mem::take(&mut loaded.index);
+    // A row of a shrunk corpus that names a site origin past the end
+    // reaches a removed method, so its own facts or a callee's changed:
+    // it is in the cone, and no early cutoff may take it. The check
+    // keeps a crafted file from serving one.
+    let shrunk = table.len() > n;
+    let past_the_end =
+        |s: &MethodSummary| shrunk && s.sites.iter().any(|site| site.method.0 as usize >= n);
+    let mut dirty: Vec<bool> = fps
         .iter()
-        .zip(fps)
         .enumerate()
-        .map(|(i, (row, fp))| row.fact_fp != *fp || record_at.get(i).is_some_and(Option::is_none))
+        .map(|(i, fp)| {
+            index.get(i).is_none_or(|row| row.fact_fp != *fp)
+                || table.get(i).is_some_and(past_the_end)
+        })
         .collect();
     close_under_callers(model, &mut dirty);
 
-    let mut carried = vec![false; loaded.tier_b.len()];
-    let mut clean_sccs = 0;
-    for (pos, dirty) in record_at.iter().zip(&dirty) {
-        // Members of one SCC share its record: count it once.
-        if let (Some(pos), false) = (*pos, *dirty) {
-            clean_sccs += usize::from(!carried[pos]);
-            carried[pos] = true;
-        }
-    }
+    // Clean and dirty methods never share an SCC, old or new, and the
+    // clean methods' SCCs are the old ones: the old corpus's SCCs less
+    // those with a row outside the clean set.
+    let mut gone: Vec<u64> = index
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| dirty.get(*i).is_none_or(|d| *d))
+        .map(|(_, row)| row.scc_key)
+        .collect();
+    gone.sort_unstable();
+    gone.dedup();
+    let clean_sccs = (loaded.scc_count as usize).saturating_sub(gone.len());
+
     // Collected in place: `Option<MethodSummary>` has the summary's
     // layout, so the table's buffer is reused.
     let mut summaries: Vec<Option<MethodSummary>> = table.into_iter().map(Some).collect();
-    for (summary, dirty) in summaries.iter_mut().zip(&dirty) {
+    summaries.resize(n, None);
+    index.resize(n, cache::IndexRow::default());
+    let mut stale = Vec::new();
+    for (i, (summary, dirty)) in summaries.iter_mut().zip(&dirty).enumerate() {
         if *dirty {
-            *summary = None;
+            if let Some(summary) = summary.take().filter(|s| !past_the_end(s)) {
+                stale.push((MethodId(i as u32), summary));
+            }
         }
     }
     Seed {
         tables: MethodTables { summaries, index },
         dirty,
         clean_sccs,
-        carried,
+        stale,
     }
 }
 

@@ -1,17 +1,19 @@
 //! Negative tests for the on-disk summary cache: corrupt bytes, a
-//! truncated file, a stale schema version, bad magic, an empty file and
-//! a bad Tier A index must each be detected and recomputed around —
-//! bumping the `cache_invalidated` counter, never panicking, and never
-//! changing a verdict.
+//! truncated file, bytes after the Tier A frame, a stale schema version
+//! (a schema-5 file with Tier B records among them), bad magic, an
+//! empty file and a bad Tier A index must each be detected and
+//! recomputed around — bumping the `cache_invalidated` counter, never
+//! panicking, and never changing a verdict. A corrupt index row that
+//! still checksums clean costs only its own SCC.
 
 use std::fs;
 use std::path::PathBuf;
 
 use jgre_analysis::{
-    cache, AnalysisOptions, DataflowDetector, DataflowOutput, IpcMethod, IpcMethodExtractor,
-    JgrEntryExtractor, JgrEntrySets, RejectReason, CACHE_FILE,
+    cache, condense_call_graph, AnalysisOptions, DataflowDetector, DataflowOutput, IpcMethod,
+    IpcMethodExtractor, JgrEntryExtractor, JgrEntrySets, LeakChecker, RejectReason, CACHE_FILE,
 };
-use jgre_corpus::{spec::AospSpec, CodeModel};
+use jgre_corpus::{spec::AospSpec, CodeModel, MethodDef, MethodId, ParamUsage};
 
 // magic (8) + version (4) + corpus fingerprint (8) + scc count (4) +
 // Tier A length (4); see the cache module's layout doc.
@@ -59,6 +61,14 @@ impl Fixture {
     /// Tier A payload, one row per method.
     fn index_at(&self) -> usize {
         HEADER_LEN + self.tier_a_len() - 4 - INDEX_ROW_LEN * self.model.methods.len()
+    }
+
+    /// Recomputes the Tier A frame's checksum after an edit of its
+    /// payload, so the bytes frame clean.
+    fn reseal(&self, bytes: &mut [u8]) {
+        let payload = HEADER_LEN..HEADER_LEN + self.tier_a_len();
+        let sum = jgre_sim::record::checksum(&bytes[payload.clone()]);
+        bytes[payload.end..payload.end + 8].copy_from_slice(&sum.to_le_bytes());
     }
 
     /// The typed reason `cache::load` gives for `bytes`.
@@ -127,18 +137,26 @@ fn truncated_file_is_detected_and_recomputed() {
     let half = f.pristine.len() / 2;
     let out = f.run_with_bytes(&f.pristine[..half]);
     f.assert_recovered(&out, "truncated file");
-    // Cut between two Tier B records, the file still frames clean: only
-    // the header's SCC count tells it from a whole file. Walk the
-    // `key u64 | len u32 | payload | checksum u64` records to the first
-    // boundary past the middle.
-    let mut boundary = HEADER_LEN + f.tier_a_len() + 8;
-    while boundary <= half {
-        let len = &f.pristine[boundary + 8..boundary + 12];
-        boundary += 8 + 4 + u32::from_le_bytes(len.try_into().unwrap()) as usize + 8;
-    }
-    assert!(boundary < f.pristine.len(), "the cut drops whole records");
-    let out = f.run_with_bytes(&f.pristine[..boundary]);
-    f.assert_recovered(&out, "file cut at a record boundary");
+    // Cut inside the checksum trailer, the payload is whole: the frame
+    // still runs off the end.
+    let out = f.run_with_bytes(&f.pristine[..f.pristine.len() - 1]);
+    f.assert_recovered(&out, "file cut inside the checksum");
+}
+
+#[test]
+fn bytes_after_the_tier_a_frame_are_rejected() {
+    let f = Fixture::new("trailing");
+    assert_eq!(
+        f.pristine.len(),
+        HEADER_LEN + f.tier_a_len() + 8,
+        "the file ends with the Tier A frame"
+    );
+    let mut bytes = f.pristine.clone();
+    bytes.extend_from_slice(&[0u8; 8]);
+    assert_eq!(f.reject_of(&bytes), Some(RejectReason::TrailingBytes));
+    let out = f.run_with_bytes(&bytes);
+    assert_eq!(out.stats.cache_misses, out.stats.sccs as u64);
+    f.assert_recovered(&out, "bytes after the Tier A frame");
 }
 
 #[test]
@@ -169,7 +187,7 @@ fn stale_schema_rejection_is_typed() {
         "schema staleness must be distinguishable from corruption"
     );
     assert!(loaded.tier_a.is_none());
-    assert!(loaded.tier_b.is_empty(), "stale files are rejected whole");
+    assert!(loaded.index.is_empty(), "stale files are rejected whole");
     // Corruption reports a different typed reason.
     let mut garbage = f.pristine.clone();
     garbage[..8].copy_from_slice(b"NOTJGRE!");
@@ -197,36 +215,60 @@ fn empty_file_is_rejected() {
 }
 
 #[test]
-fn corrupt_tier_b_record_invalidates_only_that_record() {
-    let f = Fixture::new("tierb");
-    let tier_a_len = f.tier_a_len();
-    // First Tier B record: [key u64][len u32][payload][checksum u64]
-    // right after the Tier A block and its checksum.
-    let first_record = HEADER_LEN + tier_a_len + 8;
-    let payload_at = first_record + 12;
-    assert!(payload_at < f.pristine.len(), "fixture has Tier B records");
+fn corrupt_index_row_recomputes_only_its_scc() {
+    let f = Fixture::new("row");
+    // A method in an SCC of its own that has callers: a row that lies
+    // about its facts and its SCC key puts it in the cone and denies it
+    // the early cutoff, but its recomputed summary is the one stored, so
+    // every caller's SCC still cuts off.
+    let cond = condense_call_graph(&f.model);
+    let target = cond
+        .sccs()
+        .filter_map(|scc| match scc {
+            [m] => Some(*m),
+            _ => None,
+        })
+        .find(|m| {
+            let def = f.model.method(*m);
+            !def.calls.contains(m)
+                && !def.handler_posts.contains(m)
+                && f.model.methods.iter().any(|c| c.calls.contains(m))
+        })
+        .expect("some acyclic method has a caller");
     let mut bytes = f.pristine.clone();
-    bytes[payload_at] ^= 0xff;
-    // Tier A still matches this corpus, so the poisoned record is only
-    // reached after an edit breaks the Tier A fast path. Simulate by
-    // clearing the stored corpus fingerprint.
+    let row = f.index_at() + 4 + INDEX_ROW_LEN * target.0 as usize;
+    bytes[row] ^= 0xff; // fact fingerprint
+    bytes[row + 8] ^= 0xff; // SCC key
+    f.reseal(&mut bytes);
+    // Tier A still matches this corpus, so the row is only reached after
+    // an edit breaks the exact-hit fast path. Simulate by clearing the
+    // stored corpus fingerprint.
     bytes[12..20].copy_from_slice(&[0u8; 8]);
     let out = f.run_with_bytes(&bytes);
     assert_eq!(
         out.detector,
         f.cold().detector,
-        "tier B poison: wrong verdicts"
+        "row poison: wrong verdicts"
     );
-    assert!(out.stats.cache_invalidated >= 1, "stats: {:?}", out.stats);
-    // All records except the poisoned one still hit.
-    assert!(
-        out.stats.cache_hits > out.stats.cache_misses,
-        "stats: {:?}",
+    assert_eq!(
+        out.verdicts,
+        f.cold().verdicts,
+        "row poison: wrong verdicts"
+    );
+    // It checksummed clean, so it is no rejection.
+    assert_eq!(
+        (
+            out.stats.cache_hits,
+            out.stats.cache_misses,
+            out.stats.cache_invalidated
+        ),
+        (out.stats.sccs as u64 - 1, 1, 0),
+        "{:?}",
         out.stats
     );
     assert!(
         fs::read(f.dir.join(CACHE_FILE)).unwrap() == f.pristine,
-        "tier B poison: repaired file differs from a cold cached run's"
+        "row poison: repaired file differs from a cold cached run's"
     );
 }
 
@@ -238,8 +280,8 @@ fn corrupt_index_byte_falls_back_to_the_full_path() {
     bytes[f.index_at() + 4 + INDEX_ROW_LEN * (f.model.methods.len() / 2)] ^= 0xff;
     assert_eq!(f.reject_of(&bytes), Some(RejectReason::Corrupt));
     let out = f.run_with_bytes(&bytes);
-    // The Tier A frame no longer verifies, and with it the framing of
-    // every Tier B record behind it: everything is recomputed.
+    // The Tier A frame no longer verifies: the file is refused whole and
+    // everything is recomputed.
     assert_eq!(out.stats.cache_misses, out.stats.sccs as u64);
     f.assert_recovered(&out, "flipped index byte");
 }
@@ -252,15 +294,12 @@ fn index_length_disagreeing_with_the_method_count_is_refused() {
     let n = f.model.methods.len() as u32;
     bytes[at..at + 4].copy_from_slice(&(n + 1).to_le_bytes());
     // Re-seal the frame: the payload checksums clean but does not decode.
-    let payload = HEADER_LEN..HEADER_LEN + f.tier_a_len();
-    let sum = jgre_sim::record::checksum(&bytes[payload.clone()]);
-    bytes[payload.end..payload.end + 8].copy_from_slice(&sum.to_le_bytes());
+    f.reseal(&mut bytes);
     assert_eq!(f.reject_of(&bytes), Some(RejectReason::MalformedPayload));
     let out = f.run_with_bytes(&bytes);
-    // The framing is sound, so the full path serves every SCC from its
-    // Tier B record.
-    assert_eq!(out.stats.cache_hits, out.stats.sccs as u64);
-    assert_eq!(out.stats.cache_misses, 0);
+    // A refused index is a full recompute.
+    assert_eq!(out.stats.cache_hits, 0);
+    assert_eq!(out.stats.cache_misses, out.stats.sccs as u64);
     f.assert_recovered(&out, "index length disagrees with the method count");
 }
 
@@ -268,8 +307,8 @@ fn index_length_disagreeing_with_the_method_count_is_refused() {
 fn schema_3_file_is_rejected_as_stale() {
     let f = Fixture::new("schema3");
     // Schema 3 came before the Tier A index; schema 4 keyed Tier B
-    // records by `(class, name)`.
-    for version in [3u32, 4] {
+    // records by `(class, name)`; schema 5 keyed them by `MethodId`.
+    for version in [3u32, 4, 5] {
         let mut bytes = f.pristine.clone();
         bytes[VERSION_OFFSET..VERSION_OFFSET + 4].copy_from_slice(&version.to_le_bytes());
         assert_eq!(
@@ -279,5 +318,90 @@ fn schema_3_file_is_rejected_as_stale() {
         let out = f.run_with_bytes(&bytes);
         assert_eq!(out.stats.cache_misses, out.stats.sccs as u64);
         f.assert_recovered(&out, &format!("schema-{version} file"));
+    }
+}
+
+/// A bare method: no body beyond its binder parameters and call edges.
+fn bare(id: u32, class: &str, name: &str, usage: &[ParamUsage], calls: &[u32]) -> MethodDef {
+    MethodDef {
+        id: MethodId(id),
+        class: class.to_owned(),
+        name: name.to_owned(),
+        overrides_aidl: None,
+        calls: calls.iter().copied().map(MethodId).collect(),
+        handler_posts: Vec::new(),
+        registers_service: None,
+        binder_params: usage.to_vec(),
+        permission_checks: Vec::new(),
+    }
+}
+
+/// The summary cache a schema-5 build wrote for [`overloads`]: the
+/// header, the Tier A frame, then four Tier B records, one per SCC.
+const SCHEMA_5_FILE: &str = "4a47524553554d4305000000f5ccad310fd79d5e04000000a30000000400\
+0000000000000000010000000100000000000000000203000000010000000200000000000000000000000000010000\
+000100000000000000000203000004000000b457312e07562d7eb50804efa44e42fb16f497ebcfd3bf4c13a5f380ff\
+4132b67d96bb02be2eb8402cfc42670ac5aa3ff6ae31783a8957e45045164293ee054b03095cb8d7bd0f8b28ac97b1\
+b76bd95b0679a944a7a50ff8e7a4ca72507c3bbb26a634c0af2d9eb27d96bb02be2eb8401a00000001000000010000\
+000001000000010000000000000000020300006e0e2fec61fb13995045164293ee054b1a0000000100000002000000\
+000100000002000000000000000000000000a7b8d20d321394c10679a944a7a50ff81a000000010000000300000000\
+010000000100000000000000000203000011050ace5e805102b50804efa44e42fb0d00000001000000000000000000\
+0000007cae617132c624b9";
+
+/// Four methods: two overloads of `com.example.Over.over`, only the
+/// first retaining its binder, its caller and an unrelated leaf.
+fn overloads() -> CodeModel {
+    let over = "com.example.Over";
+    CodeModel {
+        classes: Vec::new(),
+        methods: vec![
+            bare(0, "com.example.Other", "leaf", &[], &[]),
+            bare(1, over, "over", &[ParamUsage::StoredInCollection], &[]),
+            bare(2, over, "over", &[ParamUsage::LocalOnly], &[]),
+            bare(3, "com.example.Caller", "call", &[], &[1]),
+        ],
+        native_functions: Vec::new(),
+        jni_registrations: Vec::new(),
+    }
+}
+
+#[test]
+fn schema_5_file_with_tier_b_records_is_rejected_as_stale() {
+    let bytes: Vec<u8> = (0..SCHEMA_5_FILE.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&SCHEMA_5_FILE[i..i + 2], 16).unwrap())
+        .collect();
+    let model = overloads();
+    let dir = std::env::temp_dir().join(format!("jgre-poison-{}-schema5", std::process::id()));
+    let cold_dir = dir.with_extension("cold");
+    for d in [&dir, &cold_dir] {
+        fs::remove_dir_all(d).ok();
+        fs::create_dir_all(d).unwrap();
+    }
+    fs::write(dir.join(CACHE_FILE), &bytes).unwrap();
+    let loaded = cache::load(&dir.join(CACHE_FILE), 0, model.methods.len());
+    assert_eq!(loaded.reject, Some(RejectReason::StaleSchema { found: 5 }));
+    assert!(loaded.tier_a.is_none() && loaded.invalidated == 1);
+
+    let checker = LeakChecker::new(&model);
+    let out = checker.analyze_with(&AnalysisOptions::with_cache_dir(&dir));
+    assert_eq!(out.summaries, checker.analyze().summaries);
+    let stats = out.stats;
+    assert_eq!(
+        (
+            stats.cache_hits,
+            stats.cache_misses,
+            stats.cache_invalidated
+        ),
+        (0, stats.sccs as u64, 1),
+        "{stats:?}"
+    );
+    checker.analyze_with(&AnalysisOptions::with_cache_dir(&cold_dir));
+    assert!(
+        fs::read(dir.join(CACHE_FILE)).unwrap() == fs::read(cold_dir.join(CACHE_FILE)).unwrap(),
+        "the recomputed file differs from a cold cached run's"
+    );
+    for d in [dir, cold_dir] {
+        fs::remove_dir_all(d).ok();
     }
 }

@@ -1,11 +1,13 @@
 //! Pins the Tier A delta path on the 4× amplified corpus the `lint`
 //! benchmark edits: after a one-method edit on a replica leaf, only the
 //! dirty cone is processed, the work counters equal the cone's alone,
-//! every `SolverStats` field equals what the full Tier B path reports,
-//! and the rewritten cache file is byte-identical to the one a cold
-//! cached run of the edited corpus writes. A grown corpus, which takes
-//! the full Tier B path, keeps apart the summaries of overloads that
-//! share a `(class, name)`.
+//! every `SolverStats` field equals what an oracle derives from the two
+//! corpora without the cache, and the rewritten cache file is
+//! byte-identical to the one a cold cached run of the edited corpus
+//! writes. A file whose index is refused is a full recompute. An edit
+//! that keeps its method's summary serves its callers from Tier A, and
+//! a grown corpus, whose index covers the shared id prefix, keeps apart
+//! the summaries of overloads that share a `(class, name)`.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -13,8 +15,8 @@ use std::path::{Path, PathBuf};
 
 use jgre_analysis::leakcheck::LeakAnalysis;
 use jgre_analysis::{
-    cache, intra_solver_cost, AnalysisOptions, Cfg, LeakChecker, RejectReason, SolverStats,
-    CACHE_FILE,
+    cache, condense_call_graph, intra_solver_cost, method_fact_fingerprints, AnalysisOptions, Cfg,
+    LeakChecker, RejectReason, SolverStats, CACHE_FILE,
 };
 use jgre_corpus::{spec::AospSpec, CodeModel, MethodDef, MethodId, ParamUsage};
 
@@ -95,10 +97,58 @@ fn cached_run(model: &CodeModel, dir: &Path) -> LeakAnalysis {
     LeakChecker::new(model).analyze_with(&AnalysisOptions::with_cache_dir(dir))
 }
 
+/// The statistics a cached re-lint of `after` over `before`'s file must
+/// report, derived without the cache. An SCC of `after` hits exactly
+/// when `before` had an SCC of the same members, each member's facts are
+/// unchanged, and so is the summary of each of their external callees:
+/// the inputs to the fold are equal under the same numbering. Hits skip
+/// synthesis, so the work counters are the missed SCCs' methods' alone.
+fn expected_stats(before: &CodeModel, after: &CodeModel) -> SolverStats {
+    let facts = |m: &CodeModel| method_fact_fingerprints(m, &vec![false; m.methods.len()]);
+    let (old_facts, new_facts) = (facts(before), facts(after));
+    let old_summaries = LeakChecker::new(before).analyze().summaries;
+    let new_summaries = LeakChecker::new(after).analyze().summaries;
+    let old_cond = condense_call_graph(before);
+    let old_sccs: BTreeSet<&[MethodId]> = old_cond.sccs().collect();
+    let cond = condense_call_graph(after);
+    let unchanged = |m: &MethodId| old_facts.get(m.0 as usize) == Some(&new_facts[m.0 as usize]);
+    let same_summary =
+        |c: &MethodId| old_summaries.get(c.0 as usize) == Some(&new_summaries[c.0 as usize]);
+    let mut missed = BTreeSet::new();
+    let mut misses = 0;
+    for scc in cond.sccs() {
+        let hit = old_sccs.contains(scc)
+            && scc.iter().all(|m| {
+                let def = after.method(*m);
+                unchanged(m)
+                    && def
+                        .calls
+                        .iter()
+                        .chain(def.handler_posts.iter())
+                        .filter(|callee| !scc.contains(callee))
+                        .all(same_summary)
+            });
+        if !hit {
+            misses += 1;
+            missed.extend(scc.iter().copied());
+        }
+    }
+    let (cfg_blocks, solver_iterations) = cone_work(after, &missed);
+    SolverStats {
+        methods: after.methods.len(),
+        cfg_blocks,
+        sccs: cond.len(),
+        solver_iterations,
+        cache_hits: (cond.len() - misses) as u64,
+        cache_misses: misses as u64,
+        cache_invalidated: 0,
+    }
+}
+
 /// Re-lints `after` through the cache file of `before` three ways — the
-/// delta path, the full Tier B path, and a cold cached run in a fresh
-/// directory — checks what every delta re-lint must satisfy, and
-/// returns the delta run's statistics.
+/// delta path, a full recompute behind a refused index, and a cold
+/// cached run in a fresh directory — checks what every delta re-lint
+/// must satisfy, and returns the delta run's statistics.
 fn relint(before: &CodeModel, after: &CodeModel, tag: &str) -> SolverStats {
     let n = after.methods.len();
     let pristine_dir = temp_cache_dir(&format!("{tag}-pristine"));
@@ -110,11 +160,10 @@ fn relint(before: &CodeModel, after: &CodeModel, tag: &str) -> SolverStats {
     fs::write(delta_dir.join(CACHE_FILE), &pristine).unwrap();
     let delta = cached_run(after, &delta_dir);
 
-    // The full Tier B path: the same records behind a Tier A table
-    // without its index, which the loader refuses.
+    // A full recompute: the same table without its index, which the
+    // loader refuses.
     let full_dir = temp_cache_dir(&format!("{tag}-full"));
     let loaded = cache::load(&pristine_dir.join(CACHE_FILE), 0, n);
-    assert!(loaded.tier_b_verified && loaded.tier_b.len() == loaded.scc_count as usize);
     let table = cache::encode_tier_a(loaded.tier_a.as_deref().unwrap());
     cache::store(
         &full_dir.join(CACHE_FILE),
@@ -145,13 +194,14 @@ fn relint(before: &CodeModel, after: &CodeModel, tag: &str) -> SolverStats {
         "{tag}"
     );
     assert_eq!(stats.sccs, cold.stats.sccs, "{tag}");
-    // The refused index is the one rejection the full path counts.
-    assert_eq!(full.stats.cache_invalidated, 1, "{tag}");
+    assert_eq!(stats, expected_stats(before, after), "{tag}");
+    // The refused index is the one rejection the full recompute counts;
+    // it does the work of an uncached run.
     assert_eq!(
-        stats,
+        full.stats,
         SolverStats {
-            cache_invalidated: 0,
-            ..full.stats
+            cache_invalidated: 1,
+            ..uncached.stats
         },
         "{tag}"
     );
@@ -223,7 +273,7 @@ fn call_cycles_stay_whole_across_delta_relints() {
 
     // An edit that closes the cycle merges two SCCs into one.
     relint(&base, &cycle, "merge");
-    // An edit outside it keeps the two-method SCC clean: one record, one
+    // An edit outside it keeps the two-method SCC clean: one SCC, one
     // hit.
     let mut elsewhere = cycle.clone();
     flip_first_param(&mut elsewhere, other);
@@ -259,11 +309,11 @@ fn swap_ids(model: &CodeModel, a: MethodId, b: MethodId) -> CodeModel {
 }
 
 #[test]
-fn renumbering_rewrites_the_records_it_reorders() {
+fn renumbering_recomputes_the_sccs_it_reorders() {
     let base = CodeModel::synthesize(&AospSpec::android_6_0_1());
     let analysis = LeakChecker::new(&base).analyze();
     // A summary with sites from two origins: swapping their ids reverses
-    // the sites' order, so no record stored under the old numbering may
+    // the sites' order, so no row stored under the old numbering may
     // serve it. Keys name members and callees by id, so every SCC whose
     // ids moved misses and is computed again.
     let (a, b) = analysis
@@ -276,6 +326,48 @@ fn renumbering_rewrites_the_records_it_reorders() {
         })
         .expect("some summary has sites from two methods");
     relint(&base, &swap_ids(&base, a, b), "renumber");
+}
+
+#[test]
+fn callers_of_an_edit_that_keeps_its_summary_are_served_from_tier_a() {
+    let base = CodeModel::synthesize(&AospSpec::android_6_0_1());
+    let summaries = LeakChecker::new(&base).analyze().summaries;
+    // Renaming a method changes its facts but, away from the JNI-wrapper
+    // names, not its summary: only its own SCC is recomputed, and every
+    // caller SCC in its cone cuts off early on its unchanged key.
+    let (renamed, cone) = base
+        .methods
+        .iter()
+        .filter(|d| !summaries[d.id.0 as usize].sites.is_empty())
+        .find_map(|d| {
+            let cone = caller_cone(&base, d.id);
+            if cone.len() <= 2 || calls_into(&base, d.id, &cone) {
+                return None;
+            }
+            let mut renamed = base.clone();
+            renamed.methods[d.id.0 as usize].name.push_str("Renamed");
+            let kept = LeakChecker::new(&renamed).analyze().summaries == summaries;
+            kept.then_some((renamed, cone))
+        })
+        .expect("some retaining method has callers and keeps its summary when renamed");
+    let stats = relint(&base, &renamed, "rename");
+    assert_eq!(stats.cache_misses, 1, "{stats:?}");
+    assert_eq!(
+        stats.cache_hits as usize,
+        stats.sccs - 1,
+        "{} callers",
+        cone.len() - 1
+    );
+}
+
+/// Whether `id` calls back into `cone` other than itself — a caller in
+/// its own SCC, which the rename would put in the recomputed SCC.
+fn calls_into(model: &CodeModel, id: MethodId, cone: &BTreeSet<MethodId>) -> bool {
+    let def = model.method(id);
+    def.calls
+        .iter()
+        .chain(def.handler_posts.iter())
+        .any(|callee| *callee != id && cone.contains(callee))
 }
 
 /// A bare method: no body beyond its binder parameters and call edges.
@@ -302,9 +394,9 @@ fn bare(
 #[test]
 fn overloads_keep_their_own_summaries_when_the_corpus_grows() {
     // Two overloads share `com.example.Over.over` (ids 1 and 2); only id
-    // 1 retains its binder, and id 3 calls it. A grown corpus has no
-    // usable Tier A index, so every SCC goes through Tier B — where a
-    // record must name the allocating overload by id, not by name.
+    // 1 retains its binder, and id 3 calls it. A grown corpus applies
+    // the Tier A index to the ids both corpora share, where a row must
+    // name the allocating overload by id, not by name.
     let over = "com.example.Over";
     let mut model = CodeModel {
         classes: Vec::new(),
@@ -319,21 +411,22 @@ fn overloads_keep_their_own_summaries_when_the_corpus_grows() {
     };
     let dir = temp_cache_dir("overloads");
     cached_run(&model, &dir);
+    let small = model.clone();
     model
         .methods
         .push(bare(4, "com.example.Extra", "extra", Vec::new(), &[]));
-    let relint = cached_run(&model, &dir);
+    let grown = cached_run(&model, &dir);
 
     let uncached = LeakChecker::new(&model).analyze();
     let origins = |a: &LeakAnalysis| -> Vec<MethodId> {
         a.summaries[3].sites.iter().map(|s| s.method).collect()
     };
     assert_eq!(origins(&uncached), vec![MethodId(1)]);
-    assert_eq!(origins(&relint), vec![MethodId(1)], "cached caller summary");
-    assert_eq!(relint.summaries, uncached.summaries);
+    assert_eq!(origins(&grown), vec![MethodId(1)], "cached caller summary");
+    assert_eq!(grown.summaries, uncached.summaries);
     // Every SCC of the old corpus kept its key; only the appended method
     // is computed.
-    let stats = relint.stats;
+    let stats = grown.stats;
     assert_eq!(
         (
             stats.cache_hits,
@@ -352,4 +445,15 @@ fn overloads_keep_their_own_summaries_when_the_corpus_grows() {
     for dir in [dir, cold_dir] {
         fs::remove_dir_all(dir).ok();
     }
+    // Shrunk back, the corpus is the shared prefix: nothing is computed.
+    let stats = relint(&model, &small, "shrink");
+    assert_eq!(
+        (
+            stats.cache_hits,
+            stats.cache_misses,
+            stats.cache_invalidated
+        ),
+        (4, 0, 0),
+        "{stats:?}"
+    );
 }

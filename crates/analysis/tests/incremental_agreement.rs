@@ -92,8 +92,8 @@ fn apply(model: &mut CodeModel, op: &EditOp, step: usize) {
             }
         }
         6 => {
-            // A new method id: the Tier A index no longer fits, and every
-            // SCC goes through its Tier B record.
+            // A new method id: the Tier A index covers the ids both
+            // corpora share, and the new method is computed.
             let mut overload = model.methods[a % n].clone();
             overload.id = MethodId(n as u32);
             overload.overrides_aidl = None;
