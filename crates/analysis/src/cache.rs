@@ -25,9 +25,9 @@
 //! Every reader treats the file as untrusted input. A bad magic or
 //! version, a Tier A frame that fails its checksum or runs off the end,
 //! bytes after that frame, and a table or index that does not decode
-//! each reject the whole file: the rejection increments the
-//! `invalidated` counter and records a typed [`RejectReason`], and the
-//! engine recomputes, never panics.
+//! each reject the whole file with a typed [`RejectReason`], which the
+//! engine counts in its statistics before it recomputes; it never
+//! panics.
 //!
 //! **Schema-version bump rule:** any change to the payload encodings,
 //! the fingerprint recipes they key on, or the summary semantics they
@@ -315,8 +315,7 @@ pub enum RejectReason {
 pub struct TierB;
 
 /// The cache file's validated contents. A rejected file loads as an
-/// empty cache; `invalidated` counts the rejection and `reject` records
-/// its typed reason.
+/// empty cache with `reject` set to its typed reason.
 #[derive(Debug, Default)]
 pub struct LoadedCache {
     /// Tier A summaries, present when the file is whole and its table
@@ -333,10 +332,8 @@ pub struct LoadedCache {
     pub scc_count: u32,
     /// See [`TierB`]: always empty.
     pub tier_b: TierB,
-    /// Rejections while loading: 0 or 1, the file is taken or refused
+    /// Why the file was refused, when it was: it is taken or refused
     /// whole.
-    pub invalidated: u64,
-    /// The rejection's reason, when the file was refused.
     pub reject: Option<RejectReason>,
 }
 
@@ -375,14 +372,12 @@ fn parse(bytes: &[u8], expected_fp: u64, method_count: usize) -> Result<LoadedCa
 }
 
 /// Loads and validates `path`. A missing file is an empty cache, not
-/// corruption; a malformed one is refused whole and counted in
-/// `invalidated`.
+/// corruption; a malformed one is refused whole, with its reason.
 pub fn load(path: &Path, expected_fp: u64, method_count: usize) -> LoadedCache {
     let Ok(bytes) = fs::read(path) else {
         return LoadedCache::default();
     };
     parse(&bytes, expected_fp, method_count).unwrap_or_else(|reason| LoadedCache {
-        invalidated: 1,
         reject: Some(reason),
         ..LoadedCache::default()
     })
@@ -483,18 +478,18 @@ mod tests {
         store(&path, 7, 0, &tier_a, &TierB).unwrap();
 
         let clean = load(&path, 7, n);
-        assert_eq!(clean.invalidated, 0);
+        assert_eq!(clean.reject, None);
         assert!(clean.exact && clean.tier_a.is_some());
         assert_eq!(clean.index.len(), n);
         // Different corpus fingerprint: stale but not corrupt. The table
         // still loads — its index decides which summaries hold.
         let stale = load(&path, 8, n);
-        assert_eq!(stale.invalidated, 0);
+        assert_eq!(stale.reject, None);
         assert!(!stale.exact && stale.tier_a.is_some());
         // Another method count is another corpus: the table loads at its
         // own length, for the prefix both corpora share.
         let other = load(&path, 8, n + 1);
-        assert_eq!(other.invalidated, 0);
+        assert_eq!(other.reject, None);
         assert_eq!(other.tier_a.map(|t| t.len()), Some(n));
         // Under this corpus's fingerprint, another length is malformed.
         let wrong = load(&path, 7, n + 1);
@@ -505,7 +500,6 @@ mod tests {
         bytes[0] ^= 0xff;
         fs::write(&path, &bytes).unwrap();
         let bad_magic = load(&path, 7, n);
-        assert_eq!(bad_magic.invalidated, 1);
         assert_eq!(bad_magic.reject, Some(RejectReason::BadMagic));
 
         let mut bytes = fs::read(&path).unwrap();
@@ -513,7 +507,6 @@ mod tests {
         bytes[8] = (SCHEMA_VERSION - 1) as u8; // a previous-era schema
         fs::write(&path, &bytes).unwrap();
         let stale = load(&path, 7, n);
-        assert_eq!(stale.invalidated, 1);
         assert_eq!(
             stale.reject,
             Some(RejectReason::StaleSchema {
@@ -527,7 +520,6 @@ mod tests {
         bytes[mid] ^= 0xff; // corrupt the Tier A payload
         fs::write(&path, &bytes).unwrap();
         let poisoned = load(&path, 7, n);
-        assert_eq!(poisoned.invalidated, 1);
         assert_eq!(poisoned.reject, Some(RejectReason::Corrupt));
         assert!(poisoned.tier_a.is_none());
 
@@ -594,7 +586,7 @@ mod tests {
             record::HEADER_LEN + FIXED_LEN + record::FRAME_OVERHEAD + tier_a.len()
         );
         let hit = load(&path, 11, 3);
-        assert!(hit.exact && hit.invalidated == 0);
+        assert!(hit.exact && hit.reject.is_none());
         assert_eq!((hit.scc_count, hit.index.len()), (2, 3));
         fs::remove_file(&path).ok();
     }
@@ -613,7 +605,6 @@ mod tests {
             bytes.extend_from_slice(&tail);
             fs::write(&path, &bytes).unwrap();
             let loaded = load(&path, 9, 0);
-            assert_eq!(loaded.invalidated, 1);
             assert_eq!(loaded.reject, Some(RejectReason::TrailingBytes));
             assert!(loaded.tier_a.is_none() && !loaded.exact);
         }

@@ -721,7 +721,7 @@ impl<'m> LeakChecker<'m> {
             }
             None => (Vec::new(), 0, cache::LoadedCache::default()),
         };
-        stats.cache_invalidated = loaded.invalidated;
+        stats.cache_invalidated = u64::from(loaded.reject.is_some());
 
         // A clean exact hit: the header's corpus fingerprint matched, and
         // every fact fingerprint matches the index. Tier A is the answer
