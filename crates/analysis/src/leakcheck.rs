@@ -772,10 +772,10 @@ impl<'m> LeakChecker<'m> {
             .map(|s| s.expect("every SCC processed"))
             .collect();
 
-        // A clean exact hit leaves the file as it is. Anything else
-        // rewrites it whole, as Tier A for this corpus.
-        let unchanged = loaded.exact && stats.cache_invalidated == 0 && cond.is_empty();
-        if let Some(path) = cache_path.as_ref().filter(|_| !unchanged) {
+        // Only a clean exact hit, which returned above, leaves the file as
+        // it is: under an exact header any other run has a dirty method.
+        // The file is rewritten whole, as Tier A for this corpus.
+        if let Some(path) = &cache_path {
             let mut tier_a = cache::encode_tier_a(&summaries);
             cache::encode_index(&mut tier_a, &tables.index);
             let _ = cache::store(path, corpus_fp, stats.sccs as u32, &tier_a, &cache::TierB);
