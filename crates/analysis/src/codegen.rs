@@ -49,8 +49,8 @@ pub struct GeneratedTestCase {
 /// assert!(case.permissions.contains(&"android.permission.WAKE_LOCK"));
 /// ```
 pub fn generate_test_case(risky: &RiskyInterface, spec: &AospSpec) -> GeneratedTestCase {
-    let service = &risky.ipc.service;
-    let method = &risky.ipc.method;
+    let service = risky.ipc.service;
+    let method = risky.ipc.method;
     let iface = &risky.ipc.interface;
     let (permissions, spoof) = lookup_spec_facts(risky, spec);
 
@@ -86,8 +86,8 @@ for (int i = 0; i < 60000; i++) {{
 fn lookup_spec_facts(risky: &RiskyInterface, spec: &AospSpec) -> (Vec<Permission>, bool) {
     let method_spec = match &risky.ipc.kind {
         ServiceKind::SystemService | ServiceKind::NativeService => spec
-            .service(&risky.ipc.service)
-            .and_then(|s| s.method(&risky.ipc.method)),
+            .service(risky.ipc.service)
+            .and_then(|s| s.method(risky.ipc.method)),
         ServiceKind::PrebuiltApp(pkg) => spec
             .prebuilt_apps
             .iter()
@@ -97,7 +97,7 @@ fn lookup_spec_facts(risky: &RiskyInterface, spec: &AospSpec) -> (Vec<Permission
                     .iter()
                     .find(|s| s.interface == risky.ipc.interface)
             })
-            .and_then(|s| s.method(&risky.ipc.method)),
+            .and_then(|s| s.method(risky.ipc.method)),
         ServiceKind::ThirdPartyApp(_) => None,
     };
     match method_spec {
@@ -118,11 +118,12 @@ fn lookup_spec_facts(risky: &RiskyInterface, spec: &AospSpec) -> (Vec<Permission
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DataflowDetector, IpcMethod, IpcMethodExtractor, JgrEntryExtractor};
+    use crate::{DataflowDetector, IpcMethodExtractor, JgrEntryExtractor};
     use jgre_corpus::CodeModel;
 
-    /// Every risky interface of the corpus with its generated case.
-    fn cases() -> Vec<(IpcMethod, GeneratedTestCase)> {
+    /// Every risky interface of the corpus, as `(service, method)`, with
+    /// its generated case.
+    fn cases() -> Vec<((String, String), GeneratedTestCase)> {
         let spec = AospSpec::android_6_0_1();
         let model = CodeModel::synthesize(&spec);
         let ipc = IpcMethodExtractor::new(&model).extract();
@@ -131,14 +132,17 @@ mod tests {
         out.detector
             .risky
             .iter()
-            .map(|r| (r.ipc.clone(), generate_test_case(r, &spec)))
+            .map(|r| {
+                let key = (r.ipc.service.to_owned(), r.ipc.method.to_owned());
+                (key, generate_test_case(r, &spec))
+            })
             .collect()
     }
 
     fn case_for(service: &str, method: &str) -> GeneratedTestCase {
         cases()
             .into_iter()
-            .find(|(ipc, _)| ipc.service == service && ipc.method == method)
+            .find(|((s, m), _)| s == service && m == method)
             .unwrap_or_else(|| panic!("{service}.{method} is not risky"))
             .1
     }
@@ -176,9 +180,9 @@ mod tests {
 
     #[test]
     fn every_risky_interface_generates_compilable_shape() {
-        for (ipc, case) in cases() {
+        for ((_, method), case) in cases() {
             assert!(case.java_source.contains("for (int i = 0; i < 60000; i++)"));
-            assert!(case.java_source.contains(&ipc.method));
+            assert!(case.java_source.contains(&method));
             assert!(!case.target.is_empty());
         }
     }

@@ -1,8 +1,8 @@
 //! Step 3's output shape (§III-C): the risky interfaces that survive the
 //! four sift rules and the permission filter, and the sifted candidates
 //! with the rule that cleared each. [`DataflowDetector`] produces it.
-//! Rows borrow their [`IpcMethod`] from the extractor's output instead
-//! of copying its strings.
+//! Rows borrow their [`IpcMethod`] from the extractor's output, which
+//! borrows its names from the code model, so no row copies a string.
 //!
 //! [`DataflowDetector`]: crate::DataflowDetector
 
@@ -34,7 +34,7 @@ pub enum SiftReason {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RiskyInterface<'a> {
     /// The IPC method.
-    pub ipc: &'a IpcMethod,
+    pub ipc: &'a IpcMethod<'a>,
     /// JGR entries reachable in its call graph.
     pub reached_entries: Vec<MethodId>,
     /// Whether the risk came (at least in part) from binder-typed
@@ -51,5 +51,5 @@ pub struct DetectorOutput<'a> {
     /// Candidates that survived all sift rules and the permission filter.
     pub risky: Vec<RiskyInterface<'a>>,
     /// Sifted candidates with the rule that cleared them.
-    pub sifted: Vec<(&'a IpcMethod, SiftReason)>,
+    pub sifted: Vec<(&'a IpcMethod<'a>, SiftReason)>,
 }

@@ -244,8 +244,8 @@ impl LintReport {
             };
             diagnostics.push(Diagnostic {
                 rule,
-                service: row.ipc.service.clone(),
-                method: row.ipc.method.clone(),
+                service: row.ipc.service.to_owned(),
+                method: row.ipc.method.to_owned(),
                 kind: row.ipc.kind.clone(),
                 verdict: row.verdict,
                 message: format!(

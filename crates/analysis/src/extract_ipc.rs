@@ -1,5 +1,8 @@
 //! Step 1: the IPC method extractor (§III-A).
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use jgre_corpus::{CodeModel, MethodId, Origin};
@@ -20,16 +23,18 @@ pub enum ServiceKind {
     ThirdPartyApp(String),
 }
 
-/// One discovered IPC method.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
-pub struct IpcMethod {
+/// One discovered IPC method. Its names are borrowed from the
+/// [`CodeModel`] it was extracted from.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct IpcMethod<'m> {
     /// Service name for registered services; the exporting class's
     /// interface for app services.
-    pub service: String,
-    /// AIDL interface descriptor.
-    pub interface: String,
+    pub service: &'m str,
+    /// AIDL interface descriptor; a native service has none in the
+    /// model, and renders as `native:{service}`.
+    pub interface: Cow<'m, str>,
     /// Method name.
-    pub method: String,
+    pub method: &'m str,
     /// The Java method body, when there is one (native services have
     /// none).
     pub java: Option<MethodId>,
@@ -60,9 +65,9 @@ impl<'m> IpcMethodExtractor<'m> {
         Self { model }
     }
 
-    /// Runs the extraction. Each method's strings are allocated here,
-    /// once; the detector's rows borrow them.
-    pub fn extract(&self) -> Vec<IpcMethod> {
+    /// Runs the extraction. Every name is borrowed from the model; only a
+    /// native service's `native:{service}` interface is allocated.
+    pub fn extract(&self) -> Vec<IpcMethod<'m>> {
         let names = NameIndex::new(self.model);
         let mut out = Vec::new();
         self.extract_registered_java_services(&names, &mut out);
@@ -75,7 +80,11 @@ impl<'m> IpcMethodExtractor<'m> {
     /// `publishBinderService`: collect the (service name → class) map from
     /// the registration call sites, then take every method of the class
     /// that overrides its AIDL interface.
-    fn extract_registered_java_services(&self, names: &NameIndex<'_>, out: &mut Vec<IpcMethod>) {
+    fn extract_registered_java_services(
+        &self,
+        names: &NameIndex<'m>,
+        out: &mut Vec<IpcMethod<'m>>,
+    ) {
         let mut registrations: BTreeMap<&str, &str> = BTreeMap::new();
         for m in &self.model.methods {
             if let Some((service, class)) = &m.registers_service {
@@ -90,9 +99,9 @@ impl<'m> IpcMethodExtractor<'m> {
                 let m = self.model.method(mid);
                 if let Some(iface) = &m.overrides_aidl {
                     out.push(IpcMethod {
-                        service: service.to_owned(),
-                        interface: iface.clone(),
-                        method: m.name.clone(),
+                        service,
+                        interface: Cow::Borrowed(iface),
+                        method: &m.name,
                         java: Some(mid),
                         kind: ServiceKind::SystemService,
                     });
@@ -103,13 +112,13 @@ impl<'m> IpcMethodExtractor<'m> {
 
     /// The 5 native services: registration and IPC entry points both live
     /// in the native function table.
-    fn extract_native_services(&self, out: &mut Vec<IpcMethod>) {
+    fn extract_native_services(&self, out: &mut Vec<IpcMethod<'m>>) {
         for n in &self.model.native_functions {
             if let Some((service, method)) = &n.native_ipc {
                 out.push(IpcMethod {
-                    service: service.clone(),
-                    interface: format!("native:{service}"),
-                    method: method.clone(),
+                    service,
+                    interface: Cow::Owned(format!("native:{service}")),
+                    method,
                     java: None,
                     kind: ServiceKind::NativeService,
                 });
@@ -122,7 +131,7 @@ impl<'m> IpcMethodExtractor<'m> {
     /// class such as `TextToSpeechService`). For a subclass of a base
     /// class, the base's default IPC implementations are exported by the
     /// *app* (PicoTts inherits the vulnerable `setCallback`).
-    fn extract_app_services(&self, names: &NameIndex<'_>, out: &mut Vec<IpcMethod>) {
+    fn extract_app_services(&self, names: &NameIndex<'m>, out: &mut Vec<IpcMethod<'m>>) {
         for class in &self.model.classes {
             let kind = match &class.origin {
                 Origin::Framework => continue,
@@ -157,9 +166,9 @@ impl<'m> IpcMethodExtractor<'m> {
                 let m = self.model.method(mid);
                 if m.overrides_aidl.as_deref() == Some(iface) {
                     out.push(IpcMethod {
-                        service: class.name.clone(),
-                        interface: iface.to_owned(),
-                        method: m.name.clone(),
+                        service: &class.name,
+                        interface: Cow::Borrowed(iface),
+                        method: &m.name,
                         java: Some(mid),
                         kind: kind.clone(),
                     });
@@ -170,18 +179,19 @@ impl<'m> IpcMethodExtractor<'m> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use jgre_corpus::spec::AospSpec;
 
-    fn methods() -> Vec<IpcMethod> {
-        let model = CodeModel::synthesize(&AospSpec::android_6_0_1());
-        IpcMethodExtractor::new(&model).extract()
+    fn model() -> CodeModel {
+        CodeModel::synthesize(&AospSpec::android_6_0_1())
     }
 
     #[test]
     fn covers_all_104_services() {
-        let all = methods();
+        let model = model();
+        let all = IpcMethodExtractor::new(&model).extract();
         let services: std::collections::BTreeSet<_> = all
             .iter()
             .filter(|m| {
@@ -190,20 +200,33 @@ mod tests {
                     ServiceKind::SystemService | ServiceKind::NativeService
                 )
             })
-            .map(|m| m.service.as_str())
+            .map(|m| m.service)
             .collect();
         assert_eq!(services.len(), 104);
         let native: std::collections::BTreeSet<_> = all
             .iter()
             .filter(|m| m.kind == ServiceKind::NativeService)
-            .map(|m| m.service.as_str())
+            .map(|m| m.service)
             .collect();
         assert_eq!(native.len(), 5);
     }
 
     #[test]
+    fn only_native_interfaces_are_allocated() {
+        let model = model();
+        for m in IpcMethodExtractor::new(&model).extract() {
+            if m.kind == ServiceKind::NativeService {
+                assert_eq!(m.interface, format!("native:{}", m.service));
+            } else {
+                assert!(matches!(m.interface, Cow::Borrowed(_)), "{m:?}");
+            }
+        }
+    }
+
+    #[test]
     fn finds_the_named_vulnerable_interfaces() {
-        let all = methods();
+        let model = model();
+        let all = IpcMethodExtractor::new(&model).extract();
         for (svc, m) in [
             ("clipboard", "addPrimaryClipChangedListener"),
             ("wifi", "acquireWifiLock"),
@@ -220,7 +243,8 @@ mod tests {
 
     #[test]
     fn pico_inherits_base_ipc_methods() {
-        let all = methods();
+        let model = model();
+        let all = IpcMethodExtractor::new(&model).extract();
         let pico: Vec<_> = all
             .iter()
             .filter(|m| m.kind == ServiceKind::PrebuiltApp("com.svox.pico".into()))
@@ -233,7 +257,8 @@ mod tests {
 
     #[test]
     fn third_party_exports_found() {
-        let all = methods();
+        let model = model();
+        let all = IpcMethodExtractor::new(&model).extract();
         let tp: std::collections::BTreeSet<_> = all
             .iter()
             .filter_map(|m| match &m.kind {

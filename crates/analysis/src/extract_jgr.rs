@@ -1,5 +1,7 @@
 //! Step 2: the JGR entry extractor (§III-B).
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::collections::{BTreeMap, BTreeSet};
 
 use jgre_corpus::{CodeModel, MethodId, NativeFunctionId};
@@ -168,6 +170,7 @@ impl<'m> JgrEntryExtractor<'m> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use jgre_corpus::spec::AospSpec;

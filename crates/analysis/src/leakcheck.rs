@@ -186,7 +186,10 @@ pub struct SolverStats {
     pub cfg_blocks: usize,
     /// SCCs of the call graph.
     pub sccs: usize,
-    /// Total block transfers executed by the fixpoint solver.
+    /// Total block transfers of the fixpoint solves. A statement-free
+    /// method (one `Return` block, no statement) skips its solve, whose
+    /// answer is known, and counts the one transfer that solve makes:
+    /// the figure is what solving every synthesized CFG would report.
     pub solver_iterations: u64,
     /// SCC summaries served from the cache.
     pub cache_hits: u64,
@@ -844,10 +847,21 @@ impl Pass<'_> {
             // An acyclic SCC: every callee is finished, so one fold is
             // the fixpoint.
             [m] if !calls_itself(model.method(m)) => {
-                let (blocks, iterations) = scratch.solve_intra(model.method(m));
-                stats.cfg_blocks += blocks;
-                stats.solver_iterations += iterations;
-                let summary = fold_summary(m, &scratch.intra, finished, &mut scratch.fold);
+                scratch.cfg.synthesize_from(model.method(m));
+                let summary = if statement_free(&scratch.cfg) {
+                    // The solve would transfer the one block once, from
+                    // the empty boundary state to an empty exit, and the
+                    // fold would find no site and no callee: it is
+                    // counted as that solve and skipped.
+                    stats.cfg_blocks += 1;
+                    stats.solver_iterations += 1;
+                    MethodSummary::default()
+                } else {
+                    let (blocks, iterations) = scratch.solve_synthesized();
+                    stats.cfg_blocks += blocks;
+                    stats.solver_iterations += iterations;
+                    fold_summary(m, &scratch.intra, finished, &mut scratch.fold)
+                };
                 self.write(key, m, summary);
             }
             _ => {
@@ -1079,6 +1093,13 @@ fn calls_itself(def: &MethodDef) -> bool {
     def.calls.contains(&def.id) || def.handler_posts.contains(&def.id)
 }
 
+/// Whether `cfg` is one `Return` block with no statements: the CFG of a
+/// method with no binder parameter, no call, no Handler post and no
+/// JNI-wrapper body.
+fn statement_free(cfg: &Cfg) -> bool {
+    cfg.stmts.is_empty() && cfg.blocks.len() == 1 && cfg.blocks[0].term == Terminator::Return
+}
+
 /// Synthesizes and solves every method's CFG intraprocedurally and
 /// returns the total number of solver block transfers — a deterministic
 /// cost probe for benchmarking the predicate lattice against simpler
@@ -1099,6 +1120,11 @@ impl Scratch {
     /// returns the CFG's block count and the solver's block transfers.
     fn solve_intra(&mut self, def: &MethodDef) -> (usize, u64) {
         self.cfg.synthesize_from(def);
+        self.solve_synthesized()
+    }
+
+    /// [`Scratch::solve_intra`] of the CFG already in `self.cfg`.
+    fn solve_synthesized(&mut self) -> (usize, u64) {
         let iterations = self.solver.solve(&self.cfg, &LeakBodyAnalysis);
         let Self {
             cfg,
@@ -1350,7 +1376,7 @@ impl LeakAnalysis {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VerdictRow<'a> {
     /// The IPC method.
-    pub ipc: &'a IpcMethod,
+    pub ipc: &'a IpcMethod<'a>,
     /// Derived verdict.
     pub verdict: LeakVerdict,
     /// Allocation sites backing the verdict.
@@ -1422,7 +1448,7 @@ impl<'m> DataflowDetector<'m> {
     }
 
     /// Classifies every IPC method from dataflow verdicts.
-    pub fn detect<'a>(&self, ipc_methods: &'a [IpcMethod]) -> DataflowOutput<'a> {
+    pub fn detect<'a>(&self, ipc_methods: &'a [IpcMethod<'a>]) -> DataflowOutput<'a> {
         self.detect_with(ipc_methods, &AnalysisOptions::default())
     }
 
@@ -1430,7 +1456,7 @@ impl<'m> DataflowDetector<'m> {
     /// are structurally identical cached and uncached.
     pub fn detect_with<'a>(
         &self,
-        ipc_methods: &'a [IpcMethod],
+        ipc_methods: &'a [IpcMethod<'a>],
         options: &AnalysisOptions,
     ) -> DataflowOutput<'a> {
         let analysis = LeakChecker::new(self.model)
@@ -1494,6 +1520,11 @@ impl<'m> DataflowDetector<'m> {
     }
 }
 
+/// The corpora the integration suites share.
+#[cfg(test)]
+#[path = "../tests/support/corpora.rs"]
+mod corpora;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1501,18 +1532,18 @@ mod tests {
     use jgre_corpus::spec::AospSpec;
     use jgre_corpus::ParamUsage;
 
-    /// The corpus and its step-1/step-2 outputs, which verdict rows
-    /// borrow from.
-    fn inputs() -> (CodeModel, Vec<IpcMethod>, JgrEntrySets) {
+    /// The corpus and its step-2 output; step 1's, which verdict rows
+    /// borrow from, borrows from the corpus.
+    fn inputs() -> (CodeModel, JgrEntrySets) {
         let model = CodeModel::synthesize(&AospSpec::android_6_0_1());
-        let ipc = IpcMethodExtractor::new(&model).extract();
         let entries = JgrEntryExtractor::new(&model).extract();
-        (model, ipc, entries)
+        (model, entries)
     }
 
     #[test]
     fn verdicts_reproduce_the_static_counts() {
-        let (model, ipc, entries) = inputs();
+        let (model, entries) = inputs();
+        let ipc = IpcMethodExtractor::new(&model).extract();
         let out = DataflowDetector::new(&model, &entries).detect(&ipc);
         let system_risky = out
             .detector
@@ -1533,7 +1564,8 @@ mod tests {
 
     #[test]
     fn every_sift_rule_is_derived() {
-        let (model, ipc, entries) = inputs();
+        let (model, entries) = inputs();
+        let ipc = IpcMethodExtractor::new(&model).extract();
         let out = DataflowDetector::new(&model, &entries).detect(&ipc);
         let seen: BTreeSet<LeakVerdict> = out.verdicts.iter().map(|v| v.verdict).collect();
         for expected in [
@@ -1802,6 +1834,104 @@ mod tests {
             analysis.verdict_for(transient),
             LeakVerdict::TransientParams
         );
+    }
+
+    /// The oracle for the statement-free shortcut: every method solved
+    /// and folded in full, against the analysis's own summaries as
+    /// callee summaries (a recursive SCC's members, folded once against
+    /// its fixpoint, give that fixpoint back). Each summary must equal
+    /// the analysis's; each statement-free method's full solve must cost
+    /// the one block and one transfer the analysis charges it; the totals
+    /// must equal the analysis's statistics. Returns the number of
+    /// statement-free methods.
+    fn check_against_full_solve(model: &CodeModel) -> Result<usize, String> {
+        let analysis = LeakChecker::new(model).analyze();
+        let mut scratch = Scratch::default();
+        let (mut blocks, mut iterations, mut free) = (0, 0, 0);
+        for def in &model.methods {
+            let (b, i) = scratch.solve_intra(def);
+            let finished = |callee: MethodId| analysis.summaries.get(callee.0 as usize);
+            let full = fold_summary(def.id, &scratch.intra, finished, &mut scratch.fold);
+            let name = format!("{}.{} ({:?})", def.class, def.name, def.id);
+            if full != *analysis.summary(def.id) {
+                return Err(format!(
+                    "{name}: summary {:?}, full solve {full:?}",
+                    analysis.summary(def.id)
+                ));
+            }
+            if statement_free(&scratch.cfg) {
+                free += 1;
+                if (b, i) != (1, 1) {
+                    return Err(format!(
+                        "{name}: statement-free, full solve costs {b} blocks, {i} transfers"
+                    ));
+                }
+            }
+            blocks += b;
+            iterations += i;
+        }
+        let stats = &analysis.stats;
+        if (blocks, iterations) != (stats.cfg_blocks, stats.solver_iterations) {
+            return Err(format!(
+                "full solves cost {blocks} blocks, {iterations} transfers; {stats:?}"
+            ));
+        }
+        Ok(free)
+    }
+
+    #[test]
+    fn the_shortcut_agrees_with_the_full_solve() {
+        let base = CodeModel::synthesize(&AospSpec::android_6_0_1());
+        let free = check_against_full_solve(&base).unwrap();
+        assert!(
+            free > base.methods.len() / 2,
+            "{free} statement-free methods"
+        );
+        let free = check_against_full_solve(&super::corpora::amplify(&base, 4)).unwrap();
+        assert_eq!(free, 11_664, "the 4x corpus's statement-free methods");
+        let error_paths = CodeModel::synthesize_with_error_paths(&AospSpec::android_6_0_1());
+        check_against_full_solve(&error_paths).unwrap();
+        // One body of each kind the corpus lacks: a Handler post alone
+        // (1 -> 3), a transient binder parameter alone, and a call alone
+        // to a statement-free method (4 -> 0).
+        let mut tiny = tiny_model(vec![
+            (Vec::new(), Vec::new()),
+            (Vec::new(), Vec::new()),
+            (vec![ParamUsage::LocalOnly], Vec::new()),
+            (vec![ParamUsage::StoredInCollection], Vec::new()),
+            (Vec::new(), vec![0]),
+        ]);
+        tiny.methods[1].handler_posts.push(MethodId(3));
+        assert_eq!(check_against_full_solve(&tiny), Ok(1));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
+
+        /// Random edits add and drop calls, binder parameters and
+        /// overloads, so methods enter and leave the statement-free set;
+        /// `posts` turns methods' calls into Handler posts and drops
+        /// their binder parameters, leaving bodies of Handler posts alone.
+        #[test]
+        fn the_shortcut_agrees_with_the_full_solve_on_random_facts(
+            ops in proptest::collection::vec((0u8..7, 0usize..1 << 20, 0usize..1 << 20), 1..24),
+            posts in proptest::collection::vec(0usize..1 << 20, 0..8)
+        ) {
+            let mut model = CodeModel::synthesize(&AospSpec::android_6_0_1());
+            for (step, op) in ops.iter().enumerate() {
+                super::corpora::apply(&mut model, op, step);
+            }
+            let n = model.methods.len();
+            for p in posts {
+                let def = &mut model.methods[p % n];
+                let calls = std::mem::take(&mut def.calls);
+                def.handler_posts.extend(calls);
+                def.binder_params.clear();
+            }
+            if let Err(e) = check_against_full_solve(&model) {
+                proptest::prop_assert!(false, "{e}");
+            }
+        }
     }
 
     #[test]

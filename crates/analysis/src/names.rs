@@ -11,6 +11,8 @@
 //! are public `Vec`s that callers edit in place, so a cached index could
 //! go stale without the model noticing.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::cell::OnceCell;
 
 use jgre_corpus::{ClassDef, CodeModel, MethodId};

@@ -62,13 +62,13 @@ impl Pipeline {
                     ServiceKind::SystemService | ServiceKind::NativeService
                 )
             })
-            .map(|m| m.service.clone())
+            .map(|m| m.service)
             .collect::<std::collections::BTreeSet<_>>()
             .len();
         let native_services = ipc_methods
             .iter()
             .filter(|m| m.kind == ServiceKind::NativeService)
-            .map(|m| m.service.clone())
+            .map(|m| m.service)
             .collect::<std::collections::BTreeSet<_>>()
             .len();
 
@@ -91,7 +91,7 @@ impl Pipeline {
                 .into_iter()
                 .map(|v| {
                     (
-                        (v.risky.ipc.service.clone(), v.risky.ipc.method.clone()),
+                        (v.risky.ipc.service, v.risky.ipc.method),
                         (v.confirmed, v.bypassed_protection),
                     )
                 })
@@ -107,7 +107,7 @@ impl Pipeline {
                     .java
                     .map(|mid| self.model.method(mid).permission_checks.clone())
                     .unwrap_or_default();
-                let key = (r.ipc.service.clone(), r.ipc.method.clone());
+                let key = (r.ipc.service, r.ipc.method);
                 let (status, bypassed) = match &verified {
                     None => (VerificationStatus::StaticOnly, false),
                     Some(map) => match map.get(&key) {
@@ -118,9 +118,9 @@ impl Pipeline {
                     },
                 };
                 ConfirmedVulnerability {
-                    service: r.ipc.service.clone(),
-                    interface: r.ipc.interface.clone(),
-                    method: r.ipc.method.clone(),
+                    service: r.ipc.service.to_owned(),
+                    interface: r.ipc.interface.to_string(),
+                    method: r.ipc.method.to_owned(),
                     kind: r.ipc.kind.clone(),
                     permissions,
                     status,

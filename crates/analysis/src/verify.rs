@@ -80,8 +80,7 @@ impl JgreVerifier {
             let Some(service_name) = resolve_service_name(system, r) else {
                 continue;
             };
-            let method = r.ipc.method.clone();
-            out.push(self.verify_one(system, model, r, &service_name, &method, i));
+            out.push(self.verify_one(system, model, r, &service_name, r.ipc.method, i));
         }
         out
     }
@@ -207,7 +206,9 @@ impl DriveResult {
 /// Maps a risky interface to its registered service name on the device.
 fn resolve_service_name(system: &System, risky: &RiskyInterface) -> Option<String> {
     match &risky.ipc.kind {
-        ServiceKind::SystemService | ServiceKind::NativeService => Some(risky.ipc.service.clone()),
+        ServiceKind::SystemService | ServiceKind::NativeService => {
+            Some(risky.ipc.service.to_owned())
+        }
         ServiceKind::PrebuiltApp(pkg) => {
             let app = system
                 .spec()

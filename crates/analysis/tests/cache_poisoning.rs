@@ -8,6 +8,7 @@
 
 use std::fs;
 use std::path::PathBuf;
+use std::sync::OnceLock;
 
 use jgre_analysis::{
     cache, condense_call_graph, AnalysisOptions, DataflowDetector, DataflowOutput, IpcMethod,
@@ -22,9 +23,16 @@ const VERSION_OFFSET: usize = 8;
 /// One Tier A index row: fact, SCC-key and summary fingerprints.
 const INDEX_ROW_LEN: usize = 24;
 
+/// The AOSP corpus every fixture poisons the cache of, shared: the IPC
+/// surface borrows its names from it.
+fn aosp() -> &'static CodeModel {
+    static MODEL: OnceLock<CodeModel> = OnceLock::new();
+    MODEL.get_or_init(|| CodeModel::synthesize(&AospSpec::android_6_0_1()))
+}
+
 struct Fixture {
-    model: CodeModel,
-    ipc: Vec<IpcMethod>,
+    model: &'static CodeModel,
+    ipc: Vec<IpcMethod<'static>>,
     entries: JgrEntrySets,
     dir: PathBuf,
     pristine: Vec<u8>,
@@ -32,12 +40,12 @@ struct Fixture {
 
 impl Fixture {
     fn new(tag: &str) -> Fixture {
-        let model = CodeModel::synthesize(&AospSpec::android_6_0_1());
-        let ipc = IpcMethodExtractor::new(&model).extract();
-        let entries = JgrEntryExtractor::new(&model).extract();
+        let model = aosp();
+        let ipc = IpcMethodExtractor::new(model).extract();
+        let entries = JgrEntryExtractor::new(model).extract();
         let dir = std::env::temp_dir().join(format!("jgre-poison-{}-{tag}", std::process::id()));
         fs::remove_dir_all(&dir).ok();
-        DataflowDetector::new(&model, &entries)
+        DataflowDetector::new(model, &entries)
             .detect_with(&ipc, &AnalysisOptions::with_cache_dir(&dir));
         let pristine = fs::read(dir.join(CACHE_FILE)).expect("cache file written");
         Fixture {
@@ -82,12 +90,12 @@ impl Fixture {
 
     /// An uncached detection: what every recovered run must equal.
     fn cold(&self) -> DataflowOutput<'_> {
-        DataflowDetector::new(&self.model, &self.entries).detect(&self.ipc)
+        DataflowDetector::new(self.model, &self.entries).detect(&self.ipc)
     }
 
     fn run_with_bytes(&self, bytes: &[u8]) -> DataflowOutput<'_> {
         fs::write(self.dir.join(CACHE_FILE), bytes).unwrap();
-        DataflowDetector::new(&self.model, &self.entries)
+        DataflowDetector::new(self.model, &self.entries)
             .detect_with(&self.ipc, &AnalysisOptions::with_cache_dir(&self.dir))
     }
 
@@ -107,7 +115,7 @@ impl Fixture {
             fs::read(self.dir.join(CACHE_FILE)).unwrap() == self.pristine,
             "{scenario}: repaired file differs from a cold cached run's"
         );
-        let warm = DataflowDetector::new(&self.model, &self.entries)
+        let warm = DataflowDetector::new(self.model, &self.entries)
             .detect_with(&self.ipc, &AnalysisOptions::with_cache_dir(&self.dir));
         assert_eq!(warm.stats.cache_misses, 0, "{scenario}: cache not repaired");
         assert_eq!(warm.stats.cache_invalidated, 0, "{scenario}: still corrupt");
@@ -221,7 +229,7 @@ fn corrupt_index_row_recomputes_only_its_scc() {
     // about its facts and its SCC key puts it in the cone and denies it
     // the early cutoff, but its recomputed summary is the one stored, so
     // every caller's SCC still cuts off.
-    let cond = condense_call_graph(&f.model);
+    let cond = condense_call_graph(f.model);
     let target = cond
         .sccs()
         .filter_map(|scc| match scc {

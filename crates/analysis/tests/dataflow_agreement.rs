@@ -22,7 +22,8 @@ fn risky_sets(model: &CodeModel) -> (RiskySet, RiskySet) {
     let entries = JgrEntryExtractor::new(model).extract();
     let legacy = VulnerableIpcDetector::new(model, &entries).detect(&ipc);
     let flow = DataflowDetector::new(model, &entries).detect(&ipc);
-    let key = |r: &jgre_analysis::RiskyInterface| (r.ipc.service.clone(), r.ipc.method.clone());
+    let key =
+        |r: &jgre_analysis::RiskyInterface| (r.ipc.service.to_owned(), r.ipc.method.to_owned());
     (
         legacy.risky.iter().map(key).collect(),
         flow.detector.risky.iter().map(key).collect(),
@@ -114,7 +115,8 @@ fn agrees_exactly_with_the_legacy_oracle() {
     let entries = JgrEntryExtractor::new(&model).extract();
     let dataflow = DataflowDetector::new(&model, &entries).detect(&ipc);
     let legacy = VulnerableIpcDetector::new(&model, &entries).detect(&ipc);
-    let key = |r: &jgre_analysis::RiskyInterface| (r.ipc.service.clone(), r.ipc.method.clone());
+    let key =
+        |r: &jgre_analysis::RiskyInterface| (r.ipc.service.to_owned(), r.ipc.method.to_owned());
     let ours: RiskySet = dataflow.detector.risky.iter().map(key).collect();
     let theirs: RiskySet = legacy.risky.iter().map(key).collect();
     assert_eq!(ours, theirs, "detectors diverge");
@@ -187,10 +189,10 @@ proptest! {
         let legacy_sifted: std::collections::BTreeMap<_, _> = legacy
             .sifted
             .iter()
-            .map(|(m, r)| ((m.service.clone(), m.method.clone()), *r))
+            .map(|(m, r)| ((m.service, m.method), *r))
             .collect();
         for (m, reason) in &flow.detector.sifted {
-            let key = (m.service.clone(), m.method.clone());
+            let key = (m.service, m.method);
             if let Some(legacy_reason) = legacy_sifted.get(&key) {
                 prop_assert_eq!(
                     reason, legacy_reason,

@@ -20,24 +20,9 @@ use jgre_analysis::{
 };
 use jgre_corpus::{spec::AospSpec, CodeModel, MethodDef, MethodId, ParamUsage};
 
-/// Replicates every method `copies` times with suffixed class names and
-/// offset call ids (the benchmark's corpus).
-fn amplify(base: &CodeModel, copies: usize) -> CodeModel {
-    let n = base.methods.len();
-    let mut model = base.clone();
-    for j in 1..copies {
-        for def in &base.methods {
-            let mut copy = def.clone();
-            copy.id = MethodId((def.id.0 as usize + j * n) as u32);
-            copy.class = format!("{}__copy{j}", def.class);
-            for callee in copy.calls.iter_mut().chain(copy.handler_posts.iter_mut()) {
-                *callee = MethodId((callee.0 as usize + j * n) as u32);
-            }
-            model.methods.push(copy);
-        }
-    }
-    model
-}
+#[path = "support/corpora.rs"]
+mod corpora;
+use corpora::amplify;
 
 /// The edited method plus every transitive caller, found by walking
 /// call edges backwards — an oracle independent of the engine's.

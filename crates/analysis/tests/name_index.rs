@@ -8,25 +8,9 @@
 use jgre_analysis::NameIndex;
 use jgre_corpus::{spec::AospSpec, CodeModel, MethodId};
 
-/// The AOSP corpus replicated `copies` times with suffixed class names
-/// and offset call ids, as the lint benchmark amplifies it. Replicas get
-/// no `ClassDef`.
-fn amplify(base: &CodeModel, copies: usize) -> CodeModel {
-    let n = base.methods.len();
-    let mut model = base.clone();
-    for j in 1..copies {
-        for def in &base.methods {
-            let mut copy = def.clone();
-            copy.id = MethodId((def.id.0 as usize + j * n) as u32);
-            copy.class = format!("{}__copy{j}", def.class);
-            for callee in copy.calls.iter_mut().chain(copy.handler_posts.iter_mut()) {
-                *callee = MethodId((callee.0 as usize + j * n) as u32);
-            }
-            model.methods.push(copy);
-        }
-    }
-    model
-}
+#[path = "support/corpora.rs"]
+mod corpora;
+use corpora::amplify;
 
 /// Every `(class, method)` pair a JNI registration names, plus the same
 /// pair on each replica class (`__copy1` .. `__copy3`) and a miss.

@@ -82,11 +82,11 @@ fn detect<'a>(
     DataflowDetector::new(model, &entries).detect_with(ipc, options)
 }
 
-fn risky_set(out: &DataflowOutput) -> BTreeSet<(String, String)> {
+fn risky_set<'a>(out: &DataflowOutput<'a>) -> BTreeSet<(&'a str, &'a str)> {
     out.detector
         .risky
         .iter()
-        .map(|r| (r.ipc.service.clone(), r.ipc.method.clone()))
+        .map(|r| (r.ipc.service, r.ipc.method))
         .collect()
 }
 
@@ -106,9 +106,7 @@ fn check_refinement(model: &CodeModel) -> Result<(), String> {
     // Row-by-row: the only verdict the predicate reading may change is
     // UnboundedLeak -> ErrorPathLeak.
     for (s, i) in sensitive.verdicts.iter().zip(&insensitive.verdicts) {
-        if (s.ipc.service.as_str(), s.ipc.method.as_str())
-            != (i.ipc.service.as_str(), i.ipc.method.as_str())
-        {
+        if (s.ipc.service, s.ipc.method) != (i.ipc.service, i.ipc.method) {
             return Err("verdict rows not aligned across modes".into());
         }
         let refined =

@@ -14,7 +14,7 @@ fn risky_set(model: &CodeModel) -> Vec<(String, String)> {
     let mut set: Vec<(String, String)> = out
         .risky
         .iter()
-        .map(|r| (r.ipc.service.clone(), r.ipc.method.clone()))
+        .map(|r| (r.ipc.service.to_owned(), r.ipc.method.to_owned()))
         .collect();
     set.sort();
     set

@@ -40,7 +40,7 @@ impl<'m> VulnerableIpcDetector<'m> {
     }
 
     /// Classifies every IPC method.
-    pub fn detect<'a>(&self, ipc_methods: &'a [IpcMethod]) -> DetectorOutput<'a> {
+    pub fn detect<'a>(&self, ipc_methods: &'a [IpcMethod<'a>]) -> DetectorOutput<'a> {
         let mut risky = Vec::new();
         let mut sifted = Vec::new();
         for ipc in ipc_methods {
@@ -52,7 +52,7 @@ impl<'m> VulnerableIpcDetector<'m> {
         DetectorOutput { risky, sifted }
     }
 
-    fn classify<'a>(&self, ipc: &'a IpcMethod) -> Classification<'a> {
+    fn classify<'a>(&self, ipc: &'a IpcMethod<'a>) -> Classification<'a> {
         let Some(root) = ipc.java else {
             // Native-service IPC entry points: their bodies live in the
             // native world; none of the exploitable JNI paths originate
@@ -159,19 +159,26 @@ mod tests {
     use jgre_analysis::{IpcMethodExtractor, JgrEntryExtractor, ServiceKind};
     use jgre_corpus::spec::AospSpec;
 
+    /// The AOSP corpus, shared: the IPC surface borrows its names from
+    /// it.
+    fn aosp() -> &'static CodeModel {
+        static MODEL: std::sync::OnceLock<CodeModel> = std::sync::OnceLock::new();
+        MODEL.get_or_init(|| CodeModel::synthesize(&AospSpec::android_6_0_1()))
+    }
+
     /// The corpus and its step-1/step-2 outputs, which detector rows
     /// borrow from.
     struct Fixture {
-        model: CodeModel,
-        ipc: Vec<IpcMethod>,
+        model: &'static CodeModel,
+        ipc: Vec<IpcMethod<'static>>,
         entries: JgrEntrySets,
     }
 
     impl Fixture {
         fn new() -> Self {
-            let model = CodeModel::synthesize(&AospSpec::android_6_0_1());
-            let ipc = IpcMethodExtractor::new(&model).extract();
-            let entries = JgrEntryExtractor::new(&model).extract();
+            let model = aosp();
+            let ipc = IpcMethodExtractor::new(model).extract();
+            let entries = JgrEntryExtractor::new(model).extract();
             Self {
                 model,
                 ipc,
@@ -180,7 +187,7 @@ mod tests {
         }
 
         fn detect(&self) -> DetectorOutput<'_> {
-            VulnerableIpcDetector::new(&self.model, &self.entries).detect(&self.ipc)
+            VulnerableIpcDetector::new(self.model, &self.entries).detect(&self.ipc)
         }
     }
 
